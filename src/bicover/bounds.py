@@ -193,9 +193,12 @@ def multigraph_report(n, lam, c=None):
     rep = BoundReport({"kind": "complete", "n": n, "lambda": lam})
     rep.entries.append(BoundEntry(
         "edge-count", "lower", float(edge_count_lower(n, lam)), {"n": n, "lambda": lam}))
+    tail = tail_lower(n, lam)
     flags = ("r-term-vanishes",) if (lam - 1) // 2 == 0 else ()
+    if tail <= 0:
+        flags += ("vacuous",)
     rep.entries.append(BoundEntry(
-        "binomial-tail", "lower", tail_lower(n, lam), {"n": n, "lambda": lam}, flags))
+        "binomial-tail", "lower", tail, {"n": n, "lambda": lam}, flags))
     uppers = [("even-weight", upper_even_weight, {"n": n}),
               ("gv", upper_gv, {"n": n, "lambda": lam}),
               ("bch", upper_bch, {"n": n, "lambda": lam})]

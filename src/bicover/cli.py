@@ -26,6 +26,17 @@ EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 METHODS = ("even-weight", "gv", "bch", "hadamard", "balanced", "coloring")
 
 
+def _positive_int(text):
+    """argparse type: a positive integer, so that bad values exit with the usage code."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _emit(payload):
     print(json.dumps(payload, indent=2))
 
@@ -292,8 +303,8 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="build a covering and write it to a file")
-    p.add_argument("--n", type=int)
-    p.add_argument("--lambda", dest="lam", type=int, required=True)
+    p.add_argument("--n", type=_positive_int)
+    p.add_argument("--lambda", dest="lam", type=_positive_int, required=True)
     p.add_argument("--method", choices=METHODS, required=True)
     p.add_argument("--graph", help="graph JSON path (coloring method)")
     p.add_argument("--out", required=True)
@@ -301,39 +312,39 @@ def build_parser():
 
     p = sub.add_parser("verify", help="check a covering file against a target")
     p.add_argument("path")
-    p.add_argument("--n", type=int)
-    p.add_argument("--lambda", dest="lam", type=int, required=True)
+    p.add_argument("--n", type=_positive_int)
+    p.add_argument("--lambda", dest="lam", type=_positive_int, required=True)
     p.add_argument("--graph")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("bounds", help="print all applicable capacity bounds")
-    p.add_argument("--n", type=int)
-    p.add_argument("--lambda", dest="lam", type=int, default=1)
+    p.add_argument("--n", type=_positive_int)
+    p.add_argument("--lambda", dest="lam", type=_positive_int, default=1)
     p.add_argument("--graph")
     p.add_argument("--c", type=float, help="rate parameter for the linear upper bound")
-    p.add_argument("--limit", type=int, help="exact independence-number size limit")
+    p.add_argument("--limit", type=_positive_int, help="exact independence-number size limit")
     p.add_argument("--format", choices=("json", "table"), default="json")
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("exact", help="exhaustive minimum-capacity search")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--lambda", dest="lam", type=int, required=True)
-    p.add_argument("--max-capacity", type=int, default=64)
-    p.add_argument("--max-blocks", type=int, default=16)
-    p.add_argument("--node-limit", type=int, default=2_000_000)
+    p.add_argument("--n", type=_positive_int, required=True)
+    p.add_argument("--lambda", dest="lam", type=_positive_int, required=True)
+    p.add_argument("--max-capacity", type=_positive_int, default=64)
+    p.add_argument("--max-blocks", type=_positive_int, default=16)
+    p.add_argument("--node-limit", type=_positive_int, default=2_000_000)
     p.set_defaults(func=_cmd_exact)
 
     p = sub.add_parser("proofcheck", help="replay the probabilistic proof devices")
     p.add_argument("path")
-    p.add_argument("--n", type=int)
-    p.add_argument("--lambda", dest="lam", type=int, default=1)
+    p.add_argument("--n", type=_positive_int)
+    p.add_argument("--lambda", dest="lam", type=_positive_int, default=1)
     p.add_argument("--graph")
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--exhaustive", action="store_true", default=True)
     mode.add_argument("--sampled", action="store_true")
-    p.add_argument("--trials", type=int, default=100_000)
+    p.add_argument("--trials", type=_positive_int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--limit", type=int, help="exact independence-number size limit")
+    p.add_argument("--limit", type=_positive_int, help="exact independence-number size limit")
     p.set_defaults(func=_cmd_proofcheck)
 
     p = sub.add_parser("sweep", help="tabulate bounds and constructions over a grid")
@@ -343,7 +354,7 @@ def build_parser():
     p.add_argument("--out")
     p.add_argument("--c", type=float)
     p.add_argument("--exact-max-n", type=int, default=4)
-    p.add_argument("--node-limit", type=int, default=2_000_000)
+    p.add_argument("--node-limit", type=_positive_int, default=2_000_000)
     p.set_defaults(func=_cmd_sweep)
     return parser
 

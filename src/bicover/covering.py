@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
+
+import numpy as np
 
 from .codes import sylvester_matrix
 from .errors import (DomainError, GroundSetMismatch, ImproperColoring,
@@ -64,7 +66,7 @@ class BipartiteBlock:
 class Covering:
     """Ground-set size plus an ordered list of bipartite blocks."""
 
-    __slots__ = ("n", "blocks")
+    __slots__ = ("n", "blocks", "_masks")
 
     def __init__(self, n, blocks=()):
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
@@ -76,6 +78,7 @@ class Covering:
                     raise RangeError(f"block vertex {v!r} outside 1..{n}")
         self.n = n
         self.blocks = blocks
+        self._masks = None
 
     def __eq__(self, other):
         if not isinstance(other, Covering):
@@ -136,16 +139,29 @@ def incidence_counts(cov):
 
 
 def membership_masks(cov):
-    """Per-vertex bitmasks over block indices: (left-side masks, right-side masks)."""
-    a = [0] * (cov.n + 1)
-    b = [0] * (cov.n + 1)
-    for i, blk in enumerate(cov.blocks):
-        bit = 1 << i
-        for v in blk.left:
-            a[v] |= bit
-        for v in blk.right:
-            b[v] |= bit
-    return a, b
+    """Per-vertex block masks packed into 64-bit words: (left sides, right sides).
+
+    Each is a read-only uint64 array of shape (max(1, ceil(m / 64)), n + 1),
+    word-major so that one word of every vertex is contiguous: bit i % 64
+    of entry [i // 64, v] is set iff vertex v lies on that side of block i.
+    Column 0 stays zero.  Built once per covering and cached on it.
+    """
+    if cov._masks is None:
+        words = max(1, (len(cov.blocks) + 63) // 64)
+        a = np.zeros((words, cov.n + 1), dtype=np.uint64)
+        b = np.zeros((words, cov.n + 1), dtype=np.uint64)
+        for i, blk in enumerate(cov.blocks):
+            bit = np.uint64(1 << (i % 64))
+            for side, masks in ((blk.left, a), (blk.right, b)):
+                cols = np.fromiter(side, dtype=np.intp, count=len(side))
+                masks[i // 64, cols] |= bit
+        a.flags.writeable = False
+        b.flags.writeable = False
+        cov._masks = (a, b)
+    return cov._masks
+
+
+_EDGE_CHUNK = 1 << 15  # graph edges per verify step
 
 
 def verify(cov, target, lam):
@@ -153,7 +169,9 @@ def verify(cov, target, lam):
 
     ``target`` is an integer n (all pairs of the complete graph on 1..n,
     i.e. K_n^lam) or a Graph (its edges).  Violations are reported as data,
-    not raised.
+    not raised.  The count runs on the packed masks, one vertex u against
+    all v > u (or one chunk of graph edges) per step, so temporaries stay at
+    O(n) words.
     """
     if lam < 1:
         raise DomainError(f"coverage level must be >= 1, got {lam}")
@@ -162,32 +180,42 @@ def verify(cov, target, lam):
             raise GroundSetMismatch(
                 f"covering on {cov.n} vertices vs graph on {target.n}")
         pairs = target.edges()
+        edges = np.fromiter(chain.from_iterable(pairs), dtype=np.intp,
+                            count=2 * len(pairs)).reshape(-1, 2)
+        steps = ((edges[k:k + _EDGE_CHUNK, 0], edges[k:k + _EDGE_CHUNK, 1])
+                 for k in range(0, len(edges), _EDGE_CHUNK))
         kind = "graph"
     else:
         if cov.n != target:
             raise GroundSetMismatch(
                 f"covering on {cov.n} vertices vs complete target on {target}")
-        pairs = combinations(range(1, target + 1), 2)
+        steps = ((u, slice(u + 1, None)) for u in range(1, target))
         kind = "complete"
     a, b = membership_masks(cov)
-    hist = [0] * (len(cov.blocks) + 1)
-    violating = []
-    count = 0
-    for u, v in pairs:
-        mult = ((a[u] & b[v]) | (b[u] & a[v])).bit_count()
-        hist[mult] += 1
-        count += 1
-        if mult < lam:
-            violating.append((u, v))
-    mn = None
-    for mult, c in enumerate(hist):
-        if c:
-            mn = mult
-            break
+    hist = np.zeros(len(cov.blocks) + 1, dtype=np.int64)
+    low_steps = []  # (u, v) index arrays of the pairs below lam, step by step
+    for us, vs in steps:
+        per_word = [np.bitwise_count((aw[us] & bw[vs]) | (bw[us] & aw[vs]))
+                    for aw, bw in zip(a, b)]
+        mult = per_word[0] if len(per_word) == 1 else np.sum(
+            per_word, axis=0, dtype=np.intp)
+        hist += np.bincount(mult, minlength=len(hist))
+        low = np.nonzero(mult < lam)[0]
+        if len(low) and kind == "graph":
+            low_steps.append((us[low], vs[low]))
+        elif len(low):
+            low_steps.append((np.full(len(low), us), low + (us + 1)))
+    # The pair tuples are built once the loop is done and share one int per
+    # vertex, which keeps the peak memory of a long violation list down.
+    labels = list(range(cov.n + 1))
+    violating = tuple((labels[u], labels[v]) for pu, pv in low_steps
+                      for u, v in zip(pu.tolist(), pv.tolist()))
+    counts = hist.tolist()
     return CoverageReport(
-        n=cov.n, lam=lam, target_kind=kind, pair_count=count,
-        min_multiplicity=mn, violating_pairs=tuple(violating),
-        histogram={m: c for m, c in enumerate(hist) if c})
+        n=cov.n, lam=lam, target_kind=kind, pair_count=sum(counts),
+        min_multiplicity=next((m for m, c in enumerate(counts) if c), None),
+        violating_pairs=violating,
+        histogram={m: c for m, c in enumerate(counts) if c})
 
 
 def code_to_covering(code, n):
@@ -337,7 +365,10 @@ def parse_covering(text):
             if len(set(side)) != len(side):
                 raise ParseError(f'duplicate vertex in block side "{key}"')
             sides.append(side)
-        blocks.append(BipartiteBlock(sides[0], sides[1]))
+        try:
+            blocks.append(BipartiteBlock(sides[0], sides[1]))
+        except OverlapError as e:
+            raise ParseError(f"block sides overlap: {e}") from e
     return Covering(n, blocks)
 
 

@@ -14,6 +14,8 @@ import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
@@ -25,23 +27,41 @@ from .graphs import alpha_per_vertex
 EXHAUSTIVE_BLOCK_LIMIT = 20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EventProfile:
-    """Per-vertex block incidence split by side, plus the tail threshold r."""
+    """Per-vertex block incidence split by side, plus the tail threshold r.
+
+    ``a`` and ``b`` are the covering's packed left and right masks without
+    the unused column 0, so column j belongs to vertex j+1 (see
+    ``covering.membership_masks``).
+    """
 
     n: int
     m: int
     r: int
-    a_masks: tuple   # bit i set iff the vertex is in the left side of block i+1
-    b_masks: tuple
+    a: np.ndarray
+    b: np.ndarray
     x: tuple         # total blocks containing each vertex
+
+    @cached_property
+    def a_masks(self):
+        """Left-side masks as Python ints: bit i set iff vertex j+1 is left in block i+1."""
+        return _as_ints(self.a)
+
+    @cached_property
+    def b_masks(self):
+        return _as_ints(self.b)
+
+
+def _as_ints(words):
+    return tuple(int.from_bytes(col.astype("<u8").tobytes(), "little")
+                 for col in words.T)
 
 
 def event_profile(cov, lam):
     a, b = membership_masks(cov)
     return EventProfile(
-        n=cov.n, m=len(cov.blocks), r=(lam - 1) // 2,
-        a_masks=tuple(a[1:]), b_masks=tuple(b[1:]),
+        n=cov.n, m=len(cov.blocks), r=(lam - 1) // 2, a=a[:, 1:], b=b[:, 1:],
         x=tuple(incidence_counts(cov)))
 
 
@@ -105,60 +125,37 @@ def check_event_disjointness(cov, lam, mode="exhaustive", seed=0,
     sampled mode draws seeded vectors and reports observed violations only.
     """
     _require_valid(cov, cov.n, lam, "event disjointness")
-    prof = event_profile(cov, lam)
-    if mode == "exhaustive":
-        if prof.m > exhaustive_limit:
-            raise SizeLimitExceeded(
-                f"{prof.m} blocks exceed the exhaustive sweep limit "
-                f"{exhaustive_limit}")
-        return _disjointness_exhaustive(prof)
+    return _disjointness(event_profile(cov, lam), mode, seed, trials,
+                         exhaustive_limit)
+
+
+def _disjointness(prof, mode, seed, trials, exhaustive_limit):
     if mode == "sampled":
-        return _disjointness_sampled(prof, seed, trials)
-    raise DomainError(f"unknown mode {mode!r}")
-
-
-def _disjointness_exhaustive(prof):
-    m, r = prof.m, prof.r
-    vecs = np.arange(1 << m, dtype=np.uint32)
-    occ = np.zeros(1 << m, dtype=np.uint32)
-    violations = []
-    for j in range(prof.n):
-        a = np.uint32(prof.a_masks[j])
-        b = np.uint32(prof.b_masks[j])
-        hits = np.bitwise_count(vecs & a) + np.bitwise_count(~vecs & b)
-        ev = hits <= r
-        occ += ev
-        count = int(np.count_nonzero(ev))
-        if Fraction(count, 1 << m) != binom_tail_p(prof.x[j], r):
-            violations.append(("probability-mismatch", j + 1, count))
-    doubles = np.nonzero(occ >= 2)[0]
-    for v in doubles[:10]:
-        events = [j + 1 for j in range(prof.n)
-                  if _event_occurs(prof, j, int(v), r)]
-        violations.append(("double-occurrence", int(v), events))
+        chunks = _sweep(prof, prof.r, mode, seed, trials, exhaustive_limit)
+        violations = tuple(islice(
+            (("double-occurrence", v, occurring)
+             for v, occurring in _occurring_sets(chunks, 2)), 10))
+        return DiagnosticReport(
+            "event-disjointness", "sampled", ok=not violations,
+            violations=violations, trials=trials)
+    counts = np.zeros(prof.n, dtype=np.int64)
+    chunks = _sweep(prof, prof.r, mode, seed, trials, exhaustive_limit,
+                    counts=counts)
+    doubles = []
+    double_count = 0
+    for vectors, per_vector, occurring in chunks:
+        multi = np.nonzero(per_vector >= 2)[0]
+        double_count += len(multi)
+        doubles += [("double-occurrence", vectors[k], occurring(k))
+                    for k in multi[:10 - len(doubles)].tolist()]
+    violations = [("probability-mismatch", j + 1, count)
+                  for j, count in enumerate(counts.tolist())
+                  if Fraction(count, 1 << prof.m) != binom_tail_p(prof.x[j], prof.r)]
+    violations += doubles
     return DiagnosticReport(
         "event-disjointness", "exhaustive", ok=not violations,
         violations=tuple(violations),
-        details={"vectors": 1 << m, "double_occurrences": int(len(doubles))})
-
-
-def _disjointness_sampled(prof, seed, trials):
-    rng = random.Random(seed)
-    violations = []
-    for _ in range(trials):
-        v = rng.getrandbits(prof.m) if prof.m else 0
-        occurring = [j + 1 for j in range(prof.n)
-                     if _event_occurs(prof, j, v, prof.r)]
-        if len(occurring) > 1 and len(violations) < 10:
-            violations.append(("double-occurrence", v, occurring))
-    return DiagnosticReport(
-        "event-disjointness", "sampled", ok=not violations,
-        violations=tuple(violations), trials=trials)
-
-
-def _event_occurs(prof, j, v, r):
-    hits = (v & prof.a_masks[j]).bit_count() + (~v & prof.b_masks[j]).bit_count()
-    return hits <= r
+        details={"vectors": 1 << prof.m, "double_occurrences": double_count})
 
 
 def check_convex_tail_bound(cov, lam):
@@ -228,23 +225,10 @@ def check_event_overlap(cov, g, alphas=None, mode="exhaustive", seed=0,
     prof = event_profile(cov, 1)
     total = sum((Fraction(1, (1 << xj) * alphas[j]) for j, xj in enumerate(prof.x)),
                 Fraction(0))
+    chunks = _sweep(prof, 0, mode, seed, trials, exhaustive_limit)
+    # A vector can only break occupancy when its events outnumber some alpha.
     violations = []
-    trials_out = None
-    if mode == "exhaustive":
-        if prof.m > exhaustive_limit:
-            raise SizeLimitExceeded(
-                f"{prof.m} blocks exceed the exhaustive sweep limit "
-                f"{exhaustive_limit}")
-        sweep = range(1 << prof.m)
-    elif mode == "sampled":
-        rng = random.Random(seed)
-        sweep = (rng.getrandbits(prof.m) if prof.m else 0
-                 for _ in range(trials))
-        trials_out = trials
-    else:
-        raise DomainError(f"unknown mode {mode!r}")
-    for v in sweep:
-        occurring = _matching_vertices(prof, v)
+    for v, occurring in _occurring_sets(chunks, max(1, min(alphas) + 1)):
         for j in occurring:
             if len(occurring) > alphas[j - 1]:
                 violations.append(("occupancy", v, j, len(occurring)))
@@ -253,7 +237,8 @@ def check_event_overlap(cov, g, alphas=None, mode="exhaustive", seed=0,
             break
     return DiagnosticReport(
         "event-overlap", mode, ok=total <= 1 and not violations,
-        sum=total, violations=tuple(violations), trials=trials_out)
+        sum=total, violations=tuple(violations),
+        trials=trials if mode == "sampled" else None)
 
 
 def check_independent_event_sets(cov, g, mode="exhaustive", seed=0,
@@ -261,32 +246,19 @@ def check_independent_event_sets(cov, g, mode="exhaustive", seed=0,
                                  exhaustive_limit=EXHAUSTIVE_BLOCK_LIMIT):
     """The vertices whose exact-match events occur form an independent set of g."""
     _require_valid(cov, g, 1, "independent event sets")
-    prof = event_profile(cov, 1)
-    if mode == "exhaustive":
-        if prof.m > exhaustive_limit:
-            raise SizeLimitExceeded(
-                f"{prof.m} blocks exceed the exhaustive sweep limit "
-                f"{exhaustive_limit}")
-        sweep = range(1 << prof.m)
-        trials_out = None
-    elif mode == "sampled":
-        rng = random.Random(seed)
-        sweep = (rng.getrandbits(prof.m) if prof.m else 0
-                 for _ in range(trials))
-        trials_out = trials
-    else:
-        raise DomainError(f"unknown mode {mode!r}")
-    violations = []
-    for v in sweep:
-        occurring = _matching_vertices(prof, v)
-        edge = _first_adjacent_pair(g, occurring)
-        if edge is not None:
-            violations.append(("adjacent-pair", v) + edge)
-            if len(violations) >= 10:
-                break
+    return _independent_sets(event_profile(cov, 1), g, mode, seed, trials,
+                             exhaustive_limit)
+
+
+def _independent_sets(prof, g, mode, seed, trials, exhaustive_limit):
+    chunks = _sweep(prof, 0, mode, seed, trials, exhaustive_limit)
+    found = ((v, _first_adjacent_pair(g, occurring))
+             for v, occurring in _occurring_sets(chunks, 2))
+    violations = tuple(islice(
+        (("adjacent-pair", v) + edge for v, edge in found if edge is not None), 10))
     return DiagnosticReport(
         "independent-event-sets", mode, ok=not violations,
-        violations=tuple(violations), trials=trials_out)
+        violations=violations, trials=trials if mode == "sampled" else None)
 
 
 def _first_adjacent_pair(g, vertices):
@@ -297,10 +269,90 @@ def _first_adjacent_pair(g, vertices):
     return None
 
 
-def _matching_vertices(prof, v):
-    """Vertices whose blocks all read their side's bit from v (exact match)."""
-    out = []
-    for j in range(prof.n):
-        if (v & prof.a_masks[j]) == 0 and (v & prof.b_masks[j]) == prof.b_masks[j]:
-            out.append(j + 1)
-    return out
+_SWEEP_CHUNK = 1 << 14  # vectors x mask words per step: 128 KiB word temporaries
+_WORD = (1 << 64) - 1
+
+
+def _sweep(prof, r, mode, seed, trials, exhaustive_limit, counts=None):
+    """The selection vectors of one sweep, in order and in chunks, with their events.
+
+    Exhaustive mode visits 0 .. 2^m - 1; sampled mode draws ``trials``
+    vectors from ``random.Random(seed).getrandbits(m)``.  Vertex j's event
+    occurs for a vector when at most r of its block memberships disagree
+    with it (r = 0: an exact side match).  Yields, per chunk,
+    (vectors, per_vector, occurring): the vectors as Python ints, the
+    number of events each one triggers, and occurring(k), the sorted
+    vertices whose events vectors[k] triggers.  When given, ``counts[j]``
+    accumulates how many swept vectors trigger vertex j+1's event.  The mode
+    and the size limit are checked on the call, before any vector is drawn.
+    """
+    words = len(prof.a)
+    size = max(1, _SWEEP_CHUNK // words)
+    if mode == "exhaustive":
+        if prof.m > exhaustive_limit:
+            raise SizeLimitExceeded(
+                f"{prof.m} blocks exceed the exhaustive sweep limit "
+                f"{exhaustive_limit}")
+        chunks = _exhaustive_chunks(prof.m, words, size)
+    elif mode == "sampled":
+        chunks = _sampled_chunks(prof.m, words, size, seed, trials)
+    else:
+        raise DomainError(f"unknown mode {mode!r}")
+    return _tally(prof, r, chunks, counts)
+
+
+def _exhaustive_chunks(m, words, size):
+    for lo in range(0, 1 << m, size):
+        vectors = range(lo, min(lo + size, 1 << m))
+        packed = np.zeros((words, len(vectors)), dtype=np.uint64)
+        packed[0] = np.arange(vectors.start, vectors.stop, dtype=np.uint64)
+        yield vectors, packed
+
+
+def _sampled_chunks(m, words, size, seed, trials):
+    rng = random.Random(seed)
+    for lo in range(0, trials, size):
+        vectors = [rng.getrandbits(m) if m else 0
+                   for _ in range(min(size, trials - lo))]
+        yield vectors, np.array([[(v >> (64 * w)) & _WORD for v in vectors]
+                                 for w in range(words)], dtype=np.uint64)
+
+
+def _tally(prof, r, chunks, counts):
+    # Vertex by vertex over a chunk of vectors: each step is a few
+    # contiguous word operations, which beats one (vectors x vertices) block.
+    support = prof.a | prof.b
+    for vectors, packed in chunks:
+        per_vector = np.zeros(len(vectors), dtype=np.intp)
+        for j in range(prof.n):
+            ev = _within(packed, support[:, j], prof.b[:, j], r)
+            per_vector += ev
+            if counts is not None:
+                counts[j] += np.count_nonzero(ev)
+
+        def occurring(k, packed=packed):
+            ev = _within(packed[:, k], support, prof.b, r)
+            return (np.nonzero(ev)[0] + 1).tolist()
+        yield vectors, per_vector, occurring
+
+
+def _within(vectors, support, side, r):
+    """Whether at most r block memberships disagree with the selection vector.
+
+    Arguments are indexed by mask word first: ``support`` holds a vertex's
+    blocks, ``side`` those where it is on the right.  Either many vectors
+    meet one vertex or one vector meets many vertices; each word step
+    broadcasts, and the disagreements are popcount((v & support) ^ side).
+    """
+    hits = np.bitwise_count((vectors[0] & support[0]) ^ side[0])
+    for w in range(1, len(vectors)):
+        hits = hits + np.bitwise_count(
+            (vectors[w] & support[w]) ^ side[w]).astype(np.intp)
+    return hits <= r
+
+
+def _occurring_sets(chunks, min_size):
+    """(vector, occurring vertices) for each swept vector with at least min_size events."""
+    for vectors, per_vector, occurring in chunks:
+        for k in np.nonzero(per_vector >= min_size)[0].tolist():
+            yield vectors[k], occurring(k)

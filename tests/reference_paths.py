@@ -1,0 +1,186 @@
+"""Slow pure-Python reference paths that the packed-bit kernels are tested against.
+
+Each function here is the straightforward loop the library once ran: one
+Python-int bitmask per vertex, one pair or one selection vector at a time.
+They are kept only as oracles; the property tests require the library's
+numpy kernels to return exactly the same reports.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+from itertools import combinations
+
+import numpy as np
+
+from bicover.bounds import binom_tail_p
+from bicover.covering import CoverageReport
+from bicover.diagnostics import DiagnosticReport
+from bicover.errors import DomainError, SizeLimitExceeded
+from bicover.graphs import Graph
+
+
+def int_masks(cov):
+    """Per-vertex Python-int bitmasks over block indices: (left, right), index 0 unused."""
+    a = [0] * (cov.n + 1)
+    b = [0] * (cov.n + 1)
+    for i, blk in enumerate(cov.blocks):
+        bit = 1 << i
+        for v in blk.left:
+            a[v] |= bit
+        for v in blk.right:
+            b[v] |= bit
+    return a, b
+
+
+def verify(cov, target, lam):
+    """One Python loop over every required pair."""
+    if isinstance(target, Graph):
+        pairs = target.edges()
+        kind = "graph"
+    else:
+        pairs = combinations(range(1, target + 1), 2)
+        kind = "complete"
+    a, b = int_masks(cov)
+    hist = [0] * (len(cov.blocks) + 1)
+    violating = []
+    count = 0
+    for u, v in pairs:
+        mult = ((a[u] & b[v]) | (b[u] & a[v])).bit_count()
+        hist[mult] += 1
+        count += 1
+        if mult < lam:
+            violating.append((u, v))
+    mn = None
+    for mult, c in enumerate(hist):
+        if c:
+            mn = mult
+            break
+    return CoverageReport(
+        n=cov.n, lam=lam, target_kind=kind, pair_count=count,
+        min_multiplicity=mn, violating_pairs=tuple(violating),
+        histogram={m: c for m, c in enumerate(hist) if c})
+
+
+def event_occurs(prof, j, v, r):
+    """Vertex j+1's near-match event: at most r of its blocks disagree with v."""
+    hits = (v & prof.a_masks[j]).bit_count() + (~v & prof.b_masks[j]).bit_count()
+    return hits <= r
+
+
+def matching_vertices(prof, v):
+    """Vertices whose blocks all read their side's bit from v (exact match)."""
+    out = []
+    for j in range(prof.n):
+        if (v & prof.a_masks[j]) == 0 and (v & prof.b_masks[j]) == prof.b_masks[j]:
+            out.append(j + 1)
+    return out
+
+
+def _sweep(prof, mode, seed, trials, exhaustive_limit):
+    if mode == "exhaustive":
+        if prof.m > exhaustive_limit:
+            raise SizeLimitExceeded(f"{prof.m} blocks exceed {exhaustive_limit}")
+        return range(1 << prof.m), None
+    if mode == "sampled":
+        rng = random.Random(seed)
+        return (rng.getrandbits(prof.m) if prof.m else 0
+                for _ in range(trials)), trials
+    raise DomainError(f"unknown mode {mode!r}")
+
+
+def disjointness(prof, mode="exhaustive", seed=0, trials=100_000,
+                 exhaustive_limit=20):
+    """The event-disjointness sweep, without the covering validity check."""
+    if mode == "exhaustive":
+        if prof.m > exhaustive_limit:
+            raise SizeLimitExceeded(f"{prof.m} blocks exceed {exhaustive_limit}")
+        return _disjointness_exhaustive(prof)
+    if mode == "sampled":
+        return _disjointness_sampled(prof, seed, trials)
+    raise DomainError(f"unknown mode {mode!r}")
+
+
+def _disjointness_exhaustive(prof):
+    m, r = prof.m, prof.r
+    vecs = np.arange(1 << m, dtype=np.uint32)
+    occ = np.zeros(1 << m, dtype=np.uint32)
+    violations = []
+    for j in range(prof.n):
+        a = np.uint32(prof.a_masks[j])
+        b = np.uint32(prof.b_masks[j])
+        hits = np.bitwise_count(vecs & a) + np.bitwise_count(~vecs & b)
+        ev = hits <= r
+        occ += ev
+        count = int(np.count_nonzero(ev))
+        if Fraction(count, 1 << m) != binom_tail_p(prof.x[j], r):
+            violations.append(("probability-mismatch", j + 1, count))
+    doubles = np.nonzero(occ >= 2)[0]
+    for v in doubles[:10]:
+        events = [j + 1 for j in range(prof.n)
+                  if event_occurs(prof, j, int(v), r)]
+        violations.append(("double-occurrence", int(v), events))
+    return DiagnosticReport(
+        "event-disjointness", "exhaustive", ok=not violations,
+        violations=tuple(violations),
+        details={"vectors": 1 << m, "double_occurrences": int(len(doubles))})
+
+
+def _disjointness_sampled(prof, seed, trials):
+    rng = random.Random(seed)
+    violations = []
+    for _ in range(trials):
+        v = rng.getrandbits(prof.m) if prof.m else 0
+        occurring = [j + 1 for j in range(prof.n)
+                     if event_occurs(prof, j, v, prof.r)]
+        if len(occurring) > 1 and len(violations) < 10:
+            violations.append(("double-occurrence", v, occurring))
+    return DiagnosticReport(
+        "event-disjointness", "sampled", ok=not violations,
+        violations=tuple(violations), trials=trials)
+
+
+def event_overlap(prof, alphas, mode="exhaustive", seed=0, trials=100_000,
+                  exhaustive_limit=20):
+    """The occupancy sweep and weighted sum, without the validity check."""
+    total = sum((Fraction(1, (1 << xj) * alphas[j]) for j, xj in enumerate(prof.x)),
+                Fraction(0))
+    sweep, trials_out = _sweep(prof, mode, seed, trials, exhaustive_limit)
+    violations = []
+    for v in sweep:
+        occurring = matching_vertices(prof, v)
+        for j in occurring:
+            if len(occurring) > alphas[j - 1]:
+                violations.append(("occupancy", v, j, len(occurring)))
+                break
+        if len(violations) >= 10:
+            break
+    return DiagnosticReport(
+        "event-overlap", mode, ok=total <= 1 and not violations,
+        sum=total, violations=tuple(violations), trials=trials_out)
+
+
+def independent_event_sets(prof, g, mode="exhaustive", seed=0, trials=100_000,
+                           exhaustive_limit=20):
+    """The independent-set sweep, without the validity check."""
+    sweep, trials_out = _sweep(prof, mode, seed, trials, exhaustive_limit)
+    violations = []
+    for v in sweep:
+        occurring = matching_vertices(prof, v)
+        edge = _first_adjacent_pair(g, occurring)
+        if edge is not None:
+            violations.append(("adjacent-pair", v) + edge)
+            if len(violations) >= 10:
+                break
+    return DiagnosticReport(
+        "independent-event-sets", mode, ok=not violations,
+        violations=tuple(violations), trials=trials_out)
+
+
+def _first_adjacent_pair(g, vertices):
+    for i, u in enumerate(vertices):
+        for w in vertices[i + 1:]:
+            if g.has_edge(u, w):
+                return (u, w)
+    return None

@@ -167,6 +167,15 @@ def test_multigraph_report_structure():
     assert by_name2["binomial-tail"].flags == ("r-term-vanishes",)
 
 
+def test_vacuous_tail_bound_is_flagged():
+    tail = {e.name: e for e in multigraph_report(4, 100).entries}["binomial-tail"]
+    assert tail.value == pytest.approx(tail_lower(4, 100))
+    assert tail.value == pytest.approx(-899.35, abs=0.01)
+    assert tail.flags == ("vacuous",)
+    assert "vacuous" not in {e.name: e for e in multigraph_report(16, 3).entries}[
+        "binomial-tail"].flags
+
+
 def test_graph_report_structure():
     rep = graph_report(C5)
     by_name = {e.name: e for e in rep.entries}

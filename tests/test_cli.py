@@ -172,3 +172,34 @@ def test_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "--n", "0", "--lambda", "1", "--method", "gv", "--out", "x.json"],
+    ["construct", "--n", "-4", "--lambda", "1", "--method", "balanced",
+     "--out", "x.json"],
+    ["construct", "--n", "4", "--lambda", "0", "--method", "gv", "--out", "x.json"],
+    ["verify", "c.json", "--n", "4", "--lambda", "0"],
+    ["bounds", "--n", "4", "--lambda", "-1"],
+    ["bounds", "--graph", "g.json", "--limit", "0"],
+    ["exact", "--n", "3", "--lambda", "1", "--node-limit", "0"],
+    ["exact", "--n", "3", "--lambda", "1", "--max-capacity", "0"],
+    ["exact", "--n", "3", "--lambda", "1", "--max-blocks", "0"],
+    ["proofcheck", "c.json", "--n", "4", "--sampled", "--trials", "0"],
+    ["proofcheck", "c.json", "--graph", "g.json", "--limit", "-2"],
+    ["sweep", "--n-list", "4", "--lambda-list", "1", "--node-limit", "0"],
+    ["exact", "--n", "three", "--lambda", "1"],
+])
+def test_non_positive_counts_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "argument" in capsys.readouterr().err
+
+
+def test_overlapping_sides_are_a_parse_error(tmp_path, capsys):
+    bad = tmp_path / "overlap.json"
+    bad.write_text('{"n": 3, "blocks": [{"left": [1, 2], "right": [2, 3]}]}')
+    code, stdout, err = run(capsys, "verify", str(bad), "--n", "3", "--lambda", "1")
+    assert code == 2 and stdout == ""
+    assert "overlap" in err

@@ -195,7 +195,7 @@ def test_valid_coverings_meet_edge_count_inequality():
 def test_parse_and_serialize():
     cov = parse_covering('{"n":2,"blocks":[{"left":[1],"right":[2]}]}')
     assert cov == Covering(2, [BipartiteBlock([1], [2])])
-    with pytest.raises(OverlapError):
+    with pytest.raises(ParseError, match="overlap"):
         parse_covering('{"n":3,"blocks":[{"left":[1,2],"right":[2]}]}')
     with pytest.raises(RangeError):
         parse_covering('{"n":2,"blocks":[{"left":[1],"right":[3]}]}')
