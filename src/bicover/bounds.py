@@ -130,8 +130,7 @@ def gv_count(k, d):
     """ceil(2^k / sum_{i<d} C(k, i)), the guaranteed size of a distance-d code."""
     if not 1 <= d <= k:
         raise DomainError(f"need 1 <= d <= k, got d={d}, k={k}")
-    denom = sum(comb(k, i) for i in range(d))
-    return -((1 << k) // -denom)
+    return -((1 << k) // -codes.ball_volume(k, d - 1))
 
 
 def binom_tail_p(x, r):
@@ -181,11 +180,14 @@ class BoundReport:
     def upper_values(self):
         return [e.value for e in self.entries if e.side == "upper"]
 
-    def to_json(self):
-        return json.dumps({
+    def to_dict(self):
+        return {
             "instance": self.instance,
             "entries": [e.to_obj() for e in self.entries],
-        })
+        }
+
+    def to_json(self):
+        return json.dumps(self.to_dict())
 
 
 def multigraph_report(n, lam, c=None):

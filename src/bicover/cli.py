@@ -11,6 +11,8 @@ import argparse
 import csv
 import io
 import json
+import os
+import stat
 import sys
 from math import comb, isnan
 
@@ -38,7 +40,24 @@ def _positive_int(text):
 
 
 def _emit(payload):
-    print(json.dumps(payload, indent=2))
+    json.dump(payload, sys.stdout, indent=2)
+    sys.stdout.write("\n")
+
+
+def _write(path, text):
+    """Write text to path, overwriting an existing file in place.
+
+    The file is not truncated to zero before the write, only cut to the new
+    length after it: on file systems that flush a truncated file's data
+    when it is closed (ext4's default ``auto_da_alloc``), truncate-then-write
+    can cost tens of milliseconds per rewrite.  Only regular files are cut,
+    so devices, pipes and FIFOs work as with ``open(path, "w")``.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "wb") as fh:
+        fh.write(text.encode("utf-8"))
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            fh.truncate()
 
 
 def _header(command, args, skip=("func", "command")):
@@ -116,8 +135,7 @@ def _cmd_construct(args):
             raise DomainError("--n is required for this method")
         n = args.n
     cov, guaranteed, params = _build_covering(args.method, n, args.lam, args.graph)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(covering.serialize_covering(cov))
+    _write(args.out, covering.serialize_covering(cov))
     report = {
         "method": args.method,
         "params": params,
@@ -128,8 +146,8 @@ def _cmd_construct(args):
         "requested_lambda": args.lam,
     }
     sidecar = _sidecar_path(args.out)
-    with open(sidecar, "w", encoding="utf-8") as fh:
-        json.dump({**_header("construct", args), "report": report}, fh, indent=2)
+    _write(sidecar, json.dumps({**_header("construct", args), "report": report},
+                               indent=2))
     _emit({**_header("construct", args), "out": args.out,
            "sidecar": sidecar, "report": report})
     return EXIT_OK
@@ -152,7 +170,7 @@ def _cmd_verify(args):
     except GroundSetMismatch as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    _emit({**_header("verify", args), "report": json.loads(report.to_json())})
+    _emit({**_header("verify", args), "report": report.to_dict()})
     return EXIT_OK if report.ok else EXIT_FAIL
 
 
@@ -171,7 +189,7 @@ def _cmd_bounds(args):
             flags = f"  [{', '.join(e.flags)}]" if e.flags else ""
             print(f"{e.side:>5}  {e.name:<12} {value:>14}{flags}")
     else:
-        _emit({**_header("bounds", args), "report": json.loads(report.to_json())})
+        _emit({**_header("bounds", args), "report": report.to_dict()})
     return EXIT_OK
 
 
@@ -218,7 +236,7 @@ def _cmd_proofcheck(args):
     ok = base.ok and all(c.ok for c in checks)
     _emit({**_header("proofcheck", args),
            "covering_valid": base.ok,
-           "checks": [json.loads(c.to_json()) for c in checks],
+           "checks": [c.to_dict() for c in checks],
            "ok": ok})
     return EXIT_OK if ok else EXIT_FAIL
 
@@ -279,15 +297,13 @@ def _cmd_sweep(args):
             writer.writerow({k: ("" if v is None else v) for k, v in row.items()})
         text = buf.getvalue()
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            _write(args.out, text)
         else:
             sys.stdout.write(text)
     else:
         payload = {**_header("sweep", args), "rows": rows}
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, indent=2)
+            _write(args.out, json.dumps(payload, indent=2))
         else:
             _emit(payload)
     return EXIT_OK

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations
+from math import comb
 
 import numpy as np
 
@@ -120,7 +120,11 @@ class BinaryCode:
 
 
 def min_distance(code, pair_cap=DEFAULT_PAIR_CAP):
-    """Exact minimum pairwise Hamming distance; caches the result on the code."""
+    """Exact minimum pairwise Hamming distance; caches the result on the code.
+
+    Codes of length at most 64 are checked one word against all later words
+    per step on a uint64 array; longer codes fall back to Python ints.
+    """
     if code.min_distance is not None:
         return code.min_distance
     words = code.words
@@ -129,17 +133,25 @@ def min_distance(code, pair_cap=DEFAULT_PAIR_CAP):
     pairs = len(words) * (len(words) - 1) // 2
     if pairs > pair_cap:
         raise CapExceeded(f"{pairs} pairs exceed the cap of {pair_cap}")
+    if code.length <= 64:
+        arr = np.array(words, dtype=np.uint64)
+        rows = (np.bitwise_count(arr[i] ^ arr[i + 1:]).min()
+                for i in range(len(arr) - 1))
+    else:
+        rows = (min((wi ^ wj).bit_count() for wj in words[i + 1:])
+                for i, wi in enumerate(words[:-1]))
     best = code.length
-    for i, wi in enumerate(words):
-        for wj in words[i + 1:]:
-            d = (wi ^ wj).bit_count()
-            if d < best:
-                best = d
-                if best == 1:
-                    code.min_distance = 1
-                    return 1
+    for d in rows:
+        best = min(best, int(d))
+        if best == 1:
+            break
     code.min_distance = best
     return best
+
+
+def ball_volume(k, r):
+    """Number of k-bit words within Hamming distance r of a given word."""
+    return sum(comb(k, i) for i in range(r + 1))
 
 
 def even_weight_code(k, word_cap=DEFAULT_WORD_CAP):
@@ -170,23 +182,24 @@ def greedy_gv_code(k, d, target, scan_cap=DEFAULT_SCAN_CAP,
         raise DomainError(f"invalid greedy scan parameters k={k}, d={d}, target={target}")
     if 1 << k > scan_cap:
         raise SizeLimitExceeded(f"scan space 2^{k} exceeds the cap of {scan_cap}")
-    ball = [0]
-    for r in range(1, d):
-        for pos in combinations(range(k), r):
-            m = 0
-            for p in pos:
-                m |= 1 << p
-            ball.append(m)
+    # The radius-(d-1) ball around 0, built bit by bit: position p adds a
+    # copy, with bit p set, of every word so far that weighs less than d - 1.
+    ball = np.zeros(1, dtype=np.int64)
+    weight = np.zeros(1, dtype=np.int8)
+    for p in range(k):
+        light = weight < d - 1
+        ball = np.concatenate((ball, ball[light] | (1 << p)))
+        weight = np.concatenate((weight, weight[light] + 1))
     forbidden = bytearray(1 << k)
+    marks = np.frombuffer(forbidden, dtype=np.uint8)
     words = []
-    for w in range(1 << k):
-        if forbidden[w]:
-            continue
+    w = 0
+    while w >= 0:
         words.append(w)
         if len(words) == target:
             break
-        for m in ball:
-            forbidden[w ^ m] = 1
+        marks[ball ^ w] = 1
+        w = forbidden.find(0, w + 1)
     code = BinaryCode(k, tuple(words), method="gv")
     if len(words) < target:
         raise TargetUnreached(
@@ -360,6 +373,24 @@ def sylvester_matrix(m, entry_cap=1 << 24):
 _FAMILIES = ("even-weight", "repetition", "extended-bch", "gv", "hadamard")
 
 
+def _gv_scan(n, lam, scan_cap, k_max=None):
+    """Greedy code at the shortest length whose scan reaches n words, else None.
+
+    Lengths with 2^k < n * V(k, floor((lam-1)/2)) are skipped unscanned: by
+    the sphere-packing bound no code of that length holds n words at
+    distance lam.  Scans stop at ``k_max`` or at the scan cap.
+    """
+    k = max((n - 1).bit_length(), lam, 1)
+    while (1 << k) < n * ball_volume(k, (lam - 1) // 2):
+        k += 1
+    while (1 << k) <= scan_cap and (k_max is None or k <= k_max):
+        try:
+            return greedy_gv_code(k, lam, n, scan_cap=scan_cap)
+        except TargetUnreached:
+            k += 1
+    return None
+
+
 def k_best(n, lam, max_bch_m=16, scan_cap=DEFAULT_SCAN_CAP,
            word_cap=DEFAULT_WORD_CAP):
     """Smallest code length any implemented family certifies for (n, lam).
@@ -390,18 +421,9 @@ def k_best(n, lam, max_bch_m=16, scan_cap=DEFAULT_SCAN_CAP,
     while (1 << m) < n or (1 << (m - 1)) < lam:
         m += 1
     candidates["hadamard"] = 1 << m
-    best_other = min(candidates.values(), default=None)
-    k_lo = max((n - 1).bit_length(), lam if n >= 2 else 1, 1)
-    k_hi = best_other - 1 if best_other is not None else None
-    k = k_lo
-    while (1 << k) <= scan_cap and (k_hi is None or k <= k_hi):
-        try:
-            greedy_gv_code(k, lam, n, scan_cap=scan_cap)
-        except TargetUnreached:
-            k += 1
-            continue
-        candidates["gv"] = k
-        break
+    gv = _gv_scan(n, lam, scan_cap, k_max=min(candidates.values()) - 1)
+    if gv is not None:
+        candidates["gv"] = gv.length
     if not candidates:
         raise NoConstruction(f"no implemented family reaches n={n}, lam={lam}")
     best = min(candidates.values())
@@ -432,13 +454,10 @@ def build_code(method, n, lam, word_cap=DEFAULT_WORD_CAP,
                 return bch_extended_code(m, d, target=max(n, 2), word_cap=word_cap)
         raise NoConstruction(f"no tabled BCH field reaches n={n}, lam={lam}")
     if method == "gv":
-        k = max((n - 1).bit_length(), lam, 1)
-        while (1 << k) <= scan_cap:
-            try:
-                return greedy_gv_code(k, lam, n, scan_cap=scan_cap)
-            except TargetUnreached:
-                k += 1
-        raise NoConstruction(f"greedy scan cap reached before n={n}, lam={lam}")
+        code = _gv_scan(n, lam, scan_cap)
+        if code is None:
+            raise NoConstruction(f"greedy scan cap reached before n={n}, lam={lam}")
+        return code
     if method == "hadamard":
         m = 1
         while (1 << m) < n or (1 << (m - 1)) < lam:

@@ -66,7 +66,7 @@ class BipartiteBlock:
 class Covering:
     """Ground-set size plus an ordered list of bipartite blocks."""
 
-    __slots__ = ("n", "blocks", "_masks")
+    __slots__ = ("n", "blocks", "_masks", "_verified")
 
     def __init__(self, n, blocks=()):
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
@@ -79,6 +79,7 @@ class Covering:
         self.n = n
         self.blocks = blocks
         self._masks = None
+        self._verified = {}  # target -> min_multiplicity of its last verify
 
     def __eq__(self, other):
         if not isinstance(other, Covering):
@@ -111,8 +112,8 @@ class CoverageReport:
     def ok(self):
         return not self.violating_pairs
 
-    def to_json(self):
-        return json.dumps({
+    def to_dict(self):
+        return {
             "n": self.n,
             "lambda": self.lam,
             "target_kind": self.target_kind,
@@ -121,7 +122,10 @@ class CoverageReport:
             "ok": self.ok,
             "violating_pairs": [list(p) for p in self.violating_pairs],
             "histogram": {str(k): v for k, v in sorted(self.histogram.items())},
-        })
+        }
+
+    def to_json(self):
+        return json.dumps(self.to_dict())
 
 
 def capacity(cov):
@@ -171,7 +175,9 @@ def verify(cov, target, lam):
     i.e. K_n^lam) or a Graph (its edges).  Violations are reported as data,
     not raised.  The count runs on the packed masks, one vertex u against
     all v > u (or one chunk of graph edges) per step, so temporaries stay at
-    O(n) words.
+    O(n) words.  The minimum multiplicity is recorded on the covering per
+    target, which lets later checks at the same or a lower level skip the
+    count (see ``is_verified``).
     """
     if lam < 1:
         raise DomainError(f"coverage level must be >= 1, got {lam}")
@@ -211,11 +217,24 @@ def verify(cov, target, lam):
     violating = tuple((labels[u], labels[v]) for pu, pv in low_steps
                       for u, v in zip(pu.tolist(), pv.tolist()))
     counts = hist.tolist()
+    lowest = next((m for m, c in enumerate(counts) if c), None)
+    cov._verified[target] = lowest
     return CoverageReport(
         n=cov.n, lam=lam, target_kind=kind, pair_count=sum(counts),
-        min_multiplicity=next((m for m, c in enumerate(counts) if c), None),
-        violating_pairs=violating,
+        min_multiplicity=lowest, violating_pairs=violating,
         histogram={m: c for m, c in enumerate(counts) if c})
+
+
+def is_verified(cov, target, lam):
+    """Whether an earlier ``verify`` of this covering already showed it valid at lam.
+
+    A recorded minimum multiplicity of None means the target has no
+    required pairs, which every covering satisfies.
+    """
+    if target not in cov._verified:
+        return False
+    lowest = cov._verified[target]
+    return lowest is None or lowest >= lam
 
 
 def code_to_covering(code, n):

@@ -20,7 +20,7 @@ from itertools import islice
 import numpy as np
 
 from .bounds import binom_tail_p
-from .covering import incidence_counts, membership_masks, verify
+from .covering import incidence_counts, is_verified, membership_masks, verify
 from .errors import DomainError, InvalidCovering, SizeLimitExceeded
 from .graphs import alpha_per_vertex
 
@@ -75,11 +75,11 @@ class DiagnosticReport:
     trials: int | None = None
     details: dict = field(default_factory=dict)
 
-    def to_json(self):
+    def to_dict(self):
         s = None
         if self.sum is not None:
             s = f"{self.sum.numerator}/{self.sum.denominator}"
-        return json.dumps({
+        return {
             "check": self.check,
             "mode": self.mode,
             "ok": self.ok,
@@ -88,16 +88,20 @@ class DiagnosticReport:
                            for v in self.violations],
             "trials": self.trials,
             **({"details": self.details} if self.details else {}),
-        })
+        }
+
+    def to_json(self):
+        return json.dumps(self.to_dict())
 
 
 def _require_valid(cov, target, lam, label):
+    if is_verified(cov, target, lam):
+        return
     report = verify(cov, target, lam)
     if not report.ok:
         raise InvalidCovering(
             f"{label} needs a valid covering; {len(report.violating_pairs)} "
             f"pairs fall below {lam}")
-    return report
 
 
 def check_tail_sum(cov, lam):

@@ -1,9 +1,10 @@
 """Slow pure-Python reference paths that the packed-bit kernels are tested against.
 
 Each function here is the straightforward loop the library once ran: one
-Python-int bitmask per vertex, one pair or one selection vector at a time.
-They are kept only as oracles; the property tests require the library's
-numpy kernels to return exactly the same reports.
+Python-int bitmask per vertex, one pair or one selection vector at a time,
+one codeword or one ball mask at a time.  They are kept only as oracles;
+the property tests require the library's numpy kernels to return exactly
+the same reports and codes.
 """
 
 from __future__ import annotations
@@ -184,3 +185,41 @@ def _first_adjacent_pair(g, vertices):
             if g.has_edge(u, w):
                 return (u, w)
     return None
+
+
+def greedy_gv_words(k, d, target):
+    """The greedy lexicographic scan, one word and one ball mask at a time.
+
+    Returns the kept words, fewer than ``target`` when the scan ends short.
+    """
+    ball = [0]
+    for r in range(1, d):
+        for pos in combinations(range(k), r):
+            m = 0
+            for p in pos:
+                m |= 1 << p
+            ball.append(m)
+    forbidden = bytearray(1 << k)
+    words = []
+    for w in range(1 << k):
+        if forbidden[w]:
+            continue
+        words.append(w)
+        if len(words) == target:
+            break
+        for m in ball:
+            forbidden[w ^ m] = 1
+    return tuple(words)
+
+
+def min_distance(words, length):
+    """Minimum pairwise Hamming distance over Python ints, one pair at a time."""
+    best = length
+    for i, wi in enumerate(words):
+        for wj in words[i + 1:]:
+            d = (wi ^ wj).bit_count()
+            if d < best:
+                best = d
+                if best == 1:
+                    return 1
+    return best

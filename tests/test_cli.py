@@ -1,10 +1,12 @@
 import csv
 import io
 import json
+import os
 
 import pytest
 
-from bicover.cli import main
+from bicover import covering, diagnostics
+from bicover.cli import _write, main
 from bicover.covering import capacity, parse_covering, verify
 from bicover.graphs import random_graph, serialize_graph
 
@@ -128,6 +130,26 @@ def test_proofcheck_command(tmp_path, capsys):
     assert json.loads(stdout)["covering_valid"] is False
 
 
+def test_proofcheck_verifies_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    real = covering.verify
+
+    def counted(cov, target, lam):
+        calls.append(lam)
+        return real(cov, target, lam)
+
+    monkeypatch.setattr(covering, "verify", counted)
+    monkeypatch.setattr(diagnostics, "verify", counted)
+    out = tmp_path / "h.json"
+    run(capsys, "construct", "--n", "8", "--lambda", "4", "--method", "hadamard",
+        "--out", str(out))
+    calls.clear()
+    code, stdout, _ = run(capsys, "proofcheck", str(out), "--n", "8",
+                          "--lambda", "4")
+    assert code == 0 and len(json.loads(stdout)["checks"]) == 3
+    assert calls == [4]
+
+
 def test_proofcheck_graph_mode(tmp_path, capsys):
     g = random_graph(10, 0.4, 2)
     gpath = tmp_path / "g.json"
@@ -203,3 +225,20 @@ def test_overlapping_sides_are_a_parse_error(tmp_path, capsys):
     code, stdout, err = run(capsys, "verify", str(bad), "--n", "3", "--lambda", "1")
     assert code == 2 and stdout == ""
     assert "overlap" in err
+
+
+def test_rewrite_leaves_exactly_the_new_bytes(tmp_path, capsys):
+    out = tmp_path / "c.json"
+    sidecar = tmp_path / "c.report.json"
+    argv = ("construct", "--n", "6", "--lambda", "2", "--method", "even-weight",
+            "--out", str(out))
+    run(capsys, *argv)
+    fresh = out.read_bytes(), sidecar.read_bytes()
+    out.write_bytes(b"x" * (3 * len(fresh[0])))
+    sidecar.write_bytes(b"y" * (3 * len(fresh[1])))
+    assert run(capsys, *argv)[0] == 0
+    assert (out.read_bytes(), sidecar.read_bytes()) == fresh
+
+
+def test_write_to_a_device_does_not_raise():
+    _write(os.devnull, "{}\n")

@@ -3,6 +3,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from bicover import codes
 from bicover.bounds import gv_count
 from bicover.codes import (BinaryCode, FieldContext, bch_dimension,
                            bch_extended_code, build_code, even_weight_code,
@@ -203,3 +204,37 @@ def test_build_code_families():
         code = build_code(method, n, lam)
         assert len(code.words) >= n
         assert pairwise_min_distance(code.words[:n]) >= lam
+
+
+def test_gv_length_skip_keeps_choice(monkeypatch):
+    # The naive choice is the first length from max(log2 n, lam) whose full
+    # greedy lexicode holds n words; its first n words are the code.  Scans
+    # are served from those lexicodes, so every length is cheap to try.
+    lexicodes = {}
+
+    def lexicode(k, d):
+        if (k, d) not in lexicodes:
+            try:
+                lexicodes[k, d] = greedy_gv_code(k, d, 1 << k).words
+            except TargetUnreached as e:
+                lexicodes[k, d] = e.code.words
+        return lexicodes[k, d]
+
+    def scan(k, d, target, **caps):
+        code = BinaryCode(k, lexicode(k, d)[:target], method="gv")
+        if len(code) < target:
+            raise TargetUnreached("short", achieved=len(code), code=code)
+        return code
+
+    monkeypatch.setattr(codes, "greedy_gv_code", scan)
+    for lam in range(1, 8):
+        for n in range(2, 301):
+            k = max((n - 1).bit_length(), lam)
+            while len(lexicode(k, lam)) < n:
+                k += 1
+            code = build_code("gv", n, lam)
+            assert (code.length, code.words) == (k, lexicode(k, lam)[:n])
+            best, method = k_best(n, lam)
+            assert best <= k
+            assert method != "gv" or best == k
+            assert method != "hadamard" or best < k

@@ -5,9 +5,10 @@ from math import log
 import pytest
 
 from bicover.bounds import binom_tail_p
+from bicover import diagnostics
 from bicover.covering import (BipartiteBlock, Covering, code_to_covering,
                               coloring_to_covering, covering_sum,
-                              hadamard_covering)
+                              hadamard_covering, verify)
 from bicover.codes import greedy_gv_code
 from bicover.diagnostics import (check_convex_tail_bound, check_convexity,
                                  check_event_disjointness, check_event_overlap,
@@ -162,6 +163,40 @@ def test_negative_control_broken_covering():
         check_event_disjointness(broken, 2)
     with pytest.raises(InvalidCovering):
         check_event_overlap(Covering(3, K3_COVER.blocks[:1]), complete_graph(3))
+
+
+def test_recorded_verify_does_not_excuse_an_invalid_covering():
+    # A verify at a lower level, or on another target, records a result
+    # that must not stand in for the check at a higher level.
+    h = hadamard_covering(2)
+    assert verify(h, 4, 1).ok
+    with pytest.raises(InvalidCovering):
+        check_tail_sum(h, 3)
+    part = Covering(3, K3_COVER.blocks[:1])
+    assert not verify(part, complete_graph(3), 1).ok
+    assert verify(part, Graph(3, [(1, 2)]), 1).ok
+    with pytest.raises(InvalidCovering):
+        check_event_overlap(part, complete_graph(3))
+
+
+def test_recorded_verify_is_reused(monkeypatch):
+    calls = []
+
+    def counted(cov, target, lam):
+        calls.append(lam)
+        return verify(cov, target, lam)
+
+    monkeypatch.setattr(diagnostics, "verify", counted)
+    h = hadamard_covering(3)
+    check_tail_sum(h, 4)
+    check_event_disjointness(h, 3)
+    check_convex_tail_bound(h, 4)
+    assert calls == [4]
+    # No required pairs: the recorded minimum is None, which counts as valid.
+    cov = Covering(3, [BipartiteBlock([1], [2])])
+    assert verify(cov, empty_graph(3), 1).min_multiplicity is None
+    assert check_independent_event_sets(cov, empty_graph(3)).ok
+    assert calls == [4]
 
 
 def test_sum_covering_diagnostics():

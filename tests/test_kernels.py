@@ -1,4 +1,5 @@
-"""The packed-bit verify and sweep kernels agree exactly with the Python reference paths."""
+"""The numpy kernels (verify, the diagnostic sweeps, the greedy code scan and
+min_distance) agree exactly with the Python reference paths."""
 
 import json
 import random
@@ -7,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bicover.codes import BinaryCode, greedy_gv_code, min_distance
 from bicover.covering import BipartiteBlock, Covering, verify
 from bicover.diagnostics import (_disjointness, _independent_sets, _sweep,
                                  check_event_overlap, event_profile)
-from bicover.errors import BicoverError, DomainError, SizeLimitExceeded
+from bicover.errors import (BicoverError, DomainError, SizeLimitExceeded,
+                            TargetUnreached)
 from bicover.graphs import Graph, alpha_per_vertex
 
 import reference_paths
@@ -178,3 +181,46 @@ def test_sweep_checks_mode_and_limit_before_sweeping():
         _sweep(prof, 0, "nope", 0, 10, 20)
     with pytest.raises(SizeLimitExceeded):
         _sweep(prof, 0, "exhaustive", 0, 10, 2)
+
+
+@PROPERTY
+@given(k=st.integers(1, 14), data=st.data())
+def test_greedy_scan_matches_reference(k, data):
+    d = data.draw(st.integers(1, k))
+    target = data.draw(st.one_of(st.integers(1, 64), st.integers(1, 1 << k)))
+    expected = reference_paths.greedy_gv_words(k, d, target)
+    try:
+        code = greedy_gv_code(k, d, target)
+    except TargetUnreached as e:
+        assert len(expected) < target
+        assert e.achieved == len(expected)
+        assert e.code.words == expected
+    else:
+        assert code.words == expected and len(expected) == target
+
+
+# Word lengths below, at and above the 64-bit uint64 fast path.
+WORD_LENGTHS = st.one_of(st.integers(1, 63), st.just(64), st.integers(65, 80))
+
+
+@PROPERTY
+@given(length=WORD_LENGTHS, count=st.integers(2, 40),
+       seed=st.integers(0, 2**32), near=st.booleans())
+def test_min_distance_matches_reference(length, count, seed, near):
+    # Near sets mostly flip a few bits of one base word, so small distances
+    # (and the early exit at distance 1) occur at every length.
+    rng = random.Random(seed)
+    count = min(count, 1 << length)
+    base = rng.getrandbits(length)
+    if length == 64:
+        base |= 1 << 63
+    words = {base}
+    while len(words) < count:
+        if near and rng.random() < 0.75:
+            flips = rng.sample(range(length), rng.randint(1, min(3, length)))
+            words.add(base ^ sum(1 << p for p in flips))
+        else:
+            words.add(rng.getrandbits(length))
+    words = sorted(words, key=lambda w: rng.random())
+    assert (min_distance(BinaryCode(length, words))
+            == reference_paths.min_distance(words, length))
