@@ -53,11 +53,14 @@ def _write(path, text):
     can cost tens of milliseconds per rewrite.  Only regular files are cut,
     so devices, pipes and FIFOs work as with ``open(path, "w")``.
     """
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    with open(fd, "wb") as fh:
-        fh.write(text.encode("utf-8"))
-        if stat.S_ISREG(os.fstat(fd).st_mode):
-            fh.truncate()
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        with open(fd, "wb") as fh:
+            fh.write(text.encode("utf-8"))
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                fh.truncate()
+    except OSError as e:
+        raise ParseError(f"cannot write {path}: {e}") from e
 
 
 def _header(command, args, skip=("func", "command")):
@@ -73,6 +76,23 @@ def _read(path):
             return fh.read()
     except OSError as e:
         raise ParseError(f"cannot read {path}: {e}") from e
+
+
+def _balanced(n, lam):
+    """Guaranteed lambda and capacity n*C(n, n/2)/2 of the balanced covering.
+
+    Raises what rules the construction out: odd n or lambda above the
+    guarantee (DomainError), or more blocks than the builder's cap
+    (SizeLimitExceeded).  The sweep reads the capacity from here instead of
+    building the C(n, n/2)/2 blocks.
+    """
+    if n % 2:
+        raise DomainError(f"balanced construction needs even n, got {n}")
+    guaranteed = comb(n - 2, n // 2 - 1)
+    if lam > guaranteed:
+        raise DomainError(
+            f"balanced covering of {n} vertices guarantees lambda = {guaranteed}")
+    return guaranteed, n * covering.balanced_block_count(n)
 
 
 def _build_covering(method, n, lam, graph_path=None):
@@ -103,12 +123,7 @@ def _build_covering(method, n, lam, graph_path=None):
                 f"hadamard covering of {n} vertices guarantees lambda = {guaranteed}")
         return covering.hadamard_covering(m), guaranteed, {"m": m}
     if method == "balanced":
-        if n % 2:
-            raise DomainError(f"balanced construction needs even n, got {n}")
-        guaranteed = comb(n - 2, n // 2 - 1)
-        if lam > guaranteed:
-            raise DomainError(
-                f"balanced covering of {n} vertices guarantees lambda = {guaranteed}")
+        guaranteed, _ = _balanced(n, lam)
         return covering.balanced_bipartitions_covering(n), guaranteed, {}
     if method == "coloring":
         if graph_path is None:
@@ -265,10 +280,12 @@ def _sweep_row(n, lam, c, exact_max_n, node_limit):
     best = None
     for method in ("even-weight", "bch", "gv", "hadamard", "balanced"):
         try:
-            cov, guaranteed, _ = _build_covering(method, n, lam)
+            if method == "balanced":
+                cap = _balanced(n, lam)[1]
+            else:
+                cap = covering.capacity(_build_covering(method, n, lam)[0])
         except (BicoverError, ValueError):
             continue
-        cap = covering.capacity(cov)
         if best is None or cap < best[1]:
             best = (method, cap)
     row["best_construction"] = best[0] if best else None

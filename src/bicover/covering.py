@@ -296,21 +296,26 @@ def hadamard_covering(m):
     return Covering(n, blocks)
 
 
+def balanced_block_count(n, max_blocks=1 << 20):
+    """Block count C(n, n/2)/2 of balanced_bipartitions_covering(n), within its cap."""
+    if n < 2 or n % 2:
+        raise DomainError(f"ground-set size must be even and >= 2, got {n}")
+    count = comb(n, n // 2) // 2
+    if count > max_blocks:
+        raise SizeLimitExceeded(f"{count} blocks exceed the cap of {max_blocks}")
+    return count
+
+
 def balanced_bipartitions_covering(n, max_blocks=1 << 20):
     """One block per unordered bipartition of 1..n into two halves of size n/2.
 
     Separates every pair exactly C(n-2, n/2-1) times; capacity n*C(n, n/2)/2,
     again matching the edge-count lower bound with equality.
     """
-    if n < 2 or n % 2:
-        raise DomainError(f"ground-set size must be even and >= 2, got {n}")
-    half = n // 2
-    count = comb(n, half) // 2
-    if count > max_blocks:
-        raise SizeLimitExceeded(f"{count} blocks exceed the cap of {max_blocks}")
+    balanced_block_count(n, max_blocks)
     ground = frozenset(range(1, n + 1))
     blocks = []
-    for rest in combinations(range(2, n + 1), half - 1):
+    for rest in combinations(range(2, n + 1), n // 2 - 1):
         left = frozenset((1,) + rest)
         blocks.append(BipartiteBlock(left, ground - left))
     return Covering(n, blocks)

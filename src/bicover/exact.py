@@ -10,13 +10,14 @@ than speed; budgets make runaway instances fail loudly instead of hanging.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 
 from .covering import BipartiteBlock, Covering
 from .errors import BudgetExhausted, DomainError, NoConstruction
 
 # Full vertex-permutation canonicity checks stop paying for themselves
-# beyond this many vertices; above it only block ordering breaks symmetry.
+# beyond this many vertices (at n = 7 the block-index maps would be
+# 5039 x 966 entries); above it only block ordering breaks symmetry.
 _PERM_LIMIT = 6
 
 
@@ -71,9 +72,19 @@ class _CapSearch:
         self.vertex_pairs = [
             [i for i, p in enumerate(self.pairs) if j in p]
             for j in range(self.n + 1)]
-        self.perms = (list(permutations(range(1, n + 1)))
-                      if n <= _PERM_LIMIT else [])
+        self.perm_maps = self._perm_maps() if n <= _PERM_LIMIT else []
         self.nodes = 0
+
+    def _perm_maps(self):
+        """Each vertex relabeling but the identity, as block index -> image block index."""
+        index = {ab: i for i, ab in enumerate(self.blocks)}
+        maps = []
+        for perm in islice(permutations(range(1, self.n + 1)), 1, None):
+            relabel = (0,) + perm
+            maps.append([index[_normalize(map(relabel.__getitem__, a),
+                                          map(relabel.__getitem__, b))]
+                         for a, b in self.blocks])
+        return maps
 
     def _remaining_need(self, deficit):
         """Elementary lower bound on the capacity still required.
@@ -97,19 +108,15 @@ class _CapSearch:
     def _canonical(self, chosen):
         """True iff no vertex relabeling makes the sorted block list smaller.
 
-        Prefixes of canonical solutions are canonical under this form, so
-        pruning non-canonical partial lists keeps the search complete.
+        ``chosen`` holds block indices in nondecreasing order, and the block
+        list is sorted by the (total size, a, b) key, so a list's sorted key
+        list is its index list: comparing the sorted image indices with
+        ``chosen`` compares the relabeled block lists.  Prefixes of canonical
+        solutions are canonical under this form, so pruning non-canonical
+        partial lists keeps the search complete.
         """
-        if not self.perms:
-            return True
-        key = sorted(chosen, key=lambda ab: (len(ab[0]) + len(ab[1]), ab))
-        key = [(len(a) + len(b), a, b) for a, b in key]
-        for perm in self.perms:
-            image = sorted(
-                (len(a) + len(b),) + _normalize(
-                    tuple(perm[v - 1] for v in a), tuple(perm[v - 1] for v in b))
-                for a, b in chosen)
-            if image < key:
+        for pm in self.perm_maps:
+            if sorted([pm[i] for i in chosen]) < chosen:
                 return False
         return True
 
@@ -131,7 +138,7 @@ class _CapSearch:
             touched = [p for p in self.block_pairs[bi] if deficit[p] > 0]
             if not touched:
                 continue  # a useless block never appears in a minimum covering
-            chosen.append(self.blocks[bi])
+            chosen.append(bi)
             if self._canonical(chosen):
                 for p in touched:
                     deficit[p] -= 1
@@ -158,7 +165,7 @@ class _CapSearch:
                 e.lower = cap
                 raise
             if found is not None:
-                return cap, found
+                return cap, [self.blocks[i] for i in found]
         raise BudgetExhausted(
             f"no covering within capacity {self.budget.max_capacity}",
             lower=self.budget.max_capacity + 1, nodes=self.nodes)

@@ -1,17 +1,17 @@
-"""Slow pure-Python reference paths that the packed-bit kernels are tested against.
+"""Slow pure-Python reference paths that the fast kernels are tested against.
 
 Each function here is the straightforward loop the library once ran: one
 Python-int bitmask per vertex, one pair or one selection vector at a time,
-one codeword or one ball mask at a time.  They are kept only as oracles;
-the property tests require the library's numpy kernels to return exactly
-the same reports and codes.
+one codeword or one ball mask at a time, one relabeled block tuple at a
+time.  They are kept only as oracles; the property tests require the
+library's kernels to return exactly the same reports, codes and answers.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -223,3 +223,26 @@ def min_distance(words, length):
                 if best == 1:
                     return 1
     return best
+
+
+def canonical(n, blocks, chosen):
+    """The search's canonical-form check on block tuples, one relabeling at a time.
+
+    ``blocks`` is the search's block list and ``chosen`` a list of indices
+    into it.  True iff no permutation of 1..n maps the chosen blocks to a
+    list whose sorted (total size, a, b) keys are smaller than their own.
+    """
+    def key(a, b):
+        a, b = tuple(sorted(a)), tuple(sorted(b))
+        if (len(a), a) > (len(b), b):
+            a, b = b, a
+        return (len(a) + len(b), a, b)
+
+    picked = [blocks[i] for i in chosen]
+    own = sorted(key(a, b) for a, b in picked)
+    for perm in permutations(range(1, n + 1)):
+        image = sorted(key([perm[v - 1] for v in a], [perm[v - 1] for v in b])
+                       for a, b in picked)
+        if image < own:
+            return False
+    return True

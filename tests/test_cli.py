@@ -6,8 +6,10 @@ import os
 import pytest
 
 from bicover import covering, diagnostics
-from bicover.cli import _write, main
-from bicover.covering import capacity, parse_covering, verify
+from bicover.cli import _balanced, _sweep_row, _write, main
+from bicover.covering import (balanced_bipartitions_covering, capacity,
+                              parse_covering, verify)
+from bicover.errors import DomainError, SizeLimitExceeded
 from bicover.graphs import random_graph, serialize_graph
 
 
@@ -242,3 +244,34 @@ def test_rewrite_leaves_exactly_the_new_bytes(tmp_path, capsys):
 
 def test_write_to_a_device_does_not_raise():
     _write(os.devnull, "{}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "--n", "4", "--lambda", "2", "--method", "even-weight",
+     "--out", "x.json"],
+    ["sweep", "--n-list", "4", "--lambda-list", "1", "--format", "csv",
+     "--out", "x.csv"],
+])
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, argv):
+    argv[-1] = str(tmp_path / "missing-dir" / argv[-1])
+    code, stdout, err = run(capsys, *argv)
+    assert code == 2 and stdout == ""
+    assert err.startswith("error: cannot write ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("n", range(2, 17, 2))
+def test_balanced_capacity_formula(n):
+    assert _balanced(n, 1)[1] == capacity(balanced_bipartitions_covering(n))
+
+
+def test_balanced_applicability():
+    with pytest.raises(DomainError):
+        _balanced(5, 1)
+    assert _balanced(6, 6)[0] == 6
+    with pytest.raises(DomainError):
+        _balanced(6, 7)
+    assert _balanced(22, 1)[1] == 22 * 352716          # C(22, 11) / 2 blocks
+    with pytest.raises(SizeLimitExceeded):             # C(24, 12) / 2 > 2^20
+        _balanced(24, 1)
+    assert _sweep_row(6, 6, None, 4, 1000)["best_construction"] == "balanced"
+    assert _sweep_row(6, 7, None, 4, 1000)["best_construction"] != "balanced"

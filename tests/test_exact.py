@@ -1,15 +1,23 @@
+import json
 from itertools import combinations
 from math import ceil, log2
+from pathlib import Path
 
 import pytest
 
 from bicover.bounds import cap_lower
 from bicover.covering import (BipartiteBlock, Covering,
                               balanced_bipartitions_covering, capacity,
-                              code_to_covering, hadamard_covering, verify)
+                              code_to_covering, hadamard_covering,
+                              serialize_covering, verify)
 from bicover.codes import even_weight_code, greedy_gv_code
 from bicover.errors import BudgetExhausted, DomainError, NoConstruction
-from bicover.exact import SearchBudget, exact_cap, exact_k
+from bicover.exact import SearchBudget, _CapSearch, exact_cap, exact_k
+
+# Value, serialized witness and node count of each benchmark instance: a
+# faster search must visit the same nodes and return the same witness, so
+# that `bicover exact` output stays byte-equal.
+PINS = json.loads((Path(__file__).parent / "data" / "exact_pins.json").read_text())
 
 
 def naive_min_cap(n, lam, cap_hi):
@@ -140,6 +148,25 @@ def test_exact_cap_subadditive():
              ((4, 1), (4, 1), (4, 2))]
     for (n1, l1), (n2, l2), (n3, l3) in pairs:
         assert exact_cap(n1, l1)[0] + exact_cap(n2, l2)[0] >= exact_cap(n3, l3)[0]
+
+
+@pytest.mark.parametrize("instance", sorted(PINS))
+def test_exact_cap_pinned(instance):
+    n, lam = map(int, instance.split(","))
+    pin = PINS[instance]
+    value, witness = exact_cap(n, lam)
+    assert value == pin["value"]
+    assert serialize_covering(witness) == pin["witness"]
+    search = _CapSearch(n, lam, SearchBudget())
+    assert search.run()[0] == value
+    assert search.nodes == pin["nodes"]
+
+
+def test_exact_cap_6_1_budget_pinned():
+    with pytest.raises(BudgetExhausted) as exc:
+        exact_cap(6, 1, SearchBudget(node_limit=3000))
+    assert exc.value.lower == 14
+    assert exc.value.nodes == 3001
 
 
 def test_exact_k_examples():

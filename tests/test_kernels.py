@@ -1,8 +1,10 @@
-"""The numpy kernels (verify, the diagnostic sweeps, the greedy code scan and
-min_distance) agree exactly with the Python reference paths."""
+"""The fast kernels (verify, the diagnostic sweeps, the greedy code scan,
+min_distance and the exact search's canonical check) agree exactly with the
+Python reference paths."""
 
 import json
 import random
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from bicover.diagnostics import (_disjointness, _independent_sets, _sweep,
                                  check_event_overlap, event_profile)
 from bicover.errors import (BicoverError, DomainError, SizeLimitExceeded,
                             TargetUnreached)
+from bicover.exact import SearchBudget, _CapSearch
 from bicover.graphs import Graph, alpha_per_vertex
 
 import reference_paths
@@ -224,3 +227,41 @@ def test_min_distance_matches_reference(length, count, seed, near):
     words = sorted(words, key=lambda w: rng.random())
     assert (min_distance(BinaryCode(length, words))
             == reference_paths.min_distance(words, length))
+
+
+@lru_cache(maxsize=None)
+def cap_search(n):
+    return _CapSearch(n, 1, SearchBudget())
+
+
+def block_indices(data, n):
+    # Nondecreasing, as the search picks them, with repeats as at lambda > 1;
+    # short lists of low indices make canonical lists common.
+    top = len(cap_search(n).blocks) - 1
+    hi = data.draw(st.sampled_from(sorted({min(top, 8), top})))
+    return sorted(data.draw(st.lists(st.integers(0, hi), min_size=1, max_size=8)))
+
+
+def check_canonical(n, chosen):
+    search = cap_search(n)
+    assert (search._canonical(chosen)
+            == reference_paths.canonical(n, search.blocks, chosen))
+
+
+@PROPERTY
+@given(n=st.integers(2, 5), data=st.data())
+def test_canonical_check_matches_reference(n, data):
+    check_canonical(n, block_indices(data, n))
+
+
+@settings(PROPERTY, max_examples=8)
+@given(data=st.data())
+def test_canonical_check_matches_reference_at_six_vertices(data):
+    check_canonical(6, block_indices(data, 6))
+
+
+@pytest.mark.parametrize("chosen", [[6, 17, 19, 23], [0, 5, 6, 12, 17]])
+def test_canonical_check_sees_a_lone_relabeling(chosen):
+    # The reversal of 1..4 is the only relabeling that makes these smaller.
+    assert not cap_search(4)._canonical(chosen)
+    check_canonical(4, chosen)
