@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import comb, log2
 
 from . import codes
-from .errors import DomainError
+from .errors import DomainError, NoConstruction
 from .graphs import alpha_per_vertex, degrees
 
 GUARD = 1e-9
@@ -73,7 +73,7 @@ def upper_even_weight(n):
     """Capacity n*(ceil(log n) + 1) reached by the even-weight code (distance 2)."""
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
-    return n * ((n - 1).bit_length() + 1)
+    return n * codes.FAMILIES["even-weight"].plan(n, 2)[0]
 
 
 def upper_gv(n, lam):
@@ -111,19 +111,16 @@ def upper_bch(n, lam):
     return n * (log2(n) + r * log2(log2(n)) + 2)
 
 
-def bch_backed(n, lam, max_m=16):
+def bch_backed(n, lam):
     """Whether n equals an extended-BCH codeword count at this lam's distance need.
 
     The bound of upper_bch is construction-backed exactly at those n; at
     other n it is a formula-only target.
     """
-    d = (lam - 1) // 2 + 1
-    for m in range(2, max_m + 1):
-        if 2 * d - 1 > (1 << m) - 1:
-            continue
-        if n == 1 << codes.bch_dimension(m, d):
-            return True
-    return False
+    try:
+        return n == 1 << codes.bch_field(n, lam)[1]
+    except NoConstruction:
+        return False
 
 
 def gv_count(k, d):

@@ -14,7 +14,9 @@ order on the 0/1 strings.
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cache
 from math import comb
 
 import numpy as np
@@ -301,6 +303,7 @@ def bch_generator(ctx, design_distance):
     return g
 
 
+@cache
 def bch_dimension(m, d):
     """Message bits of the parity-extended BCH code of length 2^m, designed distance 2d."""
     if d == 1:
@@ -369,102 +372,125 @@ def sylvester_matrix(m, entry_cap=1 << 24):
     return h
 
 
-# Candidate families k_best() consults, in tie-break priority order.
-_FAMILIES = ("even-weight", "repetition", "extended-bch", "gv", "hadamard")
+def hadamard_code(m):
+    """The 2^m columns of the order-2^m Sylvester matrix as words (-1 read as 1)."""
+    bits = np.packbits(sylvester_matrix(m).T == -1, axis=1)
+    pad = 8 * bits.shape[1] - (1 << m)  # packbits fills the last byte from the left
+    words = tuple(int.from_bytes(row.tobytes(), "big") >> pad for row in bits)
+    return BinaryCode(1 << m, words, min_distance=1 << (m - 1), method="hadamard")
 
 
-def _gv_scan(n, lam, scan_cap, k_max=None):
-    """Greedy code at the shortest length whose scan reaches n words, else None.
+def bch_field(n, lam):
+    """(m, dim) of the smallest m in 2..16 whose extended BCH code at designed
+    distance 2d - 1, d = ceil(lam / 2), has 2^dim >= n codewords."""
+    d = (lam + 1) // 2
+    for m in range(2, 17):
+        if 2 * d - 1 <= (1 << m) - 1 and 1 << (dim := bch_dimension(m, d)) >= n:
+            return m, dim
+    raise NoConstruction(f"no tabled BCH field reaches n={n}, lam={lam}")
 
-    Lengths with 2^k < n * V(k, floor((lam-1)/2)) are skipped unscanned: by
-    the sphere-packing bound no code of that length holds n words at
-    distance lam.  Scans stop at ``k_max`` or at the scan cap.
-    """
+
+def _even_weight(n, lam, k_max=None):
+    if lam > 2:
+        raise DomainError("even-weight constructions guarantee lambda = 2 only")
+    k = (n - 1).bit_length() + 1
+    return k, lambda: even_weight_code(k)
+
+
+def _repetition(n, lam, k_max=None):
+    if n != 2:
+        raise DomainError("repetition codes only serve n = 2")
+    return lam, lambda: BinaryCode(lam, (0, (1 << lam) - 1), lam, "repetition")
+
+
+def _extended_bch(n, lam, k_max=None):
+    if lam < 3:
+        raise DomainError("extended BCH here needs lam >= 3; use even-weight")
+    m, _ = bch_field(n, lam)
+    return 1 << m, lambda: bch_extended_code(m, (lam + 1) // 2, target=max(n, 2))
+
+
+def _gv(n, lam, k_max=None):
+    """The shortest length (up to k_max) whose greedy scan reaches n words.
+    Lengths with 2^k < n * V(k, floor((lam-1)/2)) are skipped: by the
+    sphere-packing bound no code of that length holds n words."""
     k = max((n - 1).bit_length(), lam, 1)
     while (1 << k) < n * ball_volume(k, (lam - 1) // 2):
         k += 1
-    while (1 << k) <= scan_cap and (k_max is None or k <= k_max):
+    while (1 << k) <= DEFAULT_SCAN_CAP and (k_max is None or k <= k_max):
         try:
-            return greedy_gv_code(k, lam, n, scan_cap=scan_cap)
+            code = greedy_gv_code(k, lam, n)
+            return k, lambda: code
         except TargetUnreached:
             k += 1
-    return None
+    raise NoConstruction(f"greedy scan cap reached before n={n}, lam={lam}")
 
 
-def k_best(n, lam, max_bch_m=16, scan_cap=DEFAULT_SCAN_CAP,
-           word_cap=DEFAULT_WORD_CAP):
-    """Smallest code length any implemented family certifies for (n, lam).
-
-    Returns (k, method) where some construction yields at least n codewords
-    of length k with pairwise distance at least lam; an upper bound on the
-    true optimum.  Ties between families at the same k go to the earlier
-    entry of the priority order even-weight, repetition, extended-bch, gv,
-    hadamard.
-    """
-    if n < 2 or lam < 1:
-        raise DomainError(f"need n >= 2 and lam >= 1, got n={n}, lam={lam}")
-    candidates = {}
-    if lam <= 2:
-        candidates["even-weight"] = (n - 1).bit_length() + 1
-    if n == 2:
-        candidates["repetition"] = lam
-    if lam >= 3:
-        d = (lam + 1) // 2
-        for m in range(2, max_bch_m + 1):
-            if 2 * d - 1 > (1 << m) - 1:
-                continue
-            if 1 << bch_dimension(m, d) >= n:
-                candidates["extended-bch"] = 1 << m
-                break
-    # Hadamard columns over {0,1}: 2^m words of length 2^m, distance 2^(m-1).
+def _hadamard(n, lam, k_max=None):
     m = 1
     while (1 << m) < n or (1 << (m - 1)) < lam:
         m += 1
-    candidates["hadamard"] = 1 << m
-    gv = _gv_scan(n, lam, scan_cap, k_max=min(candidates.values()) - 1)
-    if gv is not None:
-        candidates["gv"] = gv.length
-    if not candidates:
-        raise NoConstruction(f"no implemented family reaches n={n}, lam={lam}")
-    best = min(candidates.values())
-    for name in _FAMILIES:
-        if candidates.get(name) == best:
-            return best, name
-    raise AssertionError("unreachable")
+    return 1 << m, lambda: hadamard_code(m)
 
 
-def build_code(method, n, lam, word_cap=DEFAULT_WORD_CAP,
-               scan_cap=DEFAULT_SCAN_CAP):
+def _hadamard_guarantee(n, lam):
+    if n & (n - 1):
+        raise DomainError(f"hadamard construction needs n a power of 2, got {n}")
+    if lam > n // 2:
+        raise DomainError(f"hadamard covering of {n} vertices guarantees lambda = {n // 2}")
+    return n // 2
+
+
+@dataclass(frozen=True)
+class Family:
+    """A code family: ``plan(n, lam, k_max)`` is (length, build) for n words at
+    distance lam, build() giving the code, and raises DomainError or
+    NoConstruction where the family does not apply (only a plan that
+    ``scans`` reads ``k_max``).  ``construct --method <method>`` promises
+    ``guarantee(n, lam)``, raising where it refuses, and reports ``params``."""
+
+    method: str | None
+    plan: Callable
+    guarantee: Callable
+    params: Callable = lambda code: {"k": code.length, "words": len(code)}
+    scans: bool = False
+
+
+# The construction table, in tie-break priority order.
+FAMILIES = {
+    "even-weight": Family("even-weight", _even_weight, lambda n, lam: 2),
+    "repetition": Family(None, _repetition, lambda n, lam: lam),
+    "extended-bch": Family(
+        "bch", _extended_bch, lambda n, lam: 2 * ((lam + 1) // 2),
+        lambda code: {"k": code.length, "words": len(code), "method": code.method}),
+    "gv": Family("gv", _gv, lambda n, lam: lam, scans=True),
+    "hadamard": Family("hadamard", _hadamard, _hadamard_guarantee,
+                       lambda code: {"m": code.length.bit_length() - 1}),
+}
+
+
+def k_best(n, lam):
+    """Smallest code length any implemented family certifies for (n, lam).
+
+    Returns (k, method): the family gives n codewords of length k at pairwise
+    distance >= lam, an upper bound on the optimum.  Ties go to the earlier
+    entry of FAMILIES; the greedy scan runs last, only below the others.
+    """
+    if n < 2 or lam < 1:
+        raise DomainError(f"need n >= 2 and lam >= 1, got n={n}, lam={lam}")
+    best = None
+    for name, fam in sorted(FAMILIES.items(), key=lambda item: item[1].scans):
+        try:
+            k, _ = fam.plan(n, lam, None if best is None else best[0] - 1)
+        except (DomainError, NoConstruction):
+            continue
+        if best is None or k < best[0]:
+            best = (k, name)
+    return best
+
+
+def build_code(method, n, lam):
     """Materialize a code for (n, lam) by family name, as chosen by k_best."""
-    if method == "even-weight":
-        if lam > 2:
-            raise DomainError("even-weight codes guarantee distance 2 only")
-        return even_weight_code((n - 1).bit_length() + 1, word_cap)
-    if method == "repetition":
-        if n != 2:
-            raise DomainError("repetition codes only serve n = 2")
-        return BinaryCode(lam, (0, (1 << lam) - 1), min_distance=lam,
-                          method="repetition")
-    if method == "extended-bch":
-        d = (lam + 1) // 2
-        if d < 2:
-            raise DomainError("extended BCH here needs lam >= 3; use even-weight")
-        for m in range(2, 17):
-            if 2 * d - 1 <= (1 << m) - 1 and 1 << bch_dimension(m, d) >= n:
-                return bch_extended_code(m, d, target=max(n, 2), word_cap=word_cap)
-        raise NoConstruction(f"no tabled BCH field reaches n={n}, lam={lam}")
-    if method == "gv":
-        code = _gv_scan(n, lam, scan_cap)
-        if code is None:
-            raise NoConstruction(f"greedy scan cap reached before n={n}, lam={lam}")
-        return code
-    if method == "hadamard":
-        m = 1
-        while (1 << m) < n or (1 << (m - 1)) < lam:
-            m += 1
-        h = sylvester_matrix(m)
-        words = tuple(int("".join("1" if x == -1 else "0" for x in col), 2)
-                      for col in h.T)
-        return BinaryCode(1 << m, words, min_distance=1 << (m - 1),
-                          method="hadamard")
-    raise DomainError(f"unknown construction method {method!r}")
+    if method not in FAMILIES:
+        raise DomainError(f"unknown construction method {method!r}")
+    return FAMILIES[method].plan(n, lam)[1]()

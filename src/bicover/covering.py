@@ -17,7 +17,7 @@ from math import comb
 
 import numpy as np
 
-from .codes import sylvester_matrix
+from .codes import hadamard_code
 from .errors import (DomainError, GroundSetMismatch, ImproperColoring,
                      NotEnoughCodewords, OverlapError, ParseError, RangeError,
                      SizeLimitExceeded)
@@ -266,16 +266,14 @@ def code_to_covering(code, n):
 
 
 def degenerate_rows(code, n):
-    """Row indices (0-based) that code_to_covering drops for this ground set."""
-    cols = code.words[:n]
+    """Row indices (0-based) that code_to_covering drops for this ground set:
+    the bits clear in all of the first n words, or set in all of them."""
     k = code.length
-    out = []
-    for row in range(k):
-        bit = k - 1 - row
-        ones = sum((w >> bit) & 1 for w in cols)
-        if ones == 0 or ones == n:
-            out.append(row)
-    return out
+    every, some = (1 << k) - 1, 0
+    for w in code.words[:n]:
+        every, some = every & w, some | w
+    constant = (some ^ ((1 << k) - 1)) | (every if len(code.words[:n]) == n else 0)
+    return [row for row in range(k) if (constant >> (k - 1 - row)) & 1]
 
 
 def hadamard_covering(m):
@@ -286,14 +284,7 @@ def hadamard_covering(m):
     first, so every pair is separated exactly n/2 times and the capacity is
     n(n-1), meeting the edge-count lower bound with equality.
     """
-    h = sylvester_matrix(m)
-    n = 1 << m
-    blocks = []
-    for row in range(1, n):
-        left = frozenset(j + 1 for j in range(n) if h[row, j] == 1)
-        right = frozenset(j + 1 for j in range(n) if h[row, j] == -1)
-        blocks.append(BipartiteBlock(left, right))
-    return Covering(n, blocks)
+    return code_to_covering(hadamard_code(m), 1 << m)
 
 
 def balanced_block_count(n, max_blocks=1 << 20):

@@ -5,20 +5,28 @@ Python-int bitmask per vertex, one pair or one selection vector at a time,
 one codeword or one ball mask at a time, one relabeled block tuple at a
 time.  They are kept only as oracles; the property tests require the
 library's kernels to return exactly the same reports, codes and answers.
+The construction if-chains the library ran before its family table (the
+CLI's covering builder, ``build_code``, ``k_best``, ``bch_backed``) are
+kept the same way.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, permutations
+from math import comb
 
 import numpy as np
 
+from bicover import codes, covering, graphs
 from bicover.bounds import binom_tail_p
-from bicover.covering import CoverageReport
+from bicover.codes import BinaryCode
+from bicover.covering import BipartiteBlock, CoverageReport, Covering
 from bicover.diagnostics import DiagnosticReport
-from bicover.errors import DomainError, SizeLimitExceeded
+from bicover.errors import (DomainError, NoConstruction, SizeLimitExceeded,
+                            TargetUnreached)
 from bicover.graphs import Graph
 
 
@@ -246,3 +254,191 @@ def canonical(n, blocks, chosen):
         if image < own:
             return False
     return True
+
+
+# ------------------------------------------------ constructions, by if-chain
+
+_FAMILIES = ("even-weight", "repetition", "extended-bch", "gv", "hadamard")
+
+
+def _gv_scan(n, lam, scan_cap, k_max=None):
+    """Greedy code at the shortest length whose scan reaches n words, else None."""
+    k = max((n - 1).bit_length(), lam, 1)
+    while (1 << k) < n * codes.ball_volume(k, (lam - 1) // 2):
+        k += 1
+    while (1 << k) <= scan_cap and (k_max is None or k <= k_max):
+        try:
+            return codes.greedy_gv_code(k, lam, n, scan_cap=scan_cap)
+        except TargetUnreached:
+            k += 1
+    return None
+
+
+def k_best(n, lam, max_bch_m=16, scan_cap=codes.DEFAULT_SCAN_CAP):
+    """Smallest code length any family certifies for (n, lam), as (k, family)."""
+    if n < 2 or lam < 1:
+        raise DomainError(f"need n >= 2 and lam >= 1, got n={n}, lam={lam}")
+    candidates = {}
+    if lam <= 2:
+        candidates["even-weight"] = (n - 1).bit_length() + 1
+    if n == 2:
+        candidates["repetition"] = lam
+    if lam >= 3:
+        d = (lam + 1) // 2
+        for m in range(2, max_bch_m + 1):
+            if 2 * d - 1 > (1 << m) - 1:
+                continue
+            if 1 << codes.bch_dimension(m, d) >= n:
+                candidates["extended-bch"] = 1 << m
+                break
+    m = 1
+    while (1 << m) < n or (1 << (m - 1)) < lam:
+        m += 1
+    candidates["hadamard"] = 1 << m
+    gv = _gv_scan(n, lam, scan_cap, k_max=min(candidates.values()) - 1)
+    if gv is not None:
+        candidates["gv"] = gv.length
+    if not candidates:
+        raise NoConstruction(f"no implemented family reaches n={n}, lam={lam}")
+    best = min(candidates.values())
+    for name in _FAMILIES:
+        if candidates.get(name) == best:
+            return best, name
+    raise AssertionError("unreachable")
+
+
+@cache
+def _hadamard_words(m):
+    """Words of the order-2^m Sylvester columns; cached, as the grid tests ask
+    for the same m at many lambda."""
+    h = codes.sylvester_matrix(m)
+    return tuple(int("".join("1" if x == -1 else "0" for x in col), 2)
+                 for col in h.T)
+
+
+def build_code(method, n, lam, word_cap=codes.DEFAULT_WORD_CAP,
+               scan_cap=codes.DEFAULT_SCAN_CAP):
+    """A code for (n, lam) by family name."""
+    if method == "even-weight":
+        if lam > 2:
+            raise DomainError("even-weight codes guarantee distance 2 only")
+        return codes.even_weight_code((n - 1).bit_length() + 1, word_cap)
+    if method == "repetition":
+        if n != 2:
+            raise DomainError("repetition codes only serve n = 2")
+        return BinaryCode(lam, (0, (1 << lam) - 1), min_distance=lam,
+                          method="repetition")
+    if method == "extended-bch":
+        d = (lam + 1) // 2
+        if d < 2:
+            raise DomainError("extended BCH here needs lam >= 3; use even-weight")
+        for m in range(2, 17):
+            if 2 * d - 1 <= (1 << m) - 1 and 1 << codes.bch_dimension(m, d) >= n:
+                return codes.bch_extended_code(m, d, target=max(n, 2),
+                                               word_cap=word_cap)
+        raise NoConstruction(f"no tabled BCH field reaches n={n}, lam={lam}")
+    if method == "gv":
+        code = _gv_scan(n, lam, scan_cap)
+        if code is None:
+            raise NoConstruction(f"greedy scan cap reached before n={n}, lam={lam}")
+        return code
+    if method == "hadamard":
+        m = 1
+        while (1 << m) < n or (1 << (m - 1)) < lam:
+            m += 1
+        return BinaryCode(1 << m, _hadamard_words(m), min_distance=1 << (m - 1),
+                          method="hadamard")
+    raise DomainError(f"unknown construction method {method!r}")
+
+
+def bch_backed(n, lam, max_m=16):
+    """Whether n equals an extended-BCH codeword count at this lam's distance need."""
+    d = (lam - 1) // 2 + 1
+    for m in range(2, max_m + 1):
+        if 2 * d - 1 > (1 << m) - 1:
+            continue
+        if n == 1 << codes.bch_dimension(m, d):
+            return True
+    return False
+
+
+@cache
+def hadamard_covering(m):
+    """Covering from the sign split of every Sylvester row but the first."""
+    h = codes.sylvester_matrix(m)
+    n = 1 << m
+    blocks = []
+    for row in range(1, n):
+        left = frozenset(j + 1 for j in range(n) if h[row, j] == 1)
+        right = frozenset(j + 1 for j in range(n) if h[row, j] == -1)
+        blocks.append(BipartiteBlock(left, right))
+    return Covering(n, blocks)
+
+
+def balanced(n, lam):
+    """Guaranteed lambda and capacity n*C(n, n/2)/2 of the balanced covering."""
+    if n % 2:
+        raise DomainError(f"balanced construction needs even n, got {n}")
+    guaranteed = comb(n - 2, n // 2 - 1)
+    if lam > guaranteed:
+        raise DomainError(
+            f"balanced covering of {n} vertices guarantees lambda = {guaranteed}")
+    return guaranteed, n * covering.balanced_block_count(n)
+
+
+def build_covering(method, n, lam, graph=None):
+    """Covering plus (guaranteed lambda, parameter dict) for one CLI method.
+
+    As the CLI once ran it, except that the coloring method takes the parsed
+    graph rather than its file path.
+    """
+    if method == "even-weight":
+        if lam > 2:
+            raise DomainError("even-weight constructions guarantee lambda = 2 only")
+        k = (n - 1).bit_length() + 1
+        code = codes.even_weight_code(k)
+        return covering.code_to_covering(code, n), 2, {"k": k, "words": len(code)}
+    if method == "gv":
+        code = build_code("gv", n, lam)
+        return (covering.code_to_covering(code, n), lam,
+                {"k": code.length, "words": len(code)})
+    if method == "bch":
+        code = build_code("extended-bch", n, lam)
+        d = (lam + 1) // 2
+        return (covering.code_to_covering(code, n), 2 * d,
+                {"k": code.length, "words": len(code),
+                 "method": code.method})
+    if method == "hadamard":
+        m = (n - 1).bit_length()
+        if 1 << m != n:
+            raise DomainError(f"hadamard construction needs n a power of 2, got {n}")
+        guaranteed = n // 2
+        if lam > guaranteed:
+            raise DomainError(
+                f"hadamard covering of {n} vertices guarantees lambda = {guaranteed}")
+        return hadamard_covering(m), guaranteed, {"m": m}
+    if method == "balanced":
+        guaranteed, _ = balanced(n, lam)
+        return covering.balanced_bipartitions_covering(n), guaranteed, {}
+    if method == "coloring":
+        if graph is None:
+            raise DomainError("the coloring method needs --graph")
+        if lam != 1:
+            raise DomainError("coloring-based coverings guarantee lambda = 1 only")
+        colors = graphs.greedy_coloring(graph)
+        cov = covering.coloring_to_covering(graph, colors)
+        return cov, 1, {"colors": max(colors) + 1 if colors else 0}
+    raise DomainError(f"unknown method {method!r}")
+
+
+def degenerate_rows(code, n):
+    """Rows constant over the first n words, counting each row's ones."""
+    cols = code.words[:n]
+    k = code.length
+    out = []
+    for row in range(k):
+        bit = k - 1 - row
+        ones = sum((w >> bit) & 1 for w in cols)
+        if ones == 0 or ones == n:
+            out.append(row)
+    return out

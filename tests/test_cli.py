@@ -5,12 +5,18 @@ import os
 
 import pytest
 
-from bicover import covering, diagnostics
-from bicover.cli import _balanced, _sweep_row, _write, main
+from bicover import covering, diagnostics, graphs
+from bicover.cli import _METHODS, _sweep_row, _write, main
 from bicover.covering import (balanced_bipartitions_covering, capacity,
                               parse_covering, verify)
 from bicover.errors import DomainError, SizeLimitExceeded
 from bicover.graphs import random_graph, serialize_graph
+
+
+def _balanced(n, lam):
+    """Guaranteed lambda and sweep capacity of the balanced table entry."""
+    guarantee, capacity, _ = _METHODS["balanced"]
+    return guarantee(n, lam), capacity(n, lam)
 
 
 def run(capsys, *argv):
@@ -212,6 +218,10 @@ def test_usage_errors(capsys):
     ["proofcheck", "c.json", "--n", "4", "--sampled", "--trials", "0"],
     ["proofcheck", "c.json", "--graph", "g.json", "--limit", "-2"],
     ["sweep", "--n-list", "4", "--lambda-list", "1", "--node-limit", "0"],
+    ["sweep", "--n-list", "x", "--lambda-list", "1"],
+    ["sweep", "--n-list", "0", "--lambda-list", "1"],
+    ["sweep", "--n-list", "-3", "--lambda-list", "1"],
+    ["sweep", "--n-list", "4", "--lambda-list", "2,0"],
     ["exact", "--n", "three", "--lambda", "1"],
 ])
 def test_non_positive_counts_are_usage_errors(capsys, argv):
@@ -275,3 +285,40 @@ def test_balanced_applicability():
         _balanced(24, 1)
     assert _sweep_row(6, 6, None, 4, 1000)["best_construction"] == "balanced"
     assert _sweep_row(6, 7, None, 4, 1000)["best_construction"] != "balanced"
+
+
+def test_sweep_lists_skip_empty_items_and_keep_n_1_semantic(capsys):
+    code, stdout, _ = run(capsys, "sweep", "--n-list", "2,4,", "--lambda-list", "1")
+    assert code == 0 and len(json.loads(stdout)["rows"]) == 2
+    code, _, err = run(capsys, "sweep", "--n-list", "1", "--lambda-list", "1")
+    assert code == 1 and err.startswith("error: need n >= 2")
+
+
+def test_threads_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--threads", "2", "bounds", "--n", "4"])
+    assert exc.value.code == 2
+    code, stdout, _ = run(capsys, "bounds", "--n", "4")
+    assert code == 0 and "threads" not in json.loads(stdout)["config"]
+
+
+def test_sweep_row_builds_no_block(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the sweep built a covering block")
+
+    monkeypatch.setattr(covering.BipartiteBlock, "__init__", refuse)
+    for n in (2, 3, 4, 6, 8, 16, 22, 24, 64, 256):
+        for lam in range(1, 6):
+            assert _sweep_row(n, lam, 0.25, 1, 1000)["best_capacity"] is not None
+
+
+def test_coloring_parses_the_graph_once(tmp_path, capsys, monkeypatch):
+    gpath = tmp_path / "g.json"
+    gpath.write_text(serialize_graph(random_graph(20, 0.5, 4)))
+    calls = []
+    real = graphs.parse_graph
+    monkeypatch.setattr(graphs, "parse_graph",
+                        lambda text: calls.append(1) or real(text))
+    code, _, _ = run(capsys, "construct", "--lambda", "1", "--method", "coloring",
+                     "--graph", str(gpath), "--out", str(tmp_path / "c.json"))
+    assert code == 0 and len(calls) == 1

@@ -1,6 +1,6 @@
 """The fast kernels (verify, the diagnostic sweeps, the greedy code scan,
-min_distance and the exact search's canonical check) agree exactly with the
-Python reference paths."""
+min_distance, degenerate_rows and the exact search's canonical check) agree
+exactly with the Python reference paths."""
 
 import json
 import random
@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bicover.codes import BinaryCode, greedy_gv_code, min_distance
-from bicover.covering import BipartiteBlock, Covering, verify
+from bicover.covering import BipartiteBlock, Covering, degenerate_rows, verify
 from bicover.diagnostics import (_disjointness, _independent_sets, _sweep,
                                  check_event_overlap, event_profile)
 from bicover.errors import (BicoverError, DomainError, SizeLimitExceeded,
@@ -227,6 +227,20 @@ def test_min_distance_matches_reference(length, count, seed, near):
     words = sorted(words, key=lambda w: rng.random())
     assert (min_distance(BinaryCode(length, words))
             == reference_paths.min_distance(words, length))
+
+
+@PROPERTY
+@given(length=st.integers(1, 80), count=st.integers(1, 12), n=st.integers(0, 14),
+       seed=st.integers(0, 2**32))
+def test_degenerate_rows_matches_reference(length, count, n, seed):
+    # Words share a random mask of forced-zero and forced-one bits, so that
+    # constant rows occur; n may exceed the word count.
+    rng = random.Random(seed)
+    zeros, ones = rng.getrandbits(length), rng.getrandbits(length)
+    words = {(rng.getrandbits(length) | ones) & ~zeros
+             for _ in range(min(count, 1 << length))}
+    code = BinaryCode(length, sorted(words, key=lambda w: rng.random()))
+    assert degenerate_rows(code, n) == reference_paths.degenerate_rows(code, n)
 
 
 @lru_cache(maxsize=None)
