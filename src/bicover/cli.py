@@ -86,6 +86,14 @@ def _read(path):
         raise ParseError(f"cannot read {path}: {e}") from e
 
 
+def _read_graph(args):
+    """The --graph target; an --n that disagrees with it is refused."""
+    g = graphs.parse_graph(_read(args.graph))
+    if args.n is not None and args.n != g.n:
+        raise DomainError(f"--n {args.n} disagrees with the graph's {g.n} vertices")
+    return g
+
+
 def _balanced_guarantee(n, lam):
     if n % 2:
         raise DomainError(f"balanced construction needs even n, got {n}")
@@ -126,9 +134,7 @@ def _cmd_construct(args):
     if args.method == "coloring":
         if args.graph is None:
             raise DomainError("the coloring method needs --graph")
-        g = graphs.parse_graph(_read(args.graph))
-        if args.n is not None and args.n != g.n:
-            raise DomainError(f"--n {args.n} disagrees with the graph's {g.n} vertices")
+        g = _read_graph(args)
         if args.lam != 1:
             raise DomainError("coloring-based coverings guarantee lambda = 1 only")
         colors = graphs.greedy_coloring(g)
@@ -165,7 +171,7 @@ def _sidecar_path(out):
 def _cmd_verify(args):
     cov = covering.parse_covering(_read(args.path))
     if args.graph is not None:
-        target = graphs.parse_graph(_read(args.graph))
+        target = _read_graph(args)
     else:
         if args.n is None:
             raise DomainError("pass --n or --graph")
@@ -181,7 +187,9 @@ def _cmd_verify(args):
 
 def _cmd_bounds(args):
     if args.graph is not None:
-        g = graphs.parse_graph(_read(args.graph))
+        g = _read_graph(args)
+        if args.lam != 1:
+            raise DomainError("graph bounds are for lambda = 1 only")
         report = bnd.graph_report(g, limit=args.limit)
     else:
         if args.n is None:
@@ -222,7 +230,9 @@ def _cmd_proofcheck(args):
         kwargs.update(seed=args.seed, trials=args.trials)
     checks = []
     if args.graph is not None:
-        g = graphs.parse_graph(_read(args.graph))
+        g = _read_graph(args)
+        if args.lam != 1:
+            raise DomainError("graph proof checks run at lambda = 1 only")
         base = covering.verify(cov, g, 1)
         if base.ok:
             checks.append(diagnostics.check_event_overlap(

@@ -32,6 +32,16 @@ class Graph:
                 raise RangeError(f"self-loop at vertex {u}")
             adj[u].add(v)
             adj[v].add(u)
+        self._fill(n, adj)
+
+    @classmethod
+    def _from_neighbor_sets(cls, n, adj):
+        """Graph on 1..n from already validated neighbor sets adj[0..n]."""
+        g = cls.__new__(cls)
+        g._fill(n, adj)
+        return g
+
+    def _fill(self, n, adj):
         self.n = n
         self._adj = tuple(frozenset(s) for s in adj)
         self._masks = None
@@ -129,37 +139,24 @@ class _MisSolver:
     """Branch-and-bound maximum independent set over bitmask vertex sets.
 
     The bound at each node comes from a greedy partition of the candidate
-    set into cliques: an independent set takes at most one vertex per
-    clique.  Candidates are expanded in decreasing clique-class order so a
-    single comparison prunes the whole remaining tail.
+    set into cliques (Tomita & Seki's MCQ bound, read on the graph itself):
+    an independent set takes at most one vertex per clique.  The partition
+    is built one class at a time over bitmasks, as in San Segundo et al.'s
+    BBMC: class k takes the lowest remaining candidate, keeps only the
+    candidates adjacent to it, and repeats until none is left.  This gives
+    the same classes as a first-fit pass over the candidates in bit order,
+    already sorted by class number.  Candidates are expanded from the
+    highest class down, so a single comparison prunes the whole remaining
+    tail, and candidates in classes that can never beat the incumbent are
+    not listed at all.
     """
 
     def __init__(self, masks):
-        self.n = len(masks)
-        self.adj = list(masks)
+        self.adj = masks
         self.best = 0
 
-    def greedy_lower(self, mask, seed=0, tries=6):
-        """Deterministic seeded greedy restarts; returns a feasible set size."""
-        rng = random.Random(seed)
-        verts = [v for v in range(self.n) if (mask >> v) & 1]
-        best = 0
-        for t in range(tries):
-            if t == 0:
-                order = sorted(verts, key=lambda v: (self.adj[v] & mask).bit_count())
-            else:
-                order = verts[:]
-                rng.shuffle(order)
-            avail = mask
-            size = 0
-            for v in order:
-                if (avail >> v) & 1:
-                    size += 1
-                    avail &= ~(self.adj[v] | (1 << v))
-            best = max(best, size)
-        return best
-
     def max_independent(self, mask, lower=0):
+        """Size of a largest independent subset of mask, or lower if none is larger."""
         self.best = lower
         if mask:
             self._expand(mask, 0)
@@ -167,36 +164,33 @@ class _MisSolver:
 
     def _expand(self, cand, size):
         adj = self.adj
-        order = []
+        verts = []
         numbers = []
-        allowed = []  # per clique class: common neighborhood of its members
-        queue = cand
-        while queue:
-            bit = queue & -queue
-            v = bit.bit_length() - 1
-            queue ^= bit
-            for k, common in enumerate(allowed):
-                if common & bit:
-                    allowed[k] = common & adj[v]
-                    order.append(v)
-                    numbers.append(k + 1)
-                    break
-            else:
-                allowed.append(adj[v])
-                order.append(v)
-                numbers.append(len(allowed))
-        idx = sorted(range(len(order)), key=numbers.__getitem__)
+        skip = self.best - size  # classes 1..skip cannot lift size past best
+        k = 0
+        rest = cand
+        while rest:
+            k += 1
+            q = rest
+            while q:
+                bit = q & -q
+                v = bit.bit_length() - 1
+                rest ^= bit
+                q &= adj[v]
+                if k > skip:
+                    verts.append(v)
+                    numbers.append(k)
         cur = cand
-        for i in reversed(idx):
+        for i in range(len(verts) - 1, -1, -1):
             if size + numbers[i] <= self.best:
                 return
-            v = order[i]
+            v = verts[i]
             if size + 1 > self.best:
                 self.best = size + 1
             rest = cur & ~(adj[v] | (1 << v))
             if rest:
                 self._expand(rest, size + 1)
-            cur &= ~(1 << v)
+            cur ^= 1 << v
 
 
 def alpha_per_vertex(g, limit=DEFAULT_EXACT_LIMIT):
@@ -205,7 +199,9 @@ def alpha_per_vertex(g, limit=DEFAULT_EXACT_LIMIT):
     Entry i-1 is the largest independent set of g containing vertex i,
     computed as 1 + the maximum independent set of the subgraph induced on
     the non-neighbors of i.  One branch-and-bound solver instance is shared
-    across all n subproblems.  Raises SizeLimitExceeded when g.n > limit.
+    across all n subproblems; each starts from the trivial lower bound 0,
+    since seeding it with greedy sets cost about as much as the search,
+    which finds those sets anyway.  Raises SizeLimitExceeded when g.n > limit.
     """
     if g.n > limit:
         raise SizeLimitExceeded(
@@ -213,12 +209,8 @@ def alpha_per_vertex(g, limit=DEFAULT_EXACT_LIMIT):
     masks = g.adjacency_masks()
     solver = _MisSolver(masks)
     full = (1 << g.n) - 1
-    out = []
-    for i in range(g.n):
-        sub = full & ~(masks[i] | (1 << i))
-        lb = solver.greedy_lower(sub, seed=i)
-        out.append(1 + solver.max_independent(sub, lb))
-    return out
+    return [1 + solver.max_independent(full & ~(masks[i] | (1 << i)))
+            for i in range(g.n)]
 
 
 def parse_graph(text):
@@ -240,8 +232,7 @@ def parse_graph(text):
     raw = obj["edges"]
     if not isinstance(raw, list):
         raise ParseError('"edges" must be a list of [u, v] pairs')
-    edges = []
-    seen = set()
+    adj = [set() for _ in range(n + 1)]
     for item in raw:
         if (not isinstance(item, list)) or len(item) != 2:
             raise ParseError(f"edge entry must be a pair, got {item!r}")
@@ -250,11 +241,11 @@ def parse_graph(text):
         _check_vertex(v, n)
         if not u < v:
             raise ParseError(f"edge [{u}, {v}] must satisfy u < v")
-        if (u, v) in seen:
+        if v in adj[u]:
             raise ParseError(f"duplicate edge [{u}, {v}]")
-        seen.add((u, v))
-        edges.append((u, v))
-    return Graph(n, edges)
+        adj[u].add(v)
+        adj[v].add(u)
+    return Graph._from_neighbor_sets(n, adj)
 
 
 def serialize_graph(g):

@@ -3,7 +3,7 @@
 Each function here is the straightforward loop the library once ran: one
 Python-int bitmask per vertex, one pair or one selection vector at a time,
 one codeword or one ball mask at a time, one relabeled block tuple at a
-time.  They are kept only as oracles; the property tests require the
+time, one first-fit clique class per vertex.  They are kept only as oracles; the property tests require the
 library's kernels to return exactly the same reports, codes and answers.
 The construction if-chains the library ran before its family table (the
 CLI's covering builder, ``build_code``, ``k_best``, ``bch_backed``) are
@@ -25,9 +25,9 @@ from bicover.bounds import binom_tail_p
 from bicover.codes import BinaryCode
 from bicover.covering import BipartiteBlock, CoverageReport, Covering
 from bicover.diagnostics import DiagnosticReport
-from bicover.errors import (DomainError, NoConstruction, SizeLimitExceeded,
-                            TargetUnreached)
-from bicover.graphs import Graph
+from bicover.errors import (DomainError, NoConstruction, ParseError,
+                            SizeLimitExceeded, TargetUnreached)
+from bicover.graphs import Graph, _check_vertex
 
 
 def int_masks(cov):
@@ -442,3 +442,109 @@ def degenerate_rows(code, n):
         if ones == 0 or ones == n:
             out.append(row)
     return out
+
+
+# ------------------------------------------------------------------ graphs
+
+class MisSolver:
+    """Branch-and-bound maximum independent set, first-fit clique partition.
+
+    Each node partitions its candidates into cliques by trying every class
+    so far for each candidate in bit order, then sorts them by class number.
+    """
+
+    def __init__(self, masks):
+        self.n = len(masks)
+        self.adj = list(masks)
+        self.best = 0
+
+    def greedy_lower(self, mask, seed=0, tries=6):
+        """Deterministic seeded greedy restarts; returns a feasible set size."""
+        rng = random.Random(seed)
+        verts = [v for v in range(self.n) if (mask >> v) & 1]
+        best = 0
+        for t in range(tries):
+            if t == 0:
+                order = sorted(verts, key=lambda v: (self.adj[v] & mask).bit_count())
+            else:
+                order = verts[:]
+                rng.shuffle(order)
+            avail = mask
+            size = 0
+            for v in order:
+                if (avail >> v) & 1:
+                    size += 1
+                    avail &= ~(self.adj[v] | (1 << v))
+            best = max(best, size)
+        return best
+
+    def max_independent(self, mask, lower=0):
+        self.best = lower
+        if mask:
+            self._expand(mask, 0)
+        return self.best
+
+    def _expand(self, cand, size):
+        adj = self.adj
+        order = []
+        numbers = []
+        allowed = []  # per clique class: common neighborhood of its members
+        queue = cand
+        while queue:
+            bit = queue & -queue
+            v = bit.bit_length() - 1
+            queue ^= bit
+            for k, common in enumerate(allowed):
+                if common & bit:
+                    allowed[k] = common & adj[v]
+                    order.append(v)
+                    numbers.append(k + 1)
+                    break
+            else:
+                allowed.append(adj[v])
+                order.append(v)
+                numbers.append(len(allowed))
+        idx = sorted(range(len(order)), key=numbers.__getitem__)
+        cur = cand
+        for i in reversed(idx):
+            if size + numbers[i] <= self.best:
+                return
+            v = order[i]
+            if size + 1 > self.best:
+                self.best = size + 1
+            rest = cur & ~(adj[v] | (1 << v))
+            if rest:
+                self._expand(rest, size + 1)
+            cur &= ~(1 << v)
+
+
+def alpha_per_vertex(g):
+    """Per-vertex independence numbers, each subproblem seeded by greedy_lower."""
+    masks = g.adjacency_masks()
+    solver = MisSolver(masks)
+    full = (1 << g.n) - 1
+    out = []
+    for i in range(g.n):
+        sub = full & ~(masks[i] | (1 << i))
+        lb = solver.greedy_lower(sub, seed=i)
+        out.append(1 + solver.max_independent(sub, lb))
+    return out
+
+
+def parse_edges(n, raw):
+    """Graph from a decoded edge list: validate into a list, then build."""
+    edges = []
+    seen = set()
+    for item in raw:
+        if (not isinstance(item, list)) or len(item) != 2:
+            raise ParseError(f"edge entry must be a pair, got {item!r}")
+        u, v = item
+        _check_vertex(u, n)
+        _check_vertex(v, n)
+        if not u < v:
+            raise ParseError(f"edge [{u}, {v}] must satisfy u < v")
+        if (u, v) in seen:
+            raise ParseError(f"duplicate edge [{u}, {v}]")
+        seen.add((u, v))
+        edges.append((u, v))
+    return Graph(n, edges)

@@ -84,6 +84,45 @@ def test_construct_coloring_and_graph_verify(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["construct", "--n", "5", "--lambda", "1", "--method", "coloring",
+      "--graph", "g.json", "--out", "out.json"], "--n 5 disagrees"),
+    (["verify", "c.json", "--graph", "g.json", "--n", "5", "--lambda", "1"],
+     "--n 5 disagrees"),
+    (["proofcheck", "c.json", "--graph", "g.json", "--n", "5"], "--n 5 disagrees"),
+    (["bounds", "--graph", "g.json", "--n", "5"], "--n 5 disagrees"),
+    (["proofcheck", "c.json", "--graph", "g.json", "--lambda", "3"], "lambda = 1"),
+    (["bounds", "--graph", "g.json", "--lambda", "3"], "lambda = 1"),
+])
+def test_graph_commands_refuse_disagreeing_flags(tmp_path, capsys, monkeypatch,
+                                                 argv, message):
+    monkeypatch.chdir(tmp_path)
+    g = random_graph(8, 0.5, 2)
+    (tmp_path / "g.json").write_text(serialize_graph(g))
+    _write("c.json", covering.serialize_covering(
+        covering.coloring_to_covering(g, graphs.greedy_coloring(g))))
+    code, stdout, err = run(capsys, *argv)
+    assert (code, stdout) == (1, "")
+    assert message in err
+    assert not (tmp_path / "out.json").exists()
+    # The same command with the flag agreeing with the graph runs.
+    fixed = [{"5": "8", "3": "1"}.get(a, a) for a in argv]
+    assert run(capsys, *fixed)[0] == 0
+
+
+def test_graph_verify_takes_any_lambda(tmp_path, capsys):
+    g = random_graph(8, 0.5, 2)
+    gpath = tmp_path / "g.json"
+    gpath.write_text(serialize_graph(g))
+    cpath = tmp_path / "c.json"
+    _write(str(cpath), covering.serialize_covering(
+        covering.coloring_to_covering(g, graphs.greedy_coloring(g))))
+    code, stdout, _ = run(capsys, "verify", str(cpath), "--graph", str(gpath),
+                          "--n", "8", "--lambda", "3")
+    assert code == 1
+    assert json.loads(stdout)["report"]["violating_pairs"]
+
+
 def test_verify_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,11 @@ from bicover.graphs import (Graph, alpha_per_vertex, complete_graph, degrees,
 
 PATH3 = Graph(3, [(1, 2), (2, 3)])
 C5 = Graph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
+
+# alpha_per_vertex of random_graph(n, p, seed), keyed "n,p,seed", as the
+# greedy-seeded first-fit solver (tests/reference_paths.py) computed them.
+ALPHA_PINS = json.loads(
+    (Path(__file__).parent / "data" / "alpha_pins.json").read_text())
 
 
 def brute_alpha(g):
@@ -68,6 +74,13 @@ def test_alpha_bounded_by_nonneighbors():
         alphas = alpha_per_vertex(g)
         degs = degrees(g)
         assert all(1 <= a <= g.n - d for a, d in zip(alphas, degs))
+
+
+@pytest.mark.parametrize("key", sorted(ALPHA_PINS))
+def test_alpha_matches_pins(key):
+    n, p, seed = key.split(",")
+    g = random_graph(int(n), float(p), int(seed))
+    assert alpha_per_vertex(g, limit=g.n) == ALPHA_PINS[key]
 
 
 def test_alpha_size_limit():

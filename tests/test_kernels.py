@@ -1,10 +1,12 @@
 """The fast kernels (verify, the diagnostic sweeps, the greedy code scan,
-min_distance, degenerate_rows and the exact search's canonical check) agree
-exactly with the Python reference paths."""
+min_distance, degenerate_rows, the exact search's canonical check, the
+independent-set solver and the graph parser) agree exactly with the Python
+reference paths."""
 
 import json
 import random
 from functools import lru_cache
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,8 @@ from bicover.diagnostics import (_disjointness, _independent_sets, _sweep,
 from bicover.errors import (BicoverError, DomainError, SizeLimitExceeded,
                             TargetUnreached)
 from bicover.exact import SearchBudget, _CapSearch
-from bicover.graphs import Graph, alpha_per_vertex
+from bicover.graphs import (Graph, _MisSolver, alpha_per_vertex, parse_graph,
+                            random_graph)
 
 import reference_paths
 
@@ -279,3 +282,92 @@ def test_canonical_check_sees_a_lone_relabeling(chosen):
     # The reversal of 1..4 is the only relabeling that makes these smaller.
     assert not cap_search(4)._canonical(chosen)
     check_canonical(4, chosen)
+
+
+@st.composite
+def small_graphs(draw):
+    # p = 0 and p = 1 give empty and complete graphs; the isolated set strips
+    # some vertices of every edge.
+    n = draw(st.integers(1, 24))
+    p = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 1)))
+    isolated = draw(st.sets(st.integers(1, n), max_size=n))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return Graph(n, [(u, v) for u, v in combinations(range(1, n + 1), 2)
+                     if rng.random() < p and not {u, v} & isolated])
+
+
+@PROPERTY
+@given(g=small_graphs())
+def test_alpha_per_vertex_matches_reference(g):
+    assert alpha_per_vertex(g) == reference_paths.alpha_per_vertex(g)
+
+
+def solve_counting(solver, mask, lower):
+    """max_independent's value and its number of _expand calls."""
+    nodes = 0
+    expand = solver._expand
+
+    def counted(cand, size):
+        nonlocal nodes
+        nodes += 1
+        return expand(cand, size)
+
+    solver._expand = counted  # the recursion looks the name up on the instance
+    return solver.max_independent(mask, lower), nodes
+
+
+def check_same_tree(g, lowers):
+    masks = g.adjacency_masks()
+    full = (1 << g.n) - 1
+    ref = reference_paths.MisSolver(masks)
+    for i in range(g.n):
+        sub = full & ~(masks[i] | (1 << i))
+        lower = lowers(ref, sub, i)
+        assert (solve_counting(_MisSolver(masks), sub, lower)
+                == solve_counting(reference_paths.MisSolver(masks), sub, lower))
+
+
+@PROPERTY
+@given(g=small_graphs(), data=st.data())
+def test_solver_visits_the_reference_tree(g, data):
+    # Any lower bound up to the answer: none, the greedy seed, or a draw.
+    kind = data.draw(st.sampled_from(["zero", "greedy", "drawn"]))
+    if kind == "zero":
+        check_same_tree(g, lambda ref, sub, i: 0)
+    elif kind == "greedy":
+        check_same_tree(g, lambda ref, sub, i: ref.greedy_lower(sub, seed=i))
+    else:
+        check_same_tree(g, lambda ref, sub, i: data.draw(
+            st.integers(0, ref.max_independent(sub))))
+
+
+@pytest.mark.parametrize("n,p,seed", [(60, 0.3, 1), (82, 0.42, 7)])
+def test_solver_visits_the_reference_tree_on_larger_graphs(n, p, seed):
+    g = random_graph(n, p, seed)
+    check_same_tree(g, lambda ref, sub, i: ref.greedy_lower(sub, seed=i))
+    check_same_tree(g, lambda ref, sub, i: 0)
+
+
+# Edge entries a graph document may hold: valid, out of range, reversed,
+# repeated, of the wrong type or the wrong length.
+EDGE_ITEMS = st.one_of(
+    st.lists(st.integers(-1, 7), min_size=2, max_size=2),
+    st.lists(st.one_of(st.integers(1, 6), st.booleans(), st.just(2.0),
+                       st.just("3")), min_size=2, max_size=2),
+    st.lists(st.integers(1, 6), max_size=3),
+    st.integers(1, 6))
+
+
+@PROPERTY
+@given(n=st.integers(1, 6), data=st.data())
+def test_parse_graph_matches_reference(n, data):
+    # Mostly valid lists, so that documents parse and errors come late; an
+    # inserted valid pair may repeat one already there.
+    pairs = [[u, v] for u, v in combinations(range(1, n + 1), 2)]
+    valid = st.sampled_from(pairs) if pairs else st.nothing()
+    raw = data.draw(st.lists(valid, unique_by=tuple))
+    for _ in range(data.draw(st.integers(0, 2))):
+        raw.insert(data.draw(st.integers(0, len(raw))),
+                   data.draw(st.one_of(EDGE_ITEMS, valid)))
+    text = json.dumps({"n": n, "edges": raw})
+    assert outcome(parse_graph, text) == outcome(reference_paths.parse_edges, n, raw)
