@@ -26,7 +26,7 @@ from .diagnostics import (DiagnosticReport, EventProfile,
                           check_event_disjointness, check_event_overlap,
                           check_independent_event_sets, check_tail_sum,
                           event_profile)
-from .exact import SearchBudget, exact_cap, exact_k
+from .exact import SearchBudget, exact_cap
 from .graphs import (Graph, alpha_per_vertex, complete_graph, degrees,
                      empty_graph, greedy_coloring, parse_graph, random_graph,
                      serialize_graph)

@@ -151,7 +151,7 @@ def _cmd_construct(args):
         "method": args.method,
         "params": params,
         "n": cov.n,
-        "blocks": len(cov.blocks),
+        "blocks": len(cov),
         "capacity": covering.capacity(cov),
         "guaranteed_lambda": guaranteed,
         "requested_lambda": args.lam,
@@ -185,15 +185,24 @@ def _cmd_verify(args):
     return EXIT_OK if report.ok else EXIT_FAIL
 
 
+def _refuse_limit(args):
+    """--limit bounds the exact independence numbers of a --graph target only."""
+    if args.limit is not None:
+        raise DomainError("--limit applies to --graph targets only")
+
+
 def _cmd_bounds(args):
     if args.graph is not None:
         g = _read_graph(args)
         if args.lam != 1:
             raise DomainError("graph bounds are for lambda = 1 only")
+        if args.c is not None:
+            raise DomainError("--c sets the linear K_n bound; graph bounds take none")
         report = bnd.graph_report(g, limit=args.limit)
     else:
         if args.n is None:
             raise DomainError("pass --n and --lambda, or --graph")
+        _refuse_limit(args)
         report = bnd.multigraph_report(args.n, args.lam, c=args.c)
     if args.format == "table":
         print(f"instance: {report.instance}")
@@ -242,6 +251,7 @@ def _cmd_proofcheck(args):
     else:
         if args.n is None:
             raise DomainError("pass --n and --lambda, or --graph")
+        _refuse_limit(args)
         base = covering.verify(cov, args.n, args.lam)
         if base.ok:
             checks.append(diagnostics.check_tail_sum(cov, args.lam))
@@ -403,7 +413,20 @@ def main(argv=None):
 
 
 def entry():
-    sys.exit(main())
+    """Console-script entry: exit with main's code.
+
+    A reader that closes the pipe early (``bicover ... | head``) ends the
+    run with exit code 1 and no traceback: stdout is pointed at os.devnull,
+    so the flush at interpreter exit cannot fail again (the SIGPIPE note in
+    the Python ``signal`` docs).
+    """
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(EXIT_FAIL)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

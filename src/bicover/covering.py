@@ -43,10 +43,6 @@ class BipartiteBlock:
     def size(self):
         return len(self.left) + len(self.right)
 
-    @property
-    def vertices(self):
-        return self.left | self.right
-
     def separates(self, u, v):
         return ((u in self.left and v in self.right)
                 or (v in self.left and u in self.right))
@@ -64,36 +60,78 @@ class BipartiteBlock:
 
 
 class Covering:
-    """Ground-set size plus an ordered list of bipartite blocks."""
+    """Ground-set size n plus m ordered bipartite blocks, stored as packed masks.
 
-    __slots__ = ("n", "blocks", "_masks", "_verified")
+    ``left`` and ``right`` are read-only uint64 arrays of shape
+    (max(1, ceil(m / 64)), n + 1), word-major so that one word of every
+    vertex is contiguous: bit i % 64 of entry [i // 64, v] is set iff vertex
+    v lies on that side of block i.  Column 0 stays zero.  ``Covering(n,
+    blocks)`` packs BipartiteBlocks; ``blocks`` unpacks them on each access.
+    """
+
+    __slots__ = ("n", "m", "left", "right", "_verified")
 
     def __init__(self, n, blocks=()):
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise ValueError(f"ground-set size must be a positive integer, got {n!r}")
         blocks = tuple(blocks)
-        for b in blocks:
-            for v in b.vertices:
-                if not isinstance(v, int) or not 1 <= v <= n:
-                    raise RangeError(f"block vertex {v!r} outside 1..{n}")
-        self.n = n
-        self.blocks = blocks
-        self._masks = None
+        sides = np.zeros((2, n + 1, len(blocks)), dtype=np.uint8)
+        for i, b in enumerate(blocks):
+            for bits, side in zip(sides, (b.left, b.right)):
+                for v in side:
+                    if not isinstance(v, int) or not 1 <= v <= n:
+                        raise RangeError(f"block vertex {v!r} outside 1..{n}")
+                bits[np.fromiter(side, dtype=np.intp, count=len(side)), i] = 1
+        self._store(sides)
+
+    @classmethod
+    def _packed(cls, sides):
+        cov = cls.__new__(cls)
+        cov._store(sides)
+        return cov
+
+    def _store(self, sides):
+        """Pack a (2, n+1, m) 0/1 array: [0, v, i] (or [1, v, i]) set iff
+        vertex v is on the left (right) side of block i."""
+        _, rows, m = sides.shape
+        packed = np.zeros((2, rows, 8 * max(1, -(-m // 64))), dtype=np.uint8)
+        packed[..., :-(-m // 8)] = np.packbits(sides, axis=2, bitorder="little")
+        masks = np.ascontiguousarray(packed.view("<u8").transpose(0, 2, 1),
+                                     dtype=np.uint64)
+        masks.flags.writeable = False
+        self.n, self.m = rows - 1, m
+        self.left, self.right = masks
         self._verified = {}  # target -> min_multiplicity of its last verify
+
+    @property
+    def blocks(self):
+        return tuple(BipartiteBlock(*sides) for sides in _sides(self))
 
     def __eq__(self, other):
         if not isinstance(other, Covering):
             return NotImplemented
-        return self.n == other.n and self.blocks == other.blocks
+        return (self.n == other.n and self.m == other.m
+                and np.array_equal(self.left, other.left)
+                and np.array_equal(self.right, other.right))
 
     def __hash__(self):
-        return hash((self.n, self.blocks))
+        return hash((self.n, self.m, self.left.tobytes(), self.right.tobytes()))
 
     def __len__(self):
-        return len(self.blocks)
+        return self.m
 
     def __repr__(self):
-        return f"Covering(n={self.n}, blocks={len(self.blocks)})"
+        return f"Covering(n={self.n}, blocks={self.m})"
+
+
+def _sides(cov, labels=None):
+    """Each block's (left, right) vertex lists in ascending order, unpacked
+    from the masks one block at a time.  ``labels``, an object array indexed
+    by vertex, replaces each vertex with its entry."""
+    for i in range(cov.m):
+        sides = (np.flatnonzero(masks[i // 64] & (1 << i % 64))
+                 for masks in (cov.left, cov.right))
+        yield tuple((v if labels is None else labels[v]).tolist() for v in sides)
 
 
 @dataclass
@@ -130,39 +168,12 @@ class CoverageReport:
 
 def capacity(cov):
     """Total number of block vertices; equals the sum of incidence counts."""
-    return sum(b.size for b in cov.blocks)
+    return int(np.bitwise_count(cov.left).sum() + np.bitwise_count(cov.right).sum())
 
 
 def incidence_counts(cov):
     """Number of blocks containing each vertex; entry j-1 belongs to vertex j."""
-    x = [0] * cov.n
-    for b in cov.blocks:
-        for v in b.vertices:
-            x[v - 1] += 1
-    return x
-
-
-def membership_masks(cov):
-    """Per-vertex block masks packed into 64-bit words: (left sides, right sides).
-
-    Each is a read-only uint64 array of shape (max(1, ceil(m / 64)), n + 1),
-    word-major so that one word of every vertex is contiguous: bit i % 64
-    of entry [i // 64, v] is set iff vertex v lies on that side of block i.
-    Column 0 stays zero.  Built once per covering and cached on it.
-    """
-    if cov._masks is None:
-        words = max(1, (len(cov.blocks) + 63) // 64)
-        a = np.zeros((words, cov.n + 1), dtype=np.uint64)
-        b = np.zeros((words, cov.n + 1), dtype=np.uint64)
-        for i, blk in enumerate(cov.blocks):
-            bit = np.uint64(1 << (i % 64))
-            for side, masks in ((blk.left, a), (blk.right, b)):
-                cols = np.fromiter(side, dtype=np.intp, count=len(side))
-                masks[i // 64, cols] |= bit
-        a.flags.writeable = False
-        b.flags.writeable = False
-        cov._masks = (a, b)
-    return cov._masks
+    return np.bitwise_count(cov.left | cov.right).sum(axis=0)[1:].tolist()
 
 
 _EDGE_CHUNK = 1 << 15  # graph edges per verify step
@@ -197,8 +208,8 @@ def verify(cov, target, lam):
                 f"covering on {cov.n} vertices vs complete target on {target}")
         steps = ((u, slice(u + 1, None)) for u in range(1, target))
         kind = "complete"
-    a, b = membership_masks(cov)
-    hist = np.zeros(len(cov.blocks) + 1, dtype=np.int64)
+    a, b = cov.left, cov.right
+    hist = np.zeros(cov.m + 1, dtype=np.int64)
     low_steps = []  # (u, v) index arrays of the pairs below lam, step by step
     for us, vs in steps:
         per_word = [np.bitwise_count((aw[us] & bw[vs]) | (bw[us] & aw[vs]))
@@ -252,17 +263,26 @@ def code_to_covering(code, n):
     if len(code.words) < n:
         raise NotEnoughCodewords(
             f"code has {len(code.words)} words, ground set needs {n}")
-    cols = code.words[:n]
-    k = code.length
-    blocks = []
-    for row in range(k):
-        bit = k - 1 - row  # row 0 reads the leftmost (most significant) bit
-        right = frozenset(j + 1 for j, w in enumerate(cols) if (w >> bit) & 1)
-        if not right or len(right) == n:
-            continue
-        left = frozenset(range(1, n + 1)) - right
-        blocks.append(BipartiteBlock(left, right))
-    return Covering(n, blocks)
+    return _split_by_bits(_bit_rows(code.words[:n], code.length))
+
+
+def _bit_rows(words, length):
+    """The words as rows of a (len(words) x length) 0/1 matrix, most
+    significant bit first."""
+    size = (length + 7) // 8
+    raw = np.frombuffer(b"".join(w.to_bytes(size, "big") for w in words),
+                        dtype=np.uint8).reshape(len(words), size)
+    return np.unpackbits(raw, axis=1)[:, 8 * size - length:]
+
+
+def _split_by_bits(bits):
+    """Covering of 1..len(bits) with one block per nonconstant column of the
+    0/1 matrix: the zeros of the column left, the ones right."""
+    bits = bits[:, bits.any(axis=0) & ~bits.all(axis=0)]
+    sides = np.zeros((2, len(bits) + 1, bits.shape[1]), dtype=np.uint8)
+    sides[0, 1:] = bits ^ 1
+    sides[1, 1:] = bits
+    return Covering._packed(sides)
 
 
 def degenerate_rows(code, n):
@@ -339,15 +359,7 @@ def coloring_to_covering(g, coloring):
                 f"adjacent vertices {u} and {v} share color {coloring[u - 1]}")
     classes = max(coloring) + 1 if coloring else 1
     bits = (classes - 1).bit_length()
-    blocks = []
-    for t in range(bits):
-        right = frozenset(v for v in range(1, g.n + 1)
-                          if (coloring[v - 1] >> t) & 1)
-        if not right or len(right) == g.n:
-            continue
-        left = frozenset(range(1, g.n + 1)) - right
-        blocks.append(BipartiteBlock(left, right))
-    return Covering(g.n, blocks)
+    return _split_by_bits(_bit_rows(coloring, bits)[:, ::-1])
 
 
 def parse_covering(text):
@@ -363,12 +375,13 @@ def parse_covering(text):
         raise ParseError(f'"n" must be a positive integer, got {n!r}')
     if not isinstance(obj["blocks"], list):
         raise ParseError('"blocks" must be a list')
-    blocks = []
-    for item in obj["blocks"]:
+    items = obj["blocks"]
+    sides = np.zeros((2, n + 1, len(items)), dtype=np.uint8)
+    for i, item in enumerate(items):
         if not isinstance(item, dict) or set(item) != {"left", "right"}:
             raise ParseError(f"block entry must map left and right, got {item!r}")
-        sides = []
-        for key in ("left", "right"):
+        members = []
+        for bits, key in zip(sides, ("left", "right")):
             side = item[key]
             if not isinstance(side, list) or not side:
                 raise ParseError(f'block side "{key}" must be a nonempty list')
@@ -377,20 +390,24 @@ def parse_covering(text):
                     raise ParseError(f"vertex label must be an integer, got {v!r}")
                 if not 1 <= v <= n:
                     raise RangeError(f"vertex label {v} outside 1..{n}")
-            if len(set(side)) != len(side):
+            members.append(set(side))
+            if len(members[-1]) != len(side):
                 raise ParseError(f'duplicate vertex in block side "{key}"')
-            sides.append(side)
-        try:
-            blocks.append(BipartiteBlock(sides[0], sides[1]))
-        except OverlapError as e:
-            raise ParseError(f"block sides overlap: {e}") from e
-    return Covering(n, blocks)
+            bits[side, i] = 1
+        if common := members[0] & members[1]:
+            raise ParseError("block sides overlap: block sides intersect in "
+                             f"{sorted(common)}")
+    return Covering._packed(sides)
 
 
 def serialize_covering(cov):
-    """Inverse of parse_covering; sides sorted, block order preserved."""
-    return json.dumps({
-        "n": cov.n,
-        "blocks": [{"left": sorted(b.left), "right": sorted(b.right)}
-                   for b in cov.blocks],
-    })
+    """Inverse of parse_covering; sides sorted, block order preserved.
+
+    The text is the ``json.dumps`` of the document, built block by block
+    from the masks so that only one block's side lists are held at a time.
+    """
+    labels = np.array([str(v) for v in range(cov.n + 1)], dtype=object)
+    blocks = ", ".join(
+        f'{{"left": [{", ".join(left)}], "right": [{", ".join(right)}]}}'
+        for left, right in _sides(cov, labels))
+    return f'{{"n": {cov.n}, "blocks": [{blocks}]}}'

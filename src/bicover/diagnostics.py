@@ -20,7 +20,7 @@ from itertools import islice
 import numpy as np
 
 from .bounds import binom_tail_p
-from .covering import incidence_counts, is_verified, membership_masks, verify
+from .covering import incidence_counts, is_verified, verify
 from .errors import DomainError, InvalidCovering, SizeLimitExceeded
 from .graphs import alpha_per_vertex
 
@@ -33,7 +33,7 @@ class EventProfile:
 
     ``a`` and ``b`` are the covering's packed left and right masks without
     the unused column 0, so column j belongs to vertex j+1 (see
-    ``covering.membership_masks``).
+    ``covering.Covering``).
     """
 
     n: int
@@ -59,10 +59,9 @@ def _as_ints(words):
 
 
 def event_profile(cov, lam):
-    a, b = membership_masks(cov)
     return EventProfile(
-        n=cov.n, m=len(cov.blocks), r=(lam - 1) // 2, a=a[:, 1:], b=b[:, 1:],
-        x=tuple(incidence_counts(cov)))
+        n=cov.n, m=cov.m, r=(lam - 1) // 2, a=cov.left[:, 1:],
+        b=cov.right[:, 1:], x=tuple(incidence_counts(cov)))
 
 
 @dataclass

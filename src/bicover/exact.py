@@ -1,8 +1,7 @@
 """Exhaustive branch-and-bound search on tiny instances.
 
 ``exact_cap`` finds the true minimum capacity of a bipartite covering of
-K_n^lam by iterative deepening on capacity; ``exact_k`` finds the true
-minimum code length for (n, lam) word sets.  Both are ground-truth oracles
+K_n^lam by iterative deepening on capacity.  It is a ground-truth oracle
 for the constructive routines, so completeness of the search matters more
 than speed; budgets make runaway instances fail loudly instead of hanging.
 """
@@ -13,7 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations, islice, permutations
 
 from .covering import BipartiteBlock, Covering
-from .errors import BudgetExhausted, DomainError, NoConstruction
+from .errors import BudgetExhausted, DomainError
 
 # Full vertex-permutation canonicity checks stop paying for themselves
 # beyond this many vertices (at n = 7 the block-index maps would be
@@ -193,65 +192,3 @@ def exact_cap(n, lam, budget=SearchBudget()):
     witness = Covering(n, [BipartiteBlock(a, b) for a, b in blocks])
     return value, witness
 
-
-def exact_k(n, lam, k_max, node_limit=5_000_000):
-    """Smallest word length k <= k_max with n binary words pairwise >= lam apart.
-
-    For each k, searches for an n-clique in the distance->=lam graph on
-    {0,1}^k.  Any code can be translated so its lexicographically first
-    word is all-zero, so the search roots there and extends with words in
-    increasing numeric order.  Raises NoConstruction when k_max is too
-    small, BudgetExhausted on node exhaustion.
-    """
-    if n < 2 or lam < 1 or k_max < 1:
-        raise DomainError("need n >= 2, lam >= 1, k_max >= 1")
-    for k in range(max(lam, (n - 1).bit_length()), k_max + 1):
-        if _clique_exists(k, lam, n, node_limit):
-            return k
-    raise NoConstruction(
-        f"no length <= {k_max} admits {n} words at distance >= {lam}")
-
-
-def _clique_exists(k, d, n, node_limit):
-    if n > 1 << k:
-        return False
-    space = 1 << k
-    compat_cache = {}
-
-    def compat(w):
-        mask = compat_cache.get(w)
-        if mask is None:
-            mask = 0
-            for u in range(space):
-                if (u ^ w).bit_count() >= d:
-                    mask |= 1 << u
-            compat_cache[w] = mask
-        return mask
-
-    nodes = 0
-
-    def extend(count, cand):
-        nonlocal nodes
-        nodes += 1
-        if nodes > node_limit:
-            raise BudgetExhausted(f"node limit {node_limit} hit in length-{k} search")
-        if count >= n:
-            return True
-        if count + cand.bit_count() < n:
-            return False
-        while cand:
-            bit = cand & -cand
-            w = bit.bit_length() - 1
-            cand ^= bit
-            if count + 1 + cand.bit_count() < n:
-                return False
-            if extend(count + 1, cand & compat(w)):
-                return True
-        return False
-
-    # candidates after the root word 0: everything at weight >= d, ascending
-    start = 0
-    for u in range(space):
-        if u.bit_count() >= d:
-            start |= 1 << u
-    return extend(1, start)

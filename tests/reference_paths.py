@@ -3,8 +3,9 @@
 Each function here is the straightforward loop the library once ran: one
 Python-int bitmask per vertex, one pair or one selection vector at a time,
 one codeword or one ball mask at a time, one relabeled block tuple at a
-time, one first-fit clique class per vertex.  They are kept only as oracles; the property tests require the
-library's kernels to return exactly the same reports, codes and answers.
+time, one first-fit clique class per vertex, one frozenset pair per block.
+They are kept only as oracles; the property tests require the library's
+kernels to return exactly the same reports, codes, coverings and answers.
 The construction if-chains the library ran before its family table (the
 CLI's covering builder, ``build_code``, ``k_best``, ``bch_backed``) are
 kept the same way.
@@ -12,11 +13,13 @@ kept the same way.
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations
 from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,8 +28,9 @@ from bicover.bounds import binom_tail_p
 from bicover.codes import BinaryCode
 from bicover.covering import BipartiteBlock, CoverageReport, Covering
 from bicover.diagnostics import DiagnosticReport
-from bicover.errors import (DomainError, NoConstruction, ParseError,
-                            SizeLimitExceeded, TargetUnreached)
+from bicover.errors import (DomainError, ImproperColoring, NoConstruction,
+                            NotEnoughCodewords, OverlapError, ParseError,
+                            RangeError, SizeLimitExceeded, TargetUnreached)
 from bicover.graphs import Graph, _check_vertex
 
 
@@ -70,6 +74,130 @@ def verify(cov, target, lam):
         n=cov.n, lam=lam, target_kind=kind, pair_count=count,
         min_multiplicity=mn, violating_pairs=tuple(violating),
         histogram={m: c for m, c in enumerate(hist) if c})
+
+
+# --------------------------------------------------------------- coverings
+
+class BlockList(NamedTuple):
+    """A covering as the library once stored it: n and a tuple of frozenset blocks."""
+
+    n: int
+    blocks: tuple
+
+
+def membership_masks(cov):
+    """Word-major uint64 (left, right) masks, set block by block."""
+    words = max(1, (len(cov.blocks) + 63) // 64)
+    a = np.zeros((words, cov.n + 1), dtype=np.uint64)
+    b = np.zeros((words, cov.n + 1), dtype=np.uint64)
+    for i, blk in enumerate(cov.blocks):
+        bit = np.uint64(1 << (i % 64))
+        for side, masks in ((blk.left, a), (blk.right, b)):
+            cols = np.fromiter(side, dtype=np.intp, count=len(side))
+            masks[i // 64, cols] |= bit
+    return a, b
+
+
+def incidence_counts(cov):
+    x = [0] * cov.n
+    for b in cov.blocks:
+        for v in b.left | b.right:
+            x[v - 1] += 1
+    return x
+
+
+def code_to_covering(code, n):
+    """One frozenset block per nonconstant row of the first n codewords."""
+    if n < 2:
+        raise DomainError(f"need a ground set of at least 2 vertices, got {n}")
+    if len(code.words) < n:
+        raise NotEnoughCodewords(
+            f"code has {len(code.words)} words, ground set needs {n}")
+    cols = code.words[:n]
+    k = code.length
+    blocks = []
+    for row in range(k):
+        bit = k - 1 - row
+        right = frozenset(j + 1 for j, w in enumerate(cols) if (w >> bit) & 1)
+        if not right or len(right) == n:
+            continue
+        left = frozenset(range(1, n + 1)) - right
+        blocks.append(BipartiteBlock(left, right))
+    return BlockList(n, tuple(blocks))
+
+
+def coloring_to_covering(g, coloring):
+    """One frozenset block per nonconstant bit of the color indices."""
+    if len(coloring) != g.n:
+        raise DomainError(
+            f"coloring has {len(coloring)} entries for {g.n} vertices")
+    for c in coloring:
+        if not isinstance(c, int) or isinstance(c, bool) or c < 0:
+            raise DomainError(f"color indices must be nonnegative integers, got {c!r}")
+    for u, v in g.edges():
+        if coloring[u - 1] == coloring[v - 1]:
+            raise ImproperColoring(
+                f"adjacent vertices {u} and {v} share color {coloring[u - 1]}")
+    classes = max(coloring) + 1 if coloring else 1
+    blocks = []
+    for t in range((classes - 1).bit_length()):
+        right = frozenset(v for v in range(1, g.n + 1)
+                          if (coloring[v - 1] >> t) & 1)
+        if not right or len(right) == g.n:
+            continue
+        left = frozenset(range(1, g.n + 1)) - right
+        blocks.append(BipartiteBlock(left, right))
+    return BlockList(g.n, tuple(blocks))
+
+
+def parse_covering(text):
+    """Validate each side, build a BipartiteBlock, then range-check every vertex again."""
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"invalid JSON: {e.msg}", e.lineno, e.colno) from e
+    if not isinstance(obj, dict) or set(obj) != {"n", "blocks"}:
+        raise ParseError('covering document must have exactly the keys "n" and "blocks"')
+    n = obj["n"]
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ParseError(f'"n" must be a positive integer, got {n!r}')
+    if not isinstance(obj["blocks"], list):
+        raise ParseError('"blocks" must be a list')
+    blocks = []
+    for item in obj["blocks"]:
+        if not isinstance(item, dict) or set(item) != {"left", "right"}:
+            raise ParseError(f"block entry must map left and right, got {item!r}")
+        sides = []
+        for key in ("left", "right"):
+            side = item[key]
+            if not isinstance(side, list) or not side:
+                raise ParseError(f'block side "{key}" must be a nonempty list')
+            for v in side:
+                if not isinstance(v, int) or isinstance(v, bool):
+                    raise ParseError(f"vertex label must be an integer, got {v!r}")
+                if not 1 <= v <= n:
+                    raise RangeError(f"vertex label {v} outside 1..{n}")
+            if len(set(side)) != len(side):
+                raise ParseError(f'duplicate vertex in block side "{key}"')
+            sides.append(side)
+        try:
+            blocks.append(BipartiteBlock(sides[0], sides[1]))
+        except OverlapError as e:
+            raise ParseError(f"block sides overlap: {e}") from e
+    for b in blocks:
+        for v in b.left | b.right:
+            if not 1 <= v <= n:
+                raise RangeError(f"block vertex {v!r} outside 1..{n}")
+    return BlockList(n, tuple(blocks))
+
+
+def serialize_covering(cov):
+    """One json.dumps over every block's sorted side lists."""
+    return json.dumps({
+        "n": cov.n,
+        "blocks": [{"left": sorted(b.left), "right": sorted(b.right)}
+                   for b in cov.blocks],
+    })
 
 
 def event_occurs(prof, j, v, r):

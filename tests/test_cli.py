@@ -2,13 +2,18 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from bicover import covering, diagnostics, graphs
 from bicover.cli import _METHODS, _sweep_row, _write, main
+from bicover.codes import even_weight_code
 from bicover.covering import (balanced_bipartitions_covering, capacity,
-                              parse_covering, verify)
+                              code_to_covering, parse_covering,
+                              serialize_covering, verify)
 from bicover.errors import DomainError, SizeLimitExceeded
 from bicover.graphs import random_graph, serialize_graph
 
@@ -361,3 +366,44 @@ def test_coloring_parses_the_graph_once(tmp_path, capsys, monkeypatch):
     code, _, _ = run(capsys, "construct", "--lambda", "1", "--method", "coloring",
                      "--graph", str(gpath), "--out", str(tmp_path / "c.json"))
     assert code == 0 and len(calls) == 1
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["bounds", "--graph", "{graph}"], ["--c", "0.5"]),
+    (["bounds", "--n", "5"], ["--limit", "3"]),
+    (["proofcheck", "{cover}", "--n", "4", "--lambda", "2"], ["--limit", "3"]),
+])
+def test_flags_outside_their_mode_are_refused(tmp_path, capsys, argv, flag):
+    graph, cover = tmp_path / "g.json", tmp_path / "c.json"
+    graph.write_text(serialize_graph(random_graph(10, 0.5, 1)))
+    cover.write_text(serialize_covering(code_to_covering(even_weight_code(3), 4)))
+    argv = [a.format(graph=graph, cover=cover) for a in argv]
+    code, stdout, err = run(capsys, *argv, *flag)
+    assert code == 1 and stdout == ""
+    assert err.startswith(f"error: {flag[0]} ")
+    code, stdout, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(stdout)["config"]
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+@pytest.mark.parametrize("buffered", [True, False])
+def test_closed_pipe_ends_without_a_traceback(buffered):
+    # Buffered, the short output meets the closed pipe on the final flush;
+    # unbuffered, on the first write inside main.
+    read, write = os.pipe()
+    os.close(read)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "bicover.cli", "bounds", "--n", "5"],
+            stdout=write, stderr=subprocess.PIPE, env=env, timeout=300)
+    finally:
+        os.close(write)
+    assert proc.returncode == 1
+    assert b"Traceback" not in proc.stderr
+    assert b"BrokenPipeError" not in proc.stderr

@@ -11,8 +11,8 @@ from bicover.covering import (BipartiteBlock, Covering,
                               code_to_covering, hadamard_covering,
                               serialize_covering, verify)
 from bicover.codes import even_weight_code, greedy_gv_code
-from bicover.errors import BudgetExhausted, DomainError, NoConstruction
-from bicover.exact import SearchBudget, _CapSearch, exact_cap, exact_k
+from bicover.errors import BudgetExhausted, DomainError
+from bicover.exact import SearchBudget, _CapSearch, exact_cap
 
 # Value, serialized witness and node count of each benchmark instance: a
 # faster search must visit the same nodes and return the same witness, so
@@ -168,17 +168,3 @@ def test_exact_cap_6_1_budget_pinned():
     assert exc.value.lower == 14
     assert exc.value.nodes == 3001
 
-
-def test_exact_k_examples():
-    assert exact_k(4, 2, 6) == 3
-    for lam in (1, 2, 3, 5):
-        assert exact_k(2, lam, max(lam, 1)) == lam
-    assert exact_k(4, 2, 8) == 3   # n = 2^(k-1) at k = 3
-    assert exact_k(8, 2, 8) == 4   # n = 2^(k-1) at k = 4
-
-
-def test_exact_k_not_found_and_budget():
-    with pytest.raises(NoConstruction):
-        exact_k(4, 2, 2)
-    with pytest.raises(BudgetExhausted):
-        exact_k(8, 3, 8, node_limit=3)

@@ -1,19 +1,24 @@
-"""The fast kernels (verify, the diagnostic sweeps, the greedy code scan,
-min_distance, degenerate_rows, the exact search's canonical check, the
-independent-set solver and the graph parser) agree exactly with the Python
-reference paths."""
+"""The fast kernels (the packed covering builders, parser and serializer,
+verify, the diagnostic sweeps, the greedy code scan, min_distance,
+degenerate_rows, the exact search's canonical check, the independent-set
+solver and the graph parser) agree exactly with the Python reference
+paths."""
 
 import json
 import random
 from functools import lru_cache
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bicover.codes import BinaryCode, greedy_gv_code, min_distance
-from bicover.covering import BipartiteBlock, Covering, degenerate_rows, verify
+from bicover.covering import (BipartiteBlock, Covering, capacity,
+                              code_to_covering, coloring_to_covering,
+                              degenerate_rows, incidence_counts,
+                              parse_covering, serialize_covering, verify)
 from bicover.diagnostics import (_disjointness, _independent_sets, _sweep,
                                  check_event_overlap, event_profile)
 from bicover.errors import (BicoverError, DomainError, SizeLimitExceeded,
@@ -23,6 +28,7 @@ from bicover.graphs import (Graph, _MisSolver, alpha_per_vertex, parse_graph,
                             random_graph)
 
 import reference_paths
+from reference_paths import BlockList
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True,
                     database=None)
@@ -33,6 +39,10 @@ BLOCK_COUNTS = st.one_of(st.just(0), st.integers(1, 63), st.integers(64, 70),
 
 
 def random_covering(n, m, seed):
+    return Covering(n, random_blocks(n, m, seed))
+
+
+def random_blocks(n, m, seed):
     # Sparse coverings leave vertices in few blocks, so that exact matches
     # occur in sampled sweeps and masks can be empty in one word only.
     rng = random.Random(seed)
@@ -45,7 +55,7 @@ def random_covering(n, m, seed):
             if v not in (left, right) and rng.random() < density:
                 sides[rng.random() < 0.5].append(v)
         blocks.append(BipartiteBlock(*sides))
-    return Covering(n, blocks)
+    return blocks
 
 
 def random_graph_on(n, seed):
@@ -97,6 +107,107 @@ def test_verify_matches_reference(n, m, seed, lam, graph):
     assert_python_ints((report.pair_count, report.min_multiplicity,
                         report.violating_pairs, report.histogram))
     json.loads(report.to_json())
+
+
+def assert_same_covering(cov, ref):
+    """The packed covering holds, prints and counts what the block list does."""
+    assert (cov.n, cov.m, len(cov)) == (ref.n, len(ref.blocks), len(ref.blocks))
+    for got, want in zip((cov.left, cov.right),
+                         reference_paths.membership_masks(ref)):
+        assert got.dtype == np.uint64 and got.shape == want.shape
+        assert got.flags.c_contiguous and not got.flags.writeable
+        assert np.array_equal(got, want)
+    text = serialize_covering(cov)
+    assert text == reference_paths.serialize_covering(ref)
+    assert capacity(cov) == sum(b.size for b in ref.blocks)
+    assert incidence_counts(cov) == reference_paths.incidence_counts(ref)
+    assert_python_ints((capacity(cov), incidence_counts(cov)))
+    assert cov.blocks == ref.blocks
+    assert parse_covering(text) == cov
+
+
+def assert_same_outcome(fn, reference, *args):
+    """Same covering, or the same error class and message."""
+    got, want = outcome(fn, *args), outcome(reference, *args)
+    if isinstance(want, BlockList):
+        assert_same_covering(got, want)
+    else:
+        assert got == want
+
+
+# Word lengths up to and past one 64-block mask word, and two full words.
+CODE_LENGTHS = st.one_of(st.integers(1, 70), st.just(128))
+
+
+@PROPERTY
+@given(length=CODE_LENGTHS, count=st.integers(1, 40), seed=st.integers(0, 2**32),
+       data=st.data())
+def test_code_to_covering_matches_reference(length, count, seed, data):
+    # Words share sparse forced-zero and forced-one bits, so that some rows
+    # are constant; n runs past the word count and below 2.
+    rng = random.Random(seed)
+    zeros = rng.getrandbits(length) & rng.getrandbits(length)
+    ones = rng.getrandbits(length) & rng.getrandbits(length) & ~zeros
+    words = {(rng.getrandbits(length) | ones) & ~zeros for _ in range(count)}
+    code = BinaryCode(length, sorted(words, key=lambda w: rng.random()))
+    n = data.draw(st.integers(0, len(words) + 1))
+    assert_same_outcome(code_to_covering, reference_paths.code_to_covering,
+                        code, n)
+
+
+@PROPERTY
+@given(n=st.integers(1, 30), top=st.one_of(st.integers(0, 9), st.just(2**70)),
+       seed=st.integers(0, 2**32), data=st.data())
+def test_coloring_to_covering_matches_reference(n, top, seed, data):
+    # Edges join differently colored vertices unless the coloring is meant
+    # to be improper; now and then one entry is not a color index at all.
+    coloring = data.draw(st.lists(st.integers(0, top), min_size=n, max_size=n))
+    proper = data.draw(st.booleans())
+    bad = data.draw(st.sampled_from([None, None, None, -1, True, 2.0]))
+    if bad is not None:
+        coloring[data.draw(st.integers(0, n - 1))] = bad
+    rng = random.Random(seed)
+    p = rng.random()
+    g = Graph(n, [(u, v) for u, v in combinations(range(1, n + 1), 2)
+                  if rng.random() < p
+                  and (not proper or coloring[u - 1] != coloring[v - 1])])
+    assert_same_outcome(coloring_to_covering,
+                        reference_paths.coloring_to_covering, g, coloring)
+
+
+@PROPERTY
+@given(n=st.integers(1, 12), m=st.sampled_from([0, 1, 63, 64, 65]),
+       seed=st.integers(0, 2**32))
+def test_block_lists_match_reference(n, m, seed):
+    blocks = random_blocks(n, m, seed)
+    assert_same_covering(Covering(n, blocks), BlockList(n, tuple(blocks)))
+
+
+@pytest.mark.parametrize("flaw", [None, "overlap", "duplicate",
+                                  "out-of-range", "bool", "empty"])
+@settings(PROPERTY, max_examples=25)
+@given(n=st.integers(2, 10), m=st.sampled_from([1, 2, 5, 64, 65]),
+       seed=st.integers(0, 2**32), data=st.data())
+def test_parse_covering_matches_reference(flaw, n, m, seed, data):
+    # One side of one block gets the flaw; blocks after it stay valid.
+    doc = json.loads(reference_paths.serialize_covering(
+        BlockList(n, tuple(random_blocks(n, m, seed)))))
+    block = doc["blocks"][data.draw(st.integers(0, m - 1))]
+    key = data.draw(st.sampled_from(["left", "right"]))
+    side, other = block[key], block["right" if key == "left" else "left"]
+    at = data.draw(st.integers(0, len(side)))
+    if flaw == "overlap":
+        side.insert(at, other[0])
+    elif flaw == "duplicate":
+        side.insert(at, side[0])
+    elif flaw == "out-of-range":
+        side.insert(at, data.draw(st.sampled_from([0, -1, n + 1, 2**70])))
+    elif flaw == "bool":
+        side.insert(at, data.draw(st.booleans()))
+    elif flaw == "empty":
+        side.clear()
+    assert_same_outcome(parse_covering, reference_paths.parse_covering,
+                        json.dumps(doc))
 
 
 @PROPERTY
