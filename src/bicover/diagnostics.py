@@ -5,13 +5,15 @@ capacity bound: binomial tail sums staying below one, near-match events
 being pairwise disjoint, the convex surrogate of the tail, occupancy-capped
 event families, and occurring-event sets being independent in the target
 graph.  Probability computations are exact rationals; exhaustive modes
-sweep all 2^m block-selection vectors, sampled modes draw seeded vectors.
+cover all 2^m block-selection vectors by enumerating each vertex's event
+vectors, sampled modes draw seeded vectors.
 """
 
 from __future__ import annotations
 
 import json
 import random
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -112,7 +114,8 @@ def check_tail_sum(cov, lam):
     """
     _require_valid(cov, cov.n, lam, "tail sum")
     prof = event_profile(cov, lam)
-    total = sum((binom_tail_p(xj, prof.r) for xj in prof.x), Fraction(0))
+    total = sum((k * binom_tail_p(xj, prof.r) for xj, k in Counter(prof.x).items()),
+                Fraction(0))
     return DiagnosticReport("tail-sum", "exact", ok=total <= 1, sum=total)
 
 
@@ -123,7 +126,7 @@ def check_event_disjointness(cov, lam, mode="exhaustive", seed=0,
 
     Vertex j's event occurs when at most r of its block memberships
     disagree with the vector (left sides read the vector bit as 0, right
-    sides as 1).  Exhaustive mode sweeps all 2^m vectors and additionally
+    sides as 1).  Exhaustive mode covers all 2^m vectors and additionally
     recounts each event's probability against the exact binomial tail;
     sampled mode draws seeded vectors and reports observed violations only.
     """
@@ -151,9 +154,11 @@ def _disjointness(prof, mode, seed, trials, exhaustive_limit):
         double_count += len(multi)
         doubles += [("double-occurrence", vectors[k], occurring(k))
                     for k in multi[:10 - len(doubles)].tolist()]
+    expected = {xj: binom_tail_p(xj, prof.r) * (1 << prof.m)
+                for xj in dict.fromkeys(prof.x)}
     violations = [("probability-mismatch", j + 1, count)
                   for j, count in enumerate(counts.tolist())
-                  if Fraction(count, 1 << prof.m) != binom_tail_p(prof.x[j], prof.r)]
+                  if count != expected[prof.x[j]]]
     violations += doubles
     return DiagnosticReport(
         "event-disjointness", "exhaustive", ok=not violations,
@@ -172,16 +177,15 @@ def check_convex_tail_bound(cov, lam):
         raise DomainError(f"convex tail bound needs lam >= 3, got lam = {lam}")
     _require_valid(cov, cov.n, lam, "convex tail bound")
     prof = event_profile(cov, lam)
-    total = Fraction(0)
-    violations = []
-    for j, xj in enumerate(prof.x):
-        surrogate = Fraction(xj, r) ** r / (1 << xj)
-        total += surrogate
-        if binom_tail_p(xj, r) < surrogate:
-            violations.append(("pointwise", j + 1, xj))
+    tally = Counter(prof.x)
+    surrogate = {xj: Fraction(xj, r) ** r / (1 << xj) for xj in tally}
+    total = sum((k * surrogate[xj] for xj, k in tally.items()), Fraction(0))
+    below = {xj for xj in tally if binom_tail_p(xj, r) < surrogate[xj]}
+    violations = tuple(("pointwise", j + 1, xj) for j, xj in enumerate(prof.x)
+                       if xj in below)
     return DiagnosticReport(
         "convex-tail-bound", "exact", ok=total <= 1 and not violations,
-        sum=total, violations=tuple(violations))
+        sum=total, violations=violations)
 
 
 def check_convexity(r, x_lo, x_hi, steps=1000, tol=1e-12):
@@ -272,44 +276,144 @@ def _first_adjacent_pair(g, vertices):
     return None
 
 
-_SWEEP_CHUNK = 1 << 14  # vectors x mask words per step: 128 KiB word temporaries
+# Entries per step (vectors x mask words, or vertices x event patterns):
+# 128 KiB word temporaries.
+_SWEEP_CHUNK = 1 << 14
 _WORD = (1 << 64) - 1
 
 
 def _sweep(prof, r, mode, seed, trials, exhaustive_limit, counts=None):
     """The selection vectors of one sweep, in order and in chunks, with their events.
 
-    Exhaustive mode visits 0 .. 2^m - 1; sampled mode draws ``trials``
-    vectors from ``random.Random(seed).getrandbits(m)``.  Vertex j's event
-    occurs for a vector when at most r of its block memberships disagree
-    with it (r = 0: an exact side match).  Yields, per chunk,
-    (vectors, per_vector, occurring): the vectors as Python ints, the
+    Vertex j's event occurs for a vector v when at most r of its block
+    memberships disagree with v (r = 0: an exact side match).  Yields, per
+    chunk, (vectors, per_vector, occurring): the vectors as Python ints, the
     number of events each one triggers, and occurring(k), the sorted
-    vertices whose events vectors[k] triggers.  When given, ``counts[j]``
-    accumulates how many swept vectors trigger vertex j+1's event.  The mode
-    and the size limit are checked on the call, before any vector is drawn.
+    vertices whose events vectors[k] triggers.  The mode and the size limit
+    are checked on the call, before any vector is drawn.
+
+    Sampled mode draws ``trials`` vectors from
+    ``random.Random(seed).getrandbits(m)`` and yields every one of them.
+
+    Exhaustive mode yields, in ascending order, the vectors among
+    0 .. 2^m - 1 that trigger at least one event; the vectors that trigger
+    none cannot matter to any check.  It enumerates each vertex's event set
+    instead of testing all 2^m vectors against every vertex.  With support
+    s_j (the blocks that contain j) and right-side mask b_j, the event set
+    is every (b_j ^ D) | F with D a subset of s_j of at most r bits and F a
+    subset of the blocks outside s_j: a vector v in the event has
+    D = (v & s_j) ^ b_j and F = v & ~s_j, and no two (D, F) give the same
+    v.  Every enumerated vector is tested again with the predicate, and
+    ``counts[j]`` (when given) accumulates the vectors that pass for vertex
+    j+1, so a recount against the exact binomial tail still certifies each
+    event's probability.  The work is 2^m * sum_j P_j vectors, P_j the
+    probability of event j: at most 2^m for a valid covering of K_n^lam
+    and at most 2^m * max alpha_j for a valid graph covering.
     """
-    words = len(prof.a)
-    size = max(1, _SWEEP_CHUNK // words)
     if mode == "exhaustive":
         if prof.m > exhaustive_limit:
             raise SizeLimitExceeded(
                 f"{prof.m} blocks exceed the exhaustive sweep limit "
                 f"{exhaustive_limit}")
-        chunks = _exhaustive_chunks(prof.m, words, size)
-    elif mode == "sampled":
-        chunks = _sampled_chunks(prof.m, words, size, seed, trials)
-    else:
-        raise DomainError(f"unknown mode {mode!r}")
-    return _tally(prof, r, chunks, counts)
+        return _event_chunks(prof, r, counts)
+    if mode == "sampled":
+        words = len(prof.a)
+        size = max(1, _SWEEP_CHUNK // words)
+        return _tally(prof, r, _sampled_chunks(prof.m, words, size, seed, trials))
+    raise DomainError(f"unknown mode {mode!r}")
 
 
-def _exhaustive_chunks(m, words, size):
-    for lo in range(0, 1 << m, size):
-        vectors = range(lo, min(lo + size, 1 << m))
-        packed = np.zeros((words, len(vectors)), dtype=np.uint64)
-        packed[0] = np.arange(vectors.start, vectors.stop, dtype=np.uint64)
-        yield vectors, packed
+def _event_chunks(prof, r, counts):
+    windows = _event_windows(prof, r, counts)
+    for start in sorted(windows):
+        offsets, per_vector = windows[start]
+        packed = (offsets + start).astype(np.uint64)[None]
+        yield packed[0].tolist(), per_vector, _occurring(prof, r, packed)
+
+
+def _event_windows(prof, r, counts):
+    """Event vectors by window of _SWEEP_CHUNK consecutive vectors.
+
+    Maps the first vector of each window that holds an event vector to
+    (offsets, per_vector): the ascending offsets in the window of its
+    vectors that trigger some event, and how many events each one
+    triggers.  Vertices that share a support share their patterns D | F,
+    which are built once and broadcast against the group's right-side
+    masks, a few vertices and patterns per step.  The vectors that pass
+    the predicate are counted into the windows whenever another step would
+    take them past _SWEEP_CHUNK, so memory follows the number of distinct
+    event vectors.  The dense window tallies stand in for a sort: the
+    first np.unique call in a process raises its peak RSS by about 2 MB.
+    Needs m < 63, which the exhaustive limit keeps.
+    """
+    support = prof.a | prof.b
+    blocks = (1 << prof.m) - 1
+    width = min(_SWEEP_CHUNK, blocks + 1)
+    groups = defaultdict(list)
+    for j, s in enumerate(support[0].tolist()):
+        groups[s].append(j)
+    windows = {}
+    hits, size = [], 0
+    for s, members in groups.items():
+        members = np.array(members)
+        for patterns in _patterns(s, blocks & ~s, r):
+            step = max(1, _SWEEP_CHUNK // len(patterns))
+            for lo in range(0, len(members), step):
+                js = members[lo:lo + step]
+                vectors = prof.b[0, js, None] ^ patterns
+                ev = _within(vectors[None], support[:, js, None],
+                             prof.b[:, js, None], r)
+                if counts is not None:
+                    counts[js] += np.count_nonzero(ev, axis=1)
+                found = vectors[ev].astype(np.intp)
+                if size + len(found) > _SWEEP_CHUNK:
+                    _fold(windows, hits, width)
+                    hits, size = [], 0
+                hits.append(found)
+                size += len(found)
+    _fold(windows, hits, width)
+    return windows
+
+
+def _patterns(flip, free, r):
+    """The masks with at most r bits in ``flip`` and any bits in ``free``.
+
+    Yields them in chunks of at most _SWEEP_CHUNK masks, each chunk a
+    product of some flip masks with some free masks.
+    """
+    flips = _submasks(flip, r)
+    frees = _submasks(free, free.bit_count())
+    cols = min(len(frees), _SWEEP_CHUNK)
+    rows = _SWEEP_CHUNK // cols
+    for i in range(0, len(flips), rows):
+        for k in range(0, len(frees), cols):
+            yield (flips[i:i + rows, None] | frees[None, k:k + cols]).ravel()
+
+
+def _submasks(mask, r):
+    """Every submask of ``mask`` with at most r bits, as uint64."""
+    out = np.zeros(1, dtype=np.uint64)
+    while mask:
+        bit = mask & -mask
+        mask ^= bit
+        out = np.concatenate((out, out[np.bitwise_count(out) < r] | np.uint64(bit)))
+    return out
+
+
+def _fold(windows, hits, width):
+    """Count the vectors in the arrays ``hits`` into their windows' tallies."""
+    if not hits:
+        return
+    hits = np.concatenate(hits)
+    window = hits // width
+    for w in np.flatnonzero(np.bincount(window)).tolist():
+        start = w * width
+        tally = np.bincount(hits[window == w] - start, minlength=width)
+        if start in windows:
+            offsets, per_vector = windows[start]
+            tally[offsets] += per_vector
+        offsets = np.flatnonzero(tally)
+        windows[start] = offsets, tally[offsets]
 
 
 def _sampled_chunks(m, words, size, seed, trials):
@@ -321,22 +425,25 @@ def _sampled_chunks(m, words, size, seed, trials):
                                  for w in range(words)], dtype=np.uint64)
 
 
-def _tally(prof, r, chunks, counts):
+def _tally(prof, r, chunks):
     # Vertex by vertex over a chunk of vectors: each step is a few
     # contiguous word operations, which beats one (vectors x vertices) block.
     support = prof.a | prof.b
     for vectors, packed in chunks:
         per_vector = np.zeros(len(vectors), dtype=np.intp)
         for j in range(prof.n):
-            ev = _within(packed, support[:, j], prof.b[:, j], r)
-            per_vector += ev
-            if counts is not None:
-                counts[j] += np.count_nonzero(ev)
+            per_vector += _within(packed, support[:, j], prof.b[:, j], r)
+        yield vectors, per_vector, _occurring(prof, r, packed)
 
-        def occurring(k, packed=packed):
-            ev = _within(packed[:, k], support, prof.b, r)
-            return (np.nonzero(ev)[0] + 1).tolist()
-        yield vectors, per_vector, occurring
+
+def _occurring(prof, r, packed):
+    """occurring(k): the sorted vertices whose events vector packed[:, k] triggers."""
+    support = prof.a | prof.b
+
+    def occurring(k):
+        ev = _within(packed[:, k], support, prof.b, r)
+        return (np.nonzero(ev)[0] + 1).tolist()
+    return occurring
 
 
 def _within(vectors, support, side, r):

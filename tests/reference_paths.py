@@ -3,7 +3,10 @@
 Each function here is the straightforward loop the library once ran: one
 Python-int bitmask per vertex, one pair or one selection vector at a time,
 one codeword or one ball mask at a time, one relabeled block tuple at a
-time, one first-fit clique class per vertex, one frozenset pair per block.
+time, one first-fit clique class per vertex, one frozenset pair per block,
+one exact tail Fraction per vertex.  ``chunked_sweep`` is a second
+reference for the diagnostic sweeps: the chunked numpy sweep over all 2^m
+vectors that the library ran before it enumerated each vertex's events.
 They are kept only as oracles; the property tests require the library's
 kernels to return exactly the same reports, codes, coverings and answers.
 The construction if-chains the library ran before its family table (the
@@ -321,6 +324,67 @@ def _first_adjacent_pair(g, vertices):
             if g.has_edge(u, w):
                 return (u, w)
     return None
+
+
+def chunked_sweep(prof, r, mode, seed, trials, exhaustive_limit, counts=None):
+    """The exhaustive sweep as the library once ran it, with ``_sweep``'s signature.
+
+    Every one of the 2^m vectors, 2^14 per chunk, is tested against one
+    vertex at a time; ``counts[j]`` accumulates the vectors that trigger
+    vertex j+1's event.  Yields (vectors, per_vector, occurring) per chunk.
+    Exhaustive mode only, on one-word masks (m <= 64).
+    """
+    if mode != "exhaustive":
+        raise DomainError(f"unknown mode {mode!r}")
+    if prof.m > exhaustive_limit:
+        raise SizeLimitExceeded(
+            f"{prof.m} blocks exceed the exhaustive sweep limit "
+            f"{exhaustive_limit}")
+    return _tally(prof, r, _exhaustive_chunks(prof.m), counts)
+
+
+def _exhaustive_chunks(m, size=1 << 14):
+    for lo in range(0, 1 << m, size):
+        vectors = range(lo, min(lo + size, 1 << m))
+        yield vectors, np.arange(vectors.start, vectors.stop, dtype=np.uint64)
+
+
+def _tally(prof, r, chunks, counts):
+    support = (prof.a | prof.b)[0]
+    side = prof.b[0]
+    for vectors, packed in chunks:
+        per_vector = np.zeros(len(vectors), dtype=np.intp)
+        for j in range(prof.n):
+            ev = np.bitwise_count((packed & support[j]) ^ side[j]) <= r
+            per_vector += ev
+            if counts is not None:
+                counts[j] += np.count_nonzero(ev)
+
+        def occurring(k, packed=packed):
+            ev = np.bitwise_count((packed[k] & support) ^ side) <= r
+            return (np.nonzero(ev)[0] + 1).tolist()
+        yield vectors, per_vector, occurring
+
+
+def tail_sum(prof):
+    """Sum of p(x_j, r), one Fraction per vertex."""
+    total = sum((binom_tail_p(xj, prof.r) for xj in prof.x), Fraction(0))
+    return DiagnosticReport("tail-sum", "exact", ok=total <= 1, sum=total)
+
+
+def convex_tail_bound(prof):
+    """Sum of (x_j/r)^r * 2^(-x_j) and the pointwise check, one vertex at a time."""
+    r = prof.r
+    total = Fraction(0)
+    violations = []
+    for j, xj in enumerate(prof.x):
+        surrogate = Fraction(xj, r) ** r / (1 << xj)
+        total += surrogate
+        if binom_tail_p(xj, r) < surrogate:
+            violations.append(("pointwise", j + 1, xj))
+    return DiagnosticReport(
+        "convex-tail-bound", "exact", ok=total <= 1 and not violations,
+        sum=total, violations=tuple(violations))
 
 
 def greedy_gv_words(k, d, target):

@@ -182,6 +182,25 @@ def test_proofcheck_command(tmp_path, capsys):
     assert json.loads(stdout)["covering_valid"] is False
 
 
+@pytest.mark.parametrize("method,n,lam,blocks", [("bch", 2048, 4, 16),
+                                                 ("even-weight", 8192, 2, 14)])
+def test_exhaustive_proofcheck_at_large_n(tmp_path, capsys, method, n, lam, blocks):
+    out = tmp_path / "c.json"
+    code, _, _ = run(capsys, "construct", "--n", str(n), "--lambda", str(lam),
+                     "--method", method, "--out", str(out))
+    assert code == 0 and len(json.loads(out.read_text())["blocks"]) == blocks
+    code, stdout, _ = run(capsys, "proofcheck", str(out), "--n", str(n),
+                          "--lambda", str(lam), "--exhaustive")
+    doc = json.loads(stdout)
+    assert code == 0 and doc["ok"]
+    assert {c["check"] for c in doc["checks"]} >= {"tail-sum", "event-disjointness"}
+    for check in doc["checks"]:
+        assert check["ok"] and check["violations"] == []
+    sweep = next(c for c in doc["checks"] if c["check"] == "event-disjointness")
+    assert sweep["mode"] == "exhaustive"
+    assert sweep["details"] == {"vectors": 1 << blocks, "double_occurrences": 0}
+
+
 def test_proofcheck_verifies_once(tmp_path, capsys, monkeypatch):
     calls = []
     real = covering.verify

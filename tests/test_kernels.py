@@ -1,26 +1,30 @@
 """The fast kernels (the packed covering builders, parser and serializer,
-verify, the diagnostic sweeps, the greedy code scan, min_distance,
-degenerate_rows, the exact search's canonical check, the independent-set
-solver and the graph parser) agree exactly with the Python reference
-paths."""
+verify, the diagnostic sweeps and tail sums, the greedy code scan,
+min_distance, degenerate_rows, the exact search's canonical check, the
+independent-set solver and the graph parser) agree exactly with the Python
+reference paths."""
 
 import json
 import random
 from functools import lru_cache
 from itertools import combinations
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bicover import diagnostics
 from bicover.codes import BinaryCode, greedy_gv_code, min_distance
 from bicover.covering import (BipartiteBlock, Covering, capacity,
                               code_to_covering, coloring_to_covering,
                               degenerate_rows, incidence_counts,
                               parse_covering, serialize_covering, verify)
 from bicover.diagnostics import (_disjointness, _independent_sets, _sweep,
-                                 check_event_overlap, event_profile)
+                                 check_convex_tail_bound,
+                                 check_event_disjointness, check_event_overlap,
+                                 check_tail_sum, event_profile)
 from bicover.errors import (BicoverError, DomainError, SizeLimitExceeded,
                             TargetUnreached)
 from bicover.exact import SearchBudget, _CapSearch
@@ -264,6 +268,86 @@ def test_independent_event_sets_matches_reference(n, m, seed, sampled):
     assert report == reference_paths.independent_event_sets(prof, g, mode,
                                                             seed, trials)
     assert_python_ints((report.violations, report.trials))
+
+
+@st.composite
+def shared_support_coverings(draw):
+    """Coverings whose vertices draw their supports from a small pool.
+
+    The pool holds the full support, a few random ones and, now and then,
+    the empty one (an isolated vertex is in every vector's event), so that
+    vertices share supports and some supports are partial.  Each vertex
+    takes a random side in each block of its support.
+    """
+    n = draw(st.one_of(st.integers(1, 40), st.integers(30, 40)))
+    m = draw(st.one_of(st.integers(0, 16), st.integers(12, 16)))
+    isolated = draw(st.booleans())
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    pool = ([(1 << m) - 1] + [rng.getrandbits(m) for _ in range(rng.randint(0, 3))]
+            + [0] * isolated)
+    sides = np.zeros((2, n + 1, m), dtype=np.uint8)
+    for v in range(1, n + 1):
+        support = rng.choice(pool)
+        for i in range(m):
+            if support >> i & 1:
+                sides[int(rng.random() < 0.5), v, i] = 1
+    return Covering._packed(sides)
+
+
+@settings(PROPERTY, max_examples=40)
+@given(cov=shared_support_coverings(), lam=st.integers(1, 8),
+       seed=st.integers(0, 2**32))
+def test_event_enumeration_matches_chunked_sweep(cov, lam, seed):
+    # r = (lam - 1) // 2 runs from 0 to 3; the overlap check gets understated
+    # alphas, so that occupancy violations occur.
+    g = random_graph_on(cov.n, seed)
+    covered = separated_graph(cov, seed)
+    rng = random.Random(seed)
+    alphas = [rng.randint(1, a) for a in alpha_per_vertex(covered)]
+
+    def reports():
+        return (outcome(_disjointness, event_profile(cov, lam), "exhaustive",
+                        0, 0, 20),
+                outcome(_independent_sets, event_profile(cov, 1), g,
+                        "exhaustive", 0, 0, 20),
+                outcome(check_event_overlap, cov, covered, alphas))
+
+    got = reports()
+    with patch.object(diagnostics, "_sweep", reference_paths.chunked_sweep):
+        assert got == reports()
+
+
+def test_recount_catches_a_wrong_enumeration():
+    # Patterns of the right number but shifted by one support bit: every
+    # vector fails the re-test, so the recount flags every vertex.
+    cov = code_to_covering(BinaryCode(3, (0b000, 0b011, 0b101, 0b110)), 4)
+    assert check_event_disjointness(cov, 2).ok
+    patterns = diagnostics._patterns
+
+    def shifted(flip, free, r):
+        return (p ^ np.uint64(flip & -flip) for p in patterns(flip, free, r))
+
+    with patch.object(diagnostics, "_patterns", shifted):
+        report = check_event_disjointness(cov, 2)
+    assert report.violations == tuple(("probability-mismatch", j, 0)
+                                      for j in range(1, 5))
+
+
+@PROPERTY
+@given(n=st.integers(2, 40), m=st.integers(0, 30), lam=st.integers(1, 8),
+       seed=st.integers(0, 2**32))
+def test_tail_checks_match_reference(n, m, lam, seed):
+    # lam copies of a separating base make the covering valid; random extra
+    # blocks spread the incidence counts over several values.
+    base = [BipartiteBlock([v for v in range(1, n + 1) if not (v - 1) >> t & 1],
+                           [v for v in range(1, n + 1) if (v - 1) >> t & 1])
+            for t in range((n - 1).bit_length())]
+    cov = Covering(n, base * lam + random_blocks(n, m, seed))
+    prof = event_profile(cov, lam)
+    assert check_tail_sum(cov, lam) == reference_paths.tail_sum(prof)
+    if lam >= 3:
+        assert (check_convex_tail_bound(cov, lam)
+                == reference_paths.convex_tail_bound(prof))
 
 
 def test_violation_paths_are_exercised():
