@@ -14,6 +14,7 @@ import json
 import os
 import stat
 import sys
+from json.encoder import encode_basestring_ascii
 from math import comb, isnan
 
 from . import bounds as bnd
@@ -48,8 +49,72 @@ def _positive_int_list(text):
 
 
 def _emit(payload):
-    json.dump(payload, sys.stdout, indent=2)
+    sys.stdout.writelines(_json_chunks(payload))
     sys.stdout.write("\n")
+
+
+def _json_text(obj):
+    """``json.dumps(obj, indent=2)``; see ``_json_chunks``."""
+    return "".join(_json_chunks(obj))
+
+
+_PAIR_BATCH = 4096  # int pairs per piece
+
+
+def _json_chunks(obj, pad="\n"):
+    """The text of ``json.dumps(obj, indent=2)`` in pieces, rendered here for
+    str-keyed dicts and lists, which ``pad`` (a newline and the current
+    indent) lays out.
+
+    ``indent`` makes ``json`` use its pure-Python encoder, which is slow on
+    a long list of violating pairs; here a list of int pairs takes one
+    ``%``-format per pair, a batch of pairs per piece, so that the text is
+    never held twice.
+    """
+    inner = pad + "  "
+    sep = "," + inner
+    if type(obj) is dict and all(type(key) is str for key in obj):
+        ends = "{}"
+        items = [(encode_basestring_ascii(key) + ": ", value)
+                 for key, value in obj.items()]
+    elif type(obj) in (list, tuple):
+        if obj and all(type(p) in (list, tuple) and len(p) == 2
+                       and type(p[0]) is int and type(p[1]) is int for p in obj):
+            pair = f"[{inner}  %d,{inner}  %d{inner}]"
+            for k in range(0, len(obj), _PAIR_BATCH):
+                yield (sep if k else "[" + inner) + sep.join(
+                    [pair % (u, v) for u, v in obj[k:k + _PAIR_BATCH]])
+            yield pad + "]"
+            return
+        ends = "[]"
+        items = [("", item) for item in obj]
+    else:
+        yield _json_piece(obj, pad)
+        return
+    if not items:
+        yield ends
+        return
+    start = ends[0] + inner
+    for head, value in items:
+        if type(value) in (dict, list, tuple):
+            yield start + head
+            yield from _json_chunks(value, inner)
+        else:
+            yield start + head + _json_piece(value, inner)
+        start = sep
+    yield pad + ends[1]
+
+
+def _json_piece(obj, pad):
+    """``json.dumps(obj, indent=2)`` in one piece, its lines after the first
+    indented by ``pad``: ints and strs directly, the rest by ``json``."""
+    if type(obj) is int:
+        return repr(obj)
+    if type(obj) is str:
+        return encode_basestring_ascii(obj)
+    if isinstance(obj, (dict, list, tuple)):
+        return json.dumps(obj, indent=2).replace("\n", pad)
+    return json.dumps(obj)  # indent lays out containers only
 
 
 def _write(path, text):
@@ -157,8 +222,7 @@ def _cmd_construct(args):
         "requested_lambda": args.lam,
     }
     sidecar = _sidecar_path(args.out)
-    _write(sidecar, json.dumps({**_header("construct", args), "report": report},
-                               indent=2))
+    _write(sidecar, _json_text({**_header("construct", args), "report": report}))
     _emit({**_header("construct", args), "out": args.out,
            "sidecar": sidecar, "report": report})
     return EXIT_OK
@@ -328,7 +392,7 @@ def _cmd_sweep(args):
     else:
         payload = {**_header("sweep", args), "rows": rows}
         if args.out:
-            _write(args.out, json.dumps(payload, indent=2))
+            _write(args.out, _json_text(payload))
         else:
             _emit(payload)
     return EXIT_OK

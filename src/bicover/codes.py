@@ -124,8 +124,8 @@ class BinaryCode:
 def min_distance(code, pair_cap=DEFAULT_PAIR_CAP):
     """Exact minimum pairwise Hamming distance; caches the result on the code.
 
-    Codes of length at most 64 are checked one word against all later words
-    per step on a uint64 array; longer codes fall back to Python ints.
+    The words are split into ceil(length / 64) uint64 rows, and one word is
+    checked against all later words per step, summing the rows' popcounts.
     """
     if code.min_distance is not None:
         return code.min_distance
@@ -140,8 +140,10 @@ def min_distance(code, pair_cap=DEFAULT_PAIR_CAP):
         rows = (np.bitwise_count(arr[i] ^ arr[i + 1:]).min()
                 for i in range(len(arr) - 1))
     else:
-        rows = (min((wi ^ wj).bit_count() for wj in words[i + 1:])
-                for i, wi in enumerate(words[:-1]))
+        arr = np.array([[w >> 64 * j & (1 << 64) - 1 for w in words]
+                        for j in range(-(-code.length // 64))], dtype=np.uint64)
+        rows = (np.bitwise_count(arr[:, i, None] ^ arr[:, i + 1:])
+                .sum(axis=0).min() for i in range(len(words) - 1))
     best = code.length
     for d in rows:
         best = min(best, int(d))

@@ -7,9 +7,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bicover import covering, diagnostics, graphs
-from bicover.cli import _METHODS, _sweep_row, _write, main
+from bicover.cli import (_METHODS, _PAIR_BATCH, _json_text, _sweep_row,
+                         _write, main)
 from bicover.codes import even_weight_code
 from bicover.covering import (balanced_bipartitions_covering, capacity,
                               code_to_covering, parse_covering,
@@ -426,3 +429,38 @@ def test_closed_pipe_ends_without_a_traceback(buffered):
     assert proc.returncode == 1
     assert b"Traceback" not in proc.stderr
     assert b"BrokenPipeError" not in proc.stderr
+
+
+_INTS = st.one_of(st.integers(-5, 10**6), st.integers())
+_SCALARS = st.one_of(st.none(), st.booleans(), _INTS, st.text(),
+                     st.floats(allow_nan=True, allow_infinity=True))
+# Pairs of ints or bools, as the violation lists hold; other lengths too.
+_PAIRS = st.lists(st.one_of(st.lists(st.one_of(_INTS, st.booleans()),
+                                     min_size=2, max_size=2),
+                            st.tuples(_INTS, _INTS),
+                            st.lists(_INTS, max_size=3)), max_size=6)
+_KEYS = st.one_of(st.text(), st.integers(), st.booleans(), st.none(),
+                  st.floats(allow_nan=False))
+_JSON = st.recursive(
+    st.one_of(_SCALARS, _PAIRS),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.tuples(inner, inner),
+        st.dictionaries(st.text(), inner, max_size=4),
+        st.dictionaries(_KEYS, inner, max_size=4)),
+    max_leaves=20)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(obj=_JSON)
+def test_json_text_matches_json_dumps(obj):
+    assert _json_text(obj) == json.dumps(obj, indent=2)
+
+
+@pytest.mark.parametrize("obj", [
+    [[True, False], [1, 2]], [], {}, [[]], {"a": []}, [[1, 2, 3], [4, 5]],
+    [float("nan"), float("inf"), -float("inf")], {"é": "ü ☃"},
+    {1: [1, 2], None: {}, True: [[1, 2]]}, {"pairs": [(1, 2), (3, 4)]},
+    {"pairs": [[v, 2 * v] for v in range(2 * _PAIR_BATCH + 1)]}])
+def test_json_text_edge_cases(obj):
+    assert _json_text(obj) == json.dumps(obj, indent=2)

@@ -1,13 +1,14 @@
 """The fast kernels (the packed covering builders, parser and serializer,
-verify, the diagnostic sweeps and tail sums, the greedy code scan,
-min_distance, degenerate_rows, the exact search's canonical check, the
-independent-set solver and the graph parser) agree exactly with the Python
-reference paths."""
+verify and its MacWilliams path, the diagnostic sweeps and tail sums, the
+greedy code scan, min_distance, degenerate_rows, the exact search's
+canonical check, the independent-set solver and the graph parser) agree
+exactly with the Python reference paths."""
 
 import json
 import random
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 from unittest.mock import patch
 
 import numpy as np
@@ -15,8 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bicover import diagnostics
-from bicover.codes import BinaryCode, greedy_gv_code, min_distance
+from bicover import covering, diagnostics
+from bicover.codes import (BinaryCode, even_weight_code, greedy_gv_code,
+                            min_distance)
 from bicover.covering import (BipartiteBlock, Covering, capacity,
                               code_to_covering, coloring_to_covering,
                               degenerate_rows, incidence_counts,
@@ -111,6 +113,166 @@ def test_verify_matches_reference(n, m, seed, lam, graph):
     assert_python_ints((report.pair_count, report.min_multiplicity,
                         report.violating_pairs, report.histogram))
     json.loads(report.to_json())
+
+
+# The MacWilliams path of verify on complete targets.
+
+def transform_spy():
+    """Patches covering._class_histogram with a call-counting wrapper."""
+    return patch.object(covering, "_class_histogram",
+                        wraps=covering._class_histogram)
+
+
+@PROPERTY
+@given(k=st.integers(3, 10), data=st.data())
+def test_transform_verify_on_code_coverings(k, data):
+    # One support class of n vertices and at most k blocks, with n large
+    # enough that k 2^k is below the C(n, 2) pairs: the transform counts.
+    low = next(n for n in range(2, (1 << k) + 1) if k << k < n * (n - 1) // 2)
+    n = data.draw(st.integers(low, min(300, 1 << k)), label="n")
+    rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+    words = rng.sample(range(1 << k), n)
+    cov = code_to_covering(BinaryCode(k, words), n)
+    lam = data.draw(st.integers(1, k + 2), label="lam")
+    with transform_spy() as spy:
+        report = verify(cov, n, lam)
+    assert spy.call_count == 1
+    assert report == reference_paths.verify(cov, n, lam)
+    assert_python_ints((report.pair_count, report.min_multiplicity,
+                        report.violating_pairs, report.histogram))
+
+
+@st.composite
+def support_class_coverings(draw):
+    """Coverings of 2-4 support classes, vertex labels shuffled.
+
+    Two anchor vertices, all left and all right, make every block a valid
+    one and sit in the full-support class with a few more vertices.  The
+    other classes have supports of at most 6 blocks, some across the word
+    boundary, and 30-60 vertices each, so that the transform counts each of
+    them with itself.  Left sides come from a small pool, and repeated
+    patterns give pairs of multiplicity 0 whatever the support.
+    """
+    m = draw(st.one_of(st.integers(1, 12), st.sampled_from([63, 64, 65])))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    full = (1 << m) - 1
+    # Past one mask word, the second class also takes blocks 63 and 64.
+    bits = min(6, m) - 2 * (m > 64)
+    supports = [full] + [
+        sum(1 << i for i in rng.sample(range(m), rng.randint(0, bits)))
+        for _ in range(draw(st.integers(1, 3)))]
+    if m > 64:
+        supports[1] |= 3 << 63
+    sizes = [rng.randint(2, 12)] + [rng.randint(30, 60) for _ in supports[1:]]
+    n = sum(sizes)
+    labels = list(range(1, n + 1))
+    rng.shuffle(labels)
+    sides = np.zeros((2, n + 1, m), dtype=np.uint8)
+    vertices = iter(labels)
+    for number, (support, size) in enumerate(zip(supports, sizes)):
+        pool = [rng.getrandbits(m) & support for _ in range(rng.randint(1, 8))]
+        for position in range(size):
+            v = next(vertices)
+            left = (full if position == 0 else 0 if position == 1
+                    else rng.choice(pool)) if number == 0 else rng.choice(pool)
+            for i in range(m):
+                if support >> i & 1:
+                    sides[0 if left >> i & 1 else 1, v, i] = 1
+    return Covering._packed(sides)
+
+
+@settings(PROPERTY, max_examples=40)
+@given(cov=support_class_coverings(), lam=st.integers(1, 8))
+def test_transform_verify_on_mixed_support_classes(cov, lam):
+    with transform_spy() as spy:
+        report = verify(cov, cov.n, lam)
+    assert spy.call_count >= 1
+    assert report == reference_paths.verify(cov, cov.n, lam)
+    assert_python_ints((report.pair_count, report.min_multiplicity,
+                        report.violating_pairs, report.histogram))
+
+
+@pytest.mark.parametrize("k, s, t, same, expected", [
+    (14, 8192, 8192, True, True),      # even-weight, n = 8192
+    (20, 2048, 2048, True, False),     # 20 * 2^20 work against 2^21 pairs
+    (0, 2, 1, False, True),            # no common block: all at 0
+    (3, 4, 4, True, False),            # 24 work against 6 pairs
+    (3, 4, 7, False, True),            # 24 work against 28 pairs
+    (20, 1 << 21, 1 << 21, False, True),   # 2^20 s t = 2^62
+    (20, 1 << 22, 1 << 21, False, False),  # 2^20 s t = 2^63 overflows
+    (20, 1 << 22, 1 << 22, True, False),   # within a class: s^2 counts
+])
+def test_transform_rule(k, s, t, same, expected):
+    assert covering._use_transform(k, s, t, same) is expected
+
+
+@PROPERTY
+@given(k=st.integers(0, 10), sizes=st.tuples(st.integers(0, 40), st.integers(0, 40)),
+       seed=st.integers(0, 2**32), same=st.booleans())
+def test_class_histogram_is_the_distance_distribution(k, sizes, seed, same):
+    rng = random.Random(seed)
+    few = rng.sample(range(1 << k), min(3, 1 << k))  # repeats give distance 0
+    x, y = ([rng.choice(few) if rng.random() < 0.3 else rng.getrandbits(k)
+             for _ in range(size)] for size in sizes)
+    if same:
+        pairs = combinations(x, 2)
+    else:
+        pairs = ((a, b) for a in x for b in y)
+    want = [0] * (k + 1)
+    for a, b in pairs:
+        want[(a ^ b).bit_count()] += 1
+    got = covering._class_histogram(np.array(x, dtype=np.intp),
+                                    None if same else np.array(y, dtype=np.intp), k)
+    assert got == want
+    assert_python_ints(got)
+
+
+def test_transform_listing_must_agree():
+    # Below its minimum distance a code covering has violations, so the
+    # pairwise kernel lists the transform's pairs below lam; a transform
+    # count that disagrees with the listing must not pass unnoticed.
+    cov = code_to_covering(BinaryCode(5, range(22)), 22)
+    with transform_spy() as spy:
+        report = verify(cov, 22, 3)
+    assert spy.call_count == 1 and not report.ok
+    assert report == reference_paths.verify(cov, 22, 3)
+    honest = covering._class_histogram
+
+    def inflated(x, y, k):
+        hist = honest(x, y, k)
+        return [hist[0], hist[1] + 1] + hist[2:]
+    with patch.object(covering, "_class_histogram", inflated):
+        with pytest.raises(AssertionError, match="pairwise listing"):
+            verify(cov, 22, 3)
+
+
+def test_many_support_classes_fall_through():
+    # A dense random covering has one class per vertex (vertices 1 and 2,
+    # all left and all right, share the full support): no class pair
+    # reaches n pairs and the pairwise kernel counts everything.
+    rng = np.random.default_rng(3)
+    member = rng.random((301, 40)) < 0.8
+    left = rng.random((301, 40)) < 0.5
+    member[0], member[1:3], left[1], left[2] = False, True, True, False
+    cov = Covering._packed(np.stack((member & left, member & ~left))
+                           .astype(np.uint8))
+    classes = covering._support_classes(cov)
+    assert len(classes) == 299
+    assert covering._transform_pairs(classes, cov.n) == {}
+    with transform_spy() as spy:
+        report = verify(cov, cov.n, 2)
+    assert spy.call_count == 0
+    assert report == reference_paths.verify(cov, cov.n, 2)
+
+
+def test_even_weight_histogram_at_8192():
+    cov = code_to_covering(even_weight_code(14), 8192)
+    with transform_spy() as spy:
+        report = verify(cov, 8192, 2)
+    assert spy.call_count == 1 and report.ok
+    assert report.histogram == {w: 4096 * comb(14, w) for w in range(2, 15, 2)}
+    assert report.pair_count == sum(report.histogram.values()) == comb(8192, 2)
+    assert report.min_multiplicity == 2
 
 
 def assert_same_covering(cov, ref):
@@ -400,8 +562,10 @@ def test_greedy_scan_matches_reference(k, data):
         assert code.words == expected and len(expected) == target
 
 
-# Word lengths below, at and above the 64-bit uint64 fast path.
-WORD_LENGTHS = st.one_of(st.integers(1, 63), st.just(64), st.integers(65, 80))
+# Word lengths within one uint64 row, at its edge, past it, and at two
+# full rows and one bit more.
+WORD_LENGTHS = st.one_of(st.integers(1, 63), st.just(64), st.integers(65, 80),
+                         st.sampled_from([128, 129]))
 
 
 @PROPERTY
@@ -413,8 +577,8 @@ def test_min_distance_matches_reference(length, count, seed, near):
     rng = random.Random(seed)
     count = min(count, 1 << length)
     base = rng.getrandbits(length)
-    if length == 64:
-        base |= 1 << 63
+    if length % 64 == 0:
+        base |= 1 << length - 1
     words = {base}
     while len(words) < count:
         if near and rng.random() < 0.75:
