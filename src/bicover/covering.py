@@ -12,10 +12,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cache
 from itertools import chain, combinations
 from math import comb
-from operator import mul
 
 import numpy as np
 
@@ -186,18 +184,19 @@ def verify(cov, target, lam):
 
     ``target`` is an integer n (all pairs of the complete graph on 1..n,
     i.e. K_n^lam) or a Graph (its edges).  Violations are reported as data,
-    not raised, in lexicographic order.  The pairwise kernel runs on the
-    packed masks, one vertex u against its partners v > u (or one chunk of
-    graph edges) per step, so temporaries stay at O(n) words.  For a
-    complete target, large pairs of support classes are counted by a
-    Walsh-Hadamard transform instead (see ``_complete_counts``).  The
+    not raised.  The count runs on the packed masks, one vertex u against
+    all v > u (or one chunk of graph edges) per step, so temporaries stay at
+    O(n) words.  A complete target whose vertices all lie in every block, as
+    in a covering built from a code, is counted by the MacWilliams transform
+    instead when that is cheaper (see ``_code_histogram``); the pairwise
+    count then runs only to list violations, and must agree with it.  The
     minimum multiplicity is recorded on the covering per target, which lets
     later checks at the same or a lower level skip the count (see
     ``is_verified``).
     """
     if lam < 1:
         raise DomainError(f"coverage level must be >= 1, got {lam}")
-    hist = np.zeros(cov.m + 1, dtype=np.int64)
+    counts = None
     if isinstance(target, Graph):
         if cov.n != target.n:
             raise GroundSetMismatch(
@@ -207,17 +206,35 @@ def verify(cov, target, lam):
                             count=2 * len(pairs)).reshape(-1, 2)
         steps = ((edges[k:k + _EDGE_CHUNK, 0], edges[k:k + _EDGE_CHUNK, 1])
                  for k in range(0, len(edges), _EDGE_CHUNK))
-        low_steps = _pairwise(cov, steps, lam, hist)
-        counts = hist.tolist()
         kind = "graph"
     else:
         if cov.n != target:
             raise GroundSetMismatch(
                 f"covering on {cov.n} vertices vs complete target on {target}")
-        low_steps, counts = _complete_counts(cov, lam, hist)
+        steps = ((u, slice(u + 1, None)) for u in range(1, target))
         kind = "complete"
-    # The pair tuples are built once the counting is done and share one int
-    # per vertex, which keeps the peak memory of a long violation list down.
+        counts = _code_histogram(cov)
+    low_steps = []  # (u, v) index arrays of the pairs below lam, step by step
+    if counts is None or any(counts[:lam]):
+        a, b = cov.left, cov.right
+        hist = np.zeros(cov.m + 1, dtype=np.int64)
+        for us, vs in steps:
+            per_word = [np.bitwise_count((aw[us] & bw[vs]) | (bw[us] & aw[vs]))
+                        for aw, bw in zip(a, b)]
+            mult = per_word[0] if len(per_word) == 1 else np.sum(
+                per_word, axis=0, dtype=np.intp)
+            hist += np.bincount(mult, minlength=len(hist))
+            low = np.nonzero(mult < lam)[0]
+            if len(low) and kind == "graph":
+                low_steps.append((us[low], vs[low]))
+            elif len(low):
+                low_steps.append((np.full(len(low), us), low + (us + 1)))
+        if counts is not None and hist.tolist() != counts:
+            raise AssertionError(f"pairwise histogram {hist.tolist()} differs "
+                                 f"from the transform's {counts}")
+        counts = hist.tolist()
+    # The pair tuples are built once the loop is done and share one int per
+    # vertex, which keeps the peak memory of a long violation list down.
     labels = list(range(cov.n + 1))
     violating = tuple((labels[u], labels[v]) for pu, pv in low_steps
                       for u, v in zip(pu.tolist(), pv.tolist()))
@@ -229,205 +246,55 @@ def verify(cov, target, lam):
         histogram={m: c for m, c in enumerate(counts) if c})
 
 
-def _pairwise(cov, steps, lam, hist, counted=None, listed=None):
-    """The pairwise kernel: adds each step's multiplicities to ``hist`` and
-    returns the (u, v) index arrays of its pairs below lam, step by step.
+def _code_histogram(cov):
+    """The multiplicity histogram (a list) of all pairs of 1..n by the
+    MacWilliams transform, or None when the pairwise kernel is cheaper or
+    some vertex is missing from some block.
 
-    A step is (us, vs): one vertex, a slice or an index array on each side.
-    ``counted``, a boolean array over the vertices, limits the count to the
-    pairs whose v it marks (False: to none of them); the pairs below lam
-    that it leaves out are tallied in ``listed`` instead.
+    When every vertex lies in every block, u and v are separated exactly in
+    the blocks where their left sides differ, so the histogram is the
+    distance distribution of the n left masks read as m-bit words.  That is
+    the case of every covering built from a code.
     """
-    low_steps = []
-    for us, vs in steps:
-        per_word = [np.bitwise_count((aw[us] & bw[vs]) | (bw[us] & aw[vs]))
-                    for aw, bw in zip(cov.left, cov.right)]
-        mult = per_word[0] if len(per_word) == 1 else np.sum(
-            per_word, axis=0, dtype=np.intp)
-        if counted is None:
-            hist += np.bincount(mult, minlength=len(hist))
-        elif counted is not False:
-            here = counted[vs]
-            hist += np.bincount(mult[here], minlength=len(hist))
-        low = np.nonzero(mult < lam)[0]
-        if len(low):
-            low_steps.append((_pick(us, low), _pick(vs, low)))
-            if counted is not None:
-                left_out = low if counted is False else low[~here[low]]
-                listed += np.bincount(mult[left_out], minlength=len(listed))
-    return low_steps
+    n, k = cov.n, cov.m
+    if not _use_transform(k, n):
+        return None
+    left = cov.left[0, 1:]
+    if not ((left | cov.right[0, 1:]) == (1 << k) - 1).all():
+        return None
+    return _distance_histogram(left.astype(np.intp), k)
 
 
-def _pick(side, idx):
-    """The vertices at positions idx of a step side: one vertex (repeated),
-    a slice or an index array."""
-    if isinstance(side, slice):
-        return idx + side.start
-    if isinstance(side, np.ndarray):
-        return side[idx]
-    return np.full(len(idx), side)
+def _use_transform(k, n):
+    """Whether the transform counts the pairs of n vertices in k blocks.
 
-
-def _complete_counts(cov, lam, hist):
-    """Violations (step by step, in lexicographic order) and the multiplicity
-    histogram (a list) of every pair of 1..n.
-
-    Vertices u, v of support classes S and T with common support c are
-    separated exactly in the blocks of c where their left sides differ.  So
-    a class pair's histogram is the distance distribution of the left masks
-    compressed onto c, which ``_class_histogram`` computes from the class
-    sizes and |c| alone.  ``_transform_pairs`` picks the class pairs worth
-    it, and the pairwise kernel counts every other pair.  A transformed class
-    pair with pairs below lam goes through the kernel as well, to list them
-    in order, and the listing must agree with the transform's count.
+    Its O(k 2^k) work must be below the C(n, 2) pairs, and 2^k n^2, which
+    bounds every value the int64 transform adds up, must stay below 2^63.
     """
-    n = cov.n
-    classes = _support_classes(cov)
-    chosen = _transform_pairs(classes, n)
-    if not chosen:
-        steps = ((u, slice(u + 1, None)) for u in range(1, n))
-        return _pairwise(cov, steps, lam, hist), hist.tolist()
-    members = {i: np.array(classes[i][1], dtype=np.intp)
-               for pair in chosen for i in pair}
-    counts = [0] * len(hist)    # the transforms' histograms
-    expected = [0] * len(hist)  # their counts below lam
-    listing = {}  # class -> {partner class: whether the kernel lists the pairs}
-    for (i, j), k in chosen.items():
-        common = classes[i][0] & classes[j][0]
-        x = _patterns(cov.left, members[i], common)
-        y = None if i == j else _patterns(cov.left, members[j], common)
-        h = _class_histogram(x, y, k)
-        for w, count in enumerate(h):
-            counts[w] += count
-            expected[w] += count if w < lam else 0
-        listing.setdefault(i, {})[j] = listing.setdefault(j, {})[i] = any(h[:lam])
-    listed = np.zeros(len(hist), dtype=np.int64)
-    low_steps = []
-    for i, (_, vertices) in enumerate(classes):
-        counted, every = None, True
-        if i in listing:
-            keep = np.ones(n + 1, dtype=bool)  # the partners the kernel runs
-            keep[0] = False
-            counted = keep.copy()
-            for j, lists in listing[i].items():
-                keep[members[j]] = lists
-                counted[members[j]] = False
-            if not keep.any():
-                continue
-            if not counted.any():
-                counted = False
-            every = keep[1:].all()
-        if every:
-            steps = ((u, slice(u + 1, None)) for u in vertices if u < n)
-        else:
-            order, rank = np.flatnonzero(keep), np.cumsum(keep)
-            steps = ((u, order[rank[u]:]) for u in vertices
-                     if rank[u] < len(order))
-        low_steps += _pairwise(cov, steps, lam, hist, counted, listed)
-    if listed.tolist() != expected:
-        raise AssertionError(
-            f"the pairwise listing found {listed.tolist()} pairs below "
-            f"{lam}, the transform {expected}")
-    low_steps.sort(key=lambda step: step[0][0])
-    return low_steps, [c + t for c, t in zip(hist.tolist(), counts)]
+    return k << k < n * (n - 1) // 2 and n * n << k < 1 << 63
 
 
-def _support_classes(cov):
-    """The vertices 1..n grouped by support, the blocks that contain them (an
-    int over every mask word): (support, ascending vertices) in order of
-    first appearance."""
-    words = (cov.left | cov.right)[:, 1:]
-    keys = words[0].tolist()
-    for shift, word in enumerate(words[1:], 1):
-        keys = [key | w << 64 * shift for key, w in zip(keys, word.tolist())]
-    if len(set(keys)) == 1:
-        return [(keys[0], list(range(1, cov.n + 1)))]
-    classes = {}
-    for v, key in enumerate(keys, 1):
-        classes.setdefault(key, []).append(v)
-    return list(classes.items())
-
-
-def _transform_pairs(classes, n):
-    """{(i, j): k} for the class pairs i <= j that the transform counts, k
-    being the size of their common support.
-
-    Only pairs of classes with at least n vertex pairs between them are
-    considered: the kernel counts a smaller one in about one step's work,
-    and at most n class pairs reach that size, so the choice costs O(n).
-    """
-    sizes = [len(vertices) for _, vertices in classes]
-    top = max(sizes)
-    big = sorted((i for i, s in enumerate(sizes) if s * top >= n),
-                 key=sizes.__getitem__, reverse=True)
-    chosen = {}
-    for a, i in enumerate(big):
-        for j in big[:a + 1]:
-            if sizes[i] * sizes[j] < n:
-                break
-            k = (classes[i][0] & classes[j][0]).bit_count()
-            if _use_transform(k, sizes[i], sizes[j], i == j):
-                chosen[min(i, j), max(i, j)] = k
-    return chosen
-
-
-def _use_transform(k, s, t, same):
-    """Whether the transform counts a pair of classes of sizes s and t (one
-    class with itself when ``same``, t = s) with k common blocks.
-
-    Its O(k 2^k) work must be below the class pair's pair count, and
-    2^k s t, which bounds every value the int64 transform adds up, must
-    stay below 2^63.
-    """
-    pairs = s * (s - 1) // 2 if same else s * t
-    return k << k < pairs and s * t << k < 1 << 63
-
-
-def _patterns(masks, vertices, positions):
-    """Each vertex's mask bits at the set bits of ``positions`` (an int over
-    every mask word), packed in order into an int: one intp per vertex."""
-    out = np.zeros(len(vertices), dtype=np.uint64)
-    shift = 0
-    while positions:
-        start = (positions & -positions).bit_length() - 1
-        rest = positions >> start
-        word, bit = divmod(start, 64)
-        run = min((~rest & (rest + 1)).bit_length() - 1, 64 - bit)
-        out |= (masks[word, vertices] >> bit & (1 << run) - 1) << shift
-        shift += run
-        positions &= ~((1 << run) - 1 << start)
-    return out.astype(np.intp)
-
-
-def _class_histogram(x, y, k):
-    """Entry w: the pairs at Hamming distance w of one pattern of x and one
-    of y, or of two patterns of x when y is None (unordered, no self-pairs).
-    x and y hold k-bit ints.
+def _distance_histogram(x, k):
+    """Entry w: the unordered pairs of entries of x (k-bit ints) at Hamming
+    distance w.
 
     The MacWilliams identities (MacWilliams and Sloane, The Theory of
-    Error-Correcting Codes, ch. 5): with F_x and F_y the Walsh-Hadamard
-    transforms of the pattern counts and g_i the sum of F_x(z) F_y(z) over
-    the z of weight i, the count at distance w is 2^-k sum_i K_w(i) g_i,
-    K_w the Krawtchouk polynomials.  The transforms run in int64, which
-    ``_use_transform`` keeps from overflowing; the last step is exact in
-    Python ints.
+    Error-Correcting Codes, ch. 5): with F the Walsh-Hadamard transform of
+    the pattern counts, the transform of F^2 is 2^k times the number of
+    ordered pairs (x_i, x_j) at each difference x_i ^ x_j, so summing those
+    by weight gives the distances.  Every value stays below 2^k len(x)^2,
+    which ``_use_transform`` keeps within int64.
     """
     size = 1 << k
-    fx = _walsh_hadamard(np.bincount(x, minlength=size))
-    fy = fx if y is None else _walsh_hadamard(np.bincount(y, minlength=size))
-    g = _weight_sums(fx * fy)
-    hist = []
-    for row in _krawtchouk(k):
-        count, rest = divmod(sum(map(mul, row, g)), size)
-        if rest:
-            raise AssertionError(f"transform sum not divisible by 2^{k}")
-        hist.append(count)
-    if y is None:
-        hist[0] -= len(x)
-        if any(c % 2 for c in hist):
-            raise AssertionError("ordered pair counts within a class are not even")
-        hist = [c // 2 for c in hist]
-    return hist
+    f = _walsh_hadamard(np.bincount(x, minlength=size))
+    diffs, rest = np.divmod(_walsh_hadamard(f * f), size)
+    if rest.any():
+        raise AssertionError(f"transform sum not divisible by 2^{k}")
+    hist = _weight_sums(diffs)
+    hist[0] -= len(x)  # the self-pairs
+    if any(c % 2 for c in hist):
+        raise AssertionError("ordered pair counts are not even")
+    return [c // 2 for c in hist]
 
 
 def _walsh_hadamard(counts):
@@ -446,7 +313,7 @@ def _walsh_hadamard(counts):
 
 
 def _weight_sums(values):
-    """g_i, the sum of values[z] over the indices z of weight i, for a
+    """Entry i: the sum of values[z] over the indices z of weight i, for a
     length-2^k array: the low index bit is folded in k times."""
     g = values.reshape(-1, 1)
     while len(g) > 1:
@@ -456,15 +323,6 @@ def _weight_sums(values):
         folded[:, 1:] += pairs[:, 1]
         g = folded
     return g[0].tolist()
-
-
-@cache
-def _krawtchouk(k):
-    """Rows w = 0..k of K_w(i) = sum_j (-1)^j C(i, j) C(k - i, w - j)."""
-    return tuple(tuple(sum((-1) ** j * comb(i, j) * comb(k - i, w - j)
-                           for j in range(min(i, w) + 1))
-                       for i in range(k + 1))
-                 for w in range(k + 1))
 
 
 def is_verified(cov, target, lam):

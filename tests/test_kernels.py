@@ -118,16 +118,16 @@ def test_verify_matches_reference(n, m, seed, lam, graph):
 # The MacWilliams path of verify on complete targets.
 
 def transform_spy():
-    """Patches covering._class_histogram with a call-counting wrapper."""
-    return patch.object(covering, "_class_histogram",
-                        wraps=covering._class_histogram)
+    """Patches covering._distance_histogram with a call-counting wrapper."""
+    return patch.object(covering, "_distance_histogram",
+                        wraps=covering._distance_histogram)
 
 
 @PROPERTY
 @given(k=st.integers(3, 10), data=st.data())
 def test_transform_verify_on_code_coverings(k, data):
-    # One support class of n vertices and at most k blocks, with n large
-    # enough that k 2^k is below the C(n, 2) pairs: the transform counts.
+    # Every vertex in every one of at most k blocks, with n large enough
+    # that k 2^k is below the C(n, 2) pairs: the transform counts.
     low = next(n for n in range(2, (1 << k) + 1) if k << k < n * (n - 1) // 2)
     n = data.draw(st.integers(low, min(300, 1 << k)), label="n")
     rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
@@ -136,7 +136,7 @@ def test_transform_verify_on_code_coverings(k, data):
     lam = data.draw(st.integers(1, k + 2), label="lam")
     with transform_spy() as spy:
         report = verify(cov, n, lam)
-    assert spy.call_count == 1
+    assert spy.call_count == (cov.m << cov.m < n * (n - 1) // 2)
     assert report == reference_paths.verify(cov, n, lam)
     assert_python_ints((report.pair_count, report.min_multiplicity,
                         report.violating_pairs, report.histogram))
@@ -148,16 +148,16 @@ def support_class_coverings(draw):
 
     Two anchor vertices, all left and all right, make every block a valid
     one and sit in the full-support class with a few more vertices.  The
-    other classes have supports of at most 6 blocks, some across the word
-    boundary, and 30-60 vertices each, so that the transform counts each of
-    them with itself.  Left sides come from a small pool, and repeated
-    patterns give pairs of multiplicity 0 whatever the support.
+    other classes have supports of at most min(6, m - 1) blocks, some across
+    the word boundary, and 30-60 vertices each.  Left sides come from a small pool,
+    and repeated patterns give pairs of multiplicity 0 whatever the support.
     """
     m = draw(st.one_of(st.integers(1, 12), st.sampled_from([63, 64, 65])))
     rng = random.Random(draw(st.integers(0, 2**32)))
     full = (1 << m) - 1
-    # Past one mask word, the second class also takes blocks 63 and 64.
-    bits = min(6, m) - 2 * (m > 64)
+    # Past one mask word, the second class also takes blocks 63 and 64;
+    # no class but the first has the full support.
+    bits = min(6, m - 1) - 2 * (m > 64)
     supports = [full] + [
         sum(1 << i for i in rng.sample(range(m), rng.randint(0, bits)))
         for _ in range(draw(st.integers(1, 3)))]
@@ -183,86 +183,82 @@ def support_class_coverings(draw):
 
 @settings(PROPERTY, max_examples=40)
 @given(cov=support_class_coverings(), lam=st.integers(1, 8))
-def test_transform_verify_on_mixed_support_classes(cov, lam):
+def test_verify_on_mixed_support_classes(cov, lam):
+    # Some vertex misses some block, so the pairwise kernel counts alone.
     with transform_spy() as spy:
         report = verify(cov, cov.n, lam)
-    assert spy.call_count >= 1
+    assert spy.call_count == 0
     assert report == reference_paths.verify(cov, cov.n, lam)
     assert_python_ints((report.pair_count, report.min_multiplicity,
                         report.violating_pairs, report.histogram))
 
 
-@pytest.mark.parametrize("k, s, t, same, expected", [
-    (14, 8192, 8192, True, True),      # even-weight, n = 8192
-    (20, 2048, 2048, True, False),     # 20 * 2^20 work against 2^21 pairs
-    (0, 2, 1, False, True),            # no common block: all at 0
-    (3, 4, 4, True, False),            # 24 work against 6 pairs
-    (3, 4, 7, False, True),            # 24 work against 28 pairs
-    (20, 1 << 21, 1 << 21, False, True),   # 2^20 s t = 2^62
-    (20, 1 << 22, 1 << 21, False, False),  # 2^20 s t = 2^63 overflows
-    (20, 1 << 22, 1 << 22, True, False),   # within a class: s^2 counts
+def test_one_vertex_out_of_one_block_falls_through():
+    # The even-weight covering at n = 2048 takes the transform; with vertex
+    # 5 taken out of block 3 it no longer does, and the pairwise count
+    # matches the reference.
+    cov = code_to_covering(even_weight_code(12), 2048)
+    with transform_spy() as spy:
+        assert verify(cov, 2048, 2).ok
+    assert spy.call_count == 1
+    sides = np.stack([np.unpackbits(np.ascontiguousarray(masks.T).view(np.uint8),
+                                    axis=1, bitorder="little")[:, :cov.m]
+                      for masks in (cov.left, cov.right)])
+    sides[:, 5, 3] = 0
+    damaged = Covering._packed(sides)
+    with transform_spy() as spy:
+        report = verify(damaged, 2048, 2)
+    assert spy.call_count == 0
+    assert report == reference_paths.verify(damaged, 2048, 2)
+
+
+@pytest.mark.parametrize("k, n, expected", [
+    (14, 8192, True),        # even-weight, n = 8192
+    (16, 2035, True),        # BCH: 2^20 work against 2 070 595 pairs
+    (20, 2047, False),       # GV: 20 * 2^20 work against 2 094 081 pairs
+    (0, 2, True),            # no block: 0 work against one pair
+    (0, 1, False),           # no pair at all
+    (3, 4, False),           # 24 work against 6 pairs
+    (3, 8, True),            # 24 work against 28 pairs
+    (20, 1 << 21, True),     # 2^20 n^2 = 2^62
+    (21, 1 << 21, False),    # 2^21 n^2 = 2^63 overflows
 ])
-def test_transform_rule(k, s, t, same, expected):
-    assert covering._use_transform(k, s, t, same) is expected
+def test_transform_rule(k, n, expected):
+    assert covering._use_transform(k, n) is expected
 
 
 @PROPERTY
-@given(k=st.integers(0, 10), sizes=st.tuples(st.integers(0, 40), st.integers(0, 40)),
-       seed=st.integers(0, 2**32), same=st.booleans())
-def test_class_histogram_is_the_distance_distribution(k, sizes, seed, same):
+@given(k=st.integers(0, 10), size=st.integers(0, 40), seed=st.integers(0, 2**32))
+def test_distance_histogram_is_the_distance_distribution(k, size, seed):
     rng = random.Random(seed)
     few = rng.sample(range(1 << k), min(3, 1 << k))  # repeats give distance 0
-    x, y = ([rng.choice(few) if rng.random() < 0.3 else rng.getrandbits(k)
-             for _ in range(size)] for size in sizes)
-    if same:
-        pairs = combinations(x, 2)
-    else:
-        pairs = ((a, b) for a in x for b in y)
+    x = [rng.choice(few) if rng.random() < 0.3 else rng.getrandbits(k)
+         for _ in range(size)]
     want = [0] * (k + 1)
-    for a, b in pairs:
+    for a, b in combinations(x, 2):
         want[(a ^ b).bit_count()] += 1
-    got = covering._class_histogram(np.array(x, dtype=np.intp),
-                                    None if same else np.array(y, dtype=np.intp), k)
+    got = covering._distance_histogram(np.array(x, dtype=np.intp), k)
     assert got == want
     assert_python_ints(got)
 
 
-def test_transform_listing_must_agree():
+def test_pairwise_count_must_agree_with_the_transform():
     # Below its minimum distance a code covering has violations, so the
-    # pairwise kernel lists the transform's pairs below lam; a transform
-    # count that disagrees with the listing must not pass unnoticed.
+    # pairwise kernel runs to list them; a transform count that disagrees
+    # with its histogram must not pass unnoticed.
     cov = code_to_covering(BinaryCode(5, range(22)), 22)
     with transform_spy() as spy:
         report = verify(cov, 22, 3)
     assert spy.call_count == 1 and not report.ok
     assert report == reference_paths.verify(cov, 22, 3)
-    honest = covering._class_histogram
+    honest = covering._distance_histogram
 
-    def inflated(x, y, k):
-        hist = honest(x, y, k)
-        return [hist[0], hist[1] + 1] + hist[2:]
-    with patch.object(covering, "_class_histogram", inflated):
-        with pytest.raises(AssertionError, match="pairwise listing"):
+    def shifted(x, k):
+        hist = honest(x, k)
+        return [hist[0], hist[1] + 1, hist[2] - 1] + hist[3:]
+    with patch.object(covering, "_distance_histogram", shifted):
+        with pytest.raises(AssertionError, match="differs from the transform"):
             verify(cov, 22, 3)
-
-
-def test_many_support_classes_fall_through():
-    # A dense random covering has one class per vertex (vertices 1 and 2,
-    # all left and all right, share the full support): no class pair
-    # reaches n pairs and the pairwise kernel counts everything.
-    rng = np.random.default_rng(3)
-    member = rng.random((301, 40)) < 0.8
-    left = rng.random((301, 40)) < 0.5
-    member[0], member[1:3], left[1], left[2] = False, True, True, False
-    cov = Covering._packed(np.stack((member & left, member & ~left))
-                           .astype(np.uint8))
-    classes = covering._support_classes(cov)
-    assert len(classes) == 299
-    assert covering._transform_pairs(classes, cov.n) == {}
-    with transform_spy() as spy:
-        report = verify(cov, cov.n, 2)
-    assert spy.call_count == 0
-    assert report == reference_paths.verify(cov, cov.n, 2)
 
 
 def test_even_weight_histogram_at_8192():
