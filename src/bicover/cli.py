@@ -297,7 +297,8 @@ def _cmd_exact(args):
 
 def _cmd_proofcheck(args):
     cov = covering.parse_covering(_read(args.path))
-    mode = "sampled" if args.sampled else "exhaustive"
+    args.exhaustive = not args.sampled  # the echoed config follows the mode
+    mode = "exhaustive" if args.exhaustive else "sampled"
     kwargs = {"mode": mode}
     if args.sampled:
         kwargs.update(seed=args.seed, trials=args.trials)

@@ -135,38 +135,60 @@ def greedy_coloring(g):
     return colors
 
 
-class _MisSolver:
-    """Branch-and-bound maximum independent set over bitmask vertex sets.
+class _AlphaSearch:
+    """One branch and bound that settles the independence number through
+    every vertex at once, over bitmask vertex sets.
 
-    The bound at each node comes from a greedy partition of the candidate
-    set into cliques (Tomita & Seki's MCQ bound, read on the graph itself):
-    an independent set takes at most one vertex per clique.  The partition
-    is built one class at a time over bitmasks, as in San Segundo et al.'s
-    BBMC: class k takes the lowest remaining candidate, keeps only the
-    candidates adjacent to it, and repeats until none is left.  This gives
-    the same classes as a first-fit pass over the candidates in bit order,
-    already sorted by class number.  Candidates are expanded from the
-    highest class down, so a single comparison prunes the whole remaining
-    tail, and candidates in classes that can never beat the incumbent are
+    ``known[v]`` is the size of the largest independent set found so far
+    that contains v, and ``below[t]`` is the mask of the vertices with
+    ``known < t``.  A node is an independent set S (``chosen``) with its
+    candidates, the vertices that extend it.  The bound at a node comes
+    from a greedy partition of the candidates into cliques (Tomita & Seki's
+    MCQ bound, read on the graph itself): an independent set takes at most
+    one vertex per clique.  The partition is built one class at a time over
+    bitmasks, as in San Segundo et al.'s BBMC: class k takes the lowest
+    remaining candidate, keeps only the candidates adjacent to it, and
+    repeats until none is left.  Candidates are expanded from the highest
+    class down.  A subtree whose sets have at most t vertices is cut when
+    no vertex of S and of its remaining candidates has ``known < t``: one
+    AND against ``below[t]``.  Classes that cannot lift any such vertex are
     not listed at all.
+
+    This is exact: an independent set T through x is either visited, or it
+    lies in a cut subtree whose bound was at most ``known[x]`` then.
     """
 
     def __init__(self, masks):
+        n = len(masks)
         self.adj = masks
-        self.best = 0
+        self.known = [1] * n
+        self.below = [0, 0] + [(1 << n) - 1] * n  # below[0..n+1]
 
-    def max_independent(self, mask, lower=0):
-        """Size of a largest independent subset of mask, or lower if none is larger."""
-        self.best = lower
-        if mask:
-            self._expand(mask, 0)
-        return self.best
+    def run(self):
+        self._expand(0, (1 << len(self.adj)) - 1, 0)
+        return self.known
 
-    def _expand(self, cand, size):
-        adj = self.adj
+    def _raise(self, members, size):
+        """known[v] = size for every member v of the new set with known < size."""
+        known, below = self.known, self.below
+        hit = members & below[size]
+        while hit:
+            bit = hit & -hit
+            hit ^= bit
+            v = bit.bit_length() - 1
+            for t in range(known[v] + 1, size + 1):
+                below[t] ^= bit
+            known[v] = size
+
+    def _expand(self, chosen, cand, size):
+        adj, below = self.adj, self.below
+        pool = chosen | cand
+        top = size  # max(size, the smallest known over pool)
+        while not pool & below[top + 1]:
+            top += 1
+        skip = top - size  # classes 1..skip cannot lift any known
         verts = []
         numbers = []
-        skip = self.best - size  # classes 1..skip cannot lift size past best
         k = 0
         rest = cand
         while rest:
@@ -182,35 +204,31 @@ class _MisSolver:
                     numbers.append(k)
         cur = cand
         for i in range(len(verts) - 1, -1, -1):
-            if size + numbers[i] <= self.best:
+            if not (chosen | cur) & below[size + numbers[i]]:
                 return
             v = verts[i]
-            if size + 1 > self.best:
-                self.best = size + 1
-            rest = cur & ~(adj[v] | (1 << v))
+            bit = 1 << v
+            grown = chosen | bit
+            if grown & below[size + 1]:
+                self._raise(grown, size + 1)
+            rest = cur & ~(adj[v] | bit)
             if rest:
-                self._expand(rest, size + 1)
-            cur ^= 1 << v
+                self._expand(grown, rest, size + 1)
+            cur ^= bit
 
 
 def alpha_per_vertex(g, limit=DEFAULT_EXACT_LIMIT):
     """Exact maximum independent-set size through each vertex.
 
-    Entry i-1 is the largest independent set of g containing vertex i,
-    computed as 1 + the maximum independent set of the subgraph induced on
-    the non-neighbors of i.  One branch-and-bound solver instance is shared
-    across all n subproblems; each starts from the trivial lower bound 0,
-    since seeding it with greedy sets cost about as much as the search,
-    which finds those sets anyway.  Raises SizeLimitExceeded when g.n > limit.
+    Entry i-1 is the size of a largest independent set of g containing
+    vertex i.  One search over the whole graph settles all n values: a set
+    it finds raises the value of each of its members, and a subtree is cut
+    once it cannot raise any.  Raises SizeLimitExceeded when g.n > limit.
     """
     if g.n > limit:
         raise SizeLimitExceeded(
             f"exact independence numbers limited to n <= {limit}, got n = {g.n}")
-    masks = g.adjacency_masks()
-    solver = _MisSolver(masks)
-    full = (1 << g.n) - 1
-    return [1 + solver.max_independent(full & ~(masks[i] | (1 << i)))
-            for i in range(g.n)]
+    return _AlphaSearch(g.adjacency_masks()).run()
 
 
 def parse_graph(text):

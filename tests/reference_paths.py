@@ -7,6 +7,9 @@ time, one first-fit clique class per vertex, one frozenset pair per block,
 one exact tail Fraction per vertex.  ``chunked_sweep`` is a second
 reference for the diagnostic sweeps: the chunked numpy sweep over all 2^m
 vectors that the library ran before it enumerated each vertex's events.
+``BbmcSolver`` is a second reference for the per-vertex independence
+numbers: the class-by-class bitmask solver the library ran, one search per
+vertex, before it settled all of them in one shared search.
 They are kept only as oracles; the property tests require the library's
 kernels to return exactly the same reports, codes, coverings and answers.
 The construction if-chains the library ran before its family table (the
@@ -721,6 +724,86 @@ def alpha_per_vertex(g):
         lb = solver.greedy_lower(sub, seed=i)
         out.append(1 + solver.max_independent(sub, lb))
     return out
+
+
+class BbmcSolver:
+    """Branch-and-bound maximum independent set over bitmask vertex sets.
+
+    The bound at each node comes from a greedy partition of the candidate
+    set into cliques (Tomita & Seki's MCQ bound, read on the graph itself):
+    an independent set takes at most one vertex per clique.  The partition
+    is built one class at a time over bitmasks, as in San Segundo et al.'s
+    BBMC: class k takes the lowest remaining candidate, keeps only the
+    candidates adjacent to it, and repeats until none is left.  This gives
+    the same classes as a first-fit pass over the candidates in bit order,
+    already sorted by class number.  Candidates are expanded from the
+    highest class down, so a single comparison prunes the whole remaining
+    tail, and candidates in classes that can never beat the incumbent are
+    not listed at all.
+    """
+
+    def __init__(self, masks):
+        self.adj = masks
+        self.best = 0
+
+    def max_independent(self, mask, lower=0):
+        """Size of a largest independent subset of mask, or lower if none is larger."""
+        self.best = lower
+        if mask:
+            self._expand(mask, 0)
+        return self.best
+
+    def _expand(self, cand, size):
+        adj = self.adj
+        verts = []
+        numbers = []
+        skip = self.best - size  # classes 1..skip cannot lift size past best
+        k = 0
+        rest = cand
+        while rest:
+            k += 1
+            q = rest
+            while q:
+                bit = q & -q
+                v = bit.bit_length() - 1
+                rest ^= bit
+                q &= adj[v]
+                if k > skip:
+                    verts.append(v)
+                    numbers.append(k)
+        cur = cand
+        for i in range(len(verts) - 1, -1, -1):
+            if size + numbers[i] <= self.best:
+                return
+            v = verts[i]
+            if size + 1 > self.best:
+                self.best = size + 1
+            rest = cur & ~(adj[v] | (1 << v))
+            if rest:
+                self._expand(rest, size + 1)
+            cur ^= 1 << v
+
+
+def bbmc_alpha_per_vertex(g):
+    """Per-vertex independence numbers, one BbmcSolver subproblem per vertex,
+    each from the lower bound 0."""
+    masks = g.adjacency_masks()
+    solver = BbmcSolver(masks)
+    full = (1 << g.n) - 1
+    return [1 + solver.max_independent(full & ~(masks[i] | (1 << i)))
+            for i in range(g.n)]
+
+
+def brute_alpha(g):
+    """Per-vertex independence numbers over all 2^n vertex subsets."""
+    masks = g.adjacency_masks()
+    best = [1] * g.n
+    for s in range(1, 1 << g.n):
+        verts = [v for v in range(g.n) if (s >> v) & 1]
+        if not any(masks[v] & s for v in verts):
+            for v in verts:
+                best[v] = max(best[v], len(verts))
+    return best
 
 
 def parse_edges(n, raw):

@@ -21,11 +21,15 @@ from pathlib import Path
 import pytest
 
 from bicover.cli import main
-from bicover.graphs import random_graph, serialize_graph
+from bicover.covering import coloring_to_covering, serialize_covering
+from bicover.graphs import greedy_coloring, random_graph, serialize_graph
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
 
-_GRAPH = {"g.json": serialize_graph(random_graph(12, 0.5, 3))}
+_G = random_graph(12, 0.5, 3)
+_GRAPH = {"g.json": serialize_graph(_G)}
+_GRAPH_COVER = {**_GRAPH, "c.json": serialize_covering(
+    coloring_to_covering(_G, greedy_coloring(_G)))}
 _SWEEP = ["sweep", "--n-list", "2,3,4,5,6,8,16,22,24,64", "--lambda-list", "1,2,3"]
 
 # (name, argv, input files); every construct method with at least one
@@ -84,6 +88,8 @@ ARGV = [
     ("bounds-2048", ["bounds", "--n", "2048", "--lambda", "4"], {}),
     ("bounds-8-table", ["bounds", "--n", "8", "--lambda", "1", "--format",
                         "table"], {}),
+    ("proofcheck-graph-sampled", ["proofcheck", "c.json", "--graph", "g.json",
+                                  "--sampled", "--trials", "500"], _GRAPH_COVER),
 ]
 
 

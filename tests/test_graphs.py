@@ -8,6 +8,8 @@ from bicover.graphs import (Graph, alpha_per_vertex, complete_graph, degrees,
                             empty_graph, greedy_coloring, parse_graph,
                             random_graph, serialize_graph)
 
+from reference_paths import brute_alpha
+
 PATH3 = Graph(3, [(1, 2), (2, 3)])
 C5 = Graph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
 
@@ -15,18 +17,6 @@ C5 = Graph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
 # greedy-seeded first-fit solver (tests/reference_paths.py) computed them.
 ALPHA_PINS = json.loads(
     (Path(__file__).parent / "data" / "alpha_pins.json").read_text())
-
-
-def brute_alpha(g):
-    """Exhaustive per-vertex independence numbers over all 2^n subsets."""
-    best = [1] * g.n
-    for s in range(1, 1 << g.n):
-        verts = [v + 1 for v in range(g.n) if (s >> v) & 1]
-        if any(g.has_edge(u, v) for i, u in enumerate(verts) for v in verts[i + 1:]):
-            continue
-        for v in verts:
-            best[v - 1] = max(best[v - 1], len(verts))
-    return best
 
 
 def test_graph_validation():

@@ -30,8 +30,8 @@ from bicover.diagnostics import (_disjointness, _independent_sets, _sweep,
 from bicover.errors import (BicoverError, DomainError, SizeLimitExceeded,
                             TargetUnreached)
 from bicover.exact import SearchBudget, _CapSearch
-from bicover.graphs import (Graph, _MisSolver, alpha_per_vertex, parse_graph,
-                            random_graph)
+from bicover.graphs import (Graph, alpha_per_vertex, complete_graph,
+                            empty_graph, parse_graph, random_graph)
 
 import reference_paths
 from reference_paths import BlockList
@@ -640,10 +640,10 @@ def test_canonical_check_sees_a_lone_relabeling(chosen):
 
 
 @st.composite
-def small_graphs(draw):
+def small_graphs(draw, max_n=24):
     # p = 0 and p = 1 give empty and complete graphs; the isolated set strips
     # some vertices of every edge.
-    n = draw(st.integers(1, 24))
+    n = draw(st.integers(1, max_n))
     p = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 1)))
     isolated = draw(st.sets(st.integers(1, n), max_size=n))
     rng = random.Random(draw(st.integers(0, 2**32)))
@@ -654,7 +654,32 @@ def small_graphs(draw):
 @PROPERTY
 @given(g=small_graphs())
 def test_alpha_per_vertex_matches_reference(g):
-    assert alpha_per_vertex(g) == reference_paths.alpha_per_vertex(g)
+    alphas = alpha_per_vertex(g)
+    assert alphas == reference_paths.alpha_per_vertex(g)
+    assert alphas == reference_paths.bbmc_alpha_per_vertex(g)
+
+
+@PROPERTY
+@given(g=small_graphs(max_n=11))
+def test_alpha_per_vertex_matches_brute_force(g):
+    assert alpha_per_vertex(g) == reference_paths.brute_alpha(g)
+
+
+@pytest.mark.parametrize("n,p,seed", [(60, 0.3, 1), (82, 0.42, 7),
+                                      (125, 0.52, 7), (198, 0.77, 7)])
+def test_alpha_per_vertex_matches_reference_on_larger_graphs(n, p, seed):
+    g = random_graph(n, p, seed)
+    alphas = alpha_per_vertex(g, limit=n)
+    assert alphas == reference_paths.alpha_per_vertex(g)
+    assert alphas == reference_paths.bbmc_alpha_per_vertex(g)
+
+
+@pytest.mark.parametrize("g,want", [(complete_graph(9), [1] * 9),
+                                    (empty_graph(9), [9] * 9),
+                                    (Graph(1), [1])])
+def test_alpha_per_vertex_extremes(g, want):
+    assert alpha_per_vertex(g) == want
+    assert reference_paths.bbmc_alpha_per_vertex(g) == want
 
 
 def solve_counting(solver, mask, lower):
@@ -678,7 +703,7 @@ def check_same_tree(g, lowers):
     for i in range(g.n):
         sub = full & ~(masks[i] | (1 << i))
         lower = lowers(ref, sub, i)
-        assert (solve_counting(_MisSolver(masks), sub, lower)
+        assert (solve_counting(reference_paths.BbmcSolver(masks), sub, lower)
                 == solve_counting(reference_paths.MisSolver(masks), sub, lower))
 
 
