@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -201,9 +201,7 @@ def verify(cov, target, lam):
         if cov.n != target.n:
             raise GroundSetMismatch(
                 f"covering on {cov.n} vertices vs graph on {target.n}")
-        pairs = target.edges()
-        edges = np.fromiter(chain.from_iterable(pairs), dtype=np.intp,
-                            count=2 * len(pairs)).reshape(-1, 2)
+        edges = target.edge_array()
         steps = ((edges[k:k + _EDGE_CHUNK, 0], edges[k:k + _EDGE_CHUNK, 1])
                  for k in range(0, len(edges), _EDGE_CHUNK))
         kind = "graph"

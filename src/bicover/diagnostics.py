@@ -271,7 +271,7 @@ def _independent_sets(prof, g, mode, seed, trials, exhaustive_limit):
 def _first_adjacent_pair(g, vertices):
     for i, u in enumerate(vertices):
         for w in vertices[i + 1:]:
-            if g.has_edge(u, w):
+            if g.adjacency_masks()[u - 1] >> (w - 1) & 1:
                 return (u, w)
     return None
 

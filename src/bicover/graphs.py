@@ -11,78 +11,79 @@ import json
 import random
 from itertools import combinations
 
+import numpy as np
+
 from .errors import ParseError, RangeError, SizeLimitExceeded
 
 DEFAULT_EXACT_LIMIT = 40
 
+_EDGE_ROWS = 256  # mask rows Graph.edge_array reads at a time
+
 
 class Graph:
-    """Simple undirected graph on vertices 1..n, adjacency as neighbor sets."""
+    """Simple undirected graph on vertices 1..n, stored as adjacency bitmasks.
 
-    __slots__ = ("n", "_adj", "_masks")
+    Entry v-1 of ``adjacency_masks()`` has bit i set iff vertex i+1 is a
+    neighbor of v; every other view of the graph is read off those masks.
+    """
+
+    __slots__ = ("n", "_masks")
 
     def __init__(self, n, edges=()):
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise ValueError(f"vertex count must be a positive integer, got {n!r}")
-        adj = [set() for _ in range(n + 1)]
+        masks = [0] * n
         for u, v in edges:
             _check_vertex(u, n)
             _check_vertex(v, n)
             if u == v:
                 raise RangeError(f"self-loop at vertex {u}")
-            adj[u].add(v)
-            adj[v].add(u)
-        self._fill(n, adj)
-
-    @classmethod
-    def _from_neighbor_sets(cls, n, adj):
-        """Graph on 1..n from already validated neighbor sets adj[0..n]."""
-        g = cls.__new__(cls)
-        g._fill(n, adj)
-        return g
-
-    def _fill(self, n, adj):
-        self.n = n
-        self._adj = tuple(frozenset(s) for s in adj)
-        self._masks = None
-
-    def neighbors(self, v):
-        _check_vertex(v, self.n)
-        return self._adj[v]
+            masks[u - 1] |= 1 << (v - 1)
+            masks[v - 1] |= 1 << (u - 1)
+        self.n, self._masks = n, tuple(masks)
 
     def degree(self, v):
-        return len(self.neighbors(v))
+        _check_vertex(v, self.n)
+        return self._masks[v - 1].bit_count()
 
     def has_edge(self, u, v):
-        return v in self.neighbors(u)
+        _check_vertex(u, self.n)
+        _check_vertex(v, self.n)
+        return bool(self._masks[u - 1] >> (v - 1) & 1)
+
+    def edge_array(self):
+        """All edges as the rows (u, v), u < v, of an array, lexicographically sorted."""
+        blocks = []
+        for lo in range(0, self.n, _EDGE_ROWS):
+            # Bit j of masks[u - 1] >> u is vertex u + j + 1; only nonzero bytes are unpacked.
+            ups = [m >> u for u, m in enumerate(self._masks[lo:lo + _EDGE_ROWS], lo + 1)]
+            width = max(ups).bit_length() // 8 + 1
+            rows = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in ups),
+                                 dtype=np.uint8).reshape(-1, width)
+            r, c = np.nonzero(rows)
+            k, bit = np.nonzero(np.unpackbits(rows[r, c, None], axis=1, bitorder="little"))
+            u = r[k] + (lo + 1)
+            blocks.append(np.column_stack((u, u + 8 * c[k] + bit + 1)))
+        return np.concatenate(blocks)
 
     def edges(self):
         """All edges as (u, v) with u < v, lexicographically sorted."""
-        return [(u, v) for u in range(1, self.n + 1)
-                for v in sorted(self._adj[u]) if u < v]
+        return list(zip(*self.edge_array().T.tolist()))
 
     def edge_count(self):
-        return sum(len(s) for s in self._adj) // 2
+        return sum(m.bit_count() for m in self._masks) // 2
 
     def adjacency_masks(self):
         """Per-vertex neighbor bitmasks, bit i set iff vertex i+1 is a neighbor."""
-        if self._masks is None:
-            masks = []
-            for v in range(1, self.n + 1):
-                m = 0
-                for w in self._adj[v]:
-                    m |= 1 << (w - 1)
-                masks.append(m)
-            self._masks = tuple(masks)
         return self._masks
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self._adj == other._adj
+        return self.n == other.n and self._masks == other._masks
 
     def __hash__(self):
-        return hash((self.n, self._adj))
+        return hash((self.n, self._masks))
 
     def __repr__(self):
         return f"Graph(n={self.n}, edges={self.edges()!r})"
@@ -105,7 +106,7 @@ def empty_graph(n):
 
 def degrees(g):
     """Degree of each vertex; entry i-1 belongs to vertex i."""
-    return [g.degree(v) for v in range(1, g.n + 1)]
+    return [m.bit_count() for m in g.adjacency_masks()]
 
 
 def random_graph(n, p, seed):
@@ -118,20 +119,18 @@ def random_graph(n, p, seed):
     if not 0 <= p <= 1:
         raise ValueError(f"edge probability must lie in [0, 1], got {p!r}")
     rng = random.Random(seed)
-    edges = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)
-             if rng.random() < p]
-    return Graph(n, edges)
+    return Graph(n, ((u, v) for u in range(1, n + 1)
+                     for v in range(u + 1, n + 1) if rng.random() < p))
 
 
 def greedy_coloring(g):
     """Proper coloring: vertices in label order, each taking the smallest free color."""
-    colors = [0] * g.n
-    for v in range(1, g.n + 1):
-        taken = {colors[w - 1] for w in g.neighbors(v) if w < v}
-        c = 0
-        while c in taken:
-            c += 1
-        colors[v - 1] = c
+    colors = []
+    classes = [0] * g.n  # classes[c]: mask of the vertices colored c so far
+    for v, m in enumerate(g.adjacency_masks()):
+        c = next(c for c, members in enumerate(classes) if not members & m)
+        classes[c] |= 1 << v
+        colors.append(c)
     return colors
 
 
@@ -250,7 +249,7 @@ def parse_graph(text):
     raw = obj["edges"]
     if not isinstance(raw, list):
         raise ParseError('"edges" must be a list of [u, v] pairs')
-    adj = [set() for _ in range(n + 1)]
+    masks = [0] * n
     for item in raw:
         if (not isinstance(item, list)) or len(item) != 2:
             raise ParseError(f"edge entry must be a pair, got {item!r}")
@@ -259,13 +258,15 @@ def parse_graph(text):
         _check_vertex(v, n)
         if not u < v:
             raise ParseError(f"edge [{u}, {v}] must satisfy u < v")
-        if v in adj[u]:
+        if masks[u - 1] >> (v - 1) & 1:
             raise ParseError(f"duplicate edge [{u}, {v}]")
-        adj[u].add(v)
-        adj[v].add(u)
-    return Graph._from_neighbor_sets(n, adj)
+        masks[u - 1] |= 1 << (v - 1)
+        masks[v - 1] |= 1 << (u - 1)
+    g = Graph(n)
+    g._masks = tuple(masks)
+    return g
 
 
 def serialize_graph(g):
     """Inverse of parse_graph; edges sorted, so the output is canonical."""
-    return json.dumps({"n": g.n, "edges": [[u, v] for u, v in g.edges()]})
+    return json.dumps({"n": g.n, "edges": g.edge_array().tolist()})

@@ -10,6 +10,8 @@ vectors that the library ran before it enumerated each vertex's events.
 ``BbmcSolver`` is a second reference for the per-vertex independence
 numbers: the class-by-class bitmask solver the library ran, one search per
 vertex, before it settled all of them in one shared search.
+``NeighborSetGraph`` is the graph as the library stored it before it kept
+only adjacency bitmasks: one neighbor frozenset per vertex.
 They are kept only as oracles; the property tests require the library's
 kernels to return exactly the same reports, codes, coverings and answers.
 The construction if-chains the library ran before its family table (the
@@ -640,6 +642,69 @@ def degenerate_rows(code, n):
 
 
 # ------------------------------------------------------------------ graphs
+
+class NeighborSetGraph:
+    """A graph stored the way the library stored it before adjacency masks:
+    one frozenset of neighbors per vertex, entry 0 unused."""
+
+    def __init__(self, n, edges=()):
+        adj = [set() for _ in range(n + 1)]
+        for u, v in edges:
+            _check_vertex(u, n)
+            _check_vertex(v, n)
+            if u == v:
+                raise RangeError(f"self-loop at vertex {u}")
+            adj[u].add(v)
+            adj[v].add(u)
+        self.n = n
+        self.adj = tuple(frozenset(s) for s in adj)
+
+    def degree(self, v):
+        _check_vertex(v, self.n)
+        return len(self.adj[v])
+
+    def has_edge(self, u, v):
+        _check_vertex(u, self.n)
+        _check_vertex(v, self.n)
+        return v in self.adj[u]
+
+    def edges(self):
+        return [(u, v) for u in range(1, self.n + 1)
+                for v in sorted(self.adj[u]) if u < v]
+
+    def edge_count(self):
+        return sum(len(s) for s in self.adj) // 2
+
+    def __eq__(self, other):
+        return self.n == other.n and self.adj == other.adj
+
+    def __hash__(self):
+        return hash((self.n, self.adj))
+
+
+def neighbor_set_random_graph(n, p, seed):
+    """G(n, p) from one draw per pair u < v, in lexicographic order."""
+    rng = random.Random(seed)
+    return NeighborSetGraph(n, [(u, v) for u in range(1, n + 1)
+                                for v in range(u + 1, n + 1) if rng.random() < p])
+
+
+def neighbor_set_coloring(g):
+    """Greedy coloring of a NeighborSetGraph: vertices in label order, each
+    taking the smallest color none of its lower neighbors has."""
+    colors = [0] * g.n
+    for v in range(1, g.n + 1):
+        taken = {colors[w - 1] for w in g.adj[v] if w < v}
+        c = 0
+        while c in taken:
+            c += 1
+        colors[v - 1] = c
+    return colors
+
+
+def serialize_neighbor_set_graph(g):
+    return json.dumps({"n": g.n, "edges": [[u, v] for u, v in g.edges()]})
+
 
 class MisSolver:
     """Branch-and-bound maximum independent set, first-fit clique partition.

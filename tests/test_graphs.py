@@ -30,6 +30,13 @@ def test_graph_validation():
         Graph(0)
 
 
+def test_has_edge_checks_both_endpoints():
+    assert PATH3.has_edge(2, 1) and not PATH3.has_edge(1, 3)
+    for u, v in ((1, 0), (0, 1), (1, 4), (4, 1), (1, True), (2.0, 1)):
+        with pytest.raises(RangeError):
+            PATH3.has_edge(u, v)
+
+
 def test_degrees_examples():
     assert degrees(complete_graph(3)) == [2, 2, 2]
     assert degrees(empty_graph(4)) == [0, 0, 0, 0]

@@ -1,8 +1,8 @@
 """The fast kernels (the packed covering builders, parser and serializer,
 verify and its MacWilliams path, the diagnostic sweeps and tail sums, the
 greedy code scan, min_distance, degenerate_rows, the exact search's
-canonical check, the independent-set solver and the graph parser) agree
-exactly with the Python reference paths."""
+canonical check, the independent-set solver, the graph parser and the
+graph's adjacency masks) agree exactly with the Python reference paths."""
 
 import json
 import random
@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bicover import covering, diagnostics
+from bicover import covering, diagnostics, graphs
 from bicover.codes import (BinaryCode, even_weight_code, greedy_gv_code,
                             min_distance)
 from bicover.covering import (BipartiteBlock, Covering, capacity,
@@ -30,8 +30,9 @@ from bicover.diagnostics import (_disjointness, _independent_sets, _sweep,
 from bicover.errors import (BicoverError, DomainError, SizeLimitExceeded,
                             TargetUnreached)
 from bicover.exact import SearchBudget, _CapSearch
-from bicover.graphs import (Graph, alpha_per_vertex, complete_graph,
-                            empty_graph, parse_graph, random_graph)
+from bicover.graphs import (Graph, alpha_per_vertex, complete_graph, degrees,
+                            empty_graph, greedy_coloring, parse_graph,
+                            random_graph, serialize_graph)
 
 import reference_paths
 from reference_paths import BlockList
@@ -751,3 +752,36 @@ def test_parse_graph_matches_reference(n, data):
                    data.draw(st.one_of(EDGE_ITEMS, valid)))
     text = json.dumps({"n": n, "edges": raw})
     assert outcome(parse_graph, text) == outcome(reference_paths.parse_edges, n, raw)
+
+
+@PROPERTY
+@given(n=st.one_of(st.integers(1, 70), st.integers(60, 70)),
+       p=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 1)),
+       seed=st.integers(0, 2**32), data=st.data())
+def test_graph_masks_match_neighbor_sets(n, p, seed, data):
+    # n up to 70, drawn often above 60, so that masks cross 64 bits.  The
+    # edge list comes shuffled, each edge either way round, some repeated.
+    ref = reference_paths.neighbor_set_random_graph(n, p, seed)
+    assert random_graph(n, p, seed).edges() == ref.edges()
+    rng = random.Random(seed)
+    edges = [(u, v) if rng.random() < 0.5 else (v, u) for u, v in ref.edges()]
+    edges += rng.sample(edges, len(edges) // 4)
+    rng.shuffle(edges)
+    g = Graph(n, edges)
+    with patch.object(graphs, "_EDGE_ROWS", data.draw(st.integers(1, 80))):
+        assert g.edges() == ref.edges()
+    assert g.edge_count() == ref.edge_count()
+    assert degrees(g) == [ref.degree(v) for v in range(1, n + 1)]
+    assert [g.degree(v) for v in range(1, n + 1)] == degrees(g)
+    assert all(g.has_edge(u, v) == ref.has_edge(u, v)
+               for u in range(1, n + 1) for v in range(1, n + 1))
+    assert greedy_coloring(g) == reference_paths.neighbor_set_coloring(ref)
+    assert serialize_graph(g) == reference_paths.serialize_neighbor_set_graph(ref)
+    # A second graph: the same edges, or one pair toggled.
+    other = list(ref.edges())
+    if n > 1 and data.draw(st.booleans()):
+        pair = tuple(sorted(rng.sample(range(1, n + 1), 2)))
+        other = [e for e in other if e != pair] if pair in other else other + [pair]
+    h, ref_h = Graph(n, other[::-1]), reference_paths.NeighborSetGraph(n, other)
+    assert (g == h) == (ref == ref_h)
+    assert g != h or hash(g) == hash(h)
