@@ -281,7 +281,6 @@ def _cmd_bounds(args):
 
 def _cmd_exact(args):
     budget = exact.SearchBudget(max_capacity=args.max_capacity,
-                                max_blocks=args.max_blocks,
                                 node_limit=args.node_limit)
     try:
         value, witness = exact.exact_cap(args.n, args.lam, budget)
@@ -434,7 +433,6 @@ def build_parser():
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--lambda", dest="lam", type=_positive_int, required=True)
     p.add_argument("--max-capacity", type=_positive_int, default=64)
-    p.add_argument("--max-blocks", type=_positive_int, default=16)
     p.add_argument("--node-limit", type=_positive_int, default=2_000_000)
     p.set_defaults(func=_cmd_exact)
 

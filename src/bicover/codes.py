@@ -3,8 +3,8 @@
 Families: the even-weight code (distance 2), greedy lexicographic scans
 meeting the Gilbert-Varshamov count, parity-extended narrow-sense BCH codes
 over GF(2^m), and Sylvester-Hadamard matrices.  All constructions are
-deterministic; distances are verified exhaustively whenever the configured
-caps allow.
+deterministic.  Constructions record a minimum distance only where it is
+known without a pairwise check; ``min_distance`` computes it exactly.
 
 Codewords are stored as integers whose most significant bit is the leftmost
 character of the word's text form, so numeric order equals lexicographic
@@ -24,9 +24,10 @@ import numpy as np
 from .errors import (CapExceeded, DomainError, FieldError, NoConstruction,
                      ParseError, SizeLimitExceeded, TargetUnreached)
 
-DEFAULT_WORD_CAP = 1 << 20    # max codewords an enumeration may produce
-DEFAULT_PAIR_CAP = 1 << 24    # max pairwise distance checks
-DEFAULT_SCAN_CAP = 1 << 22    # max word-space size a greedy scan may walk
+WORD_CAP = 1 << 20    # max codewords an enumeration may produce
+PAIR_CAP = 1 << 24    # max pairwise distance checks
+SCAN_CAP = 1 << 22    # max word-space size a greedy scan may walk
+ENTRY_CAP = 1 << 24   # max entries of a Sylvester matrix
 
 # Primitive polynomials over GF(2), one per extension degree, encoded as
 # bitmasks (bit i = coefficient of x^i).  Primitivity is re-verified at
@@ -121,13 +122,11 @@ class BinaryCode:
         return cls(k, tuple(words), obj.get("min_distance"), obj.get("method", ""))
 
 
-def min_distance(code, pair_cap=DEFAULT_PAIR_CAP):
+def min_distance(code):
     """Exact minimum pairwise Hamming distance; caches the result on the code.
 
-    One word is checked against all later words per step.  Codes of length
-    at most 64 hold one uint64 per word; longer codes split the words into
-    ceil(length / 64) uint64 rows and sum the rows' popcounts, which costs
-    about 1.7 times as much per pair on a single row.
+    The words are split into ceil(length / 64) uint64 rows, and one word is
+    checked against all later words per step by summing the rows' popcounts.
     """
     if code.min_distance is not None:
         return code.min_distance
@@ -135,17 +134,12 @@ def min_distance(code, pair_cap=DEFAULT_PAIR_CAP):
     if len(words) < 2:
         raise DomainError("minimum distance needs at least two codewords")
     pairs = len(words) * (len(words) - 1) // 2
-    if pairs > pair_cap:
-        raise CapExceeded(f"{pairs} pairs exceed the cap of {pair_cap}")
-    if code.length <= 64:
-        arr = np.array(words, dtype=np.uint64)
-        rows = (np.bitwise_count(arr[i] ^ arr[i + 1:]).min()
-                for i in range(len(arr) - 1))
-    else:
-        arr = np.array([[w >> 64 * j & (1 << 64) - 1 for w in words]
-                        for j in range(-(-code.length // 64))], dtype=np.uint64)
-        rows = (np.bitwise_count(arr[:, i, None] ^ arr[:, i + 1:])
-                .sum(axis=0).min() for i in range(len(words) - 1))
+    if pairs > PAIR_CAP:
+        raise CapExceeded(f"{pairs} pairs exceed the cap of {PAIR_CAP}")
+    arr = np.array([[w >> 64 * j & (1 << 64) - 1 for w in words]
+                    for j in range(-(-code.length // 64))], dtype=np.uint64)
+    rows = (np.bitwise_count(arr[:, i, None] ^ arr[:, i + 1:])
+            .sum(axis=0).min() for i in range(len(words) - 1))
     best = code.length
     for d in rows:
         best = min(best, int(d))
@@ -160,18 +154,17 @@ def ball_volume(k, r):
     return sum(comb(k, i) for i in range(r + 1))
 
 
-def even_weight_code(k, word_cap=DEFAULT_WORD_CAP):
+def even_weight_code(k):
     """All 2^(k-1) even-weight words of length k, in lexicographic order."""
     if k < 2:
         raise DomainError(f"even-weight code needs k >= 2, got {k}")
-    if 1 << (k - 1) > word_cap:
-        raise SizeLimitExceeded(f"2^{k - 1} words exceed the cap of {word_cap}")
+    if 1 << (k - 1) > WORD_CAP:
+        raise SizeLimitExceeded(f"2^{k - 1} words exceed the cap of {WORD_CAP}")
     words = tuple(w for w in range(1 << k) if w.bit_count() % 2 == 0)
     return BinaryCode(k, words, min_distance=2, method="even-weight")
 
 
-def greedy_gv_code(k, d, target, scan_cap=DEFAULT_SCAN_CAP,
-                   pair_cap=DEFAULT_PAIR_CAP):
+def greedy_gv_code(k, d, target):
     """Greedy lexicographic code of length k and distance >= d.
 
     Scans all k-bit words in increasing order and keeps a word iff it is at
@@ -186,8 +179,8 @@ def greedy_gv_code(k, d, target, scan_cap=DEFAULT_SCAN_CAP,
     """
     if k < 1 or not 1 <= d <= k or target < 1:
         raise DomainError(f"invalid greedy scan parameters k={k}, d={d}, target={target}")
-    if 1 << k > scan_cap:
-        raise SizeLimitExceeded(f"scan space 2^{k} exceeds the cap of {scan_cap}")
+    if 1 << k > SCAN_CAP:
+        raise SizeLimitExceeded(f"scan space 2^{k} exceeds the cap of {SCAN_CAP}")
     # The radius-(d-1) ball around 0, built bit by bit: position p adds a
     # copy, with bit p set, of every word so far that weighs less than d - 1.
     ball = np.zeros(1, dtype=np.int64)
@@ -211,8 +204,6 @@ def greedy_gv_code(k, d, target, scan_cap=DEFAULT_SCAN_CAP,
         raise TargetUnreached(
             f"greedy scan of length-{k} words at distance {d} stopped at "
             f"{len(words)} of {target}", achieved=len(words), code=code)
-    if len(words) >= 2 and len(words) * (len(words) - 1) // 2 <= pair_cap:
-        min_distance(code, pair_cap)
     return code
 
 
@@ -317,17 +308,17 @@ def bch_dimension(m, d):
     return (1 << m) - 1 - (g.bit_length() - 1)
 
 
-def bch_extended_code(m, d, target=None, word_cap=DEFAULT_WORD_CAP,
-                      pair_cap=DEFAULT_PAIR_CAP):
+def bch_extended_code(m, d, target=None):
     """Narrow-sense BCH code with designed distance 2d-1, plus an overall parity bit.
 
     Length k = 2^m, dimension >= 2^m - 1 - (d-1)m, minimum distance >= 2d.
     Codewords are message polynomials times the generator, enumerated in
     message order (message = integer 0, 1, 2, ...), each extended by one
-    parity bit in the rightmost position.  When the full codebook fits the
-    word cap it is enumerated completely and the exact minimum distance is
+    parity bit in the rightmost position.  When the full codebook fits
+    WORD_CAP it is enumerated completely and the exact minimum distance is
     recorded (equal to the minimum nonzero weight, the code being linear);
-    otherwise the first ``target`` codewords by message order are emitted.
+    otherwise the first ``target`` codewords by message order are emitted,
+    with no distance recorded.
     """
     if not 2 <= m <= 16:
         raise FieldError(f"extension degree m = {m} outside the tabled range 2..16")
@@ -339,36 +330,31 @@ def bch_extended_code(m, d, target=None, word_cap=DEFAULT_WORD_CAP,
     g = bch_generator(ctx, 2 * d - 1)
     dim = (1 << m) - 1 - (g.bit_length() - 1)
     total = 1 << dim
-    if total <= word_cap:
-        count = total
-        complete = True
-    elif target is not None and target <= word_cap:
+    count = total
+    if total > WORD_CAP:
+        if target is None or target > WORD_CAP:
+            raise CapExceeded(
+                f"2^{dim} codewords exceed the cap of {WORD_CAP}; pass a target")
         count = target
-        complete = False
-    else:
-        raise CapExceeded(
-            f"2^{dim} codewords exceed the cap of {word_cap}; pass a target")
     words = []
     for msg in range(count):
         c = _clmul(msg, g)
         words.append((c << 1) | (c.bit_count() & 1))
     code = BinaryCode(1 << m, tuple(words), method=f"extended-bch(m={m},d={d})")
-    if complete and len(words) >= 2:
+    if count == total:
         code.min_distance = min(w.bit_count() for w in words[1:])
-    elif len(words) >= 2 and len(words) * (len(words) - 1) // 2 <= pair_cap:
-        min_distance(code, pair_cap)
     return code
 
 
-def sylvester_matrix(m, entry_cap=1 << 24):
+def sylvester_matrix(m):
     """Order-2^m Hadamard matrix from m-fold tensoring of [[1, 1], [1, -1]].
 
     The first row is all ones; every later row is balanced between +1 and -1.
     """
     if m < 1:
         raise DomainError(f"tensor exponent must be >= 1, got {m}")
-    if 1 << (2 * m) > entry_cap:
-        raise SizeLimitExceeded(f"4^{m} entries exceed the cap of {entry_cap}")
+    if 1 << (2 * m) > ENTRY_CAP:
+        raise SizeLimitExceeded(f"4^{m} entries exceed the cap of {ENTRY_CAP}")
     base = np.array([[1, 1], [1, -1]], dtype=np.int8)
     h = np.array([[1]], dtype=np.int8)
     for _ in range(m):
@@ -421,7 +407,7 @@ def _gv(n, lam, k_max=None):
     k = max((n - 1).bit_length(), lam, 1)
     while (1 << k) < n * ball_volume(k, (lam - 1) // 2):
         k += 1
-    while (1 << k) <= DEFAULT_SCAN_CAP and (k_max is None or k <= k_max):
+    while (1 << k) <= SCAN_CAP and (k_max is None or k <= k_max):
         try:
             code = greedy_gv_code(k, lam, n)
             return k, lambda: code

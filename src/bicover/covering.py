@@ -23,6 +23,8 @@ from .errors import (DomainError, GroundSetMismatch, ImproperColoring,
                      SizeLimitExceeded)
 from .graphs import Graph
 
+BALANCED_BLOCK_CAP = 1 << 20  # max blocks of a balanced-bipartitions covering
+
 
 class BipartiteBlock:
     """One complete bipartite graph, given by its two disjoint vertex classes."""
@@ -394,23 +396,24 @@ def hadamard_covering(m):
     return code_to_covering(hadamard_code(m), 1 << m)
 
 
-def balanced_block_count(n, max_blocks=1 << 20):
+def balanced_block_count(n):
     """Block count C(n, n/2)/2 of balanced_bipartitions_covering(n), within its cap."""
     if n < 2 or n % 2:
         raise DomainError(f"ground-set size must be even and >= 2, got {n}")
     count = comb(n, n // 2) // 2
-    if count > max_blocks:
-        raise SizeLimitExceeded(f"{count} blocks exceed the cap of {max_blocks}")
+    if count > BALANCED_BLOCK_CAP:
+        raise SizeLimitExceeded(
+            f"{count} blocks exceed the cap of {BALANCED_BLOCK_CAP}")
     return count
 
 
-def balanced_bipartitions_covering(n, max_blocks=1 << 20):
+def balanced_bipartitions_covering(n):
     """One block per unordered bipartition of 1..n into two halves of size n/2.
 
     Separates every pair exactly C(n-2, n/2-1) times; capacity n*C(n, n/2)/2,
     again matching the edge-count lower bound with equality.
     """
-    balanced_block_count(n, max_blocks)
+    balanced_block_count(n)
     ground = frozenset(range(1, n + 1))
     blocks = []
     for rest in combinations(range(2, n + 1), n // 2 - 1):

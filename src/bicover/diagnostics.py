@@ -120,8 +120,7 @@ def check_tail_sum(cov, lam):
 
 
 def check_event_disjointness(cov, lam, mode="exhaustive", seed=0,
-                             trials=100_000,
-                             exhaustive_limit=EXHAUSTIVE_BLOCK_LIMIT):
+                             trials=100_000):
     """No selection vector may trigger the near-match event of two vertices.
 
     Vertex j's event occurs when at most r of its block memberships
@@ -131,13 +130,12 @@ def check_event_disjointness(cov, lam, mode="exhaustive", seed=0,
     sampled mode draws seeded vectors and reports observed violations only.
     """
     _require_valid(cov, cov.n, lam, "event disjointness")
-    return _disjointness(event_profile(cov, lam), mode, seed, trials,
-                         exhaustive_limit)
+    return _disjointness(event_profile(cov, lam), mode, seed, trials)
 
 
-def _disjointness(prof, mode, seed, trials, exhaustive_limit):
+def _disjointness(prof, mode, seed, trials):
     if mode == "sampled":
-        chunks = _sweep(prof, prof.r, mode, seed, trials, exhaustive_limit)
+        chunks = _sweep(prof, prof.r, mode, seed, trials)
         violations = tuple(islice(
             (("double-occurrence", v, occurring)
              for v, occurring in _occurring_sets(chunks, 2)), 10))
@@ -145,8 +143,7 @@ def _disjointness(prof, mode, seed, trials, exhaustive_limit):
             "event-disjointness", "sampled", ok=not violations,
             violations=violations, trials=trials)
     counts = np.zeros(prof.n, dtype=np.int64)
-    chunks = _sweep(prof, prof.r, mode, seed, trials, exhaustive_limit,
-                    counts=counts)
+    chunks = _sweep(prof, prof.r, mode, seed, trials, counts=counts)
     doubles = []
     double_count = 0
     for vectors, per_vector, occurring in chunks:
@@ -216,8 +213,7 @@ def check_convexity(r, x_lo, x_hi, steps=1000, tol=1e-12):
 
 
 def check_event_overlap(cov, g, alphas=None, mode="exhaustive", seed=0,
-                        trials=100_000, limit=None,
-                        exhaustive_limit=EXHAUSTIVE_BLOCK_LIMIT):
+                        trials=100_000, limit=None):
     """Occupancy-weighted event sum: sum of 2^(-x_j) / alpha_j is at most 1.
 
     Vertex j's event is an exact side match of the selection vector.  Any
@@ -232,7 +228,7 @@ def check_event_overlap(cov, g, alphas=None, mode="exhaustive", seed=0,
     prof = event_profile(cov, 1)
     total = sum((Fraction(1, (1 << xj) * alphas[j]) for j, xj in enumerate(prof.x)),
                 Fraction(0))
-    chunks = _sweep(prof, 0, mode, seed, trials, exhaustive_limit)
+    chunks = _sweep(prof, 0, mode, seed, trials)
     # A vector can only break occupancy when its events outnumber some alpha.
     violations = []
     for v, occurring in _occurring_sets(chunks, max(1, min(alphas) + 1)):
@@ -249,16 +245,14 @@ def check_event_overlap(cov, g, alphas=None, mode="exhaustive", seed=0,
 
 
 def check_independent_event_sets(cov, g, mode="exhaustive", seed=0,
-                                 trials=100_000,
-                                 exhaustive_limit=EXHAUSTIVE_BLOCK_LIMIT):
+                                 trials=100_000):
     """The vertices whose exact-match events occur form an independent set of g."""
     _require_valid(cov, g, 1, "independent event sets")
-    return _independent_sets(event_profile(cov, 1), g, mode, seed, trials,
-                             exhaustive_limit)
+    return _independent_sets(event_profile(cov, 1), g, mode, seed, trials)
 
 
-def _independent_sets(prof, g, mode, seed, trials, exhaustive_limit):
-    chunks = _sweep(prof, 0, mode, seed, trials, exhaustive_limit)
+def _independent_sets(prof, g, mode, seed, trials):
+    chunks = _sweep(prof, 0, mode, seed, trials)
     found = ((v, _first_adjacent_pair(g, occurring))
              for v, occurring in _occurring_sets(chunks, 2))
     violations = tuple(islice(
@@ -282,7 +276,7 @@ _SWEEP_CHUNK = 1 << 14
 _WORD = (1 << 64) - 1
 
 
-def _sweep(prof, r, mode, seed, trials, exhaustive_limit, counts=None):
+def _sweep(prof, r, mode, seed, trials, counts=None):
     """The selection vectors of one sweep, in order and in chunks, with their events.
 
     Vertex j's event occurs for a vector v when at most r of its block
@@ -311,10 +305,10 @@ def _sweep(prof, r, mode, seed, trials, exhaustive_limit, counts=None):
     and at most 2^m * max alpha_j for a valid graph covering.
     """
     if mode == "exhaustive":
-        if prof.m > exhaustive_limit:
+        if prof.m > EXHAUSTIVE_BLOCK_LIMIT:
             raise SizeLimitExceeded(
                 f"{prof.m} blocks exceed the exhaustive sweep limit "
-                f"{exhaustive_limit}")
+                f"{EXHAUSTIVE_BLOCK_LIMIT}")
         return _event_chunks(prof, r, counts)
     if mode == "sampled":
         words = len(prof.a)

@@ -23,11 +23,10 @@ _PERM_LIMIT = 6
 @dataclass(frozen=True)
 class SearchBudget:
     max_capacity: int = 64
-    max_blocks: int = 16
     node_limit: int = 2_000_000
 
     def __post_init__(self):
-        if self.max_capacity < 1 or self.max_blocks < 1 or self.node_limit < 1:
+        if self.max_capacity < 1 or self.node_limit < 1:
             raise DomainError("all budget fields must be positive")
 
 
@@ -127,8 +126,6 @@ class _CapSearch:
         if not any(deficit):
             return list(chosen)
         if self._remaining_need(deficit) > rem:
-            return None
-        if len(chosen) >= self.budget.max_blocks:
             return None
         for bi in range(start, len(self.blocks)):
             size = self.sizes[bi]

@@ -35,7 +35,7 @@ from bicover import codes, covering, graphs
 from bicover.bounds import binom_tail_p
 from bicover.codes import BinaryCode
 from bicover.covering import BipartiteBlock, CoverageReport, Covering
-from bicover.diagnostics import DiagnosticReport
+from bicover.diagnostics import EXHAUSTIVE_BLOCK_LIMIT, DiagnosticReport
 from bicover.errors import (DomainError, ImproperColoring, NoConstruction,
                             NotEnoughCodewords, OverlapError, ParseError,
                             RangeError, SizeLimitExceeded, TargetUnreached)
@@ -223,10 +223,11 @@ def matching_vertices(prof, v):
     return out
 
 
-def _sweep(prof, mode, seed, trials, exhaustive_limit):
+def _sweep(prof, mode, seed, trials):
     if mode == "exhaustive":
-        if prof.m > exhaustive_limit:
-            raise SizeLimitExceeded(f"{prof.m} blocks exceed {exhaustive_limit}")
+        if prof.m > EXHAUSTIVE_BLOCK_LIMIT:
+            raise SizeLimitExceeded(
+                f"{prof.m} blocks exceed {EXHAUSTIVE_BLOCK_LIMIT}")
         return range(1 << prof.m), None
     if mode == "sampled":
         rng = random.Random(seed)
@@ -235,12 +236,12 @@ def _sweep(prof, mode, seed, trials, exhaustive_limit):
     raise DomainError(f"unknown mode {mode!r}")
 
 
-def disjointness(prof, mode="exhaustive", seed=0, trials=100_000,
-                 exhaustive_limit=20):
+def disjointness(prof, mode="exhaustive", seed=0, trials=100_000):
     """The event-disjointness sweep, without the covering validity check."""
     if mode == "exhaustive":
-        if prof.m > exhaustive_limit:
-            raise SizeLimitExceeded(f"{prof.m} blocks exceed {exhaustive_limit}")
+        if prof.m > EXHAUSTIVE_BLOCK_LIMIT:
+            raise SizeLimitExceeded(
+                f"{prof.m} blocks exceed {EXHAUSTIVE_BLOCK_LIMIT}")
         return _disjointness_exhaustive(prof)
     if mode == "sampled":
         return _disjointness_sampled(prof, seed, trials)
@@ -286,12 +287,11 @@ def _disjointness_sampled(prof, seed, trials):
         violations=tuple(violations), trials=trials)
 
 
-def event_overlap(prof, alphas, mode="exhaustive", seed=0, trials=100_000,
-                  exhaustive_limit=20):
+def event_overlap(prof, alphas, mode="exhaustive", seed=0, trials=100_000):
     """The occupancy sweep and weighted sum, without the validity check."""
     total = sum((Fraction(1, (1 << xj) * alphas[j]) for j, xj in enumerate(prof.x)),
                 Fraction(0))
-    sweep, trials_out = _sweep(prof, mode, seed, trials, exhaustive_limit)
+    sweep, trials_out = _sweep(prof, mode, seed, trials)
     violations = []
     for v in sweep:
         occurring = matching_vertices(prof, v)
@@ -306,10 +306,9 @@ def event_overlap(prof, alphas, mode="exhaustive", seed=0, trials=100_000,
         sum=total, violations=tuple(violations), trials=trials_out)
 
 
-def independent_event_sets(prof, g, mode="exhaustive", seed=0, trials=100_000,
-                           exhaustive_limit=20):
+def independent_event_sets(prof, g, mode="exhaustive", seed=0, trials=100_000):
     """The independent-set sweep, without the validity check."""
-    sweep, trials_out = _sweep(prof, mode, seed, trials, exhaustive_limit)
+    sweep, trials_out = _sweep(prof, mode, seed, trials)
     violations = []
     for v in sweep:
         occurring = matching_vertices(prof, v)
@@ -331,7 +330,7 @@ def _first_adjacent_pair(g, vertices):
     return None
 
 
-def chunked_sweep(prof, r, mode, seed, trials, exhaustive_limit, counts=None):
+def chunked_sweep(prof, r, mode, seed, trials, counts=None):
     """The exhaustive sweep as the library once ran it, with ``_sweep``'s signature.
 
     Every one of the 2^m vectors, 2^14 per chunk, is tested against one
@@ -341,10 +340,10 @@ def chunked_sweep(prof, r, mode, seed, trials, exhaustive_limit, counts=None):
     """
     if mode != "exhaustive":
         raise DomainError(f"unknown mode {mode!r}")
-    if prof.m > exhaustive_limit:
+    if prof.m > EXHAUSTIVE_BLOCK_LIMIT:
         raise SizeLimitExceeded(
             f"{prof.m} blocks exceed the exhaustive sweep limit "
-            f"{exhaustive_limit}")
+            f"{EXHAUSTIVE_BLOCK_LIMIT}")
     return _tally(prof, r, _exhaustive_chunks(prof.m), counts)
 
 
@@ -458,20 +457,20 @@ def canonical(n, blocks, chosen):
 _FAMILIES = ("even-weight", "repetition", "extended-bch", "gv", "hadamard")
 
 
-def _gv_scan(n, lam, scan_cap, k_max=None):
+def _gv_scan(n, lam, k_max=None):
     """Greedy code at the shortest length whose scan reaches n words, else None."""
     k = max((n - 1).bit_length(), lam, 1)
     while (1 << k) < n * codes.ball_volume(k, (lam - 1) // 2):
         k += 1
-    while (1 << k) <= scan_cap and (k_max is None or k <= k_max):
+    while (1 << k) <= codes.SCAN_CAP and (k_max is None or k <= k_max):
         try:
-            return codes.greedy_gv_code(k, lam, n, scan_cap=scan_cap)
+            return codes.greedy_gv_code(k, lam, n)
         except TargetUnreached:
             k += 1
     return None
 
 
-def k_best(n, lam, max_bch_m=16, scan_cap=codes.DEFAULT_SCAN_CAP):
+def k_best(n, lam, max_bch_m=16):
     """Smallest code length any family certifies for (n, lam), as (k, family)."""
     if n < 2 or lam < 1:
         raise DomainError(f"need n >= 2 and lam >= 1, got n={n}, lam={lam}")
@@ -492,7 +491,7 @@ def k_best(n, lam, max_bch_m=16, scan_cap=codes.DEFAULT_SCAN_CAP):
     while (1 << m) < n or (1 << (m - 1)) < lam:
         m += 1
     candidates["hadamard"] = 1 << m
-    gv = _gv_scan(n, lam, scan_cap, k_max=min(candidates.values()) - 1)
+    gv = _gv_scan(n, lam, k_max=min(candidates.values()) - 1)
     if gv is not None:
         candidates["gv"] = gv.length
     if not candidates:
@@ -513,13 +512,12 @@ def _hadamard_words(m):
                  for col in h.T)
 
 
-def build_code(method, n, lam, word_cap=codes.DEFAULT_WORD_CAP,
-               scan_cap=codes.DEFAULT_SCAN_CAP):
+def build_code(method, n, lam):
     """A code for (n, lam) by family name."""
     if method == "even-weight":
         if lam > 2:
             raise DomainError("even-weight codes guarantee distance 2 only")
-        return codes.even_weight_code((n - 1).bit_length() + 1, word_cap)
+        return codes.even_weight_code((n - 1).bit_length() + 1)
     if method == "repetition":
         if n != 2:
             raise DomainError("repetition codes only serve n = 2")
@@ -531,11 +529,10 @@ def build_code(method, n, lam, word_cap=codes.DEFAULT_WORD_CAP,
             raise DomainError("extended BCH here needs lam >= 3; use even-weight")
         for m in range(2, 17):
             if 2 * d - 1 <= (1 << m) - 1 and 1 << codes.bch_dimension(m, d) >= n:
-                return codes.bch_extended_code(m, d, target=max(n, 2),
-                                               word_cap=word_cap)
+                return codes.bch_extended_code(m, d, target=max(n, 2))
         raise NoConstruction(f"no tabled BCH field reaches n={n}, lam={lam}")
     if method == "gv":
-        code = _gv_scan(n, lam, scan_cap)
+        code = _gv_scan(n, lam)
         if code is None:
             raise NoConstruction(f"greedy scan cap reached before n={n}, lam={lam}")
         return code

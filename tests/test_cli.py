@@ -167,6 +167,13 @@ def test_exact_command(capsys):
                           "--node-limit", "5")
     assert code == 1
     assert json.loads(stdout)["status"] == "bracket"
+    # The optimum of K_3^11 has 17 blocks; no block count is capped.
+    code, stdout, _ = run(capsys, "exact", "--n", "3", "--lambda", "11")
+    assert code == 0
+    doc = json.loads(stdout)
+    assert doc["status"] == "optimal" and doc["value"] == 50
+    assert len(doc["witness"]["blocks"]) == 17
+    assert verify(parse_covering(json.dumps(doc["witness"])), 3, 11).ok
 
 
 def test_proofcheck_command(tmp_path, capsys):
@@ -280,7 +287,7 @@ def test_usage_errors(capsys):
     ["bounds", "--graph", "g.json", "--limit", "0"],
     ["exact", "--n", "3", "--lambda", "1", "--node-limit", "0"],
     ["exact", "--n", "3", "--lambda", "1", "--max-capacity", "0"],
-    ["exact", "--n", "3", "--lambda", "1", "--max-blocks", "0"],
+    ["exact", "--n", "3", "--lambda", "1", "--max-blocks", "16"],
     ["proofcheck", "c.json", "--n", "4", "--sampled", "--trials", "0"],
     ["proofcheck", "c.json", "--graph", "g.json", "--limit", "-2"],
     ["sweep", "--n-list", "4", "--lambda-list", "1", "--node-limit", "0"],

@@ -46,7 +46,7 @@ def test_even_weight_guards():
     with pytest.raises(DomainError):
         even_weight_code(1)
     with pytest.raises(SizeLimitExceeded):
-        even_weight_code(12, word_cap=1000)
+        even_weight_code(22)  # 2^21 words
 
 
 def test_gv_first_words():
@@ -76,7 +76,7 @@ def test_gv_guards():
     with pytest.raises(DomainError):
         greedy_gv_code(4, 5, 2)
     with pytest.raises(SizeLimitExceeded):
-        greedy_gv_code(24, 3, 2, scan_cap=1 << 22)
+        greedy_gv_code(24, 3, 2)
 
 
 def test_field_context_table_is_primitive():
@@ -135,9 +135,9 @@ def test_bch_guards():
     with pytest.raises(DomainError):
         bch_extended_code(3, 5)  # designed distance 9 > 7
     with pytest.raises(CapExceeded):
-        bch_extended_code(4, 2, word_cap=100)
-    truncated = bch_extended_code(4, 2, target=100, word_cap=100)
-    assert len(truncated.words) == 100
+        bch_extended_code(5, 2)  # 2^26 codewords
+    truncated = bch_extended_code(5, 2, target=100)
+    assert len(truncated.words) == 100 and truncated.min_distance is None
     assert pairwise_min_distance(truncated.words) >= 4
 
 
@@ -158,7 +158,7 @@ def test_sylvester_column_agreements():
         # the all-ones first row accounts for one agreement
         assert int((cols[i][1:] != cols[j][1:]).sum()) == 4
     with pytest.raises(SizeLimitExceeded):
-        sylvester_matrix(5, entry_cap=100)
+        sylvester_matrix(13)  # 4^13 entries
 
 
 def test_min_distance_examples_and_cache():
@@ -166,8 +166,8 @@ def test_min_distance_examples_and_cache():
     assert min_distance(c) == 2
     assert c.min_distance == 2
     assert min_distance(BinaryCode(5, (0b00000, 0b00111))) == 3
-    with pytest.raises(CapExceeded):
-        min_distance(BinaryCode(4, tuple(range(10))), pair_cap=10)
+    with pytest.raises(CapExceeded):  # 5794 words: C(5794, 2) > 2^24 pairs
+        min_distance(BinaryCode(13, tuple(range(5794))))
     with pytest.raises(DomainError):
         min_distance(BinaryCode(4, (3,)))
 

@@ -71,7 +71,7 @@ def test_disjointness_sampled_deterministic():
 def test_disjointness_exhaustive_limit():
     cov = Covering(2, [BipartiteBlock([1], [2])] * 21)
     with pytest.raises(SizeLimitExceeded):
-        check_event_disjointness(cov, 21, exhaustive_limit=20)
+        check_event_disjointness(cov, 21)
 
 
 def test_convex_tail_bound():

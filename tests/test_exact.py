@@ -60,7 +60,11 @@ def naive_min_cap(n, lam, cap_hi):
     return best
 
 
-@pytest.mark.parametrize("n,lam,want", [(2, 1, 2), (2, 2, 4), (3, 1, 5), (4, 1, 8)])
+# (3, lam) = ceil(9 lam / 2): a block on 3 vertices separates 2 of the 3
+# pairs, so capacity >= 1.5 * 3 lam.  From lam = 11 on, every optimum has
+# more than 16 blocks.
+@pytest.mark.parametrize("n,lam,want", [(2, 1, 2), (2, 2, 4), (3, 1, 5), (4, 1, 8)]
+                         + [(3, lam, -(-9 * lam // 2)) for lam in range(2, 15)])
 def test_exact_cap_values(n, lam, want):
     value, witness = exact_cap(n, lam)
     assert value == want
@@ -160,6 +164,11 @@ def test_exact_cap_pinned(instance):
     search = _CapSearch(n, lam, SearchBudget())
     assert search.run()[0] == value
     assert search.nodes == pin["nodes"]
+    # One capacity short, every level is refuted by a completed search, so
+    # the bracket's lower end is the optimum itself.
+    with pytest.raises(BudgetExhausted) as exc:
+        exact_cap(n, lam, SearchBudget(max_capacity=value - 1))
+    assert exc.value.lower == value
 
 
 def test_exact_cap_6_1_budget_pinned():

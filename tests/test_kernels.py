@@ -379,7 +379,7 @@ def test_parse_covering_matches_reference(flaw, n, m, seed, data):
 def test_exhaustive_disjointness_matches_reference(n, m, seed, lam):
     # Below the tail threshold (x_j < r) both paths raise the same DomainError.
     prof = event_profile(random_covering(n, m, seed), lam)
-    report = outcome(_disjointness, prof, "exhaustive", 0, 0, 20)
+    report = outcome(_disjointness, prof, "exhaustive", 0, 0)
     assert report == outcome(reference_paths.disjointness, prof, "exhaustive")
     if not isinstance(report, tuple):
         assert_python_ints((report.violations, report.details))
@@ -390,7 +390,7 @@ def test_exhaustive_disjointness_matches_reference(n, m, seed, lam):
        lam=st.integers(1, 60), trials=st.integers(0, 300))
 def test_sampled_disjointness_matches_reference(n, m, seed, lam, trials):
     prof = event_profile(random_covering(n, m, seed), lam)
-    report = _disjointness(prof, "sampled", seed, trials, 20)
+    report = _disjointness(prof, "sampled", seed, trials)
     assert report == reference_paths.disjointness(prof, "sampled", seed, trials)
     assert_python_ints((report.violations, report.trials))
 
@@ -423,7 +423,7 @@ def test_independent_event_sets_matches_reference(n, m, seed, sampled):
     prof = event_profile(random_covering(n, m, seed), 1)
     g = random_graph_on(n, seed + 1)
     mode, trials = ("sampled", 200) if sampled else ("exhaustive", 0)
-    report = _independent_sets(prof, g, mode, seed, trials, 20)
+    report = _independent_sets(prof, g, mode, seed, trials)
     assert report == reference_paths.independent_event_sets(prof, g, mode,
                                                             seed, trials)
     assert_python_ints((report.violations, report.trials))
@@ -466,9 +466,9 @@ def test_event_enumeration_matches_chunked_sweep(cov, lam, seed):
 
     def reports():
         return (outcome(_disjointness, event_profile(cov, lam), "exhaustive",
-                        0, 0, 20),
+                        0, 0),
                 outcome(_independent_sets, event_profile(cov, 1), g,
-                        "exhaustive", 0, 0, 20),
+                        "exhaustive", 0, 0),
                 outcome(check_event_overlap, cov, covered, alphas))
 
     got = reports()
@@ -513,10 +513,10 @@ def test_violation_paths_are_exercised():
     # Two isolated vertices match every vector: each sweep finds violations.
     prof = event_profile(Covering(3, [BipartiteBlock([1], [2])]), 1)
     path = Graph(3, [(1, 3), (2, 3)])
-    indep = _independent_sets(prof, path, "exhaustive", 0, 0, 20)
+    indep = _independent_sets(prof, path, "exhaustive", 0, 0)
     assert indep.violations == (("adjacent-pair", 0, 1, 3),
                                 ("adjacent-pair", 1, 2, 3))
-    dis = _disjointness(prof, "sampled", 5, 50, 20)
+    dis = _disjointness(prof, "sampled", 5, 50)
     assert len(dis.violations) == 10 and not dis.ok
     assert dis == reference_paths.disjointness(prof, "sampled", 5, 50)
     cov = Covering(3, [BipartiteBlock([1], [2])])
@@ -530,17 +530,17 @@ def test_exact_match_reads_every_mask_word():
     cov = Covering(4, [BipartiteBlock([1], [2])] * 64 + [BipartiteBlock([3], [4])])
     prof = event_profile(cov, 1)
     g = Graph(4, [(3, 4)])
-    report = _independent_sets(prof, g, "sampled", 1, 100, 20)
+    report = _independent_sets(prof, g, "sampled", 1, 100)
     assert report.ok
     assert report == reference_paths.independent_event_sets(prof, g, "sampled", 1, 100)
 
 
 def test_sweep_checks_mode_and_limit_before_sweeping():
-    prof = event_profile(Covering(2, [BipartiteBlock([1], [2])] * 3), 1)
+    prof = event_profile(Covering(2, [BipartiteBlock([1], [2])] * 21), 1)
     with pytest.raises(DomainError):
-        _sweep(prof, 0, "nope", 0, 10, 20)
+        _sweep(prof, 0, "nope", 0, 10)
     with pytest.raises(SizeLimitExceeded):
-        _sweep(prof, 0, "exhaustive", 0, 10, 2)
+        _sweep(prof, 0, "exhaustive", 0, 10)
 
 
 @PROPERTY

@@ -43,21 +43,21 @@ def shared_scans():
     gv, bch = {}, {}
     real_gv, real_bch = codes.greedy_gv_code, codes.bch_extended_code
 
-    def greedy_gv_code(k, d, target, **caps):
+    def greedy_gv_code(k, d, target):
         if (k, d, target) not in gv:
             try:
-                gv[k, d, target] = real_gv(k, d, target, **caps)
+                gv[k, d, target] = real_gv(k, d, target)
             except TargetUnreached as e:
                 gv[k, d, target] = e
         if isinstance(gv[k, d, target], TargetUnreached):
             raise gv[k, d, target]
         return gv[k, d, target]
 
-    def bch_extended_code(m, d, target=None, **caps):
-        complete = 1 << codes.bch_dimension(m, d) <= codes.DEFAULT_WORD_CAP
+    def bch_extended_code(m, d, target=None):
+        complete = 1 << codes.bch_dimension(m, d) <= codes.WORD_CAP
         key = (m, d) if complete else (m, d, target)
         if key not in bch:
-            bch[key] = real_bch(m, d, target, **caps)
+            bch[key] = real_bch(m, d, target)
         return bch[key]
 
     with pytest.MonkeyPatch.context() as mp:
