@@ -2,7 +2,7 @@
 search, and the probabilistic diagnostics together with reproducible file I/O.
 
 Exit codes: 0 success, 1 semantic failure (invalid covering, unreached
-target, exhausted budget), 2 usage or parse errors.
+target, exhausted budget), 2 usage or parse errors and ground-set mismatches.
 """
 
 from __future__ import annotations
@@ -20,8 +20,7 @@ from math import comb, isnan
 from . import bounds as bnd
 from . import codes, covering, diagnostics, exact, graphs
 from .errors import (BicoverError, BudgetExhausted, DomainError,
-                     GroundSetMismatch, NoConstruction, ParseError,
-                     RangeError, TargetUnreached)
+                     GroundSetMismatch, ParseError, RangeError)
 
 SCHEMA_VERSION = 1
 EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
@@ -240,11 +239,7 @@ def _cmd_verify(args):
         if args.n is None:
             raise DomainError("pass --n or --graph")
         target = args.n
-    try:
-        report = covering.verify(cov, target, args.lam)
-    except GroundSetMismatch as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    report = covering.verify(cov, target, args.lam)
     _emit({**_header("verify", args), "report": report.to_dict()})
     return EXIT_OK if report.ok else EXIT_FAIL
 
@@ -336,21 +331,14 @@ _SWEEP_COLUMNS = ("n", "lambda", "lb_edge_count", "lb_tail", "ub_even_weight",
 
 
 def _sweep_row(n, lam, c, exact_max_n, node_limit):
+    # The report's entries, an inapplicable bound (NaN) as None.
+    values = {e.name: None if isnan(e.value) else round(float(e.value), 6)
+              for e in bnd.multigraph_report(n, lam, c=c).entries}
     row = {"n": n, "lambda": lam,
            "lb_edge_count": bnd.edge_count_lower(n, lam),
-           "lb_tail": round(bnd.tail_lower(n, lam), 6)}
-    for key, fn, fargs in (
-            ("ub_even_weight", bnd.upper_even_weight, (n,)),
-            ("ub_gv", bnd.upper_gv, (n, lam)),
-            ("ub_linear", bnd.upper_linear, (n, lam, c) if c is not None else None),
-            ("ub_bch", bnd.upper_bch, (n, lam))):
-        if fargs is None or (key == "ub_even_weight" and lam > 2):
-            row[key] = None
-            continue
-        try:
-            row[key] = round(float(fn(*fargs)), 6)
-        except DomainError:
-            row[key] = None
+           "lb_tail": values["binomial-tail"],
+           "ub_even_weight": values["even-weight"], "ub_gv": values["gv"],
+           "ub_linear": values.get("linear"), "ub_bch": values["bch"]}
     best = None
     for method, (guarantee, capacity, _) in _METHODS.items():
         try:
@@ -466,11 +454,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, RangeError) as e:
+    except (ParseError, RangeError, GroundSetMismatch) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (TargetUnreached, NoConstruction, BudgetExhausted, DomainError,
-            BicoverError) as e:
+    except BicoverError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_FAIL
 

@@ -134,23 +134,20 @@ def check_event_disjointness(cov, lam, mode="exhaustive", seed=0,
 
 
 def _disjointness(prof, mode, seed, trials):
-    if mode == "sampled":
-        chunks = _sweep(prof, prof.r, mode, seed, trials)
-        violations = tuple(islice(
-            (("double-occurrence", v, occurring)
-             for v, occurring in _occurring_sets(chunks, 2)), 10))
-        return DiagnosticReport(
-            "event-disjointness", "sampled", ok=not violations,
-            violations=violations, trials=trials)
-    counts = np.zeros(prof.n, dtype=np.int64)
-    chunks = _sweep(prof, prof.r, mode, seed, trials, counts=counts)
+    # Only the exhaustive mode counts each event for the recount.
+    counts = np.zeros(prof.n, dtype=np.int64) if mode == "exhaustive" else None
     doubles = []
     double_count = 0
-    for vectors, per_vector, occurring in chunks:
+    for vectors, per_vector, occurring in _sweep(prof, prof.r, mode, seed,
+                                                 trials, counts=counts):
         multi = np.nonzero(per_vector >= 2)[0]
         double_count += len(multi)
         doubles += [("double-occurrence", vectors[k], occurring(k))
                     for k in multi[:10 - len(doubles)].tolist()]
+    if counts is None:
+        return DiagnosticReport(
+            "event-disjointness", mode, ok=not doubles,
+            violations=tuple(doubles), trials=trials)
     expected = {xj: binom_tail_p(xj, prof.r) * (1 << prof.m)
                 for xj in dict.fromkeys(prof.x)}
     violations = [("probability-mismatch", j + 1, count)
@@ -158,7 +155,7 @@ def _disjointness(prof, mode, seed, trials):
                   if count != expected[prof.x[j]]]
     violations += doubles
     return DiagnosticReport(
-        "event-disjointness", "exhaustive", ok=not violations,
+        "event-disjointness", mode, ok=not violations,
         violations=tuple(violations),
         details={"vectors": 1 << prof.m, "double_occurrences": double_count})
 
@@ -302,7 +299,8 @@ def _sweep(prof, r, mode, seed, trials, counts=None):
     j+1, so a recount against the exact binomial tail still certifies each
     event's probability.  The work is 2^m * sum_j P_j vectors, P_j the
     probability of event j: at most 2^m for a valid covering of K_n^lam
-    and at most 2^m * max alpha_j for a valid graph covering.
+    and at most 2^m * max alpha_j for a valid graph covering.  Reading
+    them back in order adds one scan of a 2^m-entry tally.
     """
     if mode == "exhaustive":
         if prof.m > EXHAUSTIVE_BLOCK_LIMIT:
@@ -318,36 +316,21 @@ def _sweep(prof, r, mode, seed, trials, counts=None):
 
 
 def _event_chunks(prof, r, counts):
-    windows = _event_windows(prof, r, counts)
-    for start in sorted(windows):
-        offsets, per_vector = windows[start]
-        packed = (offsets + start).astype(np.uint64)[None]
-        yield packed[0].tolist(), per_vector, _occurring(prof, r, packed)
+    """The event vectors in ascending order, _SWEEP_CHUNK per chunk.
 
-
-def _event_windows(prof, r, counts):
-    """Event vectors by window of _SWEEP_CHUNK consecutive vectors.
-
-    Maps the first vector of each window that holds an event vector to
-    (offsets, per_vector): the ascending offsets in the window of its
-    vectors that trigger some event, and how many events each one
-    triggers.  Vertices that share a support share their patterns D | F,
-    which are built once and broadcast against the group's right-side
-    masks, a few vertices and patterns per step.  The vectors that pass
-    the predicate are counted into the windows whenever another step would
-    take them past _SWEEP_CHUNK, so memory follows the number of distinct
-    event vectors.  The dense window tallies stand in for a sort: the
-    first np.unique call in a process raises its peak RSS by about 2 MB.
-    Needs m < 63, which the exhaustive limit keeps.
+    Vertices that share a support share their patterns D | F, which are
+    built once and broadcast against the group's right-side masks, a few
+    vertices and patterns per step.  The vectors that pass the predicate
+    are counted into one dense int32 tally over all 2^m vectors, 4 MiB at
+    the exhaustive limit; its nonzero entries are the event vectors and how
+    many events each one triggers.
     """
     support = prof.a | prof.b
     blocks = (1 << prof.m) - 1
-    width = min(_SWEEP_CHUNK, blocks + 1)
     groups = defaultdict(list)
     for j, s in enumerate(support[0].tolist()):
         groups[s].append(j)
-    windows = {}
-    hits, size = [], 0
+    tally = np.zeros(blocks + 1, dtype=np.int32)
     for s, members in groups.items():
         members = np.array(members)
         for patterns in _patterns(s, blocks & ~s, r):
@@ -359,14 +342,12 @@ def _event_windows(prof, r, counts):
                              prof.b[:, js, None], r)
                 if counts is not None:
                     counts[js] += np.count_nonzero(ev, axis=1)
-                found = vectors[ev].astype(np.intp)
-                if size + len(found) > _SWEEP_CHUNK:
-                    _fold(windows, hits, width)
-                    hits, size = [], 0
-                hits.append(found)
-                size += len(found)
-    _fold(windows, hits, width)
-    return windows
+                np.add.at(tally, vectors[ev].astype(np.intp), np.int32(1))
+    hit = np.flatnonzero(tally)
+    for lo in range(0, len(hit), _SWEEP_CHUNK):
+        idx = hit[lo:lo + _SWEEP_CHUNK]
+        packed = idx.astype(np.uint64)[None]
+        yield packed[0].tolist(), tally[idx], _occurring(prof, r, packed)
 
 
 def _patterns(flip, free, r):
@@ -392,22 +373,6 @@ def _submasks(mask, r):
         mask ^= bit
         out = np.concatenate((out, out[np.bitwise_count(out) < r] | np.uint64(bit)))
     return out
-
-
-def _fold(windows, hits, width):
-    """Count the vectors in the arrays ``hits`` into their windows' tallies."""
-    if not hits:
-        return
-    hits = np.concatenate(hits)
-    window = hits // width
-    for w in np.flatnonzero(np.bincount(window)).tolist():
-        start = w * width
-        tally = np.bincount(hits[window == w] - start, minlength=width)
-        if start in windows:
-            offsets, per_vector = windows[start]
-            tally[offsets] += per_vector
-        offsets = np.flatnonzero(tally)
-        windows[start] = offsets, tally[offsets]
 
 
 def _sampled_chunks(m, words, size, seed, trials):

@@ -131,6 +131,21 @@ def test_graph_verify_takes_any_lambda(tmp_path, capsys):
     assert json.loads(stdout)["report"]["violating_pairs"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "c.json", "--n", "5", "--lambda", "2"],
+    ["proofcheck", "c.json", "--n", "5", "--lambda", "2"],
+    ["proofcheck", "c.json", "--graph", "g5.json"],
+])
+def test_ground_set_mismatch_is_a_usage_error(tmp_path, capsys, monkeypatch, argv):
+    # c.json covers 4 vertices; every command refuses a 5-vertex target alike.
+    monkeypatch.chdir(tmp_path)
+    _write("c.json", serialize_covering(code_to_covering(even_weight_code(4), 4)))
+    (tmp_path / "g5.json").write_text(serialize_graph(random_graph(5, 0.5, 1)))
+    code, stdout, err = run(capsys, *argv)
+    assert (code, stdout) == (2, "")
+    assert "covering on 4 vertices" in err
+
+
 def test_verify_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -192,8 +207,10 @@ def test_proofcheck_command(tmp_path, capsys):
     assert json.loads(stdout)["covering_valid"] is False
 
 
+# gv at n = 2040, lambda = 5 has 20 blocks, the exhaustive limit.
 @pytest.mark.parametrize("method,n,lam,blocks", [("bch", 2048, 4, 16),
-                                                 ("even-weight", 8192, 2, 14)])
+                                                 ("even-weight", 8192, 2, 14),
+                                                 ("gv", 2040, 5, 20)])
 def test_exhaustive_proofcheck_at_large_n(tmp_path, capsys, method, n, lam, blocks):
     out = tmp_path / "c.json"
     code, _, _ = run(capsys, "construct", "--n", str(n), "--lambda", str(lam),

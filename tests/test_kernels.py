@@ -13,7 +13,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bicover import covering, diagnostics, graphs
@@ -440,8 +440,12 @@ def shared_support_coverings(draw):
     """
     n = draw(st.one_of(st.integers(1, 40), st.integers(30, 40)))
     m = draw(st.one_of(st.integers(0, 16), st.integers(12, 16)))
-    isolated = draw(st.booleans())
-    rng = random.Random(draw(st.integers(0, 2**32)))
+    return shared_support_covering(n, m, draw(st.booleans()),
+                                   draw(st.integers(0, 2**32)))
+
+
+def shared_support_covering(n, m, isolated, seed):
+    rng = random.Random(seed)
     pool = ([(1 << m) - 1] + [rng.getrandbits(m) for _ in range(rng.randint(0, 3))]
             + [0] * isolated)
     sides = np.zeros((2, n + 1, m), dtype=np.uint8)
@@ -453,9 +457,13 @@ def shared_support_coverings(draw):
     return Covering._packed(sides)
 
 
+# The drawn coverings stop at m = 16; the examples reach the tally's largest
+# sizes, m = 17 and the exhaustive limit m = 20.
 @settings(PROPERTY, max_examples=40)
 @given(cov=shared_support_coverings(), lam=st.integers(1, 8),
        seed=st.integers(0, 2**32))
+@example(cov=shared_support_covering(12, 17, True, 5), lam=5, seed=1)
+@example(cov=shared_support_covering(6, 20, False, 5), lam=8, seed=3)
 def test_event_enumeration_matches_chunked_sweep(cov, lam, seed):
     # r = (lam - 1) // 2 runs from 0 to 3; the overlap check gets understated
     # alphas, so that occupancy violations occur.
