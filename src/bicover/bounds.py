@@ -73,7 +73,7 @@ def upper_even_weight(n):
     """Capacity n*(ceil(log n) + 1) reached by the even-weight code (distance 2)."""
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
-    return n * codes.FAMILIES["even-weight"].plan(n, 2)[0]
+    return n * codes.FAMILIES["even-weight"](n, 2)[0]
 
 
 def upper_gv(n, lam):

@@ -25,9 +25,6 @@ from .errors import (BicoverError, BudgetExhausted, DomainError,
 SCHEMA_VERSION = 1
 EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 
-METHODS = ("even-weight", "gv", "bch", "hadamard", "balanced", "coloring")
-
-
 def _positive_int(text):
     """argparse type: a positive integer, so that bad values exit with the usage code."""
     try:
@@ -158,9 +155,18 @@ def _read_graph(args):
     return g
 
 
+def _hadamard_guarantee(n, lam):
+    if n & (n - 1):
+        raise DomainError(f"hadamard construction needs n a power of 2, got {n}")
+    if lam > n // 2:
+        raise DomainError(f"hadamard covering of {n} vertices guarantees lambda = {n // 2}")
+    return n // 2
+
+
 def _balanced_guarantee(n, lam):
     if n % 2:
         raise DomainError(f"balanced construction needs even n, got {n}")
+    covering.balanced_block_count(n)  # refuses an oversize n before the binomial
     guaranteed = comb(n - 2, n // 2 - 1)
     if lam > guaranteed:
         raise DomainError(
@@ -168,27 +174,38 @@ def _balanced_guarantee(n, lam):
     return guaranteed
 
 
-def _code_method(name, fam):
-    """A code family's covering: a block per nonconstant row of its first n words."""
+def _code_size(code):
+    return {"k": code.length, "words": len(code)}
+
+
+def _code_method(family, guarantee, params=_code_size):
+    """The row of a code family's covering, a block per nonconstant row of
+    its first n words; ``params(code)`` is what construct reports."""
     def capacity(n, lam):
-        code = codes.build_code(name, n, lam)
+        code = codes.build_code(family, n, lam)
         return n * (code.length - len(covering.degenerate_rows(code, n)))
 
     def build(n, lam):
-        code = codes.build_code(name, n, lam)
-        return covering.code_to_covering(code, n), fam.params(code)
-    return fam.guarantee, capacity, build
+        code = codes.build_code(family, n, lam)
+        return covering.code_to_covering(code, n), params(code)
+    return guarantee, capacity, build
 
 
 # construct's (n, lambda) methods as (guarantee, capacity, build), in the
-# sweep's tie-break order; ``capacity`` builds no covering.
+# sweep's tie-break order.  ``guarantee`` gives the promised lambda and
+# raises where the method refuses; ``capacity`` builds no covering.
 _METHODS = {
-    **{fam.method: _code_method(name, fam)
-       for name, fam in codes.FAMILIES.items() if fam.method},
+    "even-weight": _code_method("even-weight", lambda n, lam: 2),
+    "bch": _code_method("extended-bch", lambda n, lam: 2 * ((lam + 1) // 2),
+                        lambda code: {**_code_size(code), "method": code.method}),
+    "gv": _code_method("gv", lambda n, lam: lam),
+    "hadamard": _code_method("hadamard", _hadamard_guarantee,
+                             lambda code: {"m": code.length.bit_length() - 1}),
     "balanced": (_balanced_guarantee,
                  lambda n, lam: n * covering.balanced_block_count(n),
                  lambda n, lam: (covering.balanced_bipartitions_covering(n), {})),
 }
+METHODS = (*_METHODS, "coloring")
 # Reached through codes.build_code; named so that bench/spans.py, which wraps
 # the module functions this module names, times the even-weight code alone.
 _TRACED_BUILDERS = (codes.even_weight_code,)
@@ -344,7 +361,7 @@ def _sweep_row(n, lam, c, exact_max_n, node_limit):
         try:
             guarantee(n, lam)
             cap = capacity(n, lam)
-        except (BicoverError, ValueError):
+        except BicoverError:
             continue
         if best is None or cap < best[1]:
             best = (method, cap)

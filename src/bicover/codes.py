@@ -14,7 +14,6 @@ order on the 0/1 strings.
 from __future__ import annotations
 
 import json
-from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cache
 from math import comb
@@ -423,39 +422,17 @@ def _hadamard(n, lam, k_max=None):
     return 1 << m, lambda: hadamard_code(m)
 
 
-def _hadamard_guarantee(n, lam):
-    if n & (n - 1):
-        raise DomainError(f"hadamard construction needs n a power of 2, got {n}")
-    if lam > n // 2:
-        raise DomainError(f"hadamard covering of {n} vertices guarantees lambda = {n // 2}")
-    return n // 2
-
-
-@dataclass(frozen=True)
-class Family:
-    """A code family: ``plan(n, lam, k_max)`` is (length, build) for n words at
-    distance lam, build() giving the code, and raises DomainError or
-    NoConstruction where the family does not apply (only a plan that
-    ``scans`` reads ``k_max``).  ``construct --method <method>`` promises
-    ``guarantee(n, lam)``, raising where it refuses, and reports ``params``."""
-
-    method: str | None
-    plan: Callable
-    guarantee: Callable
-    params: Callable = lambda code: {"k": code.length, "words": len(code)}
-    scans: bool = False
-
-
-# The construction table, in tie-break priority order.
+# The construction table: family name -> plan(n, lam, k_max), which gives
+# (length, build) for n words at distance lam, build() making the code, and
+# raises DomainError or NoConstruction where the family does not apply.
+# Ties go to the earlier entry; the greedy scan comes last, as only it reads
+# k_max, the length it has to beat.
 FAMILIES = {
-    "even-weight": Family("even-weight", _even_weight, lambda n, lam: 2),
-    "repetition": Family(None, _repetition, lambda n, lam: lam),
-    "extended-bch": Family(
-        "bch", _extended_bch, lambda n, lam: 2 * ((lam + 1) // 2),
-        lambda code: {"k": code.length, "words": len(code), "method": code.method}),
-    "gv": Family("gv", _gv, lambda n, lam: lam, scans=True),
-    "hadamard": Family("hadamard", _hadamard, _hadamard_guarantee,
-                       lambda code: {"m": code.length.bit_length() - 1}),
+    "even-weight": _even_weight,
+    "repetition": _repetition,
+    "extended-bch": _extended_bch,
+    "hadamard": _hadamard,
+    "gv": _gv,
 }
 
 
@@ -469,9 +446,9 @@ def k_best(n, lam):
     if n < 2 or lam < 1:
         raise DomainError(f"need n >= 2 and lam >= 1, got n={n}, lam={lam}")
     best = None
-    for name, fam in sorted(FAMILIES.items(), key=lambda item: item[1].scans):
+    for name, plan in FAMILIES.items():
         try:
-            k, _ = fam.plan(n, lam, None if best is None else best[0] - 1)
+            k, _ = plan(n, lam, None if best is None else best[0] - 1)
         except (DomainError, NoConstruction):
             continue
         if best is None or k < best[0]:
@@ -483,4 +460,4 @@ def build_code(method, n, lam):
     """Materialize a code for (n, lam) by family name, as chosen by k_best."""
     if method not in FAMILIES:
         raise DomainError(f"unknown construction method {method!r}")
-    return FAMILIES[method].plan(n, lam)[1]()
+    return FAMILIES[method](n, lam)[1]()

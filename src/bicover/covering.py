@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 
 import numpy as np
@@ -397,9 +397,18 @@ def hadamard_covering(m):
 
 
 def balanced_block_count(n):
-    """Block count C(n, n/2)/2 of balanced_bipartitions_covering(n), within its cap."""
+    """Block count C(n, n/2)/2 of balanced_bipartitions_covering(n), within its cap.
+
+    C(n, n/2) is the largest of the n + 1 binomials that sum to 2^n, so the
+    count is at least 2^(n-1)/(n+1); an n where that exceeds the cap is
+    refused before the binomial, which at large n is slow to compute and
+    too long to print.
+    """
     if n < 2 or n % 2:
         raise DomainError(f"ground-set size must be even and >= 2, got {n}")
+    if 1 << (n - 1) > BALANCED_BLOCK_CAP * (n + 1):
+        raise SizeLimitExceeded(
+            f"C({n}, {n // 2})/2 blocks exceed the cap of {BALANCED_BLOCK_CAP}")
     count = comb(n, n // 2) // 2
     if count > BALANCED_BLOCK_CAP:
         raise SizeLimitExceeded(
@@ -410,16 +419,19 @@ def balanced_block_count(n):
 def balanced_bipartitions_covering(n):
     """One block per unordered bipartition of 1..n into two halves of size n/2.
 
-    Separates every pair exactly C(n-2, n/2-1) times; capacity n*C(n, n/2)/2,
-    again matching the edge-count lower bound with equality.
+    Block i puts vertex 1 and the i-th (n/2 - 1)-subset of 2..n, in
+    ``combinations`` order, on the left.  Separates every pair exactly
+    C(n-2, n/2-1) times; capacity n*C(n, n/2)/2, again matching the
+    edge-count lower bound with equality.
     """
-    balanced_block_count(n)
-    ground = frozenset(range(1, n + 1))
-    blocks = []
-    for rest in combinations(range(2, n + 1), n // 2 - 1):
-        left = frozenset((1,) + rest)
-        blocks.append(BipartiteBlock(left, ground - left))
-    return Covering(n, blocks)
+    count, half = balanced_block_count(n), n // 2 - 1
+    # Row v-1 of the (n x count) matrix is vertex v: 0 on the left, 1 on the right.
+    left = np.fromiter(chain.from_iterable(combinations(range(1, n), half)),
+                       dtype=np.intp, count=count * half).reshape(count, half)
+    bits = np.ones((n, count), dtype=np.uint8)
+    bits[0] = 0
+    bits[left, np.arange(count)[:, None]] = 0
+    return _split_by_bits(bits)
 
 
 def covering_sum(a, b):

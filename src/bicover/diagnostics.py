@@ -16,7 +16,6 @@ import random
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from itertools import islice
 
 import numpy as np
@@ -44,20 +43,6 @@ class EventProfile:
     a: np.ndarray
     b: np.ndarray
     x: tuple         # total blocks containing each vertex
-
-    @cached_property
-    def a_masks(self):
-        """Left-side masks as Python ints: bit i set iff vertex j+1 is left in block i+1."""
-        return _as_ints(self.a)
-
-    @cached_property
-    def b_masks(self):
-        return _as_ints(self.b)
-
-
-def _as_ints(words):
-    return tuple(int.from_bytes(col.astype("<u8").tobytes(), "little")
-                 for col in words.T)
 
 
 def event_profile(cov, lam):

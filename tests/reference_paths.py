@@ -4,9 +4,10 @@ Each function here is the straightforward loop the library once ran: one
 Python-int bitmask per vertex, one pair or one selection vector at a time,
 one codeword or one ball mask at a time, one relabeled block tuple at a
 time, one first-fit clique class per vertex, one frozenset pair per block,
-one exact tail Fraction per vertex.  ``chunked_sweep`` is a second
-reference for the diagnostic sweeps: the chunked numpy sweep over all 2^m
-vectors that the library ran before it enumerated each vertex's events.
+one exact tail Fraction per vertex, one frozenset block per balanced
+bipartition.  ``chunked_sweep`` is a second reference for the diagnostic
+sweeps: the chunked numpy sweep over all 2^m vectors that the library ran
+before it enumerated each vertex's events.
 ``BbmcSolver`` is a second reference for the per-vertex independence
 numbers: the class-by-class bitmask solver the library ran, one search per
 vertex, before it settled all of them in one shared search.
@@ -208,19 +209,24 @@ def serialize_covering(cov):
     })
 
 
-def event_occurs(prof, j, v, r):
+def profile_masks(prof):
+    """A profile's (left, right) masks as Python ints, one per vertex: bit i
+    of entry j is set iff vertex j+1 is on that side of block i+1."""
+    return tuple(tuple(int.from_bytes(col.astype("<u8").tobytes(), "little")
+                       for col in words.T) for words in (prof.a, prof.b))
+
+
+def event_occurs(masks, j, v, r):
     """Vertex j+1's near-match event: at most r of its blocks disagree with v."""
-    hits = (v & prof.a_masks[j]).bit_count() + (~v & prof.b_masks[j]).bit_count()
-    return hits <= r
+    a, b = masks
+    return (v & a[j]).bit_count() + (~v & b[j]).bit_count() <= r
 
 
-def matching_vertices(prof, v):
+def matching_vertices(masks, v):
     """Vertices whose blocks all read their side's bit from v (exact match)."""
-    out = []
-    for j in range(prof.n):
-        if (v & prof.a_masks[j]) == 0 and (v & prof.b_masks[j]) == prof.b_masks[j]:
-            out.append(j + 1)
-    return out
+    a, b = masks
+    return [j + 1 for j in range(len(a))
+            if (v & a[j]) == 0 and (v & b[j]) == b[j]]
 
 
 def _sweep(prof, mode, seed, trials):
@@ -253,9 +259,9 @@ def _disjointness_exhaustive(prof):
     vecs = np.arange(1 << m, dtype=np.uint32)
     occ = np.zeros(1 << m, dtype=np.uint32)
     violations = []
+    masks = profile_masks(prof)
     for j in range(prof.n):
-        a = np.uint32(prof.a_masks[j])
-        b = np.uint32(prof.b_masks[j])
+        a, b = (np.uint32(side[j]) for side in masks)
         hits = np.bitwise_count(vecs & a) + np.bitwise_count(~vecs & b)
         ev = hits <= r
         occ += ev
@@ -265,7 +271,7 @@ def _disjointness_exhaustive(prof):
     doubles = np.nonzero(occ >= 2)[0]
     for v in doubles[:10]:
         events = [j + 1 for j in range(prof.n)
-                  if event_occurs(prof, j, int(v), r)]
+                  if event_occurs(masks, j, int(v), r)]
         violations.append(("double-occurrence", int(v), events))
     return DiagnosticReport(
         "event-disjointness", "exhaustive", ok=not violations,
@@ -274,12 +280,13 @@ def _disjointness_exhaustive(prof):
 
 
 def _disjointness_sampled(prof, seed, trials):
+    masks = profile_masks(prof)
     rng = random.Random(seed)
     violations = []
     for _ in range(trials):
         v = rng.getrandbits(prof.m) if prof.m else 0
         occurring = [j + 1 for j in range(prof.n)
-                     if event_occurs(prof, j, v, prof.r)]
+                     if event_occurs(masks, j, v, prof.r)]
         if len(occurring) > 1 and len(violations) < 10:
             violations.append(("double-occurrence", v, occurring))
     return DiagnosticReport(
@@ -292,9 +299,10 @@ def event_overlap(prof, alphas, mode="exhaustive", seed=0, trials=100_000):
     total = sum((Fraction(1, (1 << xj) * alphas[j]) for j, xj in enumerate(prof.x)),
                 Fraction(0))
     sweep, trials_out = _sweep(prof, mode, seed, trials)
+    masks = profile_masks(prof)
     violations = []
     for v in sweep:
-        occurring = matching_vertices(prof, v)
+        occurring = matching_vertices(masks, v)
         for j in occurring:
             if len(occurring) > alphas[j - 1]:
                 violations.append(("occupancy", v, j, len(occurring)))
@@ -309,9 +317,10 @@ def event_overlap(prof, alphas, mode="exhaustive", seed=0, trials=100_000):
 def independent_event_sets(prof, g, mode="exhaustive", seed=0, trials=100_000):
     """The independent-set sweep, without the validity check."""
     sweep, trials_out = _sweep(prof, mode, seed, trials)
+    masks = profile_masks(prof)
     violations = []
     for v in sweep:
-        occurring = matching_vertices(prof, v)
+        occurring = matching_vertices(masks, v)
         edge = _first_adjacent_pair(g, occurring)
         if edge is not None:
             violations.append(("adjacent-pair", v) + edge)
@@ -569,6 +578,28 @@ def hadamard_covering(m):
     return Covering(n, blocks)
 
 
+def balanced_block_count(n):
+    """C(n, n/2)/2, refused above the library's block cap."""
+    if n < 2 or n % 2:
+        raise DomainError(f"ground-set size must be even and >= 2, got {n}")
+    count = comb(n, n // 2) // 2
+    if count > covering.BALANCED_BLOCK_CAP:
+        raise SizeLimitExceeded(
+            f"{count} blocks exceed the cap of {covering.BALANCED_BLOCK_CAP}")
+    return count
+
+
+def balanced_bipartitions_covering(n):
+    """One frozenset block per bipartition of 1..n into halves, vertex 1 left."""
+    balanced_block_count(n)
+    ground = frozenset(range(1, n + 1))
+    blocks = []
+    for rest in combinations(range(2, n + 1), n // 2 - 1):
+        left = frozenset((1,) + rest)
+        blocks.append(BipartiteBlock(left, ground - left))
+    return Covering(n, blocks)
+
+
 def balanced(n, lam):
     """Guaranteed lambda and capacity n*C(n, n/2)/2 of the balanced covering."""
     if n % 2:
@@ -577,7 +608,7 @@ def balanced(n, lam):
     if lam > guaranteed:
         raise DomainError(
             f"balanced covering of {n} vertices guarantees lambda = {guaranteed}")
-    return guaranteed, n * covering.balanced_block_count(n)
+    return guaranteed, n * balanced_block_count(n)
 
 
 def build_covering(method, n, lam, graph=None):
@@ -613,7 +644,7 @@ def build_covering(method, n, lam, graph=None):
         return hadamard_covering(m), guaranteed, {"m": m}
     if method == "balanced":
         guaranteed, _ = balanced(n, lam)
-        return covering.balanced_bipartitions_covering(n), guaranteed, {}
+        return balanced_bipartitions_covering(n), guaranteed, {}
     if method == "coloring":
         if graph is None:
             raise DomainError("the coloring method needs --graph")

@@ -377,6 +377,25 @@ def test_balanced_applicability():
     assert _sweep_row(6, 7, None, 4, 1000)["best_construction"] != "balanced"
 
 
+def test_balanced_refuses_huge_n_before_any_binomial(tmp_path, capsys,
+                                                   monkeypatch):
+    # C(100000, 50000)/2 has more digits than Python prints from an int.
+    out = tmp_path / "c.json"
+    code, stdout, err = run(capsys, "construct", "--method", "balanced", "--n",
+                            "100000", "--lambda", "1", "--out", str(out))
+    assert (code, stdout) == (1, "") and not out.exists()
+    assert err == "error: C(100000, 50000)/2 blocks exceed the cap of 1048576\n"
+
+    def no_binomial(*args):
+        raise AssertionError("binomial computed")
+    monkeypatch.setattr("bicover.cli.comb", no_binomial)
+    monkeypatch.setattr("bicover.covering.comb", no_binomial)
+    for n in (26, 100000):
+        with pytest.raises(SizeLimitExceeded):
+            _balanced(n, 1)
+    assert _sweep_row(100000, 1, None, 4, 1000)["best_construction"] == "gv"
+
+
 def test_sweep_lists_skip_empty_items_and_keep_n_1_semantic(capsys):
     code, stdout, _ = run(capsys, "sweep", "--n-list", "2,4,", "--lambda-list", "1")
     assert code == 0 and len(json.loads(stdout)["rows"]) == 2

@@ -27,8 +27,9 @@ def test_event_profile():
     prof = event_profile(K3_COVER, 1)
     assert prof.x == (1, 2, 2)
     assert prof.r == 0
-    assert prof.a_masks == (0b01, 0b10, 0)
-    assert prof.b_masks == (0, 0b01, 0b11)
+    assert prof.a.tolist() == [[0b01, 0b10, 0]]
+    assert prof.b.tolist() == [[0, 0b01, 0b11]]
+    assert reference_paths.profile_masks(prof) == ((0b01, 0b10, 0), (0, 0b01, 0b11))
 
 
 def test_tail_sum_boundaries():
@@ -148,9 +149,9 @@ def test_independent_event_sets():
 
 def test_independent_event_sets_complete_graph_singletons():
     cov = code_to_covering(greedy_gv_code(3, 1, 8), 8)
-    prof = event_profile(cov, 1)
-    for v in range(1 << prof.m):
-        assert len(reference_paths.matching_vertices(prof, v)) <= 1
+    masks = reference_paths.profile_masks(event_profile(cov, 1))
+    for v in range(1 << cov.m):
+        assert len(reference_paths.matching_vertices(masks, v)) <= 1
     assert check_independent_event_sets(cov, complete_graph(8)).ok
 
 

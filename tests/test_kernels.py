@@ -1,8 +1,9 @@
-"""The fast kernels (the packed covering builders, parser and serializer,
-verify and its MacWilliams path, the diagnostic sweeps and tail sums, the
-greedy code scan, min_distance, degenerate_rows, the exact search's
-canonical check, the independent-set solver, the graph parser and the
-graph's adjacency masks) agree exactly with the Python reference paths."""
+"""The fast kernels (the packed covering builders, balanced bipartitions
+among them, the parser and serializer, verify and its MacWilliams path, the
+diagnostic sweeps and tail sums, the greedy code scan, min_distance,
+degenerate_rows, the exact search's canonical check, the independent-set
+solver, the graph parser and the graph's adjacency masks) agree exactly
+with the Python reference paths."""
 
 import json
 import random
@@ -316,6 +317,22 @@ def test_code_to_covering_matches_reference(length, count, seed, data):
     n = data.draw(st.integers(0, len(words) + 1))
     assert_same_outcome(code_to_covering, reference_paths.code_to_covering,
                         code, n)
+
+
+@pytest.mark.parametrize("n", range(2, 19, 2))
+def test_balanced_bipartitions_match_reference(n):
+    assert serialize_covering(covering.balanced_bipartitions_covering(n)) == (
+        reference_paths.serialize_covering(
+            reference_paths.balanced_bipartitions_covering(n)))
+
+
+def test_balanced_bipartitions_at_20():
+    # C(20, 10)/2 = 92378 blocks, each pair separated C(18, 9) times.
+    cov = covering.balanced_bipartitions_covering(20)
+    report = verify(cov, 20, 1)
+    assert report.min_multiplicity == comb(18, 9) == 48620
+    assert report.histogram == {48620: comb(20, 2)}
+    assert capacity(cov) == 20 * 92378
 
 
 @PROPERTY
