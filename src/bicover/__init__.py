@@ -21,11 +21,10 @@ from .covering import (BipartiteBlock, CoverageReport, Covering,
                        code_to_covering, coloring_to_covering, covering_sum,
                        degenerate_rows, hadamard_covering, incidence_counts,
                        parse_covering, serialize_covering, verify)
-from .diagnostics import (DiagnosticReport, EventProfile,
-                          check_convex_tail_bound, check_convexity,
-                          check_event_disjointness, check_event_overlap,
-                          check_independent_event_sets, check_tail_sum,
-                          event_profile)
+from .diagnostics import (DiagnosticReport, check_convex_tail_bound,
+                          check_convexity, check_event_disjointness,
+                          check_event_overlap, check_independent_event_sets,
+                          check_tail_sum)
 from .exact import SearchBudget, exact_cap
 from .graphs import (Graph, alpha_per_vertex, complete_graph, degrees,
                      empty_graph, greedy_coloring, parse_graph, random_graph,

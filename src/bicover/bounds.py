@@ -63,8 +63,7 @@ def alpha_lower(g, alphas=None, limit=None):
     ``alphas`` to skip the exact solve; ``limit`` is forwarded to it.
     """
     if alphas is None:
-        kwargs = {} if limit is None else {"limit": limit}
-        alphas = alpha_per_vertex(g, **kwargs)
+        alphas = alpha_per_vertex(g, limit)
     n = g.n
     return sum(log2(n / a) for a in alphas)
 

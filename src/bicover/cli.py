@@ -309,10 +309,8 @@ def _cmd_exact(args):
 def _cmd_proofcheck(args):
     cov = covering.parse_covering(_read(args.path))
     args.exhaustive = not args.sampled  # the echoed config follows the mode
-    mode = "exhaustive" if args.exhaustive else "sampled"
-    kwargs = {"mode": mode}
-    if args.sampled:
-        kwargs.update(seed=args.seed, trials=args.trials)
+    kwargs = {"mode": "exhaustive" if args.exhaustive else "sampled",
+              "seed": args.seed, "trials": args.trials}
     checks = []
     if args.graph is not None:
         g = _read_graph(args)

@@ -402,9 +402,10 @@ def _extended_bch(n, lam, k_max=None):
 def _gv(n, lam, k_max=None):
     """The shortest length (up to k_max) whose greedy scan reaches n words.
     Lengths with 2^k < n * V(k, floor((lam-1)/2)) are skipped: by the
-    sphere-packing bound no code of that length holds n words."""
+    sphere-packing bound no code of that length holds n words.  The skip
+    stops at the scan cap, so no ball past it is ever sized."""
     k = max((n - 1).bit_length(), lam, 1)
-    while (1 << k) < n * ball_volume(k, (lam - 1) // 2):
+    while (1 << k) <= SCAN_CAP and (1 << k) < n * ball_volume(k, (lam - 1) // 2):
         k += 1
     while (1 << k) <= SCAN_CAP and (k_max is None or k <= k_max):
         try:

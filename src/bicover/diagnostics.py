@@ -28,29 +28,6 @@ from .graphs import alpha_per_vertex
 EXHAUSTIVE_BLOCK_LIMIT = 20
 
 
-@dataclass(frozen=True, eq=False)
-class EventProfile:
-    """Per-vertex block incidence split by side, plus the tail threshold r.
-
-    ``a`` and ``b`` are the covering's packed left and right masks without
-    the unused column 0, so column j belongs to vertex j+1 (see
-    ``covering.Covering``).
-    """
-
-    n: int
-    m: int
-    r: int
-    a: np.ndarray
-    b: np.ndarray
-    x: tuple         # total blocks containing each vertex
-
-
-def event_profile(cov, lam):
-    return EventProfile(
-        n=cov.n, m=cov.m, r=(lam - 1) // 2, a=cov.left[:, 1:],
-        b=cov.right[:, 1:], x=tuple(incidence_counts(cov)))
-
-
 @dataclass
 class DiagnosticReport:
     check: str
@@ -98,9 +75,9 @@ def check_tail_sum(cov, lam):
     for a valid covering, so their probabilities sum to at most 1.
     """
     _require_valid(cov, cov.n, lam, "tail sum")
-    prof = event_profile(cov, lam)
-    total = sum((k * binom_tail_p(xj, prof.r) for xj, k in Counter(prof.x).items()),
-                Fraction(0))
+    r = (lam - 1) // 2
+    total = sum((k * binom_tail_p(xj, r)
+                 for xj, k in Counter(incidence_counts(cov)).items()), Fraction(0))
     return DiagnosticReport("tail-sum", "exact", ok=total <= 1, sum=total)
 
 
@@ -115,16 +92,16 @@ def check_event_disjointness(cov, lam, mode="exhaustive", seed=0,
     sampled mode draws seeded vectors and reports observed violations only.
     """
     _require_valid(cov, cov.n, lam, "event disjointness")
-    return _disjointness(event_profile(cov, lam), mode, seed, trials)
+    return _disjointness(cov, (lam - 1) // 2, mode, seed, trials)
 
 
-def _disjointness(prof, mode, seed, trials):
+def _disjointness(cov, r, mode, seed, trials):
     # Only the exhaustive mode counts each event for the recount.
-    counts = np.zeros(prof.n, dtype=np.int64) if mode == "exhaustive" else None
+    counts = np.zeros(cov.n, dtype=np.int64) if mode == "exhaustive" else None
     doubles = []
     double_count = 0
-    for vectors, per_vector, occurring in _sweep(prof, prof.r, mode, seed,
-                                                 trials, counts=counts):
+    for vectors, per_vector, occurring in _sweep(cov, r, mode, seed, trials,
+                                                 counts=counts):
         multi = np.nonzero(per_vector >= 2)[0]
         double_count += len(multi)
         doubles += [("double-occurrence", vectors[k], occurring(k))
@@ -133,16 +110,16 @@ def _disjointness(prof, mode, seed, trials):
         return DiagnosticReport(
             "event-disjointness", mode, ok=not doubles,
             violations=tuple(doubles), trials=trials)
-    expected = {xj: binom_tail_p(xj, prof.r) * (1 << prof.m)
-                for xj in dict.fromkeys(prof.x)}
+    x = incidence_counts(cov)
+    expected = {xj: binom_tail_p(xj, r) * (1 << cov.m) for xj in dict.fromkeys(x)}
     violations = [("probability-mismatch", j + 1, count)
                   for j, count in enumerate(counts.tolist())
-                  if count != expected[prof.x[j]]]
+                  if count != expected[x[j]]]
     violations += doubles
     return DiagnosticReport(
         "event-disjointness", mode, ok=not violations,
         violations=tuple(violations),
-        details={"vectors": 1 << prof.m, "double_occurrences": double_count})
+        details={"vectors": 1 << cov.m, "double_occurrences": double_count})
 
 
 def check_convex_tail_bound(cov, lam):
@@ -155,12 +132,12 @@ def check_convex_tail_bound(cov, lam):
     if r < 1:
         raise DomainError(f"convex tail bound needs lam >= 3, got lam = {lam}")
     _require_valid(cov, cov.n, lam, "convex tail bound")
-    prof = event_profile(cov, lam)
-    tally = Counter(prof.x)
+    x = incidence_counts(cov)
+    tally = Counter(x)
     surrogate = {xj: Fraction(xj, r) ** r / (1 << xj) for xj in tally}
     total = sum((k * surrogate[xj] for xj, k in tally.items()), Fraction(0))
     below = {xj for xj in tally if binom_tail_p(xj, r) < surrogate[xj]}
-    violations = tuple(("pointwise", j + 1, xj) for j, xj in enumerate(prof.x)
+    violations = tuple(("pointwise", j + 1, xj) for j, xj in enumerate(x)
                        if xj in below)
     return DiagnosticReport(
         "convex-tail-bound", "exact", ok=total <= 1 and not violations,
@@ -205,12 +182,10 @@ def check_event_overlap(cov, g, alphas=None, mode="exhaustive", seed=0,
     """
     _require_valid(cov, g, 1, "event overlap")
     if alphas is None:
-        kwargs = {} if limit is None else {"limit": limit}
-        alphas = alpha_per_vertex(g, **kwargs)
-    prof = event_profile(cov, 1)
-    total = sum((Fraction(1, (1 << xj) * alphas[j]) for j, xj in enumerate(prof.x)),
-                Fraction(0))
-    chunks = _sweep(prof, 0, mode, seed, trials)
+        alphas = alpha_per_vertex(g, limit)
+    total = sum((Fraction(1, (1 << xj) * alphas[j])
+                 for j, xj in enumerate(incidence_counts(cov))), Fraction(0))
+    chunks = _sweep(cov, 0, mode, seed, trials)
     # A vector can only break occupancy when its events outnumber some alpha.
     violations = []
     for v, occurring in _occurring_sets(chunks, max(1, min(alphas) + 1)):
@@ -230,11 +205,11 @@ def check_independent_event_sets(cov, g, mode="exhaustive", seed=0,
                                  trials=100_000):
     """The vertices whose exact-match events occur form an independent set of g."""
     _require_valid(cov, g, 1, "independent event sets")
-    return _independent_sets(event_profile(cov, 1), g, mode, seed, trials)
+    return _independent_sets(cov, g, mode, seed, trials)
 
 
-def _independent_sets(prof, g, mode, seed, trials):
-    chunks = _sweep(prof, 0, mode, seed, trials)
+def _independent_sets(cov, g, mode, seed, trials):
+    chunks = _sweep(cov, 0, mode, seed, trials)
     found = ((v, _first_adjacent_pair(g, occurring))
              for v, occurring in _occurring_sets(chunks, 2))
     violations = tuple(islice(
@@ -258,7 +233,7 @@ _SWEEP_CHUNK = 1 << 14
 _WORD = (1 << 64) - 1
 
 
-def _sweep(prof, r, mode, seed, trials, counts=None):
+def _sweep(cov, r, mode, seed, trials, counts=None):
     """The selection vectors of one sweep, in order and in chunks, with their events.
 
     Vertex j's event occurs for a vector v when at most r of its block
@@ -286,21 +261,27 @@ def _sweep(prof, r, mode, seed, trials, counts=None):
     probability of event j: at most 2^m for a valid covering of K_n^lam
     and at most 2^m * max alpha_j for a valid graph covering.  Reading
     them back in order adds one scan of a 2^m-entry tally.
+
+    Both modes read the covering's packed masks without the unused column
+    0, so column j belongs to vertex j+1: ``support`` holds the blocks that
+    contain each vertex, ``side`` those where it is on the right.
     """
+    support, side = (cov.left | cov.right)[:, 1:], cov.right[:, 1:]
     if mode == "exhaustive":
-        if prof.m > EXHAUSTIVE_BLOCK_LIMIT:
+        if cov.m > EXHAUSTIVE_BLOCK_LIMIT:
             raise SizeLimitExceeded(
-                f"{prof.m} blocks exceed the exhaustive sweep limit "
+                f"{cov.m} blocks exceed the exhaustive sweep limit "
                 f"{EXHAUSTIVE_BLOCK_LIMIT}")
-        return _event_chunks(prof, r, counts)
+        return _event_chunks(support, side, cov.m, r, counts)
     if mode == "sampled":
-        words = len(prof.a)
+        words = len(side)
         size = max(1, _SWEEP_CHUNK // words)
-        return _tally(prof, r, _sampled_chunks(prof.m, words, size, seed, trials))
+        return _tally(support, side, r,
+                      _sampled_chunks(cov.m, words, size, seed, trials))
     raise DomainError(f"unknown mode {mode!r}")
 
 
-def _event_chunks(prof, r, counts):
+def _event_chunks(support, side, m, r, counts):
     """The event vectors in ascending order, _SWEEP_CHUNK per chunk.
 
     Vertices that share a support share their patterns D | F, which are
@@ -310,8 +291,7 @@ def _event_chunks(prof, r, counts):
     the exhaustive limit; its nonzero entries are the event vectors and how
     many events each one triggers.
     """
-    support = prof.a | prof.b
-    blocks = (1 << prof.m) - 1
+    blocks = (1 << m) - 1
     groups = defaultdict(list)
     for j, s in enumerate(support[0].tolist()):
         groups[s].append(j)
@@ -322,9 +302,9 @@ def _event_chunks(prof, r, counts):
             step = max(1, _SWEEP_CHUNK // len(patterns))
             for lo in range(0, len(members), step):
                 js = members[lo:lo + step]
-                vectors = prof.b[0, js, None] ^ patterns
+                vectors = side[0, js, None] ^ patterns
                 ev = _within(vectors[None], support[:, js, None],
-                             prof.b[:, js, None], r)
+                             side[:, js, None], r)
                 if counts is not None:
                     counts[js] += np.count_nonzero(ev, axis=1)
                 np.add.at(tally, vectors[ev].astype(np.intp), np.int32(1))
@@ -332,7 +312,7 @@ def _event_chunks(prof, r, counts):
     for lo in range(0, len(hit), _SWEEP_CHUNK):
         idx = hit[lo:lo + _SWEEP_CHUNK]
         packed = idx.astype(np.uint64)[None]
-        yield packed[0].tolist(), tally[idx], _occurring(prof, r, packed)
+        yield packed[0].tolist(), tally[idx], _occurring(support, side, r, packed)
 
 
 def _patterns(flip, free, r):
@@ -369,23 +349,20 @@ def _sampled_chunks(m, words, size, seed, trials):
                                  for w in range(words)], dtype=np.uint64)
 
 
-def _tally(prof, r, chunks):
+def _tally(support, side, r, chunks):
     # Vertex by vertex over a chunk of vectors: each step is a few
     # contiguous word operations, which beats one (vectors x vertices) block.
-    support = prof.a | prof.b
     for vectors, packed in chunks:
         per_vector = np.zeros(len(vectors), dtype=np.intp)
-        for j in range(prof.n):
-            per_vector += _within(packed, support[:, j], prof.b[:, j], r)
-        yield vectors, per_vector, _occurring(prof, r, packed)
+        for j in range(support.shape[1]):
+            per_vector += _within(packed, support[:, j], side[:, j], r)
+        yield vectors, per_vector, _occurring(support, side, r, packed)
 
 
-def _occurring(prof, r, packed):
+def _occurring(support, side, r, packed):
     """occurring(k): the sorted vertices whose events vector packed[:, k] triggers."""
-    support = prof.a | prof.b
-
     def occurring(k):
-        ev = _within(packed[:, k], support, prof.b, r)
+        ev = _within(packed[:, k], support, side, r)
         return (np.nonzero(ev)[0] + 1).tolist()
     return occurring
 

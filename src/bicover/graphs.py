@@ -216,14 +216,16 @@ class _AlphaSearch:
             cur ^= bit
 
 
-def alpha_per_vertex(g, limit=DEFAULT_EXACT_LIMIT):
+def alpha_per_vertex(g, limit=None):
     """Exact maximum independent-set size through each vertex.
 
     Entry i-1 is the size of a largest independent set of g containing
     vertex i.  One search over the whole graph settles all n values: a set
     it finds raises the value of each of its members, and a subtree is cut
-    once it cannot raise any.  Raises SizeLimitExceeded when g.n > limit.
+    once it cannot raise any.  Raises SizeLimitExceeded when g.n > limit
+    (DEFAULT_EXACT_LIMIT when limit is None).
     """
+    limit = DEFAULT_EXACT_LIMIT if limit is None else limit
     if g.n > limit:
         raise SizeLimitExceeded(
             f"exact independence numbers limited to n <= {limit}, got n = {g.n}")

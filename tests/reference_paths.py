@@ -209,11 +209,15 @@ def serialize_covering(cov):
     })
 
 
-def profile_masks(prof):
-    """A profile's (left, right) masks as Python ints, one per vertex: bit i
-    of entry j is set iff vertex j+1 is on that side of block i+1."""
-    return tuple(tuple(int.from_bytes(col.astype("<u8").tobytes(), "little")
-                       for col in words.T) for words in (prof.a, prof.b))
+def profile_masks(cov):
+    """The (left, right) masks as Python ints, one per vertex: bit i of
+    entry j is set iff vertex j+1 is on that side of block i+1."""
+    return tuple(tuple(side[1:]) for side in int_masks(cov))
+
+
+def _incidences(masks):
+    """Number of blocks containing each vertex, from its two masks."""
+    return [(a | b).bit_count() for a, b in zip(*masks)]
 
 
 def event_occurs(masks, j, v, r):
@@ -229,48 +233,49 @@ def matching_vertices(masks, v):
             if (v & a[j]) == 0 and (v & b[j]) == b[j]]
 
 
-def _sweep(prof, mode, seed, trials):
+def _sweep(cov, mode, seed, trials):
     if mode == "exhaustive":
-        if prof.m > EXHAUSTIVE_BLOCK_LIMIT:
+        if cov.m > EXHAUSTIVE_BLOCK_LIMIT:
             raise SizeLimitExceeded(
-                f"{prof.m} blocks exceed {EXHAUSTIVE_BLOCK_LIMIT}")
-        return range(1 << prof.m), None
+                f"{cov.m} blocks exceed {EXHAUSTIVE_BLOCK_LIMIT}")
+        return range(1 << cov.m), None
     if mode == "sampled":
         rng = random.Random(seed)
-        return (rng.getrandbits(prof.m) if prof.m else 0
+        return (rng.getrandbits(cov.m) if cov.m else 0
                 for _ in range(trials)), trials
     raise DomainError(f"unknown mode {mode!r}")
 
 
-def disjointness(prof, mode="exhaustive", seed=0, trials=100_000):
+def disjointness(cov, r, mode="exhaustive", seed=0, trials=100_000):
     """The event-disjointness sweep, without the covering validity check."""
     if mode == "exhaustive":
-        if prof.m > EXHAUSTIVE_BLOCK_LIMIT:
+        if cov.m > EXHAUSTIVE_BLOCK_LIMIT:
             raise SizeLimitExceeded(
-                f"{prof.m} blocks exceed {EXHAUSTIVE_BLOCK_LIMIT}")
-        return _disjointness_exhaustive(prof)
+                f"{cov.m} blocks exceed {EXHAUSTIVE_BLOCK_LIMIT}")
+        return _disjointness_exhaustive(cov, r)
     if mode == "sampled":
-        return _disjointness_sampled(prof, seed, trials)
+        return _disjointness_sampled(cov, r, seed, trials)
     raise DomainError(f"unknown mode {mode!r}")
 
 
-def _disjointness_exhaustive(prof):
-    m, r = prof.m, prof.r
+def _disjointness_exhaustive(cov, r):
+    m = cov.m
     vecs = np.arange(1 << m, dtype=np.uint32)
     occ = np.zeros(1 << m, dtype=np.uint32)
     violations = []
-    masks = profile_masks(prof)
-    for j in range(prof.n):
+    masks = profile_masks(cov)
+    x = _incidences(masks)
+    for j in range(cov.n):
         a, b = (np.uint32(side[j]) for side in masks)
         hits = np.bitwise_count(vecs & a) + np.bitwise_count(~vecs & b)
         ev = hits <= r
         occ += ev
         count = int(np.count_nonzero(ev))
-        if Fraction(count, 1 << m) != binom_tail_p(prof.x[j], r):
+        if Fraction(count, 1 << m) != binom_tail_p(x[j], r):
             violations.append(("probability-mismatch", j + 1, count))
     doubles = np.nonzero(occ >= 2)[0]
     for v in doubles[:10]:
-        events = [j + 1 for j in range(prof.n)
+        events = [j + 1 for j in range(cov.n)
                   if event_occurs(masks, j, int(v), r)]
         violations.append(("double-occurrence", int(v), events))
     return DiagnosticReport(
@@ -279,14 +284,14 @@ def _disjointness_exhaustive(prof):
         details={"vectors": 1 << m, "double_occurrences": int(len(doubles))})
 
 
-def _disjointness_sampled(prof, seed, trials):
-    masks = profile_masks(prof)
+def _disjointness_sampled(cov, r, seed, trials):
+    masks = profile_masks(cov)
     rng = random.Random(seed)
     violations = []
     for _ in range(trials):
-        v = rng.getrandbits(prof.m) if prof.m else 0
-        occurring = [j + 1 for j in range(prof.n)
-                     if event_occurs(masks, j, v, prof.r)]
+        v = rng.getrandbits(cov.m) if cov.m else 0
+        occurring = [j + 1 for j in range(cov.n)
+                     if event_occurs(masks, j, v, r)]
         if len(occurring) > 1 and len(violations) < 10:
             violations.append(("double-occurrence", v, occurring))
     return DiagnosticReport(
@@ -294,12 +299,12 @@ def _disjointness_sampled(prof, seed, trials):
         violations=tuple(violations), trials=trials)
 
 
-def event_overlap(prof, alphas, mode="exhaustive", seed=0, trials=100_000):
+def event_overlap(cov, alphas, mode="exhaustive", seed=0, trials=100_000):
     """The occupancy sweep and weighted sum, without the validity check."""
-    total = sum((Fraction(1, (1 << xj) * alphas[j]) for j, xj in enumerate(prof.x)),
-                Fraction(0))
-    sweep, trials_out = _sweep(prof, mode, seed, trials)
-    masks = profile_masks(prof)
+    masks = profile_masks(cov)
+    total = sum((Fraction(1, (1 << xj) * alphas[j])
+                 for j, xj in enumerate(_incidences(masks))), Fraction(0))
+    sweep, trials_out = _sweep(cov, mode, seed, trials)
     violations = []
     for v in sweep:
         occurring = matching_vertices(masks, v)
@@ -314,10 +319,10 @@ def event_overlap(prof, alphas, mode="exhaustive", seed=0, trials=100_000):
         sum=total, violations=tuple(violations), trials=trials_out)
 
 
-def independent_event_sets(prof, g, mode="exhaustive", seed=0, trials=100_000):
+def independent_event_sets(cov, g, mode="exhaustive", seed=0, trials=100_000):
     """The independent-set sweep, without the validity check."""
-    sweep, trials_out = _sweep(prof, mode, seed, trials)
-    masks = profile_masks(prof)
+    sweep, trials_out = _sweep(cov, mode, seed, trials)
+    masks = profile_masks(cov)
     violations = []
     for v in sweep:
         occurring = matching_vertices(masks, v)
@@ -339,7 +344,7 @@ def _first_adjacent_pair(g, vertices):
     return None
 
 
-def chunked_sweep(prof, r, mode, seed, trials, counts=None):
+def chunked_sweep(cov, r, mode, seed, trials, counts=None):
     """The exhaustive sweep as the library once ran it, with ``_sweep``'s signature.
 
     Every one of the 2^m vectors, 2^14 per chunk, is tested against one
@@ -349,11 +354,11 @@ def chunked_sweep(prof, r, mode, seed, trials, counts=None):
     """
     if mode != "exhaustive":
         raise DomainError(f"unknown mode {mode!r}")
-    if prof.m > EXHAUSTIVE_BLOCK_LIMIT:
+    if cov.m > EXHAUSTIVE_BLOCK_LIMIT:
         raise SizeLimitExceeded(
-            f"{prof.m} blocks exceed the exhaustive sweep limit "
+            f"{cov.m} blocks exceed the exhaustive sweep limit "
             f"{EXHAUSTIVE_BLOCK_LIMIT}")
-    return _tally(prof, r, _exhaustive_chunks(prof.m), counts)
+    return _tally(cov, r, _exhaustive_chunks(cov.m), counts)
 
 
 def _exhaustive_chunks(m, size=1 << 14):
@@ -362,12 +367,12 @@ def _exhaustive_chunks(m, size=1 << 14):
         yield vectors, np.arange(vectors.start, vectors.stop, dtype=np.uint64)
 
 
-def _tally(prof, r, chunks, counts):
-    support = (prof.a | prof.b)[0]
-    side = prof.b[0]
+def _tally(cov, r, chunks, counts):
+    support = (cov.left | cov.right)[0, 1:]
+    side = cov.right[0, 1:]
     for vectors, packed in chunks:
         per_vector = np.zeros(len(vectors), dtype=np.intp)
-        for j in range(prof.n):
+        for j in range(cov.n):
             ev = np.bitwise_count((packed & support[j]) ^ side[j]) <= r
             per_vector += ev
             if counts is not None:
@@ -379,18 +384,18 @@ def _tally(prof, r, chunks, counts):
         yield vectors, per_vector, occurring
 
 
-def tail_sum(prof):
+def tail_sum(cov, r):
     """Sum of p(x_j, r), one Fraction per vertex."""
-    total = sum((binom_tail_p(xj, prof.r) for xj in prof.x), Fraction(0))
+    total = sum((binom_tail_p(xj, r) for xj in _incidences(profile_masks(cov))),
+                Fraction(0))
     return DiagnosticReport("tail-sum", "exact", ok=total <= 1, sum=total)
 
 
-def convex_tail_bound(prof):
+def convex_tail_bound(cov, r):
     """Sum of (x_j/r)^r * 2^(-x_j) and the pointwise check, one vertex at a time."""
-    r = prof.r
     total = Fraction(0)
     violations = []
-    for j, xj in enumerate(prof.x):
+    for j, xj in enumerate(_incidences(profile_masks(cov))):
         surrogate = Fraction(xj, r) ** r / (1 << xj)
         total += surrogate
         if binom_tail_p(xj, r) < surrogate:

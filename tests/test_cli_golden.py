@@ -21,7 +21,9 @@ from pathlib import Path
 import pytest
 
 from bicover.cli import main
-from bicover.covering import coloring_to_covering, serialize_covering
+from bicover.codes import build_code
+from bicover.covering import (code_to_covering, coloring_to_covering,
+                              serialize_covering)
 from bicover.graphs import greedy_coloring, random_graph, serialize_graph
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
@@ -30,6 +32,8 @@ _G = random_graph(12, 0.5, 3)
 _GRAPH = {"g.json": serialize_graph(_G)}
 _GRAPH_COVER = {**_GRAPH, "c.json": serialize_covering(
     coloring_to_covering(_G, greedy_coloring(_G)))}
+_BCH_COVER = {"c.json": serialize_covering(
+    code_to_covering(build_code("extended-bch", 16, 4), 16))}
 _SWEEP = ["sweep", "--n-list", "2,3,4,5,6,8,16,22,24,64", "--lambda-list", "1,2,3"]
 
 # (name, argv, input files); every construct method with at least one
@@ -90,6 +94,13 @@ ARGV = [
                         "table"], {}),
     ("proofcheck-graph-sampled", ["proofcheck", "c.json", "--graph", "g.json",
                                   "--sampled", "--trials", "500"], _GRAPH_COVER),
+    ("proofcheck-bch", ["proofcheck", "c.json", "--n", "16", "--lambda", "4"],
+     _BCH_COVER),
+    ("proofcheck-bch-sampled", ["proofcheck", "c.json", "--n", "16", "--lambda",
+                                "4", "--sampled", "--trials", "300", "--seed",
+                                "5"], _BCH_COVER),
+    ("proofcheck-graph", ["proofcheck", "c.json", "--graph", "g.json"],
+     _GRAPH_COVER),
 ]
 
 

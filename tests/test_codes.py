@@ -10,7 +10,7 @@ from bicover.codes import (BinaryCode, FieldContext, bch_dimension,
                            greedy_gv_code, k_best, min_distance,
                            sylvester_matrix)
 from bicover.errors import (CapExceeded, DomainError, FieldError,
-                            SizeLimitExceeded, TargetUnreached)
+                            NoConstruction, SizeLimitExceeded, TargetUnreached)
 
 
 def pairwise_min_distance(words):
@@ -204,6 +204,17 @@ def test_build_code_families():
         code = build_code(method, n, lam)
         assert len(code.words) >= n
         assert pairwise_min_distance(code.words[:n]) >= lam
+
+
+def test_gv_refuses_past_the_scan_cap_before_sizing_a_ball(monkeypatch):
+    # 2^30 words exceed SCAN_CAP, so no sphere-packing ball may be summed:
+    # at large lam those binomial sums took minutes before the refusal.
+    def ball_volume(k, r):
+        raise AssertionError(f"ball_volume({k}, {r}) sized past the scan cap")
+
+    monkeypatch.setattr(codes, "ball_volume", ball_volume)
+    with pytest.raises(NoConstruction):
+        codes._gv(2, 30)
 
 
 def test_gv_length_skip_keeps_choice(monkeypatch):

@@ -4,18 +4,18 @@ from math import log
 
 import pytest
 
-from bicover.bounds import binom_tail_p
+from bicover.bounds import binom_tail_p, graph_report
 from bicover import diagnostics
 from bicover.covering import (BipartiteBlock, Covering, code_to_covering,
                               coloring_to_covering, covering_sum,
-                              hadamard_covering, verify)
+                              hadamard_covering, incidence_counts, verify)
 from bicover.codes import greedy_gv_code
 from bicover.diagnostics import (check_convex_tail_bound, check_convexity,
                                  check_event_disjointness, check_event_overlap,
-                                 check_independent_event_sets, check_tail_sum,
-                                 event_profile)
+                                 check_independent_event_sets, check_tail_sum)
 from bicover.errors import DomainError, InvalidCovering, SizeLimitExceeded
-from bicover.graphs import Graph, complete_graph, empty_graph, greedy_coloring
+from bicover.graphs import (Graph, alpha_per_vertex, complete_graph, empty_graph,
+                            greedy_coloring, random_graph)
 
 import reference_paths
 
@@ -24,12 +24,9 @@ K3_COVER = Covering(3, [BipartiteBlock([1], [2, 3]), BipartiteBlock([2], [3])])
 
 
 def test_event_profile():
-    prof = event_profile(K3_COVER, 1)
-    assert prof.x == (1, 2, 2)
-    assert prof.r == 0
-    assert prof.a.tolist() == [[0b01, 0b10, 0]]
-    assert prof.b.tolist() == [[0, 0b01, 0b11]]
-    assert reference_paths.profile_masks(prof) == ((0b01, 0b10, 0), (0, 0b01, 0b11))
+    assert incidence_counts(K3_COVER) == [1, 2, 2]
+    assert reference_paths.profile_masks(K3_COVER) == ((0b01, 0b10, 0),
+                                                       (0, 0b01, 0b11))
 
 
 def test_tail_sum_boundaries():
@@ -149,10 +146,27 @@ def test_independent_event_sets():
 
 def test_independent_event_sets_complete_graph_singletons():
     cov = code_to_covering(greedy_gv_code(3, 1, 8), 8)
-    masks = reference_paths.profile_masks(event_profile(cov, 1))
+    masks = reference_paths.profile_masks(cov)
     for v in range(1 << cov.m):
         assert len(reference_paths.matching_vertices(masks, v)) <= 1
     assert check_independent_event_sets(cov, complete_graph(8)).ok
+
+
+def test_alpha_limit_passes_through_unchanged():
+    # limit=None means DEFAULT_EXACT_LIMIT (40) at every entry point.
+    g = random_graph(41, 0.5, 1)
+    cov = coloring_to_covering(g, greedy_coloring(g))
+    calls = [lambda **kw: alpha_per_vertex(g, **kw),
+             lambda **kw: graph_report(g, **kw),
+             lambda **kw: check_event_overlap(cov, g, **kw)]
+    for call in calls:
+        with pytest.raises(SizeLimitExceeded):
+            call()
+        with pytest.raises(SizeLimitExceeded):
+            call(limit=None)
+        call(limit=41)
+    with pytest.raises(SizeLimitExceeded):
+        alpha_per_vertex(g, None)
 
 
 def test_negative_control_broken_covering():

@@ -27,7 +27,7 @@ from bicover.covering import (BipartiteBlock, Covering, capacity,
 from bicover.diagnostics import (_disjointness, _independent_sets, _sweep,
                                  check_convex_tail_bound,
                                  check_event_disjointness, check_event_overlap,
-                                 check_tail_sum, event_profile)
+                                 check_tail_sum)
 from bicover.errors import (BicoverError, DomainError, SizeLimitExceeded,
                             TargetUnreached)
 from bicover.exact import SearchBudget, _CapSearch
@@ -395,9 +395,9 @@ def test_parse_covering_matches_reference(flaw, n, m, seed, data):
        lam=st.integers(1, 12))
 def test_exhaustive_disjointness_matches_reference(n, m, seed, lam):
     # Below the tail threshold (x_j < r) both paths raise the same DomainError.
-    prof = event_profile(random_covering(n, m, seed), lam)
-    report = outcome(_disjointness, prof, "exhaustive", 0, 0)
-    assert report == outcome(reference_paths.disjointness, prof, "exhaustive")
+    cov, r = random_covering(n, m, seed), (lam - 1) // 2
+    report = outcome(_disjointness, cov, r, "exhaustive", 0, 0)
+    assert report == outcome(reference_paths.disjointness, cov, r, "exhaustive")
     if not isinstance(report, tuple):
         assert_python_ints((report.violations, report.details))
 
@@ -406,9 +406,9 @@ def test_exhaustive_disjointness_matches_reference(n, m, seed, lam):
 @given(n=st.integers(1, 9), m=BLOCK_COUNTS, seed=st.integers(0, 2**32),
        lam=st.integers(1, 60), trials=st.integers(0, 300))
 def test_sampled_disjointness_matches_reference(n, m, seed, lam, trials):
-    prof = event_profile(random_covering(n, m, seed), lam)
-    report = _disjointness(prof, "sampled", seed, trials)
-    assert report == reference_paths.disjointness(prof, "sampled", seed, trials)
+    cov, r = random_covering(n, m, seed), (lam - 1) // 2
+    report = _disjointness(cov, r, "sampled", seed, trials)
+    assert report == reference_paths.disjointness(cov, r, "sampled", seed, trials)
     assert_python_ints((report.violations, report.trials))
 
 
@@ -425,8 +425,7 @@ def test_event_overlap_matches_reference(n, m, seed, sampled, understate):
     mode, trials = ("sampled", 200) if sampled else ("exhaustive", 0)
     report = check_event_overlap(cov, g, alphas=alphas, mode=mode, seed=seed,
                                  trials=trials)
-    prof = event_profile(cov, 1)
-    assert report == reference_paths.event_overlap(prof, alphas, mode, seed, trials)
+    assert report == reference_paths.event_overlap(cov, alphas, mode, seed, trials)
     assert_python_ints((report.violations, report.trials))
 
 
@@ -437,11 +436,11 @@ def test_independent_event_sets_matches_reference(n, m, seed, sampled):
     # Coverings here need not cover g, so adjacent occurring pairs do appear.
     if not sampled and m > 12:
         m = 12
-    prof = event_profile(random_covering(n, m, seed), 1)
+    cov = random_covering(n, m, seed)
     g = random_graph_on(n, seed + 1)
     mode, trials = ("sampled", 200) if sampled else ("exhaustive", 0)
-    report = _independent_sets(prof, g, mode, seed, trials)
-    assert report == reference_paths.independent_event_sets(prof, g, mode,
+    report = _independent_sets(cov, g, mode, seed, trials)
+    assert report == reference_paths.independent_event_sets(cov, g, mode,
                                                             seed, trials)
     assert_python_ints((report.violations, report.trials))
 
@@ -490,10 +489,8 @@ def test_event_enumeration_matches_chunked_sweep(cov, lam, seed):
     alphas = [rng.randint(1, a) for a in alpha_per_vertex(covered)]
 
     def reports():
-        return (outcome(_disjointness, event_profile(cov, lam), "exhaustive",
-                        0, 0),
-                outcome(_independent_sets, event_profile(cov, 1), g,
-                        "exhaustive", 0, 0),
+        return (outcome(_disjointness, cov, (lam - 1) // 2, "exhaustive", 0, 0),
+                outcome(_independent_sets, cov, g, "exhaustive", 0, 0),
                 outcome(check_event_overlap, cov, covered, alphas))
 
     got = reports()
@@ -527,24 +524,23 @@ def test_tail_checks_match_reference(n, m, lam, seed):
                            [v for v in range(1, n + 1) if (v - 1) >> t & 1])
             for t in range((n - 1).bit_length())]
     cov = Covering(n, base * lam + random_blocks(n, m, seed))
-    prof = event_profile(cov, lam)
-    assert check_tail_sum(cov, lam) == reference_paths.tail_sum(prof)
+    r = (lam - 1) // 2
+    assert check_tail_sum(cov, lam) == reference_paths.tail_sum(cov, r)
     if lam >= 3:
         assert (check_convex_tail_bound(cov, lam)
-                == reference_paths.convex_tail_bound(prof))
+                == reference_paths.convex_tail_bound(cov, r))
 
 
 def test_violation_paths_are_exercised():
     # Two isolated vertices match every vector: each sweep finds violations.
-    prof = event_profile(Covering(3, [BipartiteBlock([1], [2])]), 1)
+    cov = Covering(3, [BipartiteBlock([1], [2])])
     path = Graph(3, [(1, 3), (2, 3)])
-    indep = _independent_sets(prof, path, "exhaustive", 0, 0)
+    indep = _independent_sets(cov, path, "exhaustive", 0, 0)
     assert indep.violations == (("adjacent-pair", 0, 1, 3),
                                 ("adjacent-pair", 1, 2, 3))
-    dis = _disjointness(prof, "sampled", 5, 50)
+    dis = _disjointness(cov, 0, "sampled", 5, 50)
     assert len(dis.violations) == 10 and not dis.ok
-    assert dis == reference_paths.disjointness(prof, "sampled", 5, 50)
-    cov = Covering(3, [BipartiteBlock([1], [2])])
+    assert dis == reference_paths.disjointness(cov, 0, "sampled", 5, 50)
     over = check_event_overlap(cov, Graph(3, [(1, 2)]), alphas=[1, 1, 1])
     assert over.violations == (("occupancy", 0, 1, 2), ("occupancy", 1, 2, 2))
 
@@ -553,19 +549,18 @@ def test_exact_match_reads_every_mask_word():
     # Vertices 3 and 4 sit only in block 65, so their first mask word is
     # empty; a match decided on that word alone would put both in every event.
     cov = Covering(4, [BipartiteBlock([1], [2])] * 64 + [BipartiteBlock([3], [4])])
-    prof = event_profile(cov, 1)
     g = Graph(4, [(3, 4)])
-    report = _independent_sets(prof, g, "sampled", 1, 100)
+    report = _independent_sets(cov, g, "sampled", 1, 100)
     assert report.ok
-    assert report == reference_paths.independent_event_sets(prof, g, "sampled", 1, 100)
+    assert report == reference_paths.independent_event_sets(cov, g, "sampled", 1, 100)
 
 
 def test_sweep_checks_mode_and_limit_before_sweeping():
-    prof = event_profile(Covering(2, [BipartiteBlock([1], [2])] * 21), 1)
+    cov = Covering(2, [BipartiteBlock([1], [2])] * 21)
     with pytest.raises(DomainError):
-        _sweep(prof, 0, "nope", 0, 10)
+        _sweep(cov, 0, "nope", 0, 10)
     with pytest.raises(SizeLimitExceeded):
-        _sweep(prof, 0, "exhaustive", 0, 10)
+        _sweep(cov, 0, "exhaustive", 0, 10)
 
 
 @PROPERTY
