@@ -9,22 +9,19 @@ diagnostics.
 """
 
 from .bounds import (BoundEntry, BoundReport, alpha_lower, binom_tail_p,
-                     cap_lower, degree_lower, edge_count_lower, entropy,
-                     graph_report, gv_count, hansel_lower, multigraph_report,
-                     tail_lower, upper_bch, upper_even_weight, upper_gv,
-                     upper_linear)
+                     degree_lower, edge_count_lower, entropy, graph_report,
+                     multigraph_report, tail_lower, upper_bch,
+                     upper_even_weight, upper_gv, upper_linear)
 from .codes import (BinaryCode, FieldContext, bch_extended_code, build_code,
-                    even_weight_code, greedy_gv_code, hamming_distance,
-                    k_best, min_distance, sylvester_matrix)
+                    even_weight_code, greedy_gv_code, k_best, min_distance)
 from .covering import (BipartiteBlock, CoverageReport, Covering,
                        balanced_bipartitions_covering, capacity,
-                       code_to_covering, coloring_to_covering, covering_sum,
+                       code_to_covering, coloring_to_covering,
                        degenerate_rows, hadamard_covering, incidence_counts,
                        parse_covering, serialize_covering, verify)
 from .diagnostics import (DiagnosticReport, check_convex_tail_bound,
-                          check_convexity, check_event_disjointness,
-                          check_event_overlap, check_independent_event_sets,
-                          check_tail_sum)
+                          check_event_disjointness, check_event_overlap,
+                          check_independent_event_sets, check_tail_sum)
 from .exact import SearchBudget, exact_cap
 from .graphs import (Graph, alpha_per_vertex, complete_graph, degrees,
                      empty_graph, greedy_coloring, parse_graph, random_graph,

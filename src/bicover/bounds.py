@@ -7,10 +7,9 @@ purely combinatorial counts, which stay exact.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, log2
+from math import log2
 
 from . import codes
 from .errors import DomainError, NoConstruction
@@ -28,25 +27,13 @@ def edge_count_lower(n, lam):
 def tail_lower(n, lam):
     """Lower bound n*(log n + r*log(2 log n / (lam-1))) with r = floor((lam-1)/2).
 
-    For lam in {1, 2} the r-term vanishes and the bound reduces to n log n.
+    For lam in {1, 2} the r-term vanishes and the bound reduces to Hansel's n log n.
     """
     _check_instance(n, lam)
     r = (lam - 1) // 2
     if r == 0:
         return n * log2(n)
     return n * (log2(n) + r * log2(2 * log2(n) / (lam - 1)))
-
-
-def cap_lower(n, lam):
-    """The sharper of the edge-count and binomial-tail lower bounds."""
-    return max(float(edge_count_lower(n, lam)), tail_lower(n, lam))
-
-
-def hansel_lower(n):
-    """Classical n*log n lower bound for covering all pairs once."""
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
-    return n * log2(n) if n > 1 else 0.0
 
 
 def degree_lower(g):
@@ -122,18 +109,11 @@ def bch_backed(n, lam):
         return False
 
 
-def gv_count(k, d):
-    """ceil(2^k / sum_{i<d} C(k, i)), the guaranteed size of a distance-d code."""
-    if not 1 <= d <= k:
-        raise DomainError(f"need 1 <= d <= k, got d={d}, k={k}")
-    return -((1 << k) // -codes.ball_volume(k, d - 1))
-
-
 def binom_tail_p(x, r):
     """Exact probability that Binomial(x, 1/2) is at most r."""
     if not 0 <= r <= x:
         raise DomainError(f"need 0 <= r <= x, got r={r}, x={x}")
-    return Fraction(sum(comb(x, q) for q in range(r + 1)), 1 << x)
+    return Fraction(codes.ball_volume(x, r), 1 << x)
 
 
 def entropy(x):
@@ -170,20 +150,11 @@ class BoundReport:
     instance: dict
     entries: list = field(default_factory=list)
 
-    def lower_values(self):
-        return [e.value for e in self.entries if e.side == "lower"]
-
-    def upper_values(self):
-        return [e.value for e in self.entries if e.side == "upper"]
-
     def to_dict(self):
         return {
             "instance": self.instance,
             "entries": [e.to_obj() for e in self.entries],
         }
-
-    def to_json(self):
-        return json.dumps(self.to_dict())
 
 
 def multigraph_report(n, lam, c=None):

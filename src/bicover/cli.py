@@ -297,9 +297,10 @@ def _cmd_exact(args):
     try:
         value, witness = exact.exact_cap(args.n, args.lam, budget)
     except BudgetExhausted as e:
+        best = _best_construction(args.n, args.lam)
         _emit({**_header("exact", args), "status": "bracket",
-               "value": None, "lower": e.lower, "upper": e.upper,
-               "witness": None})
+               "value": None, "lower": e.lower,
+               "upper": best[1] if best else None, "witness": None})
         return EXIT_FAIL
     _emit({**_header("exact", args), "status": "optimal", "value": value,
            "witness": json.loads(covering.serialize_covering(witness))})
@@ -345,15 +346,13 @@ _SWEEP_COLUMNS = ("n", "lambda", "lb_edge_count", "lb_tail", "ub_even_weight",
                   "best_capacity", "exact")
 
 
-def _sweep_row(n, lam, c, exact_max_n, node_limit):
-    # The report's entries, an inapplicable bound (NaN) as None.
-    values = {e.name: None if isnan(e.value) else round(float(e.value), 6)
-              for e in bnd.multigraph_report(n, lam, c=c).entries}
-    row = {"n": n, "lambda": lam,
-           "lb_edge_count": bnd.edge_count_lower(n, lam),
-           "lb_tail": values["binomial-tail"],
-           "ub_even_weight": values["even-weight"], "ub_gv": values["gv"],
-           "ub_linear": values.get("linear"), "ub_bch": values["bch"]}
+# Flags of a bounds entry whose value bounds no covering of the instance.
+_UNBACKED = {"formula-only", "vacuous"}
+
+
+def _best_construction(n, lam):
+    """(method, capacity) of the least-capacity construct method that
+    guarantees lam on K_n, earlier methods winning ties; None if none does."""
     best = None
     for method, (guarantee, capacity, _) in _METHODS.items():
         try:
@@ -363,6 +362,21 @@ def _sweep_row(n, lam, c, exact_max_n, node_limit):
             continue
         if best is None or cap < best[1]:
             best = (method, cap)
+    return best
+
+
+def _sweep_row(n, lam, c, exact_max_n, node_limit):
+    # The report's entries; an inapplicable (NaN), formula-only or vacuous
+    # bound prints as None.
+    values = {e.name: None if isnan(e.value) or _UNBACKED & set(e.flags)
+              else round(float(e.value), 6)
+              for e in bnd.multigraph_report(n, lam, c=c).entries}
+    row = {"n": n, "lambda": lam,
+           "lb_edge_count": bnd.edge_count_lower(n, lam),
+           "lb_tail": values["binomial-tail"],
+           "ub_even_weight": values["even-weight"], "ub_gv": values["gv"],
+           "ub_linear": values.get("linear"), "ub_bch": values["bch"]}
+    best = _best_construction(n, lam)
     row["best_construction"] = best[0] if best else None
     row["best_capacity"] = best[1] if best else None
     row["exact"] = None

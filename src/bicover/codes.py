@@ -2,7 +2,7 @@
 
 Families: the even-weight code (distance 2), greedy lexicographic scans
 meeting the Gilbert-Varshamov count, parity-extended narrow-sense BCH codes
-over GF(2^m), and Sylvester-Hadamard matrices.  All constructions are
+over GF(2^m), and Sylvester-Hadamard codes.  All constructions are
 deterministic.  Constructions record a minimum distance only where it is
 known without a pairwise check; ``min_distance`` computes it exactly.
 
@@ -13,7 +13,6 @@ order on the 0/1 strings.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cache
 from math import comb
@@ -21,12 +20,12 @@ from math import comb
 import numpy as np
 
 from .errors import (CapExceeded, DomainError, FieldError, NoConstruction,
-                     ParseError, SizeLimitExceeded, TargetUnreached)
+                     SizeLimitExceeded, TargetUnreached)
 
 WORD_CAP = 1 << 20    # max codewords an enumeration may produce
 PAIR_CAP = 1 << 24    # max pairwise distance checks
 SCAN_CAP = 1 << 22    # max word-space size a greedy scan may walk
-ENTRY_CAP = 1 << 24   # max entries of a Sylvester matrix
+ENTRY_CAP = 1 << 24   # max bits (4^m) of an order-2^m Hadamard code
 
 # Primitive polynomials over GF(2), one per extension degree, encoded as
 # bitmasks (bit i = coefficient of x^i).  Primitivity is re-verified at
@@ -48,10 +47,6 @@ PRIMITIVE_POLYS = {
     15: 0b1000000000000011,    # x^15 + x + 1
     16: 0b10001000000001011,   # x^16 + x^12 + x^3 + x + 1
 }
-
-
-def hamming_distance(a, b):
-    return (a ^ b).bit_count()
 
 
 def _clmul(a, b):
@@ -95,30 +90,6 @@ class BinaryCode:
 
     def word_text(self, w):
         return format(w, f"0{self.length}b")
-
-    def to_json(self):
-        return json.dumps({
-            "k": self.length,
-            "words": [self.word_text(w) for w in self.words],
-            "min_distance": self.min_distance,
-            "method": self.method,
-        })
-
-    @classmethod
-    def from_json(cls, text):
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"invalid JSON: {e.msg}", e.lineno, e.colno) from e
-        if not isinstance(obj, dict) or not {"k", "words"} <= set(obj):
-            raise ParseError('code document needs at least the keys "k" and "words"')
-        k = obj["k"]
-        words = []
-        for s in obj["words"]:
-            if not isinstance(s, str) or len(s) != k or set(s) - {"0", "1"}:
-                raise ParseError(f"codeword {s!r} is not a {k}-bit 0/1 string")
-            words.append(int(s, 2))
-        return cls(k, tuple(words), obj.get("min_distance"), obj.get("method", ""))
 
 
 def min_distance(code):
@@ -298,13 +269,14 @@ def bch_generator(ctx, design_distance):
 
 
 @cache
+def _bch_generator(m, d):
+    """bch_generator over GF(2^m) at designed distance 2d - 1, built once per (m, d)."""
+    return bch_generator(FieldContext(m), 2 * d - 1)
+
+
 def bch_dimension(m, d):
     """Message bits of the parity-extended BCH code of length 2^m, designed distance 2d."""
-    if d == 1:
-        return (1 << m) - 1
-    ctx = FieldContext(m)
-    g = bch_generator(ctx, 2 * d - 1)
-    return (1 << m) - 1 - (g.bit_length() - 1)
+    return (1 << m) - _bch_generator(m, d).bit_length()
 
 
 def bch_extended_code(m, d, target=None):
@@ -325,9 +297,8 @@ def bch_extended_code(m, d, target=None):
         raise DomainError(f"designed half-distance d must be >= 2, got {d}")
     if 2 * d - 1 > (1 << m) - 1:
         raise DomainError(f"designed distance {2 * d - 1} exceeds code length {(1 << m) - 1}")
-    ctx = FieldContext(m)
-    g = bch_generator(ctx, 2 * d - 1)
-    dim = (1 << m) - 1 - (g.bit_length() - 1)
+    g = _bch_generator(m, d)
+    dim = bch_dimension(m, d)
     total = 1 << dim
     count = total
     if total > WORD_CAP:
@@ -345,28 +316,24 @@ def bch_extended_code(m, d, target=None):
     return code
 
 
-def sylvester_matrix(m):
-    """Order-2^m Hadamard matrix from m-fold tensoring of [[1, 1], [1, -1]].
+def hadamard_code(m):
+    """The 2^m columns of the order-2^m Sylvester-Hadamard matrix as words,
+    its first row the leftmost bit and -1 read as 1.
 
-    The first row is all ones; every later row is balanced between +1 and -1.
+    Built by doubling: the columns of [[H, H], [H, -H]] are each column w
+    of H, in order, followed by w again, then each w followed by its
+    complement.
     """
     if m < 1:
-        raise DomainError(f"tensor exponent must be >= 1, got {m}")
+        raise DomainError(f"Hadamard code needs m >= 1, got {m}")
     if 1 << (2 * m) > ENTRY_CAP:
         raise SizeLimitExceeded(f"4^{m} entries exceed the cap of {ENTRY_CAP}")
-    base = np.array([[1, 1], [1, -1]], dtype=np.int8)
-    h = np.array([[1]], dtype=np.int8)
+    words, size = [0], 1
     for _ in range(m):
-        h = np.kron(h, base)
-    return h
-
-
-def hadamard_code(m):
-    """The 2^m columns of the order-2^m Sylvester matrix as words (-1 read as 1)."""
-    bits = np.packbits(sylvester_matrix(m).T == -1, axis=1)
-    pad = 8 * bits.shape[1] - (1 << m)  # packbits fills the last byte from the left
-    words = tuple(int.from_bytes(row.tobytes(), "big") >> pad for row in bits)
-    return BinaryCode(1 << m, words, min_distance=1 << (m - 1), method="hadamard")
+        mask = (1 << size) - 1
+        words = [w << size | w for w in words] + [w << size | w ^ mask for w in words]
+        size *= 2
+    return BinaryCode(size, words, min_distance=size // 2, method="hadamard")
 
 
 def bch_field(n, lam):

@@ -164,9 +164,6 @@ class CoverageReport:
             "histogram": {str(k): v for k, v in sorted(self.histogram.items())},
         }
 
-    def to_json(self):
-        return json.dumps(self.to_dict())
-
 
 def capacity(cov):
     """Total number of block vertices; equals the sum of incidence counts."""
@@ -432,13 +429,6 @@ def balanced_bipartitions_covering(n):
     bits[0] = 0
     bits[left, np.arange(count)[:, None]] = 0
     return _split_by_bits(bits)
-
-
-def covering_sum(a, b):
-    """Concatenate block lists; capacities and per-pair multiplicities add."""
-    if a.n != b.n:
-        raise GroundSetMismatch(f"ground sets differ: {a.n} vs {b.n}")
-    return Covering(a.n, a.blocks + b.blocks)
 
 
 def coloring_to_covering(g, coloring):

@@ -11,7 +11,6 @@ vectors, sampled modes draw seeded vectors.
 
 from __future__ import annotations
 
-import json
 import random
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
@@ -52,9 +51,6 @@ class DiagnosticReport:
             "trials": self.trials,
             **({"details": self.details} if self.details else {}),
         }
-
-    def to_json(self):
-        return json.dumps(self.to_dict())
 
 
 def _require_valid(cov, target, lam, label):
@@ -142,33 +138,6 @@ def check_convex_tail_bound(cov, lam):
     return DiagnosticReport(
         "convex-tail-bound", "exact", ok=total <= 1 and not violations,
         sum=total, violations=violations)
-
-
-def check_convexity(r, x_lo, x_hi, steps=1000, tol=1e-12):
-    """Nonnegative second central differences of (x/r)^r * 2^(-x) on a grid.
-
-    The function is convex for x >= 2r + 1, the regime the tail argument
-    uses; the grid sweep certifies it numerically on [x_lo, x_hi].
-    """
-    if r < 1:
-        raise DomainError(f"need r >= 1, got {r}")
-    if x_lo < 2 * r + 1:
-        raise DomainError(f"need x_lo >= 2r + 1 = {2 * r + 1}, got {x_lo}")
-    if x_hi <= x_lo or steps < 2:
-        raise DomainError("need x_hi > x_lo and steps >= 2")
-    h = (x_hi - x_lo) / steps
-    values = [(((x_lo + i * h) / r) ** r) * 2 ** (-(x_lo + i * h))
-              for i in range(steps + 1)]
-    worst = min(values[i - 1] - 2 * values[i] + values[i + 1]
-                for i in range(1, steps))
-    violations = tuple(
-        ("second-difference", x_lo + i * h)
-        for i in range(1, steps)
-        if values[i - 1] - 2 * values[i] + values[i + 1] < -tol)
-    return DiagnosticReport(
-        "convexity", "grid", ok=not violations, violations=violations,
-        details={"r": r, "x_lo": x_lo, "x_hi": x_hi, "steps": steps,
-                 "min_second_difference": worst})
 
 
 def check_event_overlap(cov, g, alphas=None, mode="exhaustive", seed=0,

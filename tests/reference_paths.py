@@ -517,11 +517,19 @@ def k_best(n, lam, max_bch_m=16):
     raise AssertionError("unreachable")
 
 
+def sylvester_matrix(m):
+    """Order-2^m Hadamard matrix from m-fold tensoring of [[1, 1], [1, -1]]."""
+    h = np.array([[1]], dtype=np.int8)
+    for _ in range(m):
+        h = np.kron(h, np.array([[1, 1], [1, -1]], dtype=np.int8))
+    return h
+
+
 @cache
 def _hadamard_words(m):
     """Words of the order-2^m Sylvester columns; cached, as the grid tests ask
     for the same m at many lambda."""
-    h = codes.sylvester_matrix(m)
+    h = sylvester_matrix(m)
     return tuple(int("".join("1" if x == -1 else "0" for x in col), 2)
                  for col in h.T)
 
@@ -573,7 +581,7 @@ def bch_backed(n, lam, max_m=16):
 @cache
 def hadamard_covering(m):
     """Covering from the sign split of every Sylvester row but the first."""
-    h = codes.sylvester_matrix(m)
+    h = sylvester_matrix(m)
     n = 1 << m
     blocks = []
     for row in range(1, n):

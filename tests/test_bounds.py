@@ -4,18 +4,23 @@ from math import comb, isnan, log2
 import mpmath
 import pytest
 
-from bicover.bounds import (alpha_lower, binom_tail_p, bch_backed, cap_lower,
+from bicover.bounds import (alpha_lower, binom_tail_p, bch_backed,
                             degree_lower, edge_count_lower, entropy,
-                            graph_report, gv_count, hansel_lower,
-                            multigraph_report, tail_lower, upper_bch,
-                            upper_even_weight, upper_gv, upper_linear)
+                            graph_report, multigraph_report, tail_lower,
+                            upper_bch, upper_even_weight, upper_gv,
+                            upper_linear)
 from bicover.covering import capacity, code_to_covering, hadamard_covering
-from bicover.codes import even_weight_code
+from bicover.codes import ball_volume, even_weight_code
 from bicover.errors import DomainError, SizeLimitExceeded
 from bicover.graphs import (Graph, complete_graph, degrees, empty_graph,
                             random_graph)
 
 C5 = Graph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
+
+
+def cap_lower(n, lam):
+    """The sharper of the two K_n^lam lower bounds."""
+    return max(edge_count_lower(n, lam), tail_lower(n, lam))
 
 
 def test_cap_lower_examples():
@@ -27,10 +32,11 @@ def test_cap_lower_examples():
 
 
 def test_hansel_examples():
-    assert hansel_lower(8) == pytest.approx(24)
-    assert hansel_lower(1) == 0
-    assert hansel_lower(3) == pytest.approx(3 * log2(3))
-    assert hansel_lower(3) == pytest.approx(4.7549, abs=1e-4)
+    # Hansel's n log n is the binomial-tail bound at lam <= 2.
+    for lam in (1, 2):
+        assert tail_lower(8, lam) == pytest.approx(24)
+        assert tail_lower(3, lam) == pytest.approx(3 * log2(3))
+        assert tail_lower(3, lam) == pytest.approx(4.7549, abs=1e-4)
 
 
 def test_degree_lower_examples():
@@ -60,7 +66,7 @@ def test_alpha_dominates_degree_bound():
 def test_cap_lower_dominates_hansel_in_regime():
     for n in (4, 16, 64, 1024):
         for lam in range(1, int(2 * log2(n)) + 2):
-            assert cap_lower(n, lam) >= hansel_lower(n) - 1e-9
+            assert cap_lower(n, lam) >= tail_lower(n, 1) - 1e-9
 
 
 def test_upper_even_weight():
@@ -100,13 +106,14 @@ def test_upper_bch_and_flag():
 
 
 def test_gv_count():
+    # The Gilbert-Varshamov count ceil(2^k / V(k, d - 1)).
+    def gv_count(k, d):
+        return -(-(1 << k) // ball_volume(k, d - 1))
     assert gv_count(5, 3) == 2
     for k in (1, 4, 9):
         assert gv_count(k, 1) == 1 << k
-    assert sum(comb(16, i) for i in range(4)) == 697
+    assert ball_volume(16, 3) == sum(comb(16, i) for i in range(4)) == 697
     assert gv_count(16, 4) == 95
-    with pytest.raises(DomainError):
-        gv_count(4, 5)
 
 
 def test_binom_tail_p():
@@ -158,8 +165,9 @@ def test_multigraph_report_structure():
     assert "inapplicable" in by_name["even-weight"].flags
     assert "inapplicable" in by_name["gv"].flags
     assert by_name["bch"].flags == ("construction-backed",)
-    lowers = [v for v in rep.lower_values()]
-    uppers = [v for v in rep.upper_values() if not isnan(v)]
+    lowers = [e.value for e in rep.entries if e.side == "lower"]
+    uppers = [e.value for e in rep.entries
+              if e.side == "upper" and not isnan(e.value)]
     assert max(lowers) <= min(uppers)
     rep2 = multigraph_report(8, 1)
     by_name2 = {e.name: e for e in rep2.entries}
@@ -181,4 +189,4 @@ def test_graph_report_structure():
     by_name = {e.name: e for e in rep.entries}
     assert by_name["degree"].value == pytest.approx(3.6848, abs=1e-4)
     assert by_name["independence"].value == pytest.approx(6.6096, abs=1e-4)
-    assert "entries" in rep.to_json()
+    assert "entries" in rep.to_dict()

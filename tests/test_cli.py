@@ -191,6 +191,19 @@ def test_exact_command(capsys):
     assert verify(parse_covering(json.dumps(doc["witness"])), 3, 11).ok
 
 
+@pytest.mark.parametrize("argv,bracket", [
+    (["--n", "7", "--lambda", "1", "--node-limit", "20000"], [14, 21]),
+    (["--n", "3", "--lambda", "11", "--max-capacity", "10"], [11, 51]),
+])
+def test_exact_bracket_upper_is_the_best_construction(capsys, argv, bracket):
+    code, stdout, _ = run(capsys, "exact", *argv)
+    assert code == 1
+    doc = json.loads(stdout)
+    assert doc["status"] == "bracket" and doc["value"] is None
+    assert [doc["lower"], doc["upper"]] == bracket
+    assert doc["witness"] is None
+
+
 def test_proofcheck_command(tmp_path, capsys):
     out = tmp_path / "h.json"
     run(capsys, "construct", "--n", "4", "--lambda", "2", "--method", "hadamard",
@@ -282,6 +295,20 @@ def test_sweep_json(capsys):
     rows = json.loads(stdout)["rows"]
     assert rows[0]["best_construction"] in ("even-weight", "hadamard", "balanced")
     assert rows[0]["best_capacity"] == 12 and rows[0]["exact"] == 12
+
+
+def test_sweep_prints_only_backed_bch_bounds(capsys):
+    code, stdout, _ = run(capsys, "sweep", "--n-list", "2,3,4,7,8,16,64",
+                          "--lambda-list", "1,2,3,4,5,9,11",
+                          "--exact-max-n", "3")
+    assert code == 0
+    rows = json.loads(stdout)["rows"]
+    assert any(row["ub_bch"] is not None for row in rows)
+    assert any(row["exact"] is not None for row in rows)
+    for row in rows:
+        if row["ub_bch"] is not None:
+            assert row["ub_bch"] >= row["lb_edge_count"]
+            assert row["exact"] is None or row["ub_bch"] >= row["exact"]
 
 
 def test_usage_errors(capsys):

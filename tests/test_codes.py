@@ -1,16 +1,15 @@
 from itertools import combinations
 
-import numpy as np
 import pytest
 
 from bicover import codes
-from bicover.bounds import gv_count
-from bicover.codes import (BinaryCode, FieldContext, bch_dimension,
+from bicover.codes import (BinaryCode, FieldContext, ball_volume, bch_dimension,
                            bch_extended_code, build_code, even_weight_code,
-                           greedy_gv_code, k_best, min_distance,
-                           sylvester_matrix)
+                           greedy_gv_code, hadamard_code, k_best, min_distance)
 from bicover.errors import (CapExceeded, DomainError, FieldError,
                             NoConstruction, SizeLimitExceeded, TargetUnreached)
+
+import reference_paths
 
 
 def pairwise_min_distance(words):
@@ -67,7 +66,7 @@ def test_gv_matches_direct_scan_and_bound(k, d):
     kept = greedy_scan_oracle(k, d)
     c = greedy_gv_code(k, d, len(kept))
     assert list(c.words) == kept
-    assert len(kept) >= gv_count(k, d)
+    assert len(kept) >= -(-(1 << k) // ball_volume(k, d - 1))
     if len(kept) >= 2:
         assert pairwise_min_distance(kept) >= d
 
@@ -141,24 +140,41 @@ def test_bch_guards():
     assert pairwise_min_distance(truncated.words) >= 4
 
 
-def test_sylvester_base_and_identity():
-    h1 = sylvester_matrix(1)
-    assert h1.tolist() == [[1, 1], [1, -1]]
-    h2 = sylvester_matrix(2)
-    assert (h2 @ h2.T == 4 * np.eye(4, dtype=int)).all()
-    assert (h2[0] == 1).all()
+def test_bch_generator_built_once_per_field(monkeypatch):
+    codes._bch_generator.cache_clear()
+    calls = []
+    real = codes.bch_generator
+
+    def counted(ctx, design_distance):
+        calls.append(ctx.m)
+        return real(ctx, design_distance)
+    monkeypatch.setattr(codes, "bch_generator", counted)
+    code = build_code("extended-bch", 2048, 5)
+    assert code.length == 32 and len(code) == 2048
+    assert calls == [3, 4, 5]
 
 
-def test_sylvester_column_agreements():
-    h = sylvester_matrix(3)
-    cols = h.T
-    for i, j in combinations(range(8), 2):
-        agreements = int((cols[i] == cols[j]).sum())
-        assert agreements == 4
-        # the all-ones first row accounts for one agreement
-        assert int((cols[i][1:] != cols[j][1:]).sum()) == 4
-    with pytest.raises(SizeLimitExceeded):
-        sylvester_matrix(13)  # 4^13 entries
+def test_hadamard_code_matches_kron_reference():
+    for m in range(1, 11):
+        code = hadamard_code(m)
+        words = tuple(int("".join("1" if x == -1 else "0" for x in col), 2)
+                      for col in reference_paths.sylvester_matrix(m).T)
+        assert code.words == words
+        assert code.length == 1 << m and code.min_distance == 1 << (m - 1)
+
+
+def test_hadamard_code_pair_distances():
+    for m in range(1, 7):
+        for a, b in combinations(hadamard_code(m).words, 2):
+            assert (a ^ b).bit_count() == 1 << (m - 1)
+
+
+def test_hadamard_code_size_cap():
+    with pytest.raises(SizeLimitExceeded,
+                       match=f"4\\^13 entries exceed the cap of {codes.ENTRY_CAP}"):
+        hadamard_code(13)  # 4^13 entries
+    with pytest.raises(DomainError):
+        hadamard_code(0)
 
 
 def test_min_distance_examples_and_cache():
@@ -172,14 +188,11 @@ def test_min_distance_examples_and_cache():
         min_distance(BinaryCode(4, (3,)))
 
 
-def test_binary_code_validation_and_json():
+def test_binary_code_validation():
     with pytest.raises(DomainError):
         BinaryCode(2, (0, 0))
     with pytest.raises(DomainError):
         BinaryCode(2, (4,))
-    c = bch_extended_code(3, 2)
-    back = BinaryCode.from_json(c.to_json())
-    assert back == c
 
 
 def test_k_best_examples():

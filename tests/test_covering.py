@@ -8,7 +8,7 @@ from bicover.codes import BinaryCode, even_weight_code
 from bicover.covering import (BipartiteBlock, Covering,
                               balanced_bipartitions_covering, capacity,
                               code_to_covering, coloring_to_covering,
-                              covering_sum, degenerate_rows,
+                              degenerate_rows,
                               hadamard_covering, incidence_counts,
                               parse_covering, serialize_covering, verify)
 from bicover.errors import (DomainError, GroundSetMismatch, ImproperColoring,
@@ -145,21 +145,19 @@ def test_balanced_bipartitions():
 
 def test_covering_sum():
     h = hadamard_covering(2)
-    double = covering_sum(h, h)
+    double = Covering(4, h.blocks + h.blocks)
     assert capacity(double) == 24
     assert verify(double, 4, 4).ok
-    assert covering_sum(h, Covering(4)) == h
-    mixed = covering_sum(h, balanced_bipartitions_covering(4))
+    assert Covering(4, h.blocks + Covering(4).blocks) == h
+    mixed = Covering(4, h.blocks + balanced_bipartitions_covering(4).blocks)
     assert capacity(mixed) == 24
     assert verify(mixed, 4, 4).ok
-    with pytest.raises(GroundSetMismatch):
-        covering_sum(h, Covering(5))
 
 
 def test_covering_sum_multiplicity_additive():
     a = hadamard_covering(2)
     b = code_to_covering(even_weight_code(3), 4)
-    s = covering_sum(a, b)
+    s = Covering(4, a.blocks + b.blocks)
     for u, v in combinations(range(1, 5), 2):
         assert naive_multiplicity(s, u, v) == (
             naive_multiplicity(a, u, v) + naive_multiplicity(b, u, v))

@@ -1,4 +1,3 @@
-import json
 from fractions import Fraction
 from math import log
 
@@ -7,10 +6,10 @@ import pytest
 from bicover.bounds import binom_tail_p, graph_report
 from bicover import diagnostics
 from bicover.covering import (BipartiteBlock, Covering, code_to_covering,
-                              coloring_to_covering, covering_sum,
-                              hadamard_covering, incidence_counts, verify)
+                              coloring_to_covering, hadamard_covering,
+                              incidence_counts, verify)
 from bicover.codes import greedy_gv_code
-from bicover.diagnostics import (check_convex_tail_bound, check_convexity,
+from bicover.diagnostics import (check_convex_tail_bound,
                                  check_event_disjointness, check_event_overlap,
                                  check_independent_event_sets, check_tail_sum)
 from bicover.errors import DomainError, InvalidCovering, SizeLimitExceeded
@@ -63,7 +62,7 @@ def test_disjointness_sampled_deterministic():
     rep = check_event_disjointness(cov, 4, mode="sampled", seed=1, trials=100_000)
     assert rep.ok and rep.trials == 100_000
     rep2 = check_event_disjointness(cov, 4, mode="sampled", seed=1, trials=100_000)
-    assert rep.to_json() == rep2.to_json()
+    assert rep.to_dict() == rep2.to_dict()
 
 
 def test_disjointness_exhaustive_limit():
@@ -88,27 +87,11 @@ def test_pointwise_tail_minorant():
         assert binom_tail_p(x, 2) >= Fraction(x, 2) ** 2 / (1 << x)
 
 
-def test_convexity_sweeps():
-    assert check_convexity(1, 3, 20, steps=1000).ok
-    assert check_convexity(2, 5, 40, steps=1000).ok
-    rep = check_convexity(3, 7, 60, steps=500)
-    assert rep.ok and rep.details["min_second_difference"] >= -1e-12
-
-
 def test_convexity_second_derivative_sign_at_lower_end():
     # for r = 1 the second derivative is ln(2) * 2^(-x) * (x ln 2 - 2)
     x = 3.0
     value = log(2) * 2 ** (-x) * (x * log(2) - 2)
     assert value > 0
-
-
-def test_convexity_guards():
-    with pytest.raises(DomainError):
-        check_convexity(0, 3, 20)
-    with pytest.raises(DomainError):
-        check_convexity(2, 3, 20)   # x_lo below 2r + 1
-    with pytest.raises(DomainError):
-        check_convexity(1, 3, 3)
 
 
 def test_overlap_k3_boundary():
@@ -215,8 +198,8 @@ def test_recorded_verify_is_reused(monkeypatch):
 
 
 def test_sum_covering_diagnostics():
-    mixed = covering_sum(hadamard_covering(2),
-                         code_to_covering(greedy_gv_code(2, 1, 4), 4))
+    mixed = Covering(4, hadamard_covering(2).blocks
+                     + code_to_covering(greedy_gv_code(2, 1, 4), 4).blocks)
     rep = check_tail_sum(mixed, 3)
     assert rep.ok
     assert check_event_disjointness(mixed, 3).ok
@@ -225,7 +208,7 @@ def test_sum_covering_diagnostics():
 
 def test_report_json_shape():
     rep = check_tail_sum(K23, 3)
-    doc = json.loads(rep.to_json())
+    doc = rep.to_dict()
     assert doc["check"] == "tail-sum"
     assert doc["sum"] == "1/1"
     assert doc["ok"] is True and doc["violations"] == []

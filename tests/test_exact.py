@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from bicover.bounds import cap_lower
+from bicover.bounds import edge_count_lower, tail_lower
 from bicover.covering import (BipartiteBlock, Covering,
                               balanced_bipartitions_covering, capacity,
                               code_to_covering, hadamard_covering,
@@ -137,7 +137,8 @@ def test_exact_cap_budget_exhaustion():
 def test_exact_cap_respects_formula_lower_bound():
     for n, lam in [(2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2)]:
         value, _ = exact_cap(n, lam)
-        assert value >= ceil(cap_lower(n, lam) - 1e-9)
+        lower = max(edge_count_lower(n, lam), tail_lower(n, lam))
+        assert value >= ceil(lower - 1e-9)
 
 
 def test_exact_cap_below_constructions():

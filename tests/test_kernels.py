@@ -114,7 +114,7 @@ def test_verify_matches_reference(n, m, seed, lam, graph):
     assert report == reference_paths.verify(cov, target, lam)
     assert_python_ints((report.pair_count, report.min_multiplicity,
                         report.violating_pairs, report.histogram))
-    json.loads(report.to_json())
+    json.dumps(report.to_dict())
 
 
 # The MacWilliams path of verify on complete targets.
