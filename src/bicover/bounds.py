@@ -98,15 +98,19 @@ def upper_bch(n, lam):
 
 
 def bch_backed(n, lam):
-    """Whether n equals an extended-BCH codeword count at this lam's distance need.
+    """Whether the extended-BCH covering at n reaches the bound of upper_bch.
 
-    The bound of upper_bch is construction-backed exactly at those n; at
-    other n it is a formula-only target.
+    That holds when n equals the codeword count 2^dim of the code that
+    bch_field picks and the covering's capacity, n words of length 2^m, is
+    at most the formula; at other n the bound is a formula-only target.
     """
+    if n < 3:
+        return False  # upper_bch needs log log n
     try:
-        return n == 1 << codes.bch_field(n, lam)[1]
+        m, dim = codes.bch_field(n, lam)
     except NoConstruction:
         return False
+    return n == 1 << dim and n << m <= upper_bch(n, lam)
 
 
 def binom_tail_p(x, r):

@@ -4,6 +4,11 @@
 K_n^lam by iterative deepening on capacity.  It is a ground-truth oracle
 for the constructive routines, so completeness of the search matters more
 than speed; budgets make runaway instances fail loudly instead of hanging.
+Up to ``_PERM_LIMIT`` vertices the search keeps only canonical block lists
+under vertex relabeling.  Each node carries, per relabeling, where its
+relabeled list first differs from its own, so a child's test reads one
+column of images and re-sorts only on a tie; the relabeling maps come from
+subset-mask tables.
 """
 
 from __future__ import annotations
@@ -11,12 +16,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, islice, permutations
 
+import numpy as np
+
 from .covering import BipartiteBlock, Covering
 from .errors import BudgetExhausted, DomainError
 
 # Full vertex-permutation canonicity checks stop paying for themselves
-# beyond this many vertices (at n = 7 the block-index maps would be
-# 5039 x 966 entries); above it only block ordering breaks symmetry.
+# beyond this many vertices: at n = 7 the block-index maps would be
+# 5039 x 966 entries, held as rows and as columns, and every DFS step would
+# compare 5039 images.  Above it only block ordering breaks symmetry.
 _PERM_LIMIT = 6
 
 
@@ -70,19 +78,38 @@ class _CapSearch:
         self.vertex_pairs = [
             [i for i, p in enumerate(self.pairs) if j in p]
             for j in range(self.n + 1)]
-        self.perm_maps = self._perm_maps() if n <= _PERM_LIMIT else []
+        maps = (self._perm_maps() if n <= _PERM_LIMIT
+                else np.zeros((0, len(self.blocks)), dtype=np.intp))
+        self.perm_maps = maps.tolist()
+        self.cols = maps.T.tolist()  # cols[x][g]: x's image under g
         self.nodes = 0
 
     def _perm_maps(self):
-        """Each vertex relabeling but the identity, as block index -> image block index."""
-        index = {ab: i for i, ab in enumerate(self.blocks)}
-        maps = []
-        for perm in islice(permutations(range(1, self.n + 1)), 1, None):
-            relabel = (0,) + perm
-            maps.append([index[_normalize(map(relabel.__getitem__, a),
-                                          map(relabel.__getitem__, b))]
-                         for a, b in self.blocks])
-        return maps
+        """Each vertex relabeling but the identity, as a row mapping block
+        index -> image block index.
+
+        Subsets of 1..n are bit masks, ranked in the (size, sorted tuple)
+        order that orients a block: the side of lower rank is its left.  One
+        numpy pass maps every mask under every relabeling, and a block's image
+        is then one lookup at the (lower, higher) ranks of its two sides'
+        images.  The relabelings come in ``itertools.permutations`` order.
+        """
+        n = self.n
+        full = 1 << n
+        order = sorted(range(1, full), key=lambda s: (s.bit_count(), [
+            v for v in range(n) if s >> v & 1]))
+        rank = np.zeros(full, dtype=np.intp)
+        rank[order] = np.arange(len(order))
+        sides = np.array([[sum(1 << (v - 1) for v in side) for side in ab]
+                          for ab in self.blocks], dtype=np.intp).reshape(-1, 2)
+        index = np.full((full, full), -1, dtype=np.intp)
+        index[rank[sides[:, 0]], rank[sides[:, 1]]] = np.arange(len(sides))
+        perms = np.array(list(islice(permutations(range(n)), 1, None)),
+                         dtype=np.intp).reshape(-1, n)
+        bits = (np.arange(full)[:, None] >> np.arange(n)) & 1
+        image = rank[(bits[None, :, :] << perms[:, None, :]).sum(axis=2)]
+        left, right = image[:, sides[:, 0]], image[:, sides[:, 1]]
+        return index[np.minimum(left, right), np.maximum(left, right)]
 
     def _remaining_need(self, deficit):
         """Elementary lower bound on the capacity still required.
@@ -103,22 +130,46 @@ class _CapSearch:
         slots = sum(deficit)
         return max(per_vertex, -(-4 * slots // self.n))
 
-    def _canonical(self, chosen):
-        """True iff no vertex relabeling makes the sorted block list smaller.
+    def _step(self, state, chosen):
+        """The canonical-form state of ``chosen`` from its parent's, or None.
 
         ``chosen`` holds block indices in nondecreasing order, and the block
         list is sorted by the (total size, a, b) key, so a list's sorted key
-        list is its index list: comparing the sorted image indices with
-        ``chosen`` compares the relabeled block lists.  Prefixes of canonical
-        solutions are canonical under this form, so pruning non-canonical
-        partial lists keeps the search complete.
+        list is its index list: ``chosen`` is canonical iff, for every
+        relabeling g, sorted(g(chosen)) >= chosen.  ``state`` holds, per g,
+        the first position d where sorted(g(parent)) and the parent differ,
+        or the parent's length k when they are equal; the root's is all
+        zeros.  Appending x (the last entry of ``chosen``) inserts y = g(x)
+        into g's image, and y is compared with c = chosen[d]: y < c makes
+        the image smaller, so ``chosen`` is not canonical; y > c leaves d;
+        y == c at d == k extends the equal prefix, and y == c at d < k ties,
+        so only then is g's whole image re-sorted.  Prefixes of canonical
+        lists are canonical, so pruning at the first non-canonical prefix
+        keeps the search complete.
         """
-        for pm in self.perm_maps:
-            if sorted([pm[i] for i in chosen]) < chosen:
-                return False
-        return True
+        if not state:
+            return state  # no relabelings: above _PERM_LIMIT
+        k = len(chosen) - 1
+        out = state[:]
+        for g, (d, y) in enumerate(zip(state, self.cols[chosen[-1]])):
+            c = chosen[d]
+            if y > c:
+                continue
+            if y < c:
+                return None
+            if d == k:
+                out[g] = k + 1
+                continue
+            pm = self.perm_maps[g]
+            image = sorted([pm[i] for i in chosen])
+            while d <= k and image[d] == chosen[d]:
+                d += 1
+            if d <= k and image[d] < chosen[d]:
+                return None
+            out[g] = d
+        return out
 
-    def _dfs(self, start, deficit, rem, chosen):
+    def _dfs(self, start, deficit, rem, chosen, state):
         self.nodes += 1
         if self.nodes > self.budget.node_limit:
             raise BudgetExhausted(
@@ -135,10 +186,11 @@ class _CapSearch:
             if not touched:
                 continue  # a useless block never appears in a minimum covering
             chosen.append(bi)
-            if self._canonical(chosen):
+            child = self._step(state, chosen)
+            if child is not None:
                 for p in touched:
                     deficit[p] -= 1
-                found = self._dfs(bi, deficit, rem - size, chosen)
+                found = self._dfs(bi, deficit, rem - size, chosen, child)
                 for p in touched:
                     deficit[p] += 1
                 if found is not None:
@@ -156,7 +208,8 @@ class _CapSearch:
         """
         for cap in range(self.budget.max_capacity + 1):
             try:
-                found = self._dfs(0, [self.lam] * len(self.pairs), cap, [])
+                found = self._dfs(0, [self.lam] * len(self.pairs), cap, [],
+                                  [0] * len(self.perm_maps))
             except BudgetExhausted as e:
                 e.lower = cap
                 raise

@@ -27,7 +27,7 @@ import random
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations
-from math import comb
+from math import comb, log2
 from typing import NamedTuple
 
 import numpy as np
@@ -466,6 +466,23 @@ def canonical(n, blocks, chosen):
     return True
 
 
+def perm_maps(n, blocks):
+    """The search's relabeling maps, one block tuple at a time.
+
+    Every permutation of 1..n but the identity, in ``itertools.permutations``
+    order, as a list mapping each block index to the index of its relabeled,
+    re-oriented image in ``blocks``.
+    """
+    def normalize(a, b):
+        a, b = tuple(sorted(a)), tuple(sorted(b))
+        return (a, b) if (len(a), a) <= (len(b), b) else (b, a)
+
+    index = {ab: i for i, ab in enumerate(blocks)}
+    return [[index[normalize([perm[v - 1] for v in a], [perm[v - 1] for v in b])]
+             for a, b in blocks]
+            for perm in list(permutations(range(1, n + 1)))[1:]]
+
+
 # ------------------------------------------------ constructions, by if-chain
 
 _FAMILIES = ("even-weight", "repetition", "extended-bch", "gv", "hadamard")
@@ -568,13 +585,17 @@ def build_code(method, n, lam):
 
 
 def bch_backed(n, lam, max_m=16):
-    """Whether n equals an extended-BCH codeword count at this lam's distance need."""
+    """Whether n equals an extended-BCH codeword count at this lam's distance
+    need, with the covering's capacity n * 2^m within the BCH formula
+    n * (log n + floor((lam - 1) / 2) * log log n + 2)."""
+    if n < 3:
+        return False
     d = (lam - 1) // 2 + 1
     for m in range(2, max_m + 1):
         if 2 * d - 1 > (1 << m) - 1:
             continue
         if n == 1 << codes.bch_dimension(m, d):
-            return True
+            return n << m <= n * (log2(n) + (lam - 1) // 2 * log2(log2(n)) + 2)
     return False
 
 

@@ -105,6 +105,18 @@ def test_upper_bch_and_flag():
     assert not bch_backed(100, 4)
 
 
+def test_bch_flag_needs_the_covering_within_the_formula():
+    # At lam = 9 and 11, n = 2048 is the m = 5 code's word count, but its
+    # covering has capacity 2048 * 32 = 65536, above the formula; at lam = 4
+    # (test_upper_bch_and_flag) the m = 4 covering's 32768 is below it.
+    for lam in (9, 11):
+        assert upper_bch(2048, lam) < 65536
+        assert not bch_backed(2048, lam)
+        flags = {e.name: e.flags for e in multigraph_report(2048, lam).entries}
+        assert flags["bch"] == ("formula-only",)
+    assert not bch_backed(2, 3)
+
+
 def test_gv_count():
     # The Gilbert-Varshamov count ceil(2^k / V(k, d - 1)).
     def gv_count(k, d):

@@ -1,9 +1,9 @@
 """The fast kernels (the packed covering builders, balanced bipartitions
 among them, the parser and serializer, verify and its MacWilliams path, the
 diagnostic sweeps and tail sums, the greedy code scan, min_distance,
-degenerate_rows, the exact search's canonical check, the independent-set
-solver, the graph parser and the graph's adjacency masks) agree exactly
-with the Python reference paths."""
+degenerate_rows, the exact search's canonical step and relabeling maps, the
+independent-set solver, the graph parser and the graph's adjacency masks)
+agree exactly with the Python reference paths."""
 
 import json
 import random
@@ -635,10 +635,38 @@ def block_indices(data, n):
     return sorted(data.draw(st.lists(st.integers(0, hi), min_size=1, max_size=8)))
 
 
+def canonical_by_steps(search, chosen):
+    """Fold the search's step over ``chosen`` from the root state.
+
+    Every prefix of a canonical list is canonical, so the fold decides the
+    whole list; it returns the final state, or None at the first prefix that
+    is not canonical.
+    """
+    state = [0] * len(search.perm_maps)
+    for k in range(1, len(chosen) + 1):
+        state = search._step(state, chosen[:k])
+        if state is None:
+            return None
+    return state
+
+
+def first_differences(search, chosen):
+    # Per relabeling, where its sorted image first differs from chosen.
+    out = []
+    for pm in search.perm_maps:
+        image = sorted(pm[i] for i in chosen)
+        out.append(next((d for d, (a, b) in enumerate(zip(image, chosen))
+                         if a != b), len(chosen)))
+    return out
+
+
 def check_canonical(n, chosen):
     search = cap_search(n)
-    assert (search._canonical(chosen)
+    state = canonical_by_steps(search, chosen)
+    assert ((state is not None)
             == reference_paths.canonical(n, search.blocks, chosen))
+    if state is not None:
+        assert state == first_differences(search, chosen)
 
 
 @PROPERTY
@@ -656,8 +684,15 @@ def test_canonical_check_matches_reference_at_six_vertices(data):
 @pytest.mark.parametrize("chosen", [[6, 17, 19, 23], [0, 5, 6, 12, 17]])
 def test_canonical_check_sees_a_lone_relabeling(chosen):
     # The reversal of 1..4 is the only relabeling that makes these smaller.
-    assert not cap_search(4)._canonical(chosen)
+    assert canonical_by_steps(cap_search(4), chosen) is None
     check_canonical(4, chosen)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_relabeling_maps_match_reference(n):
+    search = cap_search(n)
+    assert search.perm_maps == reference_paths.perm_maps(n, search.blocks)
+    assert [list(col) for col in zip(*search.cols)] == search.perm_maps
 
 
 @st.composite
