@@ -175,7 +175,7 @@ def incidence_counts(cov):
     return np.bitwise_count(cov.left | cov.right).sum(axis=0)[1:].tolist()
 
 
-_EDGE_CHUNK = 1 << 15  # graph edges per verify step
+_STEP_PAIRS = 1 << 16  # vertex pairs per verify step: graph edges, or one tile
 
 
 def verify(cov, target, lam):
@@ -183,15 +183,16 @@ def verify(cov, target, lam):
 
     ``target`` is an integer n (all pairs of the complete graph on 1..n,
     i.e. K_n^lam) or a Graph (its edges).  Violations are reported as data,
-    not raised.  The count runs on the packed masks, one vertex u against
-    all v > u (or one chunk of graph edges) per step, so temporaries stay at
-    O(n) words.  A complete target whose vertices all lie in every block, as
-    in a covering built from a code, is counted by the MacWilliams transform
-    instead when that is cheaper (see ``_code_histogram``); the pairwise
-    count then runs only to list violations, and must agree with it.  The
-    minimum multiplicity is recorded on the covering per target, which lets
-    later checks at the same or a lower level skip the count (see
-    ``is_verified``).
+    not raised.  The count runs on the packed masks, one step per tile of
+    about ``_STEP_PAIRS`` pairs: rows u against columns v > u (see
+    ``_tiles``), or one chunk of graph edges, so temporaries stay at
+    O(max(_STEP_PAIRS, n)) words.  A complete target whose vertices all lie
+    in every block, as in a covering built from a code, is counted by the
+    MacWilliams transform instead when that is cheaper (see
+    ``_code_histogram``); the pairwise count then runs only to list
+    violations, and must agree with it.  The minimum multiplicity is
+    recorded on the covering per target, which lets later checks at the
+    same or a lower level skip the count (see ``is_verified``).
     """
     if lam < 1:
         raise DomainError(f"coverage level must be >= 1, got {lam}")
@@ -201,31 +202,33 @@ def verify(cov, target, lam):
             raise GroundSetMismatch(
                 f"covering on {cov.n} vertices vs graph on {target.n}")
         edges = target.edge_array()
-        steps = ((edges[k:k + _EDGE_CHUNK, 0], edges[k:k + _EDGE_CHUNK, 1])
-                 for k in range(0, len(edges), _EDGE_CHUNK))
+        steps = ((edges[k:k + _STEP_PAIRS, 0], edges[k:k + _STEP_PAIRS, 1], None)
+                 for k in range(0, len(edges), _STEP_PAIRS))
         kind = "graph"
     else:
         if cov.n != target:
             raise GroundSetMismatch(
                 f"covering on {cov.n} vertices vs complete target on {target}")
-        steps = ((u, slice(u + 1, None)) for u in range(1, target))
+        steps = _tiles(target)
         kind = "complete"
         counts = _code_histogram(cov)
     low_steps = []  # (u, v) index arrays of the pairs below lam, step by step
     if counts is None or any(counts[:lam]):
         a, b = cov.left, cov.right
         hist = np.zeros(cov.m + 1, dtype=np.int64)
-        for us, vs in steps:
+        for us, vs, skip in steps:
             per_word = [np.bitwise_count((aw[us] & bw[vs]) | (bw[us] & aw[vs]))
                         for aw, bw in zip(a, b)]
             mult = per_word[0] if len(per_word) == 1 else np.sum(
                 per_word, axis=0, dtype=np.intp)
-            hist += np.bincount(mult, minlength=len(hist))
-            low = np.nonzero(mult < lam)[0]
-            if len(low) and kind == "graph":
-                low_steps.append((us[low], vs[low]))
-            elif len(low):
-                low_steps.append((np.full(len(low), us), low + (us + 1)))
+            hist += np.bincount(mult.ravel(), minlength=len(hist))
+            low = mult < lam
+            if skip is not None:  # a tile: drop its entries with v <= u
+                hist -= np.bincount(mult[:, :len(skip)][skip], minlength=len(hist))
+                low[:, :len(skip)] &= ~skip
+            if low.any():
+                low_steps.append((np.broadcast_to(us, low.shape)[low],
+                                  np.broadcast_to(vs, low.shape)[low]))
         if counts is not None and hist.tolist() != counts:
             raise AssertionError(f"pairwise histogram {hist.tolist()} differs "
                                  f"from the transform's {counts}")
@@ -241,6 +244,21 @@ def verify(cov, target, lam):
         n=cov.n, lam=lam, target_kind=kind, pair_count=sum(counts),
         min_multiplicity=lowest, violating_pairs=violating,
         histogram={m: c for m, c in enumerate(counts) if c})
+
+
+def _tiles(n):
+    """The pairs u < v of 1..n as verify steps (us, vs, skip), u ascending.
+
+    A step is a tile: rows u in [lo, hi) as a column vector ``us`` against
+    columns v in [lo + 1, n] as a row vector ``vs``, max(1, _STEP_PAIRS // n)
+    rows at a time.  Its entries with v <= u, which lie in the first hi - lo
+    columns, are the True entries of the square ``skip``.  Read row-major,
+    the remaining entries are the tile's pairs in lexicographic order.
+    """
+    rows = max(1, _STEP_PAIRS // n)
+    for lo in range(1, n, rows):
+        us = np.arange(lo, min(lo + rows, n))[:, None]
+        yield us, np.arange(lo + 1, n + 1), np.tri(len(us), k=-1, dtype=bool)
 
 
 def _code_histogram(cov):
@@ -468,27 +486,35 @@ def parse_covering(text):
     if not isinstance(obj["blocks"], list):
         raise ParseError('"blocks" must be a list')
     items = obj["blocks"]
-    sides = np.zeros((2, n + 1, len(items)), dtype=np.uint8)
-    for i, item in enumerate(items):
+    side_lists = ([], [])  # every block's left labels, and its right labels
+    for item in items:
         if not isinstance(item, dict) or set(item) != {"left", "right"}:
             raise ParseError(f"block entry must map left and right, got {item!r}")
-        members = []
-        for bits, key in zip(sides, ("left", "right")):
+        seen = []
+        for key, lists in zip(("left", "right"), side_lists):
             side = item[key]
             if not isinstance(side, list) or not side:
                 raise ParseError(f'block side "{key}" must be a nonempty list')
-            for v in side:
-                if not isinstance(v, int) or isinstance(v, bool):
-                    raise ParseError(f"vertex label must be an integer, got {v!r}")
-                if not 1 <= v <= n:
-                    raise RangeError(f"vertex label {v} outside 1..{n}")
-            members.append(set(side))
-            if len(members[-1]) != len(side):
+            # Types and range are checked in C; only a side that fails is
+            # walked label by label, to report its first bad label.
+            if set(map(type, side)) != {int} or min(side) < 1 or max(side) > n:
+                for v in side:
+                    if not isinstance(v, int) or isinstance(v, bool):
+                        raise ParseError(f"vertex label must be an integer, got {v!r}")
+                    if not 1 <= v <= n:
+                        raise RangeError(f"vertex label {v} outside 1..{n}")
+            seen.append(set(side))
+            if len(seen[-1]) != len(side):
                 raise ParseError(f'duplicate vertex in block side "{key}"')
-            bits[side, i] = 1
-        if common := members[0] & members[1]:
+            lists.append(side)
+        if common := seen[0] & seen[1]:
             raise ParseError("block sides overlap: block sides intersect in "
                              f"{sorted(common)}")
+    sides = np.zeros((2, n + 1, len(items)), dtype=np.uint8)
+    for bits, lists in zip(sides, side_lists):
+        sizes = list(map(len, lists))
+        bits[np.fromiter(chain.from_iterable(lists), dtype=np.intp, count=sum(sizes)),
+             np.repeat(np.arange(len(items)), sizes)] = 1
     return Covering._packed(sides)
 
 

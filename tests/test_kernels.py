@@ -22,8 +22,9 @@ from bicover.codes import (BinaryCode, even_weight_code, greedy_gv_code,
                             min_distance)
 from bicover.covering import (BipartiteBlock, Covering, capacity,
                               code_to_covering, coloring_to_covering,
-                              degenerate_rows, incidence_counts,
-                              parse_covering, serialize_covering, verify)
+                              degenerate_rows, hadamard_covering,
+                              incidence_counts, parse_covering,
+                              serialize_covering, verify)
 from bicover.diagnostics import (_disjointness, _independent_sets, _sweep,
                                  check_convex_tail_bound,
                                  check_event_disjointness, check_event_overlap,
@@ -115,6 +116,27 @@ def test_verify_matches_reference(n, m, seed, lam, graph):
     assert_python_ints((report.pair_count, report.min_multiplicity,
                         report.violating_pairs, report.histogram))
     json.dumps(report.to_dict())
+
+
+# Tiles patched down to 1-64 pairs: tiles of one row and of several, with
+# tile edges at every row offset of a complete target.
+@pytest.mark.parametrize("tile", [1, 2, 3, 7, 64])
+@settings(PROPERTY, max_examples=25)
+@given(n=st.integers(1, 40), m=BLOCK_COUNTS, seed=st.integers(0, 2**32),
+       lam=st.integers(1, 40))
+def test_verify_tiles_match_reference(tile, n, m, seed, lam):
+    cov = random_covering(n, m, seed)
+    with patch.object(covering, "_STEP_PAIRS", tile):
+        report = verify(cov, n, lam)
+    assert report == reference_paths.verify(cov, n, lam)
+
+
+def test_hadamard_verify_across_tiles_and_words():
+    # 511 blocks (8 mask words), every pair separated 256 times: above what
+    # one uint8 popcount holds, over 4 tiles of 128 rows.
+    report = verify(hadamard_covering(9), 512, 256)
+    assert report.ok and report.min_multiplicity == 256
+    assert report.histogram == {256: 130816}
 
 
 # The MacWilliams path of verify on complete targets.
@@ -364,7 +386,8 @@ def test_block_lists_match_reference(n, m, seed):
 
 
 @pytest.mark.parametrize("flaw", [None, "overlap", "duplicate",
-                                  "out-of-range", "bool", "empty"])
+                                  "out-of-range", "bool", "empty", "float",
+                                  "string", "null", "nested-list"])
 @settings(PROPERTY, max_examples=25)
 @given(n=st.integers(2, 10), m=st.sampled_from([1, 2, 5, 64, 65]),
        seed=st.integers(0, 2**32), data=st.data())
@@ -386,6 +409,14 @@ def test_parse_covering_matches_reference(flaw, n, m, seed, data):
         side.insert(at, data.draw(st.booleans()))
     elif flaw == "empty":
         side.clear()
+    elif flaw == "float":
+        side.insert(at, data.draw(st.sampled_from([1.0, 2.5, 1e300])))
+    elif flaw == "string":
+        side.insert(at, str(side[0]))
+    elif flaw == "null":
+        side.insert(at, None)
+    elif flaw == "nested-list":
+        side.insert(at, [side[0]])
     assert_same_outcome(parse_covering, reference_paths.parse_covering,
                         json.dumps(doc))
 
