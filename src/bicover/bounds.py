@@ -55,11 +55,13 @@ def alpha_lower(g, alphas=None, limit=None):
     return sum(log2(n / a) for a in alphas)
 
 
-def upper_even_weight(n):
-    """Capacity n*(ceil(log n) + 1) reached by the even-weight code (distance 2)."""
-    if n < 2:
-        raise DomainError(f"need n >= 2, got {n}")
-    return n * codes.FAMILIES["even-weight"](n, 2)[0]
+def upper_even_weight(n, lam):
+    """Capacity n*(ceil(log n) + 1) reached by the even-weight code (distance 2,
+    so lam <= 2)."""
+    _check_instance(n, lam)
+    if lam > 2:
+        raise DomainError("even-weight codes give distance 2 only")
+    return n * codes.even_weight_length(n)
 
 
 def upper_gv(n, lam):
@@ -177,15 +179,12 @@ def multigraph_report(n, lam, c=None):
               ("bch", upper_bch, {"n": n, "lambda": lam})]
     for name, fn, inputs in uppers:
         try:
-            value = fn(n) if name == "even-weight" else fn(n, lam)
+            value = fn(n, lam)
         except DomainError as e:
             rep.entries.append(BoundEntry(name, "upper", float("nan"), inputs,
                                           ("inapplicable", str(e))))
             continue
         entry_flags = ()
-        if name == "even-weight" and lam > 2:
-            entry_flags = ("inapplicable", "even-weight codes give distance 2 only")
-            value = float("nan")
         if name == "bch":
             entry_flags = ("construction-backed",) if bch_backed(n, lam) \
                 else ("formula-only",)

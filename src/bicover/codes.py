@@ -346,86 +346,60 @@ def bch_field(n, lam):
     raise NoConstruction(f"no tabled BCH field reaches n={n}, lam={lam}")
 
 
-def _even_weight(n, lam, k_max=None):
+def even_weight_length(n):
+    """Length ceil(log2 n) + 1 of the shortest even-weight code with n words."""
+    return (n - 1).bit_length() + 1
+
+
+def _even_weight(n, lam):
     if lam > 2:
         raise DomainError("even-weight constructions guarantee lambda = 2 only")
-    k = (n - 1).bit_length() + 1
-    return k, lambda: even_weight_code(k)
+    return even_weight_code(even_weight_length(n))
 
 
-def _repetition(n, lam, k_max=None):
-    if n != 2:
-        raise DomainError("repetition codes only serve n = 2")
-    return lam, lambda: BinaryCode(lam, (0, (1 << lam) - 1), lam, "repetition")
-
-
-def _extended_bch(n, lam, k_max=None):
+def _extended_bch(n, lam):
     if lam < 3:
         raise DomainError("extended BCH here needs lam >= 3; use even-weight")
     m, _ = bch_field(n, lam)
-    return 1 << m, lambda: bch_extended_code(m, (lam + 1) // 2, target=max(n, 2))
+    return bch_extended_code(m, (lam + 1) // 2, target=max(n, 2))
 
 
-def _gv(n, lam, k_max=None):
-    """The shortest length (up to k_max) whose greedy scan reaches n words.
+def _gv(n, lam):
+    """The greedy scan at the shortest length that reaches n words.
     Lengths with 2^k < n * V(k, floor((lam-1)/2)) are skipped: by the
     sphere-packing bound no code of that length holds n words.  The skip
     stops at the scan cap, so no ball past it is ever sized."""
     k = max((n - 1).bit_length(), lam, 1)
     while (1 << k) <= SCAN_CAP and (1 << k) < n * ball_volume(k, (lam - 1) // 2):
         k += 1
-    while (1 << k) <= SCAN_CAP and (k_max is None or k <= k_max):
+    while (1 << k) <= SCAN_CAP:
         try:
-            code = greedy_gv_code(k, lam, n)
-            return k, lambda: code
+            return greedy_gv_code(k, lam, n)
         except TargetUnreached:
             k += 1
     raise NoConstruction(f"greedy scan cap reached before n={n}, lam={lam}")
 
 
-def _hadamard(n, lam, k_max=None):
+def _hadamard(n, lam):
     m = 1
     while (1 << m) < n or (1 << (m - 1)) < lam:
         m += 1
-    return 1 << m, lambda: hadamard_code(m)
+    return hadamard_code(m)
 
 
-# The construction table: family name -> plan(n, lam, k_max), which gives
-# (length, build) for n words at distance lam, build() making the code, and
-# raises DomainError or NoConstruction where the family does not apply.
-# Ties go to the earlier entry; the greedy scan comes last, as only it reads
-# k_max, the length it has to beat.
+# Code family name -> build(n, lam), which returns a code of at least n words
+# at pairwise distance at least lam, or raises DomainError or NoConstruction
+# where the family does not apply.  cli._METHODS chooses between them.
 FAMILIES = {
     "even-weight": _even_weight,
-    "repetition": _repetition,
     "extended-bch": _extended_bch,
     "hadamard": _hadamard,
     "gv": _gv,
 }
 
 
-def k_best(n, lam):
-    """Smallest code length any implemented family certifies for (n, lam).
-
-    Returns (k, method): the family gives n codewords of length k at pairwise
-    distance >= lam, an upper bound on the optimum.  Ties go to the earlier
-    entry of FAMILIES; the greedy scan runs last, only below the others.
-    """
-    if n < 2 or lam < 1:
-        raise DomainError(f"need n >= 2 and lam >= 1, got n={n}, lam={lam}")
-    best = None
-    for name, plan in FAMILIES.items():
-        try:
-            k, _ = plan(n, lam, None if best is None else best[0] - 1)
-        except (DomainError, NoConstruction):
-            continue
-        if best is None or k < best[0]:
-            best = (k, name)
-    return best
-
-
 def build_code(method, n, lam):
-    """Materialize a code for (n, lam) by family name, as chosen by k_best."""
+    """Build the code of the named family for (n, lam)."""
     if method not in FAMILIES:
         raise DomainError(f"unknown construction method {method!r}")
-    return FAMILIES[method](n, lam)[1]()
+    return FAMILIES[method](n, lam)

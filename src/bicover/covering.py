@@ -160,7 +160,7 @@ class CoverageReport:
             "pair_count": self.pair_count,
             "min_multiplicity": self.min_multiplicity,
             "ok": self.ok,
-            "violating_pairs": [list(p) for p in self.violating_pairs],
+            "violating_pairs": self.violating_pairs,
             "histogram": {str(k): v for k, v in sorted(self.histogram.items())},
         }
 
@@ -233,11 +233,8 @@ def verify(cov, target, lam):
             raise AssertionError(f"pairwise histogram {hist.tolist()} differs "
                                  f"from the transform's {counts}")
         counts = hist.tolist()
-    # The pair tuples are built once the loop is done and share one int per
-    # vertex, which keeps the peak memory of a long violation list down.
-    labels = list(range(cov.n + 1))
-    violating = tuple((labels[u], labels[v]) for pu, pv in low_steps
-                      for u, v in zip(pu.tolist(), pv.tolist()))
+    violating = tuple(chain.from_iterable(
+        zip(pu.tolist(), pv.tolist()) for pu, pv in low_steps))
     lowest = next((m for m, c in enumerate(counts) if c), None)
     cov._verified[target] = lowest
     return CoverageReport(

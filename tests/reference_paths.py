@@ -16,7 +16,7 @@ only adjacency bitmasks: one neighbor frozenset per vertex.
 They are kept only as oracles; the property tests require the library's
 kernels to return exactly the same reports, codes, coverings and answers.
 The construction if-chains the library ran before its family table (the
-CLI's covering builder, ``build_code``, ``k_best``, ``bch_backed``) are
+CLI's covering builder, ``build_code``, ``bch_backed``) are
 kept the same way.
 """
 
@@ -485,53 +485,17 @@ def perm_maps(n, blocks):
 
 # ------------------------------------------------ constructions, by if-chain
 
-_FAMILIES = ("even-weight", "repetition", "extended-bch", "gv", "hadamard")
-
-
-def _gv_scan(n, lam, k_max=None):
+def _gv_scan(n, lam):
     """Greedy code at the shortest length whose scan reaches n words, else None."""
     k = max((n - 1).bit_length(), lam, 1)
     while (1 << k) < n * codes.ball_volume(k, (lam - 1) // 2):
         k += 1
-    while (1 << k) <= codes.SCAN_CAP and (k_max is None or k <= k_max):
+    while (1 << k) <= codes.SCAN_CAP:
         try:
             return codes.greedy_gv_code(k, lam, n)
         except TargetUnreached:
             k += 1
     return None
-
-
-def k_best(n, lam, max_bch_m=16):
-    """Smallest code length any family certifies for (n, lam), as (k, family)."""
-    if n < 2 or lam < 1:
-        raise DomainError(f"need n >= 2 and lam >= 1, got n={n}, lam={lam}")
-    candidates = {}
-    if lam <= 2:
-        candidates["even-weight"] = (n - 1).bit_length() + 1
-    if n == 2:
-        candidates["repetition"] = lam
-    if lam >= 3:
-        d = (lam + 1) // 2
-        for m in range(2, max_bch_m + 1):
-            if 2 * d - 1 > (1 << m) - 1:
-                continue
-            if 1 << codes.bch_dimension(m, d) >= n:
-                candidates["extended-bch"] = 1 << m
-                break
-    m = 1
-    while (1 << m) < n or (1 << (m - 1)) < lam:
-        m += 1
-    candidates["hadamard"] = 1 << m
-    gv = _gv_scan(n, lam, k_max=min(candidates.values()) - 1)
-    if gv is not None:
-        candidates["gv"] = gv.length
-    if not candidates:
-        raise NoConstruction(f"no implemented family reaches n={n}, lam={lam}")
-    best = min(candidates.values())
-    for name in _FAMILIES:
-        if candidates.get(name) == best:
-            return best, name
-    raise AssertionError("unreachable")
 
 
 def sylvester_matrix(m):
@@ -557,11 +521,6 @@ def build_code(method, n, lam):
         if lam > 2:
             raise DomainError("even-weight codes guarantee distance 2 only")
         return codes.even_weight_code((n - 1).bit_length() + 1)
-    if method == "repetition":
-        if n != 2:
-            raise DomainError("repetition codes only serve n = 2")
-        return BinaryCode(lam, (0, (1 << lam) - 1), min_distance=lam,
-                          method="repetition")
     if method == "extended-bch":
         d = (lam + 1) // 2
         if d < 2:

@@ -70,9 +70,13 @@ def test_cap_lower_dominates_hansel_in_regime():
 
 
 def test_upper_even_weight():
-    assert upper_even_weight(4) == 12
-    assert upper_even_weight(8) == 32
-    assert upper_even_weight(10) == 50
+    assert upper_even_weight(4, 2) == 12
+    assert upper_even_weight(8, 1) == 32
+    assert upper_even_weight(10, 2) == 50
+    with pytest.raises(DomainError, match="distance 2 only"):
+        upper_even_weight(8, 3)
+    with pytest.raises(DomainError):
+        upper_even_weight(1, 1)
 
 
 def test_upper_gv():

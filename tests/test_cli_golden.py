@@ -51,6 +51,8 @@ ARGV = [
                      "gv", "--out", "c.json"], {}),
     ("gv-n-1", ["construct", "--n", "1", "--lambda", "1", "--method", "gv",
                 "--out", "c.json"], {}),
+    ("gv-n-2", ["construct", "--method", "gv", "--n", "2", "--lambda", "5",
+                "--out", "c.json"], {}),
     ("bch", ["construct", "--n", "16", "--lambda", "4", "--method", "bch",
              "--out", "c.json"], {}),
     ("bch-truncated", ["construct", "--n", "100", "--lambda", "5", "--method",
@@ -88,6 +90,8 @@ ARGV = [
     ("sweep-csv", [*_SWEEP, "--format", "csv"], {}),
     ("sweep-json-out", [*_SWEEP, "--c", "0.25", "--out", "s.json"], {}),
     ("sweep-csv-out", [*_SWEEP, "--format", "csv", "--out", "s.csv"], {}),
+    ("sweep-code-choices", ["sweep", "--n-list", "2,3,5,16,33,100",
+                            "--lambda-list", "4,5,7,9"], {}),
     ("bounds-2040", ["bounds", "--n", "2040", "--lambda", "4"], {}),
     ("bounds-2048", ["bounds", "--n", "2048", "--lambda", "4"], {}),
     ("bounds-8-table", ["bounds", "--n", "8", "--lambda", "1", "--format",

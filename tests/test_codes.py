@@ -5,7 +5,7 @@ import pytest
 from bicover import codes
 from bicover.codes import (BinaryCode, FieldContext, ball_volume, bch_dimension,
                            bch_extended_code, build_code, even_weight_code,
-                           greedy_gv_code, hadamard_code, k_best, min_distance)
+                           greedy_gv_code, hadamard_code, min_distance)
 from bicover.errors import (CapExceeded, DomainError, FieldError,
                             NoConstruction, SizeLimitExceeded, TargetUnreached)
 
@@ -195,25 +195,9 @@ def test_binary_code_validation():
         BinaryCode(2, (4,))
 
 
-def test_k_best_examples():
-    assert k_best(4, 2) == (3, "even-weight")
-    assert k_best(2, 1) == (1, "repetition")
-    assert k_best(2048, 4) == (16, "extended-bch")
-
-
-def test_k_best_gv_wins_medium():
-    k, method = k_best(16, 1)
-    assert (k, method) == (4, "gv")
-    k, method = k_best(5, 3)
-    code = build_code(method, 5, 3)
-    assert code.length == k and len(code.words) >= 5
-    assert pairwise_min_distance(code.words[:5]) >= 3
-
-
 def test_build_code_families():
     for method, n, lam in [("even-weight", 6, 2), ("gv", 10, 3),
-                           ("extended-bch", 16, 4), ("repetition", 2, 5),
-                           ("hadamard", 8, 4)]:
+                           ("extended-bch", 16, 4), ("hadamard", 8, 4)]:
         code = build_code(method, n, lam)
         assert len(code.words) >= n
         assert pairwise_min_distance(code.words[:n]) >= lam
@@ -258,7 +242,3 @@ def test_gv_length_skip_keeps_choice(monkeypatch):
                 k += 1
             code = build_code("gv", n, lam)
             assert (code.length, code.words) == (k, lexicode(k, lam)[:n])
-            best, method = k_best(n, lam)
-            assert best <= k
-            assert method != "gv" or best == k
-            assert method != "hadamard" or best < k

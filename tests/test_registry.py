@@ -2,7 +2,7 @@
 
 Over n = 2..130 and a few large n, at lambda = 1..8, every CLI method must
 give the same covering, guaranteed lambda, parameters and sweep capacity as
-the old builder, ``build_code``, ``k_best`` and ``bch_backed`` the same
+the old builder, ``build_code`` and ``bch_backed`` the same
 answers, and every path the same exception class where the old one raised.
 """
 
@@ -117,11 +117,26 @@ def test_construct_and_sweep_match_the_old_builder(n):
 @pytest.mark.parametrize("n", NS)
 def test_codes_match_the_old_paths(n):
     for lam in LAMS:
-        assert outcome(codes.k_best, n, lam) == outcome(ref.k_best, n, lam), (n, lam)
         assert bounds.bch_backed(n, lam) == ref.bch_backed(n, lam), (n, lam)
-        for name in ref._FAMILIES:
+        for name in codes.FAMILIES:
             assert (outcome(codes.build_code, name, n, lam)
                     == outcome(ref.build_code, name, n, lam)), (name, n, lam)
+
+
+def test_every_family_is_built_by_a_method(monkeypatch):
+    built = set()
+    real = codes.build_code
+
+    def build_code(family, n, lam):
+        code = real(family, n, lam)
+        built.add(family)
+        return code
+
+    monkeypatch.setattr(codes, "build_code", build_code)
+    for method in _METHODS:
+        for lam in (2, 3):
+            outcome(new_construct, method, 8, lam)
+    assert built == set(codes.FAMILIES)
 
 
 @pytest.mark.parametrize("m", range(1, 9))
