@@ -457,13 +457,22 @@ def coloring_to_covering(g, coloring):
     if len(coloring) != g.n:
         raise DomainError(
             f"coloring has {len(coloring)} entries for {g.n} vertices")
-    for c in coloring:
-        if not isinstance(c, int) or isinstance(c, bool) or c < 0:
-            raise DomainError(f"color indices must be nonnegative integers, got {c!r}")
-    for u, v in g.edges():
-        if coloring[u - 1] == coloring[v - 1]:
-            raise ImproperColoring(
-                f"adjacent vertices {u} and {v} share color {coloring[u - 1]}")
+    # Types and signs are checked in C; only a failing coloring is walked
+    # entry by entry, to report its first bad entry.
+    if set(map(type, coloring)) != {int} or min(coloring) < 0:
+        for c in coloring:
+            if not isinstance(c, int) or isinstance(c, bool) or c < 0:
+                raise DomainError(f"color indices must be nonnegative integers, got {c!r}")
+    try:
+        colors = np.array(coloring, dtype=np.int64)
+    except OverflowError:
+        colors = np.array(coloring, dtype=object)
+    edges = g.edge_array()
+    same = np.flatnonzero(colors[edges[:, 0] - 1] == colors[edges[:, 1] - 1])
+    if same.size:  # edge_array is sorted, so this is the first bad edge
+        u, v = edges[same[0]].tolist()
+        raise ImproperColoring(
+            f"adjacent vertices {u} and {v} share color {coloring[u - 1]}")
     classes = max(coloring) + 1 if coloring else 1
     bits = (classes - 1).bit_length()
     return _split_by_bits(_bit_rows(coloring, bits)[:, ::-1])

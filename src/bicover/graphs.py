@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import random
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -17,7 +17,7 @@ from .errors import ParseError, RangeError, SizeLimitExceeded
 
 DEFAULT_EXACT_LIMIT = 40
 
-_EDGE_ROWS = 256  # mask rows Graph.edge_array reads at a time
+_EDGE_ROWS = 256  # mask rows that edge_array, _relabelled and _pack_masks handle at a time
 
 
 class Graph:
@@ -41,6 +41,13 @@ class Graph:
             masks[u - 1] |= 1 << (v - 1)
             masks[v - 1] |= 1 << (u - 1)
         self.n, self._masks = n, tuple(masks)
+
+    @classmethod
+    def _from_masks(cls, n, masks):
+        """The graph whose adjacency_masks() is the tuple masks, unchecked."""
+        g = cls.__new__(cls)
+        g.n, g._masks = n, masks
+        return g
 
     def degree(self, v):
         _check_vertex(v, self.n)
@@ -154,7 +161,11 @@ class _AlphaSearch:
     not listed at all.
 
     This is exact: an independent set T through x is either visited, or it
-    lies in a cut subtree whose bound was at most ``known[x]`` then.
+    lies in a cut subtree whose bound was at most ``known[x]`` then.  Any
+    vertex order gives the same values; alpha_per_vertex numbers the vertices
+    by ascending degree, MCQ's initial order (descending degree in the
+    complement, where the independent sets are cliques), which makes the
+    low classes large and cuts more subtrees.
     """
 
     def __init__(self, masks):
@@ -229,13 +240,110 @@ def alpha_per_vertex(g, limit=None):
     if g.n > limit:
         raise SizeLimitExceeded(
             f"exact independence numbers limited to n <= {limit}, got n = {g.n}")
-    return _AlphaSearch(g.adjacency_masks()).run()
+    degree = degrees(g)
+    order = sorted(range(g.n), key=degree.__getitem__)  # MCQ's initial order
+    known = _AlphaSearch(_relabelled(g.adjacency_masks(), order)).run()
+    alphas = [0] * g.n
+    for i, v in enumerate(order):
+        alphas[v] = known[i]
+    return alphas
+
+
+def _relabelled(masks, order):
+    """The adjacency masks after vertex order[i] (0-based) is renamed i.
+
+    Rows are unpacked _EDGE_ROWS at a time into a 0/1 matrix, whose columns
+    are taken in the new order and packed again, so temporaries stay at
+    O(_EDGE_ROWS * n) bytes.
+    """
+    n = len(masks)
+    width = (n + 7) // 8
+    out = []
+    for lo in range(0, n, _EDGE_ROWS):
+        rows = b"".join(masks[v].to_bytes(width, "little") for v in order[lo:lo + _EDGE_ROWS])
+        bits = np.unpackbits(np.frombuffer(rows, dtype=np.uint8).reshape(-1, width),
+                             axis=1, count=n, bitorder="little")
+        data = np.packbits(bits[:, order], axis=1, bitorder="little").tobytes()
+        out += [int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width)]
+    return out
+
+
+def _pack_masks(n, u, v):
+    """Adjacency masks of the graph on 0..n-1 with the edges (u[i], v[i]),
+    each given once, as a tuple of Python ints.
+
+    Bits are OR-ed into a zeroed byte buffer of _EDGE_ROWS mask rows at a
+    time, and each row with an edge becomes one int, so temporaries stay at
+    O(E + _EDGE_ROWS * n / 8) bytes.  Only chunks that hold an edge are
+    visited.
+    """
+    if not len(u):
+        return (0,) * n
+    width = (n + 7) // 8
+    step = _EDGE_ROWS * width  # bytes per chunk of rows
+    cols = np.concatenate((v, u))
+    index = np.concatenate((u, v)).astype(np.int64) * width + (cols >> 3)  # byte of each bit, row-major
+    bit = np.left_shift(np.uint8(1), (cols & 7).astype(np.uint8))
+    if n > _EDGE_ROWS:
+        order = np.argsort(index)
+        index, bit = index[order], bit[order]
+        ends = np.searchsorted(index, range(step, n * width + step, step))
+    else:
+        ends = [len(index)]
+    masks = [0] * n
+    start = 0
+    for lo, end in zip(range(0, n, _EDGE_ROWS), ends):
+        if end == start:
+            continue
+        buf = np.zeros(min(_EDGE_ROWS, n - lo) * width, dtype=np.uint8)
+        np.bitwise_or.at(buf, index[start:end] - lo * width, bit[start:end])
+        data = buf.tobytes()
+        for i in np.flatnonzero(buf.reshape(-1, width).any(axis=1)).tolist():
+            masks[lo + i] = int.from_bytes(data[i * width:(i + 1) * width], "little")
+        start = end
+    return tuple(masks)
+
+
+def _bulk_edges(n, raw):
+    """The edges of a valid decoded edge list as 0-based columns (u, v),
+    sorted by (u, v); None when any entry fails a check.
+
+    Every check runs in C or numpy; the per-edge loop of parse_graph names
+    the first bad entry.
+    """
+    if not raw:
+        return (), ()
+    if n >= 2**31:  # no such graph fits in memory; labels fit int32
+        return None
+    if (set(map(type, raw)) != {list} or set(map(len, raw)) != {2}
+            or set(map(type, chain.from_iterable(raw))) != {int}):
+        return None
+    try:  # a label past int32 lies outside 1..n
+        edges = np.fromiter(chain.from_iterable(raw), dtype=np.int32,
+                            count=2 * len(raw)).reshape(-1, 2)
+    except OverflowError:
+        return None
+    u, v = edges.T
+    if u.min() < 1 or v.max() > n or not (u < v).all():
+        return None
+    edges -= 1
+    key = u.astype(np.int64)  # u * n + v, built in place
+    key *= n
+    key += v
+    if not (key[1:] > key[:-1]).all():
+        key = np.sort(key)
+        if not (key[1:] > key[:-1]).all():
+            return None
+        u, v = np.divmod(key, n)
+    return u, v
 
 
 def parse_graph(text):
     """Parse the graph JSON format {"n": int, "edges": [[u, v], ...]}.
 
-    Edges must satisfy 1 <= u < v <= n; duplicates are rejected.
+    Edges must satisfy 1 <= u < v <= n; duplicates are rejected.  A valid
+    list is checked and packed in bulk; one that fails a bulk check is
+    walked edge by edge, to report its first bad entry.
     """
     try:
         obj = json.loads(text)
@@ -251,6 +359,10 @@ def parse_graph(text):
     raw = obj["edges"]
     if not isinstance(raw, list):
         raise ParseError('"edges" must be a list of [u, v] pairs')
+    edges = _bulk_edges(n, raw)
+    if edges is not None:
+        del obj, raw  # the decoded document is freed before the masks are built
+        return Graph._from_masks(n, _pack_masks(n, *edges))
     masks = [0] * n
     for item in raw:
         if (not isinstance(item, list)) or len(item) != 2:
@@ -264,9 +376,7 @@ def parse_graph(text):
             raise ParseError(f"duplicate edge [{u}, {v}]")
         masks[u - 1] |= 1 << (v - 1)
         masks[v - 1] |= 1 << (u - 1)
-    g = Graph(n)
-    g._masks = tuple(masks)
-    return g
+    return Graph._from_masks(n, tuple(masks))
 
 
 def serialize_graph(g):

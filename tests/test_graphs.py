@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -131,6 +132,19 @@ def test_parse_rejects_malformed():
                 '{"n":3,"edges":[[1]]}', '[1,2]'):
         with pytest.raises(ParseError):
             parse_graph(bad)
+
+
+def test_parse_allocates_the_masks_once():
+    # A million isolated vertices: the 8 MB masks tuple and no n-entry
+    # list or tuple beside it.
+    tracemalloc.start()
+    try:
+        g = parse_graph('{"n": 1000000, "edges": []}')
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.n == 10**6 and not any(g.adjacency_masks())
+    assert peak <= 16 * 10**6
 
 
 def test_serialize_round_trip():

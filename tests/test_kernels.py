@@ -752,6 +752,23 @@ def test_alpha_per_vertex_matches_brute_force(g):
     assert alpha_per_vertex(g) == reference_paths.brute_alpha(g)
 
 
+@PROPERTY
+@given(g=small_graphs(), rows=st.integers(1, 30), data=st.data())
+def test_alpha_per_vertex_does_not_depend_on_labels(g, rows, data):
+    # The search renumbers the vertices by degree, _EDGE_ROWS masks at a
+    # time; any labelling of the same graph gives the same values, carried
+    # along with the vertices.
+    label = data.draw(st.permutations(range(1, g.n + 1)))  # v is label[v - 1]
+    h = Graph(g.n, [(label[u - 1], label[v - 1]) for u, v in g.edges()])
+    want = [0] * g.n
+    for v, a in enumerate(alpha_per_vertex(g)):
+        want[label[v] - 1] = a
+    with patch.object(graphs, "_EDGE_ROWS", rows):
+        assert alpha_per_vertex(h) == want
+    if g.n <= 12:
+        assert want == reference_paths.brute_alpha(h)
+
+
 @pytest.mark.parametrize("n,p,seed", [(60, 0.3, 1), (82, 0.42, 7),
                                       (125, 0.52, 7), (198, 0.77, 7)])
 def test_alpha_per_vertex_matches_reference_on_larger_graphs(n, p, seed):
@@ -815,29 +832,82 @@ def test_solver_visits_the_reference_tree_on_larger_graphs(n, p, seed):
     check_same_tree(g, lambda ref, sub, i: 0)
 
 
-# Edge entries a graph document may hold: valid, out of range, reversed,
-# repeated, of the wrong type or the wrong length.
-EDGE_ITEMS = st.one_of(
-    st.lists(st.integers(-1, 7), min_size=2, max_size=2),
-    st.lists(st.one_of(st.integers(1, 6), st.booleans(), st.just(2.0),
-                       st.just("3")), min_size=2, max_size=2),
-    st.lists(st.integers(1, 6), max_size=3),
-    st.integers(1, 6))
+def edge_items(n):
+    """Edge entries a graph document on n vertices may hold: valid, out of
+    range, reversed, repeated, of the wrong type or length, or past int64."""
+    return st.one_of(
+        st.lists(st.integers(-1, n + 1), min_size=2, max_size=2),
+        st.lists(st.one_of(st.integers(1, n), st.booleans(), st.just(2.0),
+                           st.floats(1, n), st.just("3"),
+                           st.sampled_from([2**64, -2**70])),
+                 min_size=2, max_size=2),
+        st.lists(st.integers(1, n), max_size=3),
+        st.integers(1, n))
 
 
 @PROPERTY
-@given(n=st.integers(1, 6), data=st.data())
-def test_parse_graph_matches_reference(n, data):
-    # Mostly valid lists, so that documents parse and errors come late; an
-    # inserted valid pair may repeat one already there.
+@given(n=st.one_of(st.integers(1, 6), st.integers(60, 70)),
+       p=st.sampled_from([0.0, 0.05, 0.5, 1.0]), seed=st.integers(0, 2**32),
+       rows=st.integers(1, 80), data=st.data())
+def test_parse_graph_matches_reference(n, p, seed, rows, data):
+    # Mostly valid lists, so that documents parse and errors come late.  The
+    # list is sorted or shuffled (the bulk check sorts only the latter); an
+    # inserted valid pair may repeat one already there, and the first pair
+    # may come again at the end, far from its copy.  Above n = 64 the masks
+    # cross 64 bits, and a small _EDGE_ROWS packs them in several chunks.
     pairs = [[u, v] for u, v in combinations(range(1, n + 1), 2)]
+    rng = random.Random(seed)
+    raw = [pair for pair in pairs if rng.random() < p]
+    if data.draw(st.booleans()):
+        rng.shuffle(raw)
+    if raw and data.draw(st.booleans()):
+        raw.append(list(raw[0]))
     valid = st.sampled_from(pairs) if pairs else st.nothing()
-    raw = data.draw(st.lists(valid, unique_by=tuple))
     for _ in range(data.draw(st.integers(0, 2))):
         raw.insert(data.draw(st.integers(0, len(raw))),
-                   data.draw(st.one_of(EDGE_ITEMS, valid)))
+                   data.draw(st.one_of(edge_items(n), valid)))
     text = json.dumps({"n": n, "edges": raw})
-    assert outcome(parse_graph, text) == outcome(reference_paths.parse_edges, n, raw)
+    with patch.object(graphs, "_EDGE_ROWS", rows):
+        assert outcome(parse_graph, text) == outcome(reference_paths.parse_edges, n, raw)
+
+
+@PROPERTY
+@given(n=st.one_of(st.integers(1, 70), st.integers(60, 70)),
+       p=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 1)),
+       seed=st.integers(0, 2**32), shuffled=st.booleans(),
+       rows=st.integers(1, 80))
+def test_parse_graph_packs_valid_lists(n, p, seed, shuffled, rows):
+    # Valid lists only, so every document takes the bulk path.
+    rng = random.Random(seed)
+    raw = [[u, v] for u, v in combinations(range(1, n + 1), 2) if rng.random() < p]
+    if shuffled:
+        rng.shuffle(raw)
+    with patch.object(graphs, "_EDGE_ROWS", rows):
+        g = parse_graph(json.dumps({"n": n, "edges": raw}))
+    assert g == reference_paths.parse_edges(n, raw)
+
+
+@pytest.mark.parametrize("raw", [
+    [[0, 1]], [[-1, 2]], [[1, 2], [-2**70, 3]], [[1, 2**64]], [[2**64, 2]],
+    [[1, True]], [[1, 2], [2.0, 3]], [[1, 3.5]], [[1, 2], [1]], [[1, 2], 3],
+    [[2, 3], [1, 2]], [[1, 2], [2, 3], [1, 3], [2, 3]], [[1, 3], [2, 3], [1, 3]],
+    [[3, 2]], [[1, 4]], [[1, 2], [1, 2, 3]], [[1, "2"]]])
+def test_parse_graph_names_the_first_bad_entry(raw):
+    text = json.dumps({"n": 3, "edges": raw})
+    for rows in (1, 256):
+        with patch.object(graphs, "_EDGE_ROWS", rows):
+            assert outcome(parse_graph, text) == outcome(reference_paths.parse_edges, 3, raw)
+
+
+def test_sorted_single_chunk_parse_does_not_sort(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("parse_graph sorted a sorted edge list")
+
+    g = random_graph(graphs._EDGE_ROWS, 0.5, 1)
+    text = serialize_graph(g)
+    for name in ("sort", "argsort", "lexsort", "unique"):
+        monkeypatch.setattr(np, name, refuse)
+    assert parse_graph(text) == g
 
 
 @PROPERTY
