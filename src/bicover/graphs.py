@@ -349,6 +349,8 @@ def parse_graph(text):
         obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON: {e.msg}", e.lineno, e.colno) from e
+    except RecursionError as e:  # nesting deeper than the decoder's stack
+        raise ParseError(f"invalid JSON: {e}") from e
     if not isinstance(obj, dict):
         raise ParseError("graph document must be a JSON object")
     if set(obj) != {"n", "edges"}:

@@ -153,6 +153,24 @@ def test_verify_parse_error_exit_code(tmp_path, capsys):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize("content, message", [
+    (b"\xff\xfe{}", "error: cannot read f.json: 'utf-8' codec can't decode"),
+    (b"[" * 200_000, "error: invalid JSON: maximum recursion depth exceeded"),
+])
+@pytest.mark.parametrize("argv", [
+    ["verify", "f.json", "--n", "2", "--lambda", "1"],
+    ["bounds", "--graph", "f.json"],
+])
+def test_unreadable_input_is_a_parse_error(tmp_path, capsys, monkeypatch,
+                                           content, message, argv):
+    # A file that is not UTF-8, or nested past the decoder's limit, exits 2.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "f.json").write_bytes(content)
+    code, stdout, err = run(capsys, *argv)
+    assert (code, stdout) == (2, "")
+    assert err.startswith(message)
+
+
 def test_bounds_json_and_table(capsys, tmp_path):
     code, stdout, _ = run(capsys, "bounds", "--n", "16", "--lambda", "3")
     assert code == 0

@@ -208,6 +208,13 @@ def test_parse_and_serialize():
     assert doc == {"n": 2, "blocks": [{"left": [2], "right": [1]}]}
 
 
+def test_parse_refuses_deep_nesting():
+    # Deeper than the json decoder's recursion limit.
+    for text in ("[" * 200_000, '{"n": 2, "blocks": ' + "[" * 200_000):
+        with pytest.raises(ParseError, match="^invalid JSON: maximum recursion"):
+            parse_covering(text)
+
+
 def test_random_coloring_coverings_cover_their_graphs():
     from bicover.graphs import greedy_coloring
     for seed in range(4):

@@ -134,6 +134,13 @@ def test_parse_rejects_malformed():
             parse_graph(bad)
 
 
+def test_parse_refuses_deep_nesting():
+    # Deeper than the json decoder's recursion limit.
+    for text in ("[" * 200_000, '{"n": 2, "edges": ' + "[" * 200_000):
+        with pytest.raises(ParseError, match="^invalid JSON: maximum recursion"):
+            parse_graph(text)
+
+
 def test_parse_allocates_the_masks_once():
     # A million isolated vertices: the 8 MB masks tuple and no n-entry
     # list or tuple beside it.

@@ -422,6 +422,74 @@ def test_parse_covering_matches_reference(flaw, n, m, seed, data):
 
 
 @PROPERTY
+@given(n=st.integers(1, 70), m=st.sampled_from([0, 1, 63, 64, 65]),
+       seed=st.integers(0, 2**32))
+def test_bulk_read_agrees_with_the_json_path(n, m, seed):
+    # The canonical text takes the bulk read; the same document indented
+    # takes the json path.  Both give the covering back.
+    cov = random_covering(n, m, seed)
+    text = serialize_covering(cov)
+    indented = json.dumps(json.loads(text), indent=1)
+    for doc, decodes in ((text, 0), (indented, 1)):
+        with patch.object(json, "loads", wraps=json.loads) as loads:
+            got = parse_covering(doc)
+        assert loads.call_count == decodes
+        assert_same_covering(got, BlockList(n, cov.blocks))
+
+
+@pytest.mark.parametrize("text", [
+    '{"n": 3, "blocks": [{"left": [01, 2], "right": [3]}]}',
+    '{"n": 3, "blocks": [{"left": [12345678901234567890], "right": [3]}]}',
+    '{"n": 3, "blocks": [{"left": [-1, 2], "right": [3]}]}',
+    '{"n": 3, "blocks": [{"left": [+1, 2], "right": [3]}]}',
+    '{"n": 3, "blocks": [{"left": [1.0, 2], "right": [3]}]}',
+    '{"n": 3, "blocks": [{"left": [1e0, 2], "right": [3]}]}',
+    '{"n": 3, "blocks": [{"left": [true, 2], "right": [3]}]}',
+    '{"n": 3, "blocks": [{"left": [2, 1], "right": [3]}]}',
+    '{"n": 3, "blocks": [{"left": [], "right": [3]}]}',
+    '{"n": 3, "blocks": [{"left": [1, 2], "right": []}]}',
+    '{"n": 3, "blocks": [{"left": [1, 1], "right": [3]}]}',
+    '{"n": 3, "blocks": [{"left": [1, 2], "right": [2]}]}',
+    '{"n": 3, "blocks": [{"left": [1, 4], "right": [3]}]}',
+    '{"n": 3, "blocks": [{"left": [1], "right": [3]}, {"left": [0], "right": [2]}]}',
+    '{"n": 0, "blocks": []}',
+    '{"n": -3, "blocks": []}',
+    '{"n": 3.0, "blocks": []}',
+    '{"n": 3, "blocks": []}',
+    '{"n": 3, "blocks": []} ',
+    '{"n":3,"blocks":[{"left":[1],"right":[2]}]}',
+    '{"blocks": [], "n": 3}',
+    '{"n": 3, "n": 3, "blocks": [{"left": [1, 2], "right": [3]}]}',
+    '{"n": 3, "blocks": [{"left": [1], "left": [2], "right": [3]}]}',
+    '{"n": 3, "blocks": [{"right": [3], "left": [1, 2]}]}',
+    '{"n": 3, "blocks": [{"left": [1, 2], "right": [3]}], "x": 1}',
+    '{"n": 3, "blocks": [{"left": [1, 2], "right": [3], "x": [1]}]}',
+    '{"n": 3, "blocks": [[1], [2]]}',
+    '{"n": 3, "blocks": [{"left": [1], "right": [2]}]}\u00e9',
+    '{"n": 1000000000000, "blocks": [{"left": [1, 1], "right": [2]}]}',
+])
+def test_near_canonical_text_matches_reference(text):
+    # Texts at or near the layout serialize_covering writes, most of them
+    # one edit away from it.  Each gives the reference's covering or error.
+    assert_same_outcome(parse_covering, reference_paths.parse_covering, text)
+
+
+def test_canonical_text_parses_without_json(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("parse_covering decoded canonical text with json")
+
+    coverings = [random_covering(n, m, seed)
+                 for n, m, seed in ((1, 0, 1), (5000, 0, 2), (2, 1, 3),
+                                    (40, 65, 4), (70, 130, 5))]
+    coverings += [code_to_covering(even_weight_code(11), 1000),
+                  hadamard_covering(6)]
+    texts = [serialize_covering(cov) for cov in coverings]
+    monkeypatch.setattr(json, "loads", refuse)
+    for cov, text in zip(coverings, texts):
+        assert parse_covering(text) == cov
+
+
+@PROPERTY
 @given(n=st.integers(1, 9), m=st.integers(0, 10), seed=st.integers(0, 2**32),
        lam=st.integers(1, 12))
 def test_exhaustive_disjointness_matches_reference(n, m, seed, lam):
