@@ -21,7 +21,7 @@ from .codes import hadamard_code
 from .errors import (DomainError, GroundSetMismatch, ImproperColoring,
                      NotEnoughCodewords, OverlapError, ParseError, RangeError,
                      SizeLimitExceeded)
-from .graphs import Graph
+from .graphs import _DIGITS_ONLY, Graph
 
 BALANCED_BLOCK_CAP = 1 << 20  # max blocks of a balanced-bipartitions covering
 
@@ -501,7 +501,7 @@ def parse_covering(text):
         obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON: {e.msg}", e.lineno, e.colno) from e
-    except RecursionError as e:  # nesting deeper than the decoder's stack
+    except (RecursionError, ValueError) as e:  # too deep, or an int past the digit limit
         raise ParseError(f"invalid JSON: {e}") from e
     if not isinstance(obj, dict) or set(obj) != {"n", "blocks"}:
         raise ParseError('covering document must have exactly the keys "n" and "blocks"')
@@ -541,11 +541,6 @@ def parse_covering(text):
         bits[np.fromiter(chain.from_iterable(lists), dtype=np.intp, count=sum(sizes)),
              np.repeat(np.arange(len(items)), sizes)] = 1
     return Covering._packed(sides)
-
-
-# A bytes.translate table that keeps the ASCII digits and turns every other
-# byte into a space.
-_DIGITS_ONLY = bytes(c if 0x30 <= c <= 0x39 else 0x20 for c in range(256))
 
 
 def _canonical_sides(text):

@@ -323,6 +323,14 @@ def _bulk_edges(n, raw):
                             count=2 * len(raw)).reshape(-1, 2)
     except OverflowError:
         return None
+    return _edge_columns(n, edges)
+
+
+def _edge_columns(n, edges):
+    """The rows (u, v) of the nonempty integer array edges as 0-based
+    columns, sorted by (u, v); None unless 1 <= u < v <= n and no row
+    repeats.  edges is changed in place.
+    """
     u, v = edges.T
     if u.min() < 1 or v.max() > n or not (u < v).all():
         return None
@@ -338,18 +346,77 @@ def _bulk_edges(n, raw):
     return u, v
 
 
+# A bytes.translate table that keeps the ASCII digits and turns every other
+# byte into a space.
+_DIGITS_ONLY = bytes(c if 0x30 <= c <= 0x39 else 0x20 for c in range(256))
+
+
+def _canonical_edges(text):
+    """n and the 0-based edge columns (u, v) of a document in the layout
+    of ``serialize_graph``, read in bulk without decoding it, or None.
+
+    The layout is ``{"n": N, "edges": [[u, v], [u, v], ...]}`` plus any
+    trailing JSON whitespace, and it is proved at byte level.  With its
+    digits deleted the text must read ``{"n": , "edges": [`` followed by
+    one ``[, ]`` per edge, joined by ``, ``, and ``]}``.  In that skeleton
+    a digit run can sit only between the two bytes around it, and the
+    pair must be ``" ,"`` for n, ``"[,"`` for u and ``" ]"`` for v, in
+    that order: runs are maximal, so two of them never share a gap, and
+    there are as many runs as slots.  No run may have a leading zero or
+    more than 10 digits, so ``np.fromstring``, which reads every run in
+    one call, neither clamps nor aliases a value.  The text is then the
+    one json.dumps would write for those numbers, and the checks of
+    ``_edge_columns`` follow.
+    """
+    if not (text.isascii() and text.startswith('{"n": ')):
+        return None  # not the layout, and not worth a bulk read to find out
+    raw = text.encode("ascii").rstrip(b" \t\n\r")
+    if not raw.endswith(b"}"):
+        return None
+    digits = raw.translate(_DIGITS_ONLY)
+    # bounds[2k] is the byte before run k and bounds[2k + 1] its last digit;
+    # the first and last bytes are not digits, so the two alternate.
+    bounds = np.flatnonzero(np.diff(np.frombuffer(digits, dtype=np.uint8) != 0x20))
+    before, after = bounds[0::2], bounds[1::2] + 1
+    m = (len(before) - 1) // 2  # edges
+    if len(before) != 2 * m + 1 or raw.translate(None, b"0123456789") != (
+            b'{"n": , "edges": [' + (b"[, ], " * m)[:-2] + b"]}"):
+        return None
+    chars = np.frombuffer(raw, dtype=np.uint8)
+    if np.stack((chars[before], chars[after]), axis=1).tobytes() != b" ," + b"[, ]" * m:
+        return None
+    length = after - before - 1
+    if length.max() > 10 or (length[chars[before + 1] == 0x30] > 1).any():
+        return None
+    nums = np.fromstring(digits, dtype=np.int64, sep=" ")
+    n = int(nums[0])
+    if not 1 <= n < 2**31:
+        return None
+    if not m:
+        return n, ((), ())
+    edges = _edge_columns(n, nums[1:].reshape(-1, 2))
+    return None if edges is None else (n, edges)
+
+
 def parse_graph(text):
     """Parse the graph JSON format {"n": int, "edges": [[u, v], ...]}.
 
-    Edges must satisfy 1 <= u < v <= n; duplicates are rejected.  A valid
-    list is checked and packed in bulk; one that fails a bulk check is
-    walked edge by edge, to report its first bad entry.
+    Edges must satisfy 1 <= u < v <= n; duplicates are rejected.  Text in
+    the layout serialize_graph writes is read in bulk by
+    ``_canonical_edges``.  Any other document, or one that fails a check
+    there, goes through ``json.loads``: a valid list is checked and packed
+    in bulk, and one that fails a bulk check is walked edge by edge, to
+    report its first bad entry.
     """
+    read = _canonical_edges(text)
+    if read is not None:
+        n, edges = read
+        return Graph._from_masks(n, _pack_masks(n, *edges))
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON: {e.msg}", e.lineno, e.colno) from e
-    except RecursionError as e:  # nesting deeper than the decoder's stack
+    except (RecursionError, ValueError) as e:  # too deep, or an int past the digit limit
         raise ParseError(f"invalid JSON: {e}") from e
     if not isinstance(obj, dict):
         raise ParseError("graph document must be a JSON object")

@@ -909,3 +909,24 @@ def parse_edges(n, raw):
         seen.add((u, v))
         edges.append((u, v))
     return Graph(n, edges)
+
+
+def parse_graph(text):
+    """Graph from a document: decode it with json, check its shape, then
+    ``parse_edges``."""
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"invalid JSON: {e.msg}", e.lineno, e.colno) from e
+    except ValueError as e:  # an integer past the decoder's digit limit
+        raise ParseError(f"invalid JSON: {e}") from e
+    if not isinstance(obj, dict):
+        raise ParseError("graph document must be a JSON object")
+    if set(obj) != {"n", "edges"}:
+        raise ParseError('graph document must have exactly the keys "n" and "edges"')
+    n = obj["n"]
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ParseError(f'"n" must be a positive integer, got {n!r}')
+    if not isinstance(obj["edges"], list):
+        raise ParseError('"edges" must be a list of [u, v] pairs')
+    return parse_edges(n, obj["edges"])

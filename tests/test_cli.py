@@ -171,6 +171,19 @@ def test_unreadable_input_is_a_parse_error(tmp_path, capsys, monkeypatch,
     assert err.startswith(message)
 
 
+@pytest.mark.parametrize("doc, argv", [
+    ('{"n": %s, "blocks": []}', ["verify", "f.json", "--n", "2", "--lambda", "1"]),
+    ('{"n": %s, "edges": []}', ["bounds", "--graph", "f.json"]),
+])
+def test_huge_integer_is_a_parse_error(tmp_path, capsys, monkeypatch, doc, argv):
+    # The decoder refuses to convert an integer of more than 4300 digits.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "f.json").write_text(doc % ("1" * 5000))
+    code, stdout, err = run(capsys, *argv)
+    assert (code, stdout) == (2, "")
+    assert err.startswith("error: invalid JSON: Exceeds the limit (4300 digits)")
+
+
 def test_bounds_json_and_table(capsys, tmp_path):
     code, stdout, _ = run(capsys, "bounds", "--n", "16", "--lambda", "3")
     assert code == 0

@@ -7,9 +7,11 @@ agree exactly with the Python reference paths."""
 
 import json
 import random
+import re
 from functools import lru_cache
 from itertools import combinations
 from math import comb
+from pathlib import Path
 from unittest.mock import patch
 
 import numpy as np
@@ -976,6 +978,175 @@ def test_sorted_single_chunk_parse_does_not_sort(monkeypatch):
     for name in ("sort", "argsort", "lexsort", "unique"):
         monkeypatch.setattr(np, name, refuse)
     assert parse_graph(text) == g
+
+
+GRAPH_EDITS = ("none", "trailing-space", "trailing-junk", "moved-digit",
+               "moved-run", "leading-zero", "sign", "float", "literal",
+               "space-added", "space-removed", "indent", "swapped-keys",
+               "duplicate", "unsorted", "self-loop", "past-n", "long-label",
+               "huge-n")
+
+
+def edited_graph_text(g, edit, data):
+    """The text serialize_graph writes for g after one edit of the named
+    kind, most of them a few bytes away from the layout; "none" keeps it."""
+    text = serialize_graph(g)
+    edges = g.edge_array().tolist()
+    runs = [m.span() for m in re.finditer(r"[0-9]+", text)]  # runs[0] is n
+    a, b = data.draw(st.sampled_from(runs))
+    if edit == "trailing-space":
+        return text + data.draw(st.sampled_from(["\n", " ", " \t\r\n"]))
+    if edit == "trailing-junk":
+        return text + data.draw(st.sampled_from(["x", "]", "\x0b", "\f", "\n0"]))
+    if edit == "moved-digit":  # often into a separator gap
+        i = data.draw(st.sampled_from([i for run in runs for i in range(*run)]))
+        rest = text[:i] + text[i + 1:]
+        j = data.draw(st.integers(0, len(rest)))
+        return rest[:j] + text[i] + rest[j:]
+    if edit == "moved-run":  # its slot is left empty
+        rest = text[:a] + text[b:]
+        j = data.draw(st.integers(0, len(rest)))
+        return rest[:j] + text[a:b] + rest[j:]
+    if edit == "leading-zero":
+        return text[:a] + "0" + text[a:]
+    if edit == "sign":
+        return text[:a] + data.draw(st.sampled_from("-+")) + text[a:]
+    if edit == "float":
+        return text[:b] + data.draw(st.sampled_from([".0", "e0", "E+0"])) + text[b:]
+    if edit == "literal":
+        return text[:a] + data.draw(st.sampled_from(["true", "false", "null"])) + text[b:]
+    if edit == "space-added":
+        j = data.draw(st.integers(0, len(text)))
+        return text[:j] + " " + text[j:]
+    if edit == "space-removed":
+        j = data.draw(st.sampled_from([j for j, c in enumerate(text) if c == " "]))
+        return text[:j] + text[j + 1:]
+    if edit == "indent":
+        return json.dumps({"n": g.n, "edges": edges}, indent=1)
+    if edit == "swapped-keys":
+        return json.dumps({"edges": edges, "n": g.n})
+    if edit == "long-label" and edges:
+        a, b = data.draw(st.sampled_from(runs[1:]))
+        return text[:a] + data.draw(st.sampled_from(["1" * 20, "12345678901234567890"])) + text[b:]
+    if edit == "huge-n":
+        a, b = runs[0]
+        return text[:a] + "1" * 5000 + text[b:]
+    at = data.draw(st.integers(0, len(edges)))
+    u = data.draw(st.integers(1, g.n))
+    if edit == "duplicate" and edges:
+        edges.insert(at, list(data.draw(st.sampled_from(edges))))
+    elif edit == "unsorted" and len(edges) > 1:
+        i, j = data.draw(st.lists(st.integers(0, len(edges) - 1), min_size=2,
+                                  max_size=2, unique=True))
+        edges[i], edges[j] = edges[j], edges[i]
+    elif edit == "self-loop":
+        edges.insert(at, [u, u])
+    elif edit == "past-n":
+        edges.insert(at, [u, g.n + 1])
+    return json.dumps({"n": g.n, "edges": edges})
+
+
+@pytest.mark.parametrize("edit", GRAPH_EDITS)
+@settings(PROPERTY, max_examples=25)
+@given(n=st.integers(1, 70), p=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 1)),
+       seed=st.integers(0, 2**32), rows=st.integers(1, 80), data=st.data())
+def test_bulk_graph_read_agrees_with_the_json_path(edit, n, p, seed, rows, data):
+    # Canonical text, with or without trailing whitespace, takes the bulk
+    # read; every edit gives the graph or the error the json path and the
+    # reference give.
+    g = random_graph(n, p, seed)
+    text = edited_graph_text(g, edit, data)
+    with patch.object(graphs, "_EDGE_ROWS", rows):
+        with patch.object(json, "loads", wraps=json.loads) as loads:
+            got = outcome(parse_graph, text)
+        with patch.object(graphs, "_canonical_edges", return_value=None):
+            via_json = outcome(parse_graph, text)
+    assert got == via_json == outcome(reference_paths.parse_graph, text)
+    if edit in ("none", "trailing-space"):
+        assert got == g and loads.call_count == 0
+
+
+@pytest.mark.parametrize("text", [
+    '{"n": 3, "edges": [[01, 2]]}',
+    '{"n": 03, "edges": [[1, 2]]}',
+    '{"n": 0, "edges": []}',
+    '{"n": 3, "edges": [[0, 2]]}',
+    '{"n": 3, "edges": [[-1, 2]]}',
+    '{"n": 3, "edges": [[1, 4]]}',
+    '{"n": 3, "edges": [[2, 2]]}',
+    '{"n": 3, "edges": [[2, 1]]}',
+    '{"n": 3, "edges": [[1, 2], [1, 2]]}',
+    '{"n": 3, "edges": [[2, 3], [1, 2]]}',
+    '{"n": 3, "edges": [[1, 12345678901234567890]]}',
+    '{"n": 3, "edges": [[1, 2147483649]]}',
+    '{"n": 3, "edges": [[1, 4294967298]]}',
+    '{"n": 3, "edges": [[1, 2], [3]]}',
+    '{"n": 3, "edges": [[1, 2, 3]]}',
+    '{"n": 3, "edges": [[1, 2]], "x": 1}',
+    '{"n": 3, "edges": [[1 ,2]]}',
+    '{"n": 3, "edges": [[12, ]]}',
+    '{"n": 3, "edges": [[, 12]]}',
+    '{"n": 3, "edges": [[1, 2]3]}',
+    '{"n": 3, "edges": [[1, ]2]}',
+    '{"n": 3, "edges": [[, 2]1]}',
+    '{"n": 3, "ed1ges": [[, 2]]}',
+    '{"n": , "edges": [[1, 2]]}3',
+    '{"n": 3, "edges": [1[1, 2]]}',
+    '{"n": 3, "edges": []]}',
+    '{"n": 3, "edges": [[1, 2]]}\x0b',
+    '{"n": 3, "edges": [[1, 2]]}\u00e9',
+    '{"n": 3,"edges":[[1,2]]}',
+    '{"n": 3, "edges": [[1, 2]]} \n',
+    '{"n": 3, "edges": []}',
+])
+def test_near_canonical_graph_text_matches_reference(text):
+    # Texts at or near the layout serialize_graph writes, most of them one
+    # edit away from it.  Each gives the reference's graph or error.
+    assert outcome(parse_graph, text) == outcome(reference_paths.parse_graph, text)
+
+
+def test_bulk_graph_read_refuses_long_runs_before_reading_them(monkeypatch):
+    # np.fromstring clamps a run past int64; were it to wrap instead, 2**64 + 2
+    # would read as 2.  Runs of more than 10 digits never reach it.
+    def wrapping(data, dtype, sep):
+        return np.array([(int(w) + 2**63) % 2**64 - 2**63 for w in data.split()],
+                        dtype=dtype)
+
+    text = '{"n": 3, "edges": [[1, 18446744073709551618]]}'
+    monkeypatch.setattr(np, "fromstring", wrapping)
+    assert outcome(parse_graph, text) == outcome(reference_paths.parse_graph, text)
+
+
+def test_canonical_graph_parses_without_json(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("parse_graph decoded canonical text with json")
+
+    graphs_ = [empty_graph(1), empty_graph(5000), complete_graph(2),
+               complete_graph(40), random_graph(70, 0.5, 1),
+               random_graph(300, 0.3, 2)]
+    texts = [serialize_graph(g) for g in graphs_]
+    monkeypatch.setattr(json, "loads", refuse)
+    for g, text in zip(graphs_, texts):
+        assert parse_graph(text) == g
+        assert parse_graph(text + "\n") == g
+
+
+def test_benchmark_graph_files_parse_without_json(tmp_path, monkeypatch):
+    # The graph files the benchmark writes with json.dump are in the layout.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import workloads
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("parse_graph decoded a benchmark graph with json")
+
+    paths = []
+    for seed in (1, 7, 11):
+        (tmp_path / str(seed)).mkdir()
+        paths += workloads.build("graph-certify", seed, str(tmp_path / str(seed))).inputs
+    monkeypatch.setattr(json, "loads", refuse)
+    for path in paths:
+        g = parse_graph(Path(path).read_text(encoding="utf-8"))
+        assert g.edge_count() > 0
 
 
 @PROPERTY
