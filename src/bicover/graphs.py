@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import json
 import random
-from itertools import chain, combinations
+from bisect import bisect_left
+from itertools import combinations
 
 import numpy as np
 
@@ -17,83 +18,80 @@ from .errors import ParseError, RangeError, SizeLimitExceeded
 
 DEFAULT_EXACT_LIMIT = 40
 
-_EDGE_ROWS = 256  # mask rows that edge_array, _relabelled and _pack_masks handle at a time
+_EDGE_ROWS = 256  # mask rows that _pack_masks packs at a time
 
 
 class Graph:
-    """Simple undirected graph on vertices 1..n, stored as adjacency bitmasks.
+    """Simple undirected graph on vertices 1..n, stored as its sorted edge array.
 
-    Entry v-1 of ``adjacency_masks()`` has bit i set iff vertex i+1 is a
-    neighbor of v; every other view of the graph is read off those masks.
+    ``edge_array()`` holds every edge once, as the row (u, v) with u < v,
+    in lexicographic order; every other view of the graph is read off it.
     """
 
-    __slots__ = ("n", "_masks")
+    __slots__ = ("n", "_edges")
 
     def __init__(self, n, edges=()):
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise ValueError(f"vertex count must be a positive integer, got {n!r}")
-        masks = [0] * n
+        pairs = []
         for u, v in edges:
             _check_vertex(u, n)
             _check_vertex(v, n)
             if u == v:
                 raise RangeError(f"self-loop at vertex {u}")
-            masks[u - 1] |= 1 << (v - 1)
-            masks[v - 1] |= 1 << (u - 1)
-        self.n, self._masks = n, tuple(masks)
-
-    @classmethod
-    def _from_masks(cls, n, masks):
-        """The graph whose adjacency_masks() is the tuple masks, unchecked."""
-        g = cls.__new__(cls)
-        g.n, g._masks = n, masks
-        return g
+            pairs.append((u, v) if u < v else (v, u))
+        rows = np.unique(np.array(pairs, dtype=np.int64).reshape(-1, 2), axis=0)
+        rows.flags.writeable = False
+        self.n, self._edges = n, rows
 
     def degree(self, v):
         _check_vertex(v, self.n)
-        return self._masks[v - 1].bit_count()
+        return int(np.count_nonzero(self._edges == v))
 
     def has_edge(self, u, v):
         _check_vertex(u, self.n)
         _check_vertex(v, self.n)
-        return bool(self._masks[u - 1] >> (v - 1) & 1)
+        pair = sorted((u, v))
+        i = bisect_left(self._edges, pair, key=np.ndarray.tolist)
+        return i < len(self._edges) and self._edges[i].tolist() == pair
 
     def edge_array(self):
-        """All edges as the rows (u, v), u < v, of an array, lexicographically sorted."""
-        blocks = []
-        for lo in range(0, self.n, _EDGE_ROWS):
-            # Bit j of masks[u - 1] >> u is vertex u + j + 1; only nonzero bytes are unpacked.
-            ups = [m >> u for u, m in enumerate(self._masks[lo:lo + _EDGE_ROWS], lo + 1)]
-            width = max(ups).bit_length() // 8 + 1
-            rows = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in ups),
-                                 dtype=np.uint8).reshape(-1, width)
-            r, c = np.nonzero(rows)
-            k, bit = np.nonzero(np.unpackbits(rows[r, c, None], axis=1, bitorder="little"))
-            u = r[k] + (lo + 1)
-            blocks.append(np.column_stack((u, u + 8 * c[k] + bit + 1)))
-        return np.concatenate(blocks)
+        """All edges as the rows (u, v), u < v, of a read-only int64 array,
+        lexicographically sorted."""
+        return self._edges
 
     def edges(self):
         """All edges as (u, v) with u < v, lexicographically sorted."""
-        return list(zip(*self.edge_array().T.tolist()))
+        return list(zip(*self._edges.T.tolist()))
 
     def edge_count(self):
-        return sum(m.bit_count() for m in self._masks) // 2
+        return len(self._edges)
 
     def adjacency_masks(self):
-        """Per-vertex neighbor bitmasks, bit i set iff vertex i+1 is a neighbor."""
-        return self._masks
+        """Per-vertex neighbor bitmasks, bit i set iff vertex i+1 is a
+        neighbor, packed anew on each call."""
+        u, v = (self._edges - 1).T
+        return _pack_masks(self.n, u, v)
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self._masks == other._masks
+        return self.n == other.n and np.array_equal(self._edges, other._edges)
 
     def __hash__(self):
-        return hash((self.n, self._masks))
+        return hash((self.n, self._edges.tobytes()))
 
     def __repr__(self):
         return f"Graph(n={self.n}, edges={self.edges()!r})"
+
+
+def _graph(n, edges):
+    """The Graph on 1..n whose edge array is edges, unchecked: an (E, 2)
+    int64 array of rows (u, v), 1 <= u < v <= n, strictly increasing."""
+    g = Graph.__new__(Graph)
+    edges.flags.writeable = False
+    g.n, g._edges = n, edges
+    return g
 
 
 def _check_vertex(v, n):
@@ -113,7 +111,7 @@ def empty_graph(n):
 
 def degrees(g):
     """Degree of each vertex; entry i-1 belongs to vertex i."""
-    return [m.bit_count() for m in g.adjacency_masks()]
+    return np.bincount(g.edge_array().ravel(), minlength=g.n + 1)[1:].tolist()
 
 
 def random_graph(n, p, seed):
@@ -240,32 +238,12 @@ def alpha_per_vertex(g, limit=None):
     if g.n > limit:
         raise SizeLimitExceeded(
             f"exact independence numbers limited to n <= {limit}, got n = {g.n}")
-    degree = degrees(g)
-    order = sorted(range(g.n), key=degree.__getitem__)  # MCQ's initial order
-    known = _AlphaSearch(_relabelled(g.adjacency_masks(), order)).run()
-    alphas = [0] * g.n
-    for i, v in enumerate(order):
-        alphas[v] = known[i]
-    return alphas
-
-
-def _relabelled(masks, order):
-    """The adjacency masks after vertex order[i] (0-based) is renamed i.
-
-    Rows are unpacked _EDGE_ROWS at a time into a 0/1 matrix, whose columns
-    are taken in the new order and packed again, so temporaries stay at
-    O(_EDGE_ROWS * n) bytes.
-    """
-    n = len(masks)
-    width = (n + 7) // 8
-    out = []
-    for lo in range(0, n, _EDGE_ROWS):
-        rows = b"".join(masks[v].to_bytes(width, "little") for v in order[lo:lo + _EDGE_ROWS])
-        bits = np.unpackbits(np.frombuffer(rows, dtype=np.uint8).reshape(-1, width),
-                             axis=1, count=n, bitorder="little")
-        data = np.packbits(bits[:, order], axis=1, bitorder="little").tobytes()
-        out += [int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width)]
-    return out
+    order = np.argsort(degrees(g), kind="stable")  # MCQ's initial order
+    rank = np.empty_like(order)
+    rank[order] = np.arange(g.n)
+    u, v = rank[g.edge_array() - 1].T  # vertex order[i] (0-based) is renamed i
+    known = _AlphaSearch(_pack_masks(g.n, u, v)).run()
+    return [known[i] for i in rank.tolist()]
 
 
 def _pack_masks(n, u, v):
@@ -282,7 +260,8 @@ def _pack_masks(n, u, v):
     width = (n + 7) // 8
     step = _EDGE_ROWS * width  # bytes per chunk of rows
     cols = np.concatenate((v, u))
-    index = np.concatenate((u, v)).astype(np.int64) * width + (cols >> 3)  # byte of each bit, row-major
+    rows = np.concatenate((u, v)).astype(np.int64, copy=False)
+    index = rows * width + (cols >> 3)  # byte of each bit, row-major
     bit = np.left_shift(np.uint8(1), (cols & 7).astype(np.uint8))
     if n > _EDGE_ROWS:
         order = np.argsort(index)
@@ -304,55 +283,13 @@ def _pack_masks(n, u, v):
     return tuple(masks)
 
 
-def _bulk_edges(n, raw):
-    """The edges of a valid decoded edge list as 0-based columns (u, v),
-    sorted by (u, v); None when any entry fails a check.
-
-    Every check runs in C or numpy; the per-edge loop of parse_graph names
-    the first bad entry.
-    """
-    if not raw:
-        return (), ()
-    if n >= 2**31:  # no such graph fits in memory; labels fit int32
-        return None
-    if (set(map(type, raw)) != {list} or set(map(len, raw)) != {2}
-            or set(map(type, chain.from_iterable(raw))) != {int}):
-        return None
-    try:  # a label past int32 lies outside 1..n
-        edges = np.fromiter(chain.from_iterable(raw), dtype=np.int32,
-                            count=2 * len(raw)).reshape(-1, 2)
-    except OverflowError:
-        return None
-    return _edge_columns(n, edges)
-
-
-def _edge_columns(n, edges):
-    """The rows (u, v) of the nonempty integer array edges as 0-based
-    columns, sorted by (u, v); None unless 1 <= u < v <= n and no row
-    repeats.  edges is changed in place.
-    """
-    u, v = edges.T
-    if u.min() < 1 or v.max() > n or not (u < v).all():
-        return None
-    edges -= 1
-    key = u.astype(np.int64)  # u * n + v, built in place
-    key *= n
-    key += v
-    if not (key[1:] > key[:-1]).all():
-        key = np.sort(key)
-        if not (key[1:] > key[:-1]).all():
-            return None
-        u, v = np.divmod(key, n)
-    return u, v
-
-
 # A bytes.translate table that keeps the ASCII digits and turns every other
 # byte into a space.
 _DIGITS_ONLY = bytes(c if 0x30 <= c <= 0x39 else 0x20 for c in range(256))
 
 
 def _canonical_edges(text):
-    """n and the 0-based edge columns (u, v) of a document in the layout
+    """n and the sorted (E, 2) int64 edge array of a document in the layout
     of ``serialize_graph``, read in bulk without decoding it, or None.
 
     The layout is ``{"n": N, "edges": [[u, v], [u, v], ...]}`` plus any
@@ -365,8 +302,8 @@ def _canonical_edges(text):
     there are as many runs as slots.  No run may have a leading zero or
     more than 10 digits, so ``np.fromstring``, which reads every run in
     one call, neither clamps nor aliases a value.  The text is then the
-    one json.dumps would write for those numbers, and the checks of
-    ``_edge_columns`` follow.
+    one json.dumps would write for those numbers.  Last, every edge must
+    have 1 <= u < v <= n and no edge may repeat (``_sorted_rows``).
     """
     if not (text.isascii() and text.startswith('{"n": ')):
         return None  # not the layout, and not worth a bulk read to find out
@@ -392,26 +329,40 @@ def _canonical_edges(text):
     n = int(nums[0])
     if not 1 <= n < 2**31:
         return None
-    if not m:
-        return n, ((), ())
-    edges = _edge_columns(n, nums[1:].reshape(-1, 2))
+    edges = nums[1:].reshape(-1, 2)
+    u, v = edges.T
+    if m and (u.min() < 1 or v.max() > n or not (u < v).all()):
+        return None
+    edges = _sorted_rows(n, edges)
     return None if edges is None else (n, edges)
+
+
+def _sorted_rows(n, edges):
+    """The (E, 2) int64 array edges of rows (u, v), 1 <= u < v <= n, in
+    lexicographic order; None when a row repeats."""
+    u, v = edges.T
+    key = u * (n + 1)  # increases with (u, v)
+    key += v
+    if (key[1:] > key[:-1]).all():
+        return edges
+    key.sort()
+    if not (key[1:] > key[:-1]).all():
+        return None
+    return np.column_stack(np.divmod(key, n + 1))
 
 
 def parse_graph(text):
     """Parse the graph JSON format {"n": int, "edges": [[u, v], ...]}.
 
-    Edges must satisfy 1 <= u < v <= n; duplicates are rejected.  Text in
-    the layout serialize_graph writes is read in bulk by
-    ``_canonical_edges``.  Any other document, or one that fails a check
-    there, goes through ``json.loads``: a valid list is checked and packed
-    in bulk, and one that fails a bulk check is walked edge by edge, to
-    report its first bad entry.
+    n must be below 2^31, and edges must satisfy 1 <= u < v <= n;
+    duplicates are rejected.  Text in the layout serialize_graph writes is
+    read in bulk by ``_canonical_edges``.  Any other document, or one that
+    fails a check there, goes through ``json.loads`` and is walked edge by
+    edge, which names its first bad entry.
     """
     read = _canonical_edges(text)
     if read is not None:
-        n, edges = read
-        return Graph._from_masks(n, _pack_masks(n, *edges))
+        return _graph(*read)
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
@@ -425,14 +376,12 @@ def parse_graph(text):
     n = obj["n"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ParseError(f'"n" must be a positive integer, got {n!r}')
+    if n >= 2**31:
+        raise ParseError(f'"n" must be below 2^31, got {n}')
     raw = obj["edges"]
     if not isinstance(raw, list):
         raise ParseError('"edges" must be a list of [u, v] pairs')
-    edges = _bulk_edges(n, raw)
-    if edges is not None:
-        del obj, raw  # the decoded document is freed before the masks are built
-        return Graph._from_masks(n, _pack_masks(n, *edges))
-    masks = [0] * n
+    seen = set()
     for item in raw:
         if (not isinstance(item, list)) or len(item) != 2:
             raise ParseError(f"edge entry must be a pair, got {item!r}")
@@ -441,11 +390,10 @@ def parse_graph(text):
         _check_vertex(v, n)
         if not u < v:
             raise ParseError(f"edge [{u}, {v}] must satisfy u < v")
-        if masks[u - 1] >> (v - 1) & 1:
+        if (u, v) in seen:
             raise ParseError(f"duplicate edge [{u}, {v}]")
-        masks[u - 1] |= 1 << (v - 1)
-        masks[v - 1] |= 1 << (u - 1)
-    return Graph._from_masks(n, tuple(masks))
+        seen.add((u, v))
+    return _graph(n, _sorted_rows(n, np.array(raw, dtype=np.int64).reshape(-1, 2)))
 
 
 def serialize_graph(g):

@@ -927,6 +927,8 @@ def parse_graph(text):
     n = obj["n"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ParseError(f'"n" must be a positive integer, got {n!r}')
+    if n >= 2**31:
+        raise ParseError(f'"n" must be below 2^31, got {n}')
     if not isinstance(obj["edges"], list):
         raise ParseError('"edges" must be a list of [u, v] pairs')
     return parse_edges(n, obj["edges"])

@@ -184,6 +184,22 @@ def test_huge_integer_is_a_parse_error(tmp_path, capsys, monkeypatch, doc, argv)
     assert err.startswith("error: invalid JSON: Exceeds the limit (4300 digits)")
 
 
+@pytest.mark.parametrize("n", ["2147483648", "12345678901234567890"])
+@pytest.mark.parametrize("edges", ["[]", "[[1, 2]]"])
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--graph", "g.json"],
+    ["verify", "c.json", "--graph", "g.json", "--lambda", "1"],
+])
+def test_graph_past_the_index_range_is_a_parse_error(tmp_path, capsys, monkeypatch,
+                                                     n, edges, argv):
+    # n >= 2^31: the bulk reader passes the text on, and the json path refuses it.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.json").write_text('{"n": %s, "edges": %s}' % (n, edges))
+    (tmp_path / "c.json").write_text(serialize_covering(balanced_bipartitions_covering(2)))
+    code, stdout, err = run(capsys, *argv)
+    assert (code, stdout, err) == (2, "", f'error: "n" must be below 2^31, got {n}\n')
+
+
 def test_bounds_json_and_table(capsys, tmp_path):
     code, stdout, _ = run(capsys, "bounds", "--n", "16", "--lambda", "3")
     assert code == 0

@@ -142,8 +142,8 @@ def test_parse_refuses_deep_nesting():
 
 
 def test_parse_allocates_the_masks_once():
-    # A million isolated vertices: the 8 MB masks tuple and no n-entry
-    # list or tuple beside it.
+    # A million isolated vertices: nothing n-sized is built to read them
+    # (the all-zero masks below are packed after the measurement).
     tracemalloc.start()
     try:
         g = parse_graph('{"n": 1000000, "edges": []}')
@@ -152,6 +152,23 @@ def test_parse_allocates_the_masks_once():
         tracemalloc.stop()
     assert g.n == 10**6 and not any(g.adjacency_masks())
     assert peak <= 16 * 10**6
+
+
+@pytest.mark.parametrize("build", [
+    lambda: parse_graph('{"n": 1000000, "edges": [[1, 2], [5, 999999]]}'),
+    lambda: Graph(10**6, [(1, 2)]),
+], ids=["parse_graph", "Graph"])
+def test_sparse_graph_memory_does_not_grow_with_n(build):
+    # A graph keeps only its edges: a million vertices and one or two edges
+    # take no n-sized list, tuple or array to read or to build.
+    tracemalloc.start()
+    try:
+        g = build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.n == 10**6 and g.edge_count() in (1, 2)
+    assert peak < 2**20
 
 
 def test_serialize_round_trip():

@@ -825,9 +825,9 @@ def test_alpha_per_vertex_matches_brute_force(g):
 @PROPERTY
 @given(g=small_graphs(), rows=st.integers(1, 30), data=st.data())
 def test_alpha_per_vertex_does_not_depend_on_labels(g, rows, data):
-    # The search renumbers the vertices by degree, _EDGE_ROWS masks at a
-    # time; any labelling of the same graph gives the same values, carried
-    # along with the vertices.
+    # The search renumbers the vertices by degree and packs their masks
+    # _EDGE_ROWS rows at a time; any labelling of the same graph gives the
+    # same values, carried along with the vertices.
     label = data.draw(st.permutations(range(1, g.n + 1)))  # v is label[v - 1]
     h = Graph(g.n, [(label[u - 1], label[v - 1]) for u, v in g.edges()])
     want = [0] * g.n
@@ -918,13 +918,12 @@ def edge_items(n):
 @PROPERTY
 @given(n=st.one_of(st.integers(1, 6), st.integers(60, 70)),
        p=st.sampled_from([0.0, 0.05, 0.5, 1.0]), seed=st.integers(0, 2**32),
-       rows=st.integers(1, 80), data=st.data())
-def test_parse_graph_matches_reference(n, p, seed, rows, data):
+       data=st.data())
+def test_parse_graph_matches_reference(n, p, seed, data):
     # Mostly valid lists, so that documents parse and errors come late.  The
-    # list is sorted or shuffled (the bulk check sorts only the latter); an
+    # list is sorted or shuffled (the bulk read sorts only the latter); an
     # inserted valid pair may repeat one already there, and the first pair
-    # may come again at the end, far from its copy.  Above n = 64 the masks
-    # cross 64 bits, and a small _EDGE_ROWS packs them in several chunks.
+    # may come again at the end, far from its copy.
     pairs = [[u, v] for u, v in combinations(range(1, n + 1), 2)]
     rng = random.Random(seed)
     raw = [pair for pair in pairs if rng.random() < p]
@@ -937,23 +936,20 @@ def test_parse_graph_matches_reference(n, p, seed, rows, data):
         raw.insert(data.draw(st.integers(0, len(raw))),
                    data.draw(st.one_of(edge_items(n), valid)))
     text = json.dumps({"n": n, "edges": raw})
-    with patch.object(graphs, "_EDGE_ROWS", rows):
-        assert outcome(parse_graph, text) == outcome(reference_paths.parse_edges, n, raw)
+    assert outcome(parse_graph, text) == outcome(reference_paths.parse_edges, n, raw)
 
 
 @PROPERTY
 @given(n=st.one_of(st.integers(1, 70), st.integers(60, 70)),
        p=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 1)),
-       seed=st.integers(0, 2**32), shuffled=st.booleans(),
-       rows=st.integers(1, 80))
-def test_parse_graph_packs_valid_lists(n, p, seed, shuffled, rows):
-    # Valid lists only, so every document takes the bulk path.
+       seed=st.integers(0, 2**32), shuffled=st.booleans())
+def test_parse_graph_packs_valid_lists(n, p, seed, shuffled):
+    # Valid lists only, so every document takes the bulk read.
     rng = random.Random(seed)
     raw = [[u, v] for u, v in combinations(range(1, n + 1), 2) if rng.random() < p]
     if shuffled:
         rng.shuffle(raw)
-    with patch.object(graphs, "_EDGE_ROWS", rows):
-        g = parse_graph(json.dumps({"n": n, "edges": raw}))
+    g = parse_graph(json.dumps({"n": n, "edges": raw}))
     assert g == reference_paths.parse_edges(n, raw)
 
 
@@ -964,9 +960,7 @@ def test_parse_graph_packs_valid_lists(n, p, seed, shuffled, rows):
     [[3, 2]], [[1, 4]], [[1, 2], [1, 2, 3]], [[1, "2"]]])
 def test_parse_graph_names_the_first_bad_entry(raw):
     text = json.dumps({"n": 3, "edges": raw})
-    for rows in (1, 256):
-        with patch.object(graphs, "_EDGE_ROWS", rows):
-            assert outcome(parse_graph, text) == outcome(reference_paths.parse_edges, 3, raw)
+    assert outcome(parse_graph, text) == outcome(reference_paths.parse_edges, 3, raw)
 
 
 def test_sorted_single_chunk_parse_does_not_sort(monkeypatch):
@@ -1049,19 +1043,19 @@ def edited_graph_text(g, edit, data):
 @pytest.mark.parametrize("edit", GRAPH_EDITS)
 @settings(PROPERTY, max_examples=25)
 @given(n=st.integers(1, 70), p=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 1)),
-       seed=st.integers(0, 2**32), rows=st.integers(1, 80), data=st.data())
-def test_bulk_graph_read_agrees_with_the_json_path(edit, n, p, seed, rows, data):
+       seed=st.integers(0, 2**32), data=st.data())
+def test_bulk_graph_read_agrees_with_the_json_path(edit, n, p, seed, data):
     # Canonical text, with or without trailing whitespace, takes the bulk
     # read; every edit gives the graph or the error the json path and the
     # reference give.
     g = random_graph(n, p, seed)
     text = edited_graph_text(g, edit, data)
-    with patch.object(graphs, "_EDGE_ROWS", rows):
-        with patch.object(json, "loads", wraps=json.loads) as loads:
-            got = outcome(parse_graph, text)
-        with patch.object(graphs, "_canonical_edges", return_value=None):
-            via_json = outcome(parse_graph, text)
+    with patch.object(json, "loads", wraps=json.loads) as loads:
+        got = outcome(parse_graph, text)
+    with patch.object(graphs, "_canonical_edges", return_value=None):
+        via_json = outcome(parse_graph, text)
     assert got == via_json == outcome(reference_paths.parse_graph, text)
+    assert hash(got) == hash(via_json)
     if edit in ("none", "trailing-space"):
         assert got == g and loads.call_count == 0
 
@@ -1154,7 +1148,8 @@ def test_benchmark_graph_files_parse_without_json(tmp_path, monkeypatch):
        p=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 1)),
        seed=st.integers(0, 2**32), data=st.data())
 def test_graph_masks_match_neighbor_sets(n, p, seed, data):
-    # n up to 70, drawn often above 60, so that masks cross 64 bits.  The
+    # n up to 70, drawn often above 60, so that masks cross 64 bits, and a
+    # small _EDGE_ROWS packs the coloring's masks in several chunks.  The
     # edge list comes shuffled, each edge either way round, some repeated.
     ref = reference_paths.neighbor_set_random_graph(n, p, seed)
     assert random_graph(n, p, seed).edges() == ref.edges()
@@ -1163,15 +1158,17 @@ def test_graph_masks_match_neighbor_sets(n, p, seed, data):
     edges += rng.sample(edges, len(edges) // 4)
     rng.shuffle(edges)
     g = Graph(n, edges)
-    with patch.object(graphs, "_EDGE_ROWS", data.draw(st.integers(1, 80))):
-        assert g.edges() == ref.edges()
+    assert g.edges() == ref.edges()
     assert g.edge_count() == ref.edge_count()
     assert degrees(g) == [ref.degree(v) for v in range(1, n + 1)]
     assert [g.degree(v) for v in range(1, n + 1)] == degrees(g)
     assert all(g.has_edge(u, v) == ref.has_edge(u, v)
                for u in range(1, n + 1) for v in range(1, n + 1))
-    assert greedy_coloring(g) == reference_paths.neighbor_set_coloring(ref)
+    with patch.object(graphs, "_EDGE_ROWS", data.draw(st.integers(1, 80))):
+        assert greedy_coloring(g) == reference_paths.neighbor_set_coloring(ref)
     assert serialize_graph(g) == reference_paths.serialize_neighbor_set_graph(ref)
+    back = parse_graph(serialize_graph(g))
+    assert back == g and hash(back) == hash(g)
     # A second graph: the same edges, or one pair toggled.
     other = list(ref.edges())
     if n > 1 and data.draw(st.booleans()):
