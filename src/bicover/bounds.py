@@ -201,11 +201,16 @@ def multigraph_report(n, lam, c=None):
 
 
 def graph_report(g, alphas=None, limit=None):
-    """Degree and independence lower bounds for covering a graph's edges."""
+    """Degree and independence lower bounds for covering a graph's edges.
+
+    The exact independence numbers come first: their size limit refuses a
+    large n before anything sized by n is built.
+    """
+    if alphas is None:
+        alphas = alpha_per_vertex(g, limit)
     rep = BoundReport({"kind": "graph", "n": g.n, "edges": g.edge_count()})
     rep.entries.append(BoundEntry(
         "degree", "lower", degree_lower(g), {"n": g.n}))
     rep.entries.append(BoundEntry(
-        "independence", "lower", alpha_lower(g, alphas=alphas, limit=limit),
-        {"n": g.n}))
+        "independence", "lower", alpha_lower(g, alphas=alphas), {"n": g.n}))
     return rep

@@ -179,8 +179,7 @@ def check_independent_event_sets(cov, g, mode="exhaustive", seed=0,
 
 def _independent_sets(cov, g, mode, seed, trials):
     chunks = _sweep(cov, 0, mode, seed, trials)
-    masks = g.adjacency_masks()
-    found = ((v, _first_adjacent_pair(masks, occurring))
+    found = ((v, _first_adjacent_pair(g, occurring))
              for v, occurring in _occurring_sets(chunks, 2))
     violations = tuple(islice(
         (("adjacent-pair", v) + edge for v, edge in found if edge is not None), 10))
@@ -189,10 +188,10 @@ def _independent_sets(cov, g, mode, seed, trials):
         violations=violations, trials=trials if mode == "sampled" else None)
 
 
-def _first_adjacent_pair(masks, vertices):
+def _first_adjacent_pair(g, vertices):
     for i, u in enumerate(vertices):
         for w in vertices[i + 1:]:
-            if masks[u - 1] >> (w - 1) & 1:
+            if g.has_edge(u, w):
                 return (u, w)
     return None
 

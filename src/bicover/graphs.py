@@ -18,8 +18,6 @@ from .errors import ParseError, RangeError, SizeLimitExceeded
 
 DEFAULT_EXACT_LIMIT = 40
 
-_EDGE_ROWS = 256  # mask rows that _pack_masks packs at a time
-
 
 class Graph:
     """Simple undirected graph on vertices 1..n, stored as its sorted edge array.
@@ -66,12 +64,6 @@ class Graph:
 
     def edge_count(self):
         return len(self._edges)
-
-    def adjacency_masks(self):
-        """Per-vertex neighbor bitmasks, bit i set iff vertex i+1 is a
-        neighbor, packed anew on each call."""
-        u, v = (self._edges - 1).T
-        return _pack_masks(self.n, u, v)
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
@@ -129,14 +121,22 @@ def random_graph(n, p, seed):
 
 
 def greedy_coloring(g):
-    """Proper coloring: vertices in label order, each taking the smallest free color."""
-    colors = []
-    classes = [0] * g.n  # classes[c]: mask of the vertices colored c so far
-    for v, m in enumerate(g.adjacency_masks()):
-        c = next(c for c, members in enumerate(classes) if not members & m)
-        classes[c] |= 1 << v
-        colors.append(c)
-    return colors
+    """Proper coloring: vertices in label order, each taking the smallest
+    color that none of its lower neighbors has."""
+    u, v = g.edge_array().T
+    order = np.argsort(v, kind="stable")  # the edges grouped by their upper end
+    lower = u[order].tolist()
+    ends = np.searchsorted(v[order], np.arange(1, g.n + 1), side="right").tolist()
+    colors = [0] * (g.n + 1)  # colors[w] belongs to vertex w; colors[0] is unused
+    start = 0
+    for w, end in enumerate(ends, 1):
+        taken = {colors[x] for x in lower[start:end]}
+        c = 0
+        while c in taken:
+            c += 1
+        colors[w] = c
+        start = end
+    return colors[1:]
 
 
 class _AlphaSearch:
@@ -248,39 +248,17 @@ def alpha_per_vertex(g, limit=None):
 
 def _pack_masks(n, u, v):
     """Adjacency masks of the graph on 0..n-1 with the edges (u[i], v[i]),
-    each given once, as a tuple of Python ints.
-
-    Bits are OR-ed into a zeroed byte buffer of _EDGE_ROWS mask rows at a
-    time, and each row with an edge becomes one int, so temporaries stay at
-    O(E + _EDGE_ROWS * n / 8) bytes.  Only chunks that hold an edge are
-    visited.
-    """
-    if not len(u):
-        return (0,) * n
+    each given once, as a list of Python ints: bit j of entry i is set iff
+    i and j are adjacent.  The bits are OR-ed into one (n x ceil(n/8))
+    byte buffer, so the caller bounds n."""
     width = (n + 7) // 8
-    step = _EDGE_ROWS * width  # bytes per chunk of rows
-    cols = np.concatenate((v, u))
-    rows = np.concatenate((u, v)).astype(np.int64, copy=False)
-    index = rows * width + (cols >> 3)  # byte of each bit, row-major
-    bit = np.left_shift(np.uint8(1), (cols & 7).astype(np.uint8))
-    if n > _EDGE_ROWS:
-        order = np.argsort(index)
-        index, bit = index[order], bit[order]
-        ends = np.searchsorted(index, range(step, n * width + step, step))
-    else:
-        ends = [len(index)]
-    masks = [0] * n
-    start = 0
-    for lo, end in zip(range(0, n, _EDGE_ROWS), ends):
-        if end == start:
-            continue
-        buf = np.zeros(min(_EDGE_ROWS, n - lo) * width, dtype=np.uint8)
-        np.bitwise_or.at(buf, index[start:end] - lo * width, bit[start:end])
-        data = buf.tobytes()
-        for i in np.flatnonzero(buf.reshape(-1, width).any(axis=1)).tolist():
-            masks[lo + i] = int.from_bytes(data[i * width:(i + 1) * width], "little")
-        start = end
-    return tuple(masks)
+    rows, cols = np.concatenate((u, v)), np.concatenate((v, u))
+    buf = np.zeros((n, width), dtype=np.uint8)
+    np.bitwise_or.at(buf, (rows, cols >> 3),
+                     np.left_shift(np.uint8(1), (cols & 7).astype(np.uint8)))
+    data = buf.tobytes()
+    return [int.from_bytes(data[i:i + width], "little")
+            for i in range(0, n * width, width)]
 
 
 # A bytes.translate table that keeps the ASCII digits and turns every other

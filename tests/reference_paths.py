@@ -799,9 +799,19 @@ class MisSolver:
             cur &= ~(1 << v)
 
 
+def edge_masks(g):
+    """Per-vertex neighbor bitmasks of g: bit w-1 of entry u-1 is set iff u
+    and w are adjacent.  ORed in from g.edges() one edge at a time."""
+    masks = [0] * g.n
+    for u, v in g.edges():
+        masks[u - 1] |= 1 << (v - 1)
+        masks[v - 1] |= 1 << (u - 1)
+    return masks
+
+
 def alpha_per_vertex(g):
     """Per-vertex independence numbers, each subproblem seeded by greedy_lower."""
-    masks = g.adjacency_masks()
+    masks = edge_masks(g)
     solver = MisSolver(masks)
     full = (1 << g.n) - 1
     out = []
@@ -873,7 +883,7 @@ class BbmcSolver:
 def bbmc_alpha_per_vertex(g):
     """Per-vertex independence numbers, one BbmcSolver subproblem per vertex,
     each from the lower bound 0."""
-    masks = g.adjacency_masks()
+    masks = edge_masks(g)
     solver = BbmcSolver(masks)
     full = (1 << g.n) - 1
     return [1 + solver.max_independent(full & ~(masks[i] | (1 << i)))
@@ -882,7 +892,7 @@ def bbmc_alpha_per_vertex(g):
 
 def brute_alpha(g):
     """Per-vertex independence numbers over all 2^n vertex subsets."""
-    masks = g.adjacency_masks()
+    masks = edge_masks(g)
     best = [1] * g.n
     for s in range(1, 1 << g.n):
         verts = [v for v in range(g.n) if (s >> v) & 1]

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -198,6 +199,22 @@ def test_graph_past_the_index_range_is_a_parse_error(tmp_path, capsys, monkeypat
     (tmp_path / "c.json").write_text(serialize_covering(balanced_bipartitions_covering(2)))
     code, stdout, err = run(capsys, *argv)
     assert (code, stdout, err) == (2, "", f'error: "n" must be below 2^31, got {n}\n')
+
+
+def test_bounds_refuses_an_oversize_graph_before_sizing_by_n(tmp_path, capsys):
+    # The size limit of the exact independence numbers is checked before
+    # the degrees, whose count array is sized by n.
+    path = tmp_path / "g.json"
+    path.write_text('{"n": 10000000, "edges": []}')
+    tracemalloc.start()
+    try:
+        code, stdout, err = run(capsys, "bounds", "--graph", str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, stdout, err) == (1, "", "error: exact independence numbers "
+                                   "limited to n <= 40, got n = 10000000\n")
+    assert peak < 16 * 2**20
 
 
 def test_bounds_json_and_table(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import json
+import random
 import tracemalloc
 from pathlib import Path
 
@@ -9,7 +10,7 @@ from bicover.graphs import (Graph, alpha_per_vertex, complete_graph, degrees,
                             empty_graph, greedy_coloring, parse_graph,
                             random_graph, serialize_graph)
 
-from reference_paths import brute_alpha
+from reference_paths import NeighborSetGraph, brute_alpha, neighbor_set_coloring
 
 PATH3 = Graph(3, [(1, 2), (2, 3)])
 C5 = Graph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
@@ -113,6 +114,23 @@ def test_greedy_coloring_proper_and_bounded():
         assert sorted(set(colors)) == list(range(max(colors) + 1))
 
 
+def test_greedy_coloring_memory_follows_the_edges():
+    # A sparse graph as the CI smoke test builds it: the coloring reads the
+    # edges grouped by their upper end and packs no n x n bits.
+    rng = random.Random(1)
+    n = 20000
+    edges = {tuple(sorted(rng.sample(range(1, n + 1), 2))) for _ in range(50000)}
+    g = Graph(n, edges)
+    tracemalloc.start()
+    try:
+        colors = greedy_coloring(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert colors == neighbor_set_coloring(NeighborSetGraph(n, edges))
+
+
 def test_parse_examples():
     assert parse_graph('{"n":3,"edges":[[1,2],[2,3]]}') == PATH3
     assert parse_graph('{"n":2,"edges":[]}') == empty_graph(2)
@@ -142,15 +160,14 @@ def test_parse_refuses_deep_nesting():
 
 
 def test_parse_allocates_the_masks_once():
-    # A million isolated vertices: nothing n-sized is built to read them
-    # (the all-zero masks below are packed after the measurement).
+    # A million isolated vertices: nothing n-sized is built to read them.
     tracemalloc.start()
     try:
         g = parse_graph('{"n": 1000000, "edges": []}')
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert g.n == 10**6 and not any(g.adjacency_masks())
+    assert g.n == 10**6 and g.edge_count() == 0
     assert peak <= 16 * 10**6
 
 

@@ -823,18 +823,17 @@ def test_alpha_per_vertex_matches_brute_force(g):
 
 
 @PROPERTY
-@given(g=small_graphs(), rows=st.integers(1, 30), data=st.data())
-def test_alpha_per_vertex_does_not_depend_on_labels(g, rows, data):
-    # The search renumbers the vertices by degree and packs their masks
-    # _EDGE_ROWS rows at a time; any labelling of the same graph gives the
-    # same values, carried along with the vertices.
+@given(g=small_graphs(), data=st.data())
+def test_alpha_per_vertex_does_not_depend_on_labels(g, data):
+    # The search renumbers the vertices by degree before it packs their
+    # masks; any labelling of the same graph gives the same values, carried
+    # along with the vertices.
     label = data.draw(st.permutations(range(1, g.n + 1)))  # v is label[v - 1]
     h = Graph(g.n, [(label[u - 1], label[v - 1]) for u, v in g.edges()])
     want = [0] * g.n
     for v, a in enumerate(alpha_per_vertex(g)):
         want[label[v] - 1] = a
-    with patch.object(graphs, "_EDGE_ROWS", rows):
-        assert alpha_per_vertex(h) == want
+    assert alpha_per_vertex(h) == want
     if g.n <= 12:
         assert want == reference_paths.brute_alpha(h)
 
@@ -871,7 +870,7 @@ def solve_counting(solver, mask, lower):
 
 
 def check_same_tree(g, lowers):
-    masks = g.adjacency_masks()
+    masks = reference_paths.edge_masks(g)
     full = (1 << g.n) - 1
     ref = reference_paths.MisSolver(masks)
     for i in range(g.n):
@@ -967,7 +966,7 @@ def test_sorted_single_chunk_parse_does_not_sort(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("parse_graph sorted a sorted edge list")
 
-    g = random_graph(graphs._EDGE_ROWS, 0.5, 1)
+    g = random_graph(256, 0.5, 1)
     text = serialize_graph(g)
     for name in ("sort", "argsort", "lexsort", "unique"):
         monkeypatch.setattr(np, name, refuse)
@@ -1148,9 +1147,7 @@ def test_benchmark_graph_files_parse_without_json(tmp_path, monkeypatch):
        p=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 1)),
        seed=st.integers(0, 2**32), data=st.data())
 def test_graph_masks_match_neighbor_sets(n, p, seed, data):
-    # n up to 70, drawn often above 60, so that masks cross 64 bits, and a
-    # small _EDGE_ROWS packs the coloring's masks in several chunks.  The
-    # edge list comes shuffled, each edge either way round, some repeated.
+    # The edge list comes shuffled, each edge either way round, some repeated.
     ref = reference_paths.neighbor_set_random_graph(n, p, seed)
     assert random_graph(n, p, seed).edges() == ref.edges()
     rng = random.Random(seed)
@@ -1164,8 +1161,7 @@ def test_graph_masks_match_neighbor_sets(n, p, seed, data):
     assert [g.degree(v) for v in range(1, n + 1)] == degrees(g)
     assert all(g.has_edge(u, v) == ref.has_edge(u, v)
                for u in range(1, n + 1) for v in range(1, n + 1))
-    with patch.object(graphs, "_EDGE_ROWS", data.draw(st.integers(1, 80))):
-        assert greedy_coloring(g) == reference_paths.neighbor_set_coloring(ref)
+    assert greedy_coloring(g) == reference_paths.neighbor_set_coloring(ref)
     assert serialize_graph(g) == reference_paths.serialize_neighbor_set_graph(ref)
     back = parse_graph(serialize_graph(g))
     assert back == g and hash(back) == hash(g)
