@@ -1,6 +1,6 @@
 """Binary error-correcting code constructions with exact distance checking.
 
-Families: the even-weight code (distance 2), greedy lexicographic scans
+Families: the even-weight code (distance 2), greedy lexicographic codes
 meeting the Gilbert-Varshamov count, parity-extended narrow-sense BCH codes
 over GF(2^m), and Sylvester-Hadamard codes.  All constructions are
 deterministic.  Constructions record a minimum distance only where it is
@@ -24,7 +24,7 @@ from .errors import (CapExceeded, DomainError, FieldError, NoConstruction,
 
 WORD_CAP = 1 << 20    # max codewords an enumeration may produce
 PAIR_CAP = 1 << 24    # max pairwise distance checks
-SCAN_CAP = 1 << 22    # max word-space size a greedy scan may walk
+SCAN_CAP = 1 << 22    # max word-space size 2^k of a greedy lexicode
 ENTRY_CAP = 1 << 24   # max bits (4^m) of an order-2^m Hadamard code
 
 # Primitive polynomials over GF(2), one per extension degree, encoded as
@@ -134,41 +134,77 @@ def even_weight_code(k):
     return BinaryCode(k, words, min_distance=2, method="even-weight")
 
 
+def _join(dist, r):
+    """The distance table of ``_lexicode_basis`` once 2^p + r joins the span,
+    where len(dist) = 2^p: a low x lies at min(dist[x], dist[x ^ r] + 1) and
+    a high 2^p + x at min(dist[x] + 1, dist[x ^ r]).  dist[x ^ r] is
+    gathered through a 2-D view of the table, so no index over it is built."""
+    size = len(dist)
+    h = (size.bit_length() - 1) // 2
+    rows = np.arange(size >> h) ^ (r >> h)
+    cols = np.arange(1 << h) ^ (r & (1 << h) - 1)
+    moved = dist.reshape(len(rows), len(cols))[np.ix_(rows, cols)].ravel()
+    wider = np.empty(2 * size, dtype=np.int8)
+    low, high = wider[:size], wider[size:]
+    np.add(dist, 1, out=high)
+    np.minimum(high, moved, out=high)
+    moved += 1
+    np.minimum(dist, moved, out=low)
+    return wider
+
+
+def _lexicode_basis(d, count, bits):
+    """The first ``count`` basis words of the distance-d greedy lexicode, or
+    all of those below 2^bits if there are fewer.
+
+    A greedy lexicode is linear (Levenshtein 1960; Conway and Sloane,
+    "Lexicographic codes", IEEE Trans. IT 32, 1986), and its words in
+    increasing order are the XOR combinations of its basis words taken in
+    counting order.  While the span lies below 2^p, ``dist[x]`` is the
+    distance from x < 2^p to it.  The next word is then 2^p + r for the
+    first r with dist[r] >= d - 1; if there is none, no word below 2^(p+1)
+    joins, and the table doubles with dist + 1.
+    """
+    basis, dist, r = [], np.zeros(1, dtype=np.int8), None
+    for p in range(bits):
+        if len(basis) == count:
+            break
+        if p:
+            dist = np.concatenate((dist, dist + 1)) if r is None else _join(dist, r)
+        far = dist >= d - 1
+        r = int(far.argmax())
+        if far[r]:
+            basis.append(1 << p | r)
+        else:
+            r = None
+    return basis
+
+
+def _lexicode_words(basis, count):
+    """The first ``count`` XOR combinations of ``basis`` in counting order."""
+    words = [0]
+    for b in basis:
+        words += [w ^ b for w in words[:count - len(words)]]
+    return words
+
+
 def greedy_gv_code(k, d, target):
     """Greedy lexicographic code of length k and distance >= d.
 
-    Scans all k-bit words in increasing order and keeps a word iff it is at
-    distance >= d from everything kept so far, stopping once ``target``
-    words are collected.  Kept words exclude exactly the radius-(d-1) balls
-    around earlier picks, so the scan is implemented by marking those balls.
-    The result always has at least min(target, ceil(2^k / V(k, d-1))) words,
-    the Gilbert-Varshamov count.
+    The first ``target`` of the k-bit words, in increasing order, that a
+    scan keeps when it keeps each word at distance >= d from everything kept
+    so far.  They are written from the lexicode's basis, so the 2^k words
+    are never walked.  The result always has at least
+    min(target, ceil(2^k / V(k, d-1))) words, the Gilbert-Varshamov count.
 
-    Raises TargetUnreached (carrying the achieved code) when the full scan
-    ends short of ``target``.
+    Raises TargetUnreached (carrying the achieved code) when the length-k
+    lexicode has fewer than ``target`` words.
     """
     if k < 1 or not 1 <= d <= k or target < 1:
         raise DomainError(f"invalid greedy scan parameters k={k}, d={d}, target={target}")
     if 1 << k > SCAN_CAP:
         raise SizeLimitExceeded(f"scan space 2^{k} exceeds the cap of {SCAN_CAP}")
-    # The radius-(d-1) ball around 0, built bit by bit: position p adds a
-    # copy, with bit p set, of every word so far that weighs less than d - 1.
-    ball = np.zeros(1, dtype=np.int64)
-    weight = np.zeros(1, dtype=np.int8)
-    for p in range(k):
-        light = weight < d - 1
-        ball = np.concatenate((ball, ball[light] | (1 << p)))
-        weight = np.concatenate((weight, weight[light] + 1))
-    forbidden = bytearray(1 << k)
-    marks = np.frombuffer(forbidden, dtype=np.uint8)
-    words = []
-    w = 0
-    while w >= 0:
-        words.append(w)
-        if len(words) == target:
-            break
-        marks[ball ^ w] = 1
-        w = forbidden.find(0, w + 1)
+    words = _lexicode_words(_lexicode_basis(d, (target - 1).bit_length(), k), target)
     code = BinaryCode(k, tuple(words), method="gv")
     if len(words) < target:
         raise TargetUnreached(
@@ -365,18 +401,17 @@ def _extended_bch(n, lam):
 
 
 def _gv(n, lam):
-    """The greedy scan at the shortest length that reaches n words.
-    Lengths with 2^k < n * V(k, floor((lam-1)/2)) are skipped: by the
-    sphere-packing bound no code of that length holds n words.  The skip
-    stops at the scan cap, so no ball past it is ever sized."""
+    """The lexicode's first n words at the shortest length that holds them.
+    The basis words below 2^k span the length-k lexicode, so that length is
+    the first k >= max(log2 n, lam) reaching the largest of the n words.
+    A length past the scan cap is refused before any table is built."""
     k = max((n - 1).bit_length(), lam, 1)
-    while (1 << k) <= SCAN_CAP and (1 << k) < n * ball_volume(k, (lam - 1) // 2):
-        k += 1
-    while (1 << k) <= SCAN_CAP:
-        try:
-            return greedy_gv_code(k, lam, n)
-        except TargetUnreached:
-            k += 1
+    count = (n - 1).bit_length()
+    if (1 << k) <= SCAN_CAP:
+        basis = _lexicode_basis(lam, count, SCAN_CAP.bit_length() - 1)
+        if len(basis) == count:
+            words = _lexicode_words(basis, n)
+            return BinaryCode(max(k, words[-1].bit_length()), tuple(words), method="gv")
     raise NoConstruction(f"greedy scan cap reached before n={n}, lam={lam}")
 
 

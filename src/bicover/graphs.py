@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import random
-from bisect import bisect_left
 from itertools import combinations
 
 import numpy as np
@@ -24,9 +23,11 @@ class Graph:
 
     ``edge_array()`` holds every edge once, as the row (u, v) with u < v,
     in lexicographic order; every other view of the graph is read off it.
+    ``has_edge`` searches the edges' keys u * (n + 1) + v, which increase
+    with the rows and are built on its first call.
     """
 
-    __slots__ = ("n", "_edges")
+    __slots__ = ("n", "_edges", "_keys")
 
     def __init__(self, n, edges=()):
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
@@ -40,7 +41,7 @@ class Graph:
             pairs.append((u, v) if u < v else (v, u))
         rows = np.unique(np.array(pairs, dtype=np.int64).reshape(-1, 2), axis=0)
         rows.flags.writeable = False
-        self.n, self._edges = n, rows
+        self.n, self._edges, self._keys = n, rows, None
 
     def degree(self, v):
         _check_vertex(v, self.n)
@@ -49,9 +50,11 @@ class Graph:
     def has_edge(self, u, v):
         _check_vertex(u, self.n)
         _check_vertex(v, self.n)
-        pair = sorted((u, v))
-        i = bisect_left(self._edges, pair, key=np.ndarray.tolist)
-        return i < len(self._edges) and self._edges[i].tolist() == pair
+        if self._keys is None:
+            self._keys = self._edges @ np.array([self.n + 1, 1])
+        key = min(u, v) * (self.n + 1) + max(u, v)
+        i = int(self._keys.searchsorted(key))
+        return i < len(self._keys) and int(self._keys[i]) == key
 
     def edge_array(self):
         """All edges as the rows (u, v), u < v, of a read-only int64 array,
@@ -82,7 +85,7 @@ def _graph(n, edges):
     int64 array of rows (u, v), 1 <= u < v <= n, strictly increasing."""
     g = Graph.__new__(Graph)
     edges.flags.writeable = False
-    g.n, g._edges = n, edges
+    g.n, g._edges, g._keys = n, edges, None
     return g
 
 

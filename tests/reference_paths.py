@@ -11,6 +11,9 @@ before it enumerated each vertex's events.
 ``BbmcSolver`` is a second reference for the per-vertex independence
 numbers: the class-by-class bitmask solver the library ran, one search per
 vertex, before it settled all of them in one shared search.
+``greedy_gv_scan`` is a second reference for the greedy codes: the numpy
+scan over all 2^k words that the library ran before it wrote each lexicode
+from its basis.
 ``NeighborSetGraph`` is the graph as the library stored it before it kept
 only adjacency bitmasks: one neighbor frozenset per vertex.
 They are kept only as oracles; the property tests require the library's
@@ -428,6 +431,47 @@ def greedy_gv_words(k, d, target):
         for m in ball:
             forbidden[w ^ m] = 1
     return tuple(words)
+
+
+def greedy_gv_scan(k, d, target):
+    """The greedy lexicographic scan over a bytearray of the 2^k words.
+
+    Each kept word marks its whole radius-(d-1) ball in one numpy scatter,
+    and ``bytearray.find`` jumps to the next unmarked word.  Returns the kept
+    words, fewer than ``target`` when the scan ends short.
+    """
+    # The radius-(d-1) ball around 0, built bit by bit: position p adds a
+    # copy, with bit p set, of every word so far that weighs less than d - 1.
+    ball = np.zeros(1, dtype=np.int64)
+    weight = np.zeros(1, dtype=np.int8)
+    for p in range(k):
+        light = weight < d - 1
+        ball = np.concatenate((ball, ball[light] | (1 << p)))
+        weight = np.concatenate((weight, weight[light] + 1))
+    forbidden = bytearray(1 << k)
+    marks = np.frombuffer(forbidden, dtype=np.uint8)
+    words = []
+    w = 0
+    while w >= 0:
+        words.append(w)
+        if len(words) == target:
+            break
+        marks[ball ^ w] = 1
+        w = forbidden.find(0, w + 1)
+    return tuple(words)
+
+
+def gv_scan_code(n, lam):
+    """(length, words) of the gv code as chosen by scanning: the first length
+    from max(log2 n, lam) whose greedy scan reaches n words, skipping the
+    lengths where 2^k < n * V(k, floor((lam - 1) / 2)), which by the
+    sphere-packing bound hold no n words."""
+    k = max((n - 1).bit_length(), lam, 1)
+    while (1 << k) < n * codes.ball_volume(k, (lam - 1) // 2):
+        k += 1
+    while len(words := greedy_gv_scan(k, lam, n)) < n:
+        k += 1
+    return k, words
 
 
 def min_distance(words, length):

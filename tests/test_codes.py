@@ -1,5 +1,6 @@
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from bicover import codes
@@ -204,37 +205,32 @@ def test_build_code_families():
 
 
 def test_gv_refuses_past_the_scan_cap_before_sizing_a_ball(monkeypatch):
-    # 2^30 words exceed SCAN_CAP, so no sphere-packing ball may be summed:
-    # at large lam those binomial sums took minutes before the refusal.
+    # 2^30 words exceed SCAN_CAP, so no sphere-packing ball may be summed
+    # and no distance table built: at large lam those binomial sums took
+    # minutes, and the tables would double up to the cap, before the refusal.
     def ball_volume(k, r):
         raise AssertionError(f"ball_volume({k}, {r}) sized past the scan cap")
 
+    def lexicode_basis(d, count, bits):
+        raise AssertionError(f"lexicode table built at lam = {d} past the scan cap")
+
     monkeypatch.setattr(codes, "ball_volume", ball_volume)
+    monkeypatch.setattr(codes, "_lexicode_basis", lexicode_basis)
     with pytest.raises(NoConstruction):
         codes._gv(2, 30)
 
 
-def test_gv_length_skip_keeps_choice(monkeypatch):
+def test_gv_length_skip_keeps_choice():
     # The naive choice is the first length from max(log2 n, lam) whose full
-    # greedy lexicode holds n words; its first n words are the code.  Scans
-    # are served from those lexicodes, so every length is cheap to try.
+    # greedy lexicode holds n words; its first n words are the code.  The
+    # lexicodes come from the reference scan of each length.
     lexicodes = {}
 
     def lexicode(k, d):
         if (k, d) not in lexicodes:
-            try:
-                lexicodes[k, d] = greedy_gv_code(k, d, 1 << k).words
-            except TargetUnreached as e:
-                lexicodes[k, d] = e.code.words
+            lexicodes[k, d] = reference_paths.greedy_gv_scan(k, d, 1 << k)
         return lexicodes[k, d]
 
-    def scan(k, d, target, **caps):
-        code = BinaryCode(k, lexicode(k, d)[:target], method="gv")
-        if len(code) < target:
-            raise TargetUnreached("short", achieved=len(code), code=code)
-        return code
-
-    monkeypatch.setattr(codes, "greedy_gv_code", scan)
     for lam in range(1, 8):
         for n in range(2, 301):
             k = max((n - 1).bit_length(), lam)
@@ -242,3 +238,26 @@ def test_gv_length_skip_keeps_choice(monkeypatch):
                 k += 1
             code = build_code("gv", n, lam)
             assert (code.length, code.words) == (k, lexicode(k, lam)[:n])
+
+
+@pytest.mark.parametrize("n,lam", [(2032, 5), (2047, 5), (80, 7), (88, 7),
+                                   (120, 6), (128, 6), (152, 6), (160, 6),
+                                   (192, 6), (200, 6), (1000, 8)])
+def test_gv_matches_the_reference_scan_at_the_benchmark_strata(n, lam):
+    code = build_code("gv", n, lam)
+    assert (code.length, code.words) == reference_paths.gv_scan_code(n, lam)
+    if (n, lam) == (1000, 8):
+        assert code.length == 22 and 1 << code.length == codes.SCAN_CAP
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_lexicode_is_linear_in_counting_order(k):
+    # Levenshtein; Conway and Sloane: the i-th lexicode word, in increasing
+    # order, is the XOR of the basis words at the set bits of i.
+    for d in range(1, k + 1):
+        words = np.array(reference_paths.greedy_gv_scan(k, d, 1 << k))
+        size = len(words)
+        assert size & (size - 1) == 0
+        index = np.arange(size)
+        for i in range(size):
+            assert np.array_equal(words[i] ^ words, words[i ^ index]), (k, d, i)
