@@ -13,7 +13,7 @@ from .bounds import (BoundEntry, BoundReport, alpha_lower, binom_tail_p,
                      multigraph_report, tail_lower, upper_bch,
                      upper_even_weight, upper_gv, upper_linear)
 from .codes import (BinaryCode, FieldContext, bch_extended_code, build_code,
-                    even_weight_code, greedy_gv_code, min_distance)
+                    even_weight_code, min_distance)
 from .covering import (BipartiteBlock, CoverageReport, Covering,
                        balanced_bipartitions_covering, capacity,
                        code_to_covering, coloring_to_covering,

@@ -20,7 +20,8 @@ from math import comb, isnan
 from . import bounds as bnd
 from . import codes, covering, diagnostics, exact, graphs
 from .errors import (BicoverError, BudgetExhausted, DomainError,
-                     GroundSetMismatch, ParseError, RangeError)
+                     GroundSetMismatch, ParseError, RangeError,
+                     SizeLimitExceeded)
 
 SCHEMA_VERSION = 1
 EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
@@ -218,6 +219,9 @@ def _cmd_construct(args):
         g = _read_graph(args)
         if args.lam != 1:
             raise DomainError("coloring-based coverings guarantee lambda = 1 only")
+        if g.n > codes.WORD_CAP:  # one color word per vertex, as for a code
+            raise SizeLimitExceeded(f"a coloring covering of {g.n} vertices "
+                                    f"exceeds the cap of {codes.WORD_CAP} words")
         colors = graphs.greedy_coloring(g)
         cov, guaranteed, params = (covering.coloring_to_covering(g, colors), 1,
                                    {"colors": max(colors) + 1 if colors else 0})

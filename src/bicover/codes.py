@@ -2,7 +2,9 @@
 
 Families: the even-weight code (distance 2), greedy lexicographic codes
 meeting the Gilbert-Varshamov count, parity-extended narrow-sense BCH codes
-over GF(2^m), and Sylvester-Hadamard codes.  All constructions are
+over GF(2^m), and Sylvester-Hadamard codes.  All four are linear: each
+family gives only a basis, and ``_span`` writes its words, word j being the
+XOR of the basis words at the set bits of j.  All constructions are
 deterministic.  Constructions record a minimum distance only where it is
 known without a pairwise check; ``min_distance`` computes it exactly.
 
@@ -20,9 +22,9 @@ from math import comb
 import numpy as np
 
 from .errors import (CapExceeded, DomainError, FieldError, NoConstruction,
-                     SizeLimitExceeded, TargetUnreached)
+                     SizeLimitExceeded)
 
-WORD_CAP = 1 << 20    # max codewords an enumeration may produce
+WORD_CAP = 1 << 20    # max codewords a code (or vertices a coloring covering) may have
 PAIR_CAP = 1 << 24    # max pairwise distance checks
 SCAN_CAP = 1 << 22    # max word-space size 2^k of a greedy lexicode
 ENTRY_CAP = 1 << 24   # max bits (4^m) of an order-2^m Hadamard code
@@ -124,14 +126,25 @@ def ball_volume(k, r):
     return sum(comb(k, i) for i in range(r + 1))
 
 
+def _span(basis, count):
+    """The first ``count`` XOR combinations of ``basis`` in counting order:
+    word j is the XOR of ``basis[i]`` over the set bits i of j.  Every
+    family's words are written here."""
+    words = [0] if count > 0 else []
+    for b in basis:
+        words += [w ^ b for w in words[:count - len(words)]]
+    return words
+
+
 def even_weight_code(k):
     """All 2^(k-1) even-weight words of length k, in lexicographic order."""
     if k < 2:
         raise DomainError(f"even-weight code needs k >= 2, got {k}")
     if 1 << (k - 1) > WORD_CAP:
         raise SizeLimitExceeded(f"2^{k - 1} words exceed the cap of {WORD_CAP}")
-    words = tuple(w for w in range(1 << k) if w.bit_count() % 2 == 0)
-    return BinaryCode(k, words, min_distance=2, method="even-weight")
+    basis = [2 << i | 1 for i in range(k - 1)]
+    return BinaryCode(k, _span(basis, 1 << (k - 1)), min_distance=2,
+                      method="even-weight")
 
 
 def _join(dist, r):
@@ -178,39 +191,6 @@ def _lexicode_basis(d, count, bits):
         else:
             r = None
     return basis
-
-
-def _lexicode_words(basis, count):
-    """The first ``count`` XOR combinations of ``basis`` in counting order."""
-    words = [0]
-    for b in basis:
-        words += [w ^ b for w in words[:count - len(words)]]
-    return words
-
-
-def greedy_gv_code(k, d, target):
-    """Greedy lexicographic code of length k and distance >= d.
-
-    The first ``target`` of the k-bit words, in increasing order, that a
-    scan keeps when it keeps each word at distance >= d from everything kept
-    so far.  They are written from the lexicode's basis, so the 2^k words
-    are never walked.  The result always has at least
-    min(target, ceil(2^k / V(k, d-1))) words, the Gilbert-Varshamov count.
-
-    Raises TargetUnreached (carrying the achieved code) when the length-k
-    lexicode has fewer than ``target`` words.
-    """
-    if k < 1 or not 1 <= d <= k or target < 1:
-        raise DomainError(f"invalid greedy scan parameters k={k}, d={d}, target={target}")
-    if 1 << k > SCAN_CAP:
-        raise SizeLimitExceeded(f"scan space 2^{k} exceeds the cap of {SCAN_CAP}")
-    words = _lexicode_words(_lexicode_basis(d, (target - 1).bit_length(), k), target)
-    code = BinaryCode(k, tuple(words), method="gv")
-    if len(words) < target:
-        raise TargetUnreached(
-            f"greedy scan of length-{k} words at distance {d} stopped at "
-            f"{len(words)} of {target}", achieved=len(words), code=code)
-    return code
 
 
 class FieldContext:
@@ -319,13 +299,13 @@ def bch_extended_code(m, d, target=None):
     """Narrow-sense BCH code with designed distance 2d-1, plus an overall parity bit.
 
     Length k = 2^m, dimension >= 2^m - 1 - (d-1)m, minimum distance >= 2d.
-    Codewords are message polynomials times the generator, enumerated in
-    message order (message = integer 0, 1, 2, ...), each extended by one
-    parity bit in the rightmost position.  When the full codebook fits
-    WORD_CAP it is enumerated completely and the exact minimum distance is
-    recorded (equal to the minimum nonzero weight, the code being linear);
-    otherwise the first ``target`` codewords by message order are emitted,
-    with no distance recorded.
+    The word of message j (an integer 0, 1, 2, ...) is j times the generator
+    g as polynomials, extended by one parity bit in the rightmost position;
+    the code is linear, so the words are written in message order from the
+    words of messages 2^i, ``g << (i + 1) | parity(g)``.  When the full
+    codebook fits WORD_CAP it is written completely and its minimum nonzero
+    weight is recorded as its distance; otherwise the first ``target``
+    words are written, with no distance recorded.
     """
     if not 2 <= m <= 16:
         raise FieldError(f"extension degree m = {m} outside the tabled range 2..16")
@@ -335,19 +315,13 @@ def bch_extended_code(m, d, target=None):
         raise DomainError(f"designed distance {2 * d - 1} exceeds code length {(1 << m) - 1}")
     g = _bch_generator(m, d)
     dim = bch_dimension(m, d)
-    total = 1 << dim
-    count = total
-    if total > WORD_CAP:
-        if target is None or target > WORD_CAP:
-            raise CapExceeded(
-                f"2^{dim} codewords exceed the cap of {WORD_CAP}; pass a target")
-        count = target
-    words = []
-    for msg in range(count):
-        c = _clmul(msg, g)
-        words.append((c << 1) | (c.bit_count() & 1))
-    code = BinaryCode(1 << m, tuple(words), method=f"extended-bch(m={m},d={d})")
-    if count == total:
+    complete = 1 << dim <= WORD_CAP
+    if not complete and (target is None or target > WORD_CAP):
+        raise CapExceeded(f"2^{dim} codewords exceed the cap of {WORD_CAP}; pass a target")
+    basis = [g << (i + 1) | g.bit_count() & 1 for i in range(dim)]
+    words = _span(basis, 1 << dim if complete else target)
+    code = BinaryCode(1 << m, words, method=f"extended-bch(m={m},d={d})")
+    if complete:
         code.min_distance = min(w.bit_count() for w in words[1:])
     return code
 
@@ -356,20 +330,21 @@ def hadamard_code(m):
     """The 2^m columns of the order-2^m Sylvester-Hadamard matrix as words,
     its first row the leftmost bit and -1 read as 1.
 
-    Built by doubling: the columns of [[H, H], [H, -H]] are each column w
-    of H, in order, followed by w again, then each w followed by its
-    complement.
+    The columns of [[H, H], [H, -H]] are each column w of H followed by w,
+    then each w followed by its complement.  So each doubling of the length
+    L maps every basis word b to b << L | b and adds the word 2^L - 1, and
+    the columns are the span of the basis in counting order.
     """
     if m < 1:
         raise DomainError(f"Hadamard code needs m >= 1, got {m}")
     if 1 << (2 * m) > ENTRY_CAP:
         raise SizeLimitExceeded(f"4^{m} entries exceed the cap of {ENTRY_CAP}")
-    words, size = [0], 1
-    for _ in range(m):
-        mask = (1 << size) - 1
-        words = [w << size | w for w in words] + [w << size | w ^ mask for w in words]
-        size *= 2
-    return BinaryCode(size, words, min_distance=size // 2, method="hadamard")
+    basis = []
+    for i in range(m):
+        size = 1 << i
+        basis = [b << size | b for b in basis] + [(1 << size) - 1]
+    return BinaryCode(1 << m, _span(basis, 1 << m), min_distance=1 << (m - 1),
+                      method="hadamard")
 
 
 def bch_field(n, lam):
@@ -410,8 +385,8 @@ def _gv(n, lam):
     if (1 << k) <= SCAN_CAP:
         basis = _lexicode_basis(lam, count, SCAN_CAP.bit_length() - 1)
         if len(basis) == count:
-            words = _lexicode_words(basis, n)
-            return BinaryCode(max(k, words[-1].bit_length()), tuple(words), method="gv")
+            words = _span(basis, n)
+            return BinaryCode(max(k, words[-1].bit_length()), words, method="gv")
     raise NoConstruction(f"greedy scan cap reached before n={n}, lam={lam}")
 
 

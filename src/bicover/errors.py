@@ -35,15 +35,6 @@ class OverlapError(BicoverError):
     """The two sides of a bipartite block intersect."""
 
 
-class TargetUnreached(BicoverError):
-    """A greedy construction finished its scan short of the requested size."""
-
-    def __init__(self, message, achieved, code=None):
-        super().__init__(message)
-        self.achieved = achieved
-        self.code = code
-
-
 class FieldError(BicoverError):
     """No usable primitive polynomial for the requested field extension."""
 
@@ -71,15 +62,13 @@ class DomainError(BicoverError):
 class BudgetExhausted(BicoverError):
     """Exhaustive search ran out of budget before settling the instance.
 
-    ``lower`` is the proven lower bound at interruption time; ``upper`` and
-    ``witness`` describe the best covering found so far, if any.
+    ``lower`` is the proven lower bound at interruption time and ``nodes``
+    the number of search nodes visited.
     """
 
-    def __init__(self, message, lower=None, upper=None, witness=None, nodes=None):
+    def __init__(self, message, lower=None, nodes=None):
         super().__init__(message)
         self.lower = lower
-        self.upper = upper
-        self.witness = witness
         self.nodes = nodes
 
 

@@ -13,7 +13,9 @@ numbers: the class-by-class bitmask solver the library ran, one search per
 vertex, before it settled all of them in one shared search.
 ``greedy_gv_scan`` is a second reference for the greedy codes: the numpy
 scan over all 2^k words that the library ran before it wrote each lexicode
-from its basis.
+from its basis.  ``even_weight_code``, ``bch_extended_code`` and
+``hadamard_code`` write each family's words one at a time, as the library
+did before it wrote every family from its basis.
 ``NeighborSetGraph`` is the graph as the library stored it before it kept
 only adjacency bitmasks: one neighbor frozenset per vertex.
 They are kept only as oracles; the property tests require the library's
@@ -40,9 +42,10 @@ from bicover.bounds import binom_tail_p
 from bicover.codes import BinaryCode
 from bicover.covering import BipartiteBlock, CoverageReport, Covering
 from bicover.diagnostics import EXHAUSTIVE_BLOCK_LIMIT, DiagnosticReport
-from bicover.errors import (DomainError, ImproperColoring, NoConstruction,
+from bicover.errors import (CapExceeded, DomainError, FieldError,
+                            ImproperColoring, NoConstruction,
                             NotEnoughCodewords, OverlapError, ParseError,
-                            RangeError, SizeLimitExceeded, TargetUnreached)
+                            RangeError, SizeLimitExceeded)
 from bicover.graphs import Graph, _check_vertex
 
 
@@ -529,17 +532,81 @@ def perm_maps(n, blocks):
 
 # ------------------------------------------------ constructions, by if-chain
 
+@cache
+def _lexicode(k, lam):
+    """The whole length-k greedy lexicode at distance lam, by the scan."""
+    return greedy_gv_scan(k, lam, 1 << k)
+
+
 def _gv_scan(n, lam):
     """Greedy code at the shortest length whose scan reaches n words, else None."""
     k = max((n - 1).bit_length(), lam, 1)
     while (1 << k) < n * codes.ball_volume(k, (lam - 1) // 2):
         k += 1
     while (1 << k) <= codes.SCAN_CAP:
-        try:
-            return codes.greedy_gv_code(k, lam, n)
-        except TargetUnreached:
-            k += 1
+        if len(words := _lexicode(k, lam)) >= n:
+            return BinaryCode(k, words[:n], method="gv")
+        k += 1
     return None
+
+
+@cache
+def even_weight_code(k):
+    """All 2^(k-1) even-weight words of length k, by filtering all 2^k words."""
+    if k < 2:
+        raise DomainError(f"even-weight code needs k >= 2, got {k}")
+    if 1 << (k - 1) > codes.WORD_CAP:
+        raise SizeLimitExceeded(f"2^{k - 1} words exceed the cap of {codes.WORD_CAP}")
+    words = tuple(w for w in range(1 << k) if w.bit_count() % 2 == 0)
+    return BinaryCode(k, words, min_distance=2, method="even-weight")
+
+
+@cache
+def _bch_code(m, d, count, complete):
+    """The first ``count`` extended BCH words, one carry-less product per
+    message 0, 1, 2, ..., each followed by its parity bit; a complete
+    codebook records its minimum nonzero weight."""
+    g = codes._bch_generator(m, d)
+    words = []
+    for msg in range(count):
+        c = codes._clmul(msg, g)
+        words.append((c << 1) | (c.bit_count() & 1))
+    code = BinaryCode(1 << m, words, method=f"extended-bch(m={m},d={d})")
+    if complete:
+        code.min_distance = min(w.bit_count() for w in words[1:])
+    return code
+
+
+def bch_extended_code(m, d, target=None):
+    """The extended BCH code in message order, with its guards: the whole
+    codebook and its minimum nonzero weight where it fits WORD_CAP, else
+    the first ``target`` words."""
+    if not 2 <= m <= 16:
+        raise FieldError(f"extension degree m = {m} outside the tabled range 2..16")
+    if d < 2:
+        raise DomainError(f"designed half-distance d must be >= 2, got {d}")
+    if 2 * d - 1 > (1 << m) - 1:
+        raise DomainError(f"designed distance {2 * d - 1} exceeds code length {(1 << m) - 1}")
+    dim = codes.bch_dimension(m, d)
+    total = 1 << dim
+    count = total
+    if total > codes.WORD_CAP:
+        if target is None or target > codes.WORD_CAP:
+            raise CapExceeded(
+                f"2^{dim} codewords exceed the cap of {codes.WORD_CAP}; pass a target")
+        count = target
+    return _bch_code(m, d, count, count == total)
+
+
+@cache
+def hadamard_code(m):
+    """The Sylvester columns as words, with the library's guards."""
+    if m < 1:
+        raise DomainError(f"Hadamard code needs m >= 1, got {m}")
+    if 1 << (2 * m) > codes.ENTRY_CAP:
+        raise SizeLimitExceeded(f"4^{m} entries exceed the cap of {codes.ENTRY_CAP}")
+    return BinaryCode(1 << m, _hadamard_words(m), min_distance=1 << (m - 1),
+                      method="hadamard")
 
 
 def sylvester_matrix(m):
@@ -564,14 +631,14 @@ def build_code(method, n, lam):
     if method == "even-weight":
         if lam > 2:
             raise DomainError("even-weight codes guarantee distance 2 only")
-        return codes.even_weight_code((n - 1).bit_length() + 1)
+        return even_weight_code((n - 1).bit_length() + 1)
     if method == "extended-bch":
         d = (lam + 1) // 2
         if d < 2:
             raise DomainError("extended BCH here needs lam >= 3; use even-weight")
         for m in range(2, 17):
             if 2 * d - 1 <= (1 << m) - 1 and 1 << codes.bch_dimension(m, d) >= n:
-                return codes.bch_extended_code(m, d, target=max(n, 2))
+                return bch_extended_code(m, d, target=max(n, 2))
         raise NoConstruction(f"no tabled BCH field reaches n={n}, lam={lam}")
     if method == "gv":
         code = _gv_scan(n, lam)
@@ -582,8 +649,7 @@ def build_code(method, n, lam):
         m = 1
         while (1 << m) < n or (1 << (m - 1)) < lam:
             m += 1
-        return BinaryCode(1 << m, _hadamard_words(m), min_distance=1 << (m - 1),
-                          method="hadamard")
+        return hadamard_code(m)
     raise DomainError(f"unknown construction method {method!r}")
 
 
@@ -658,7 +724,7 @@ def build_covering(method, n, lam, graph=None):
         if lam > 2:
             raise DomainError("even-weight constructions guarantee lambda = 2 only")
         k = (n - 1).bit_length() + 1
-        code = codes.even_weight_code(k)
+        code = even_weight_code(k)
         return covering.code_to_covering(code, n), 2, {"k": k, "words": len(code)}
     if method == "gv":
         code = build_code("gv", n, lam)

@@ -12,8 +12,8 @@ import pytest
 
 from bicover.bounds import (alpha_lower, degree_lower, edge_count_lower,
                             tail_lower, upper_bch)
-from bicover.codes import (ball_volume, bch_extended_code, even_weight_code,
-                           greedy_gv_code)
+from bicover.codes import (BinaryCode, _lexicode_basis, _span, ball_volume,
+                           bch_extended_code, even_weight_code)
 from bicover.covering import (Covering, balanced_bipartitions_covering,
                               capacity, code_to_covering,
                               coloring_to_covering, hadamard_covering, verify)
@@ -33,7 +33,7 @@ def _passed(name):
 
 def hansel_covering(n):
     k = (n - 1).bit_length()
-    return code_to_covering(greedy_gv_code(k, 1, n), n)
+    return code_to_covering(BinaryCode(k, range(n)), n)
 
 
 @pytest.fixture(scope="module")
@@ -136,13 +136,13 @@ def test_code_based_upper_bounds():
         assert cap <= upper_bch(n, 4) + TOL
         report = verify(cov, n, 4)
         assert report.ok and report.min_multiplicity >= 4
-    # (c) greedy scans reach the Gilbert-Varshamov count on a 20-pair grid
+    # (c) greedy lexicodes reach the Gilbert-Varshamov count on a 20-pair grid
     grid = [(k, d) for k in range(4, 14) for d in (2, 3)]
     assert len(grid) == 20
     for k, d in grid:
         want = -(-(1 << k) // ball_volume(k, d - 1))
-        code = greedy_gv_code(k, d, want)
-        assert len(code.words) >= want
+        words = _span(_lexicode_basis(d, (want - 1).bit_length(), k), want)
+        assert len(words) == want
     assert time.monotonic() - start < 120
     _passed("code-based coverings stay within their capacity guarantees")
 

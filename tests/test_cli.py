@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bicover import covering, diagnostics, graphs
+from bicover import codes, covering, diagnostics, graphs
 from bicover.cli import (_METHODS, _PAIR_BATCH, _json_text, _sweep_row,
                          _write, main)
 from bicover.codes import even_weight_code
@@ -522,6 +522,31 @@ def test_coloring_parses_the_graph_once(tmp_path, capsys, monkeypatch):
     code, _, _ = run(capsys, "construct", "--lambda", "1", "--method", "coloring",
                      "--graph", str(gpath), "--out", str(tmp_path / "c.json"))
     assert code == 0 and len(calls) == 1
+
+
+def test_coloring_refuses_more_vertices_than_the_word_cap(tmp_path, capsys,
+                                                         monkeypatch):
+    # A coloring covering writes one word per vertex, so it shares the cap
+    # of every code family.  The cap is lowered here; the refusal must come
+    # before the coloring, which allocates by n.
+    gpath, out = tmp_path / "g.json", tmp_path / "c.json"
+    gpath.write_text(serialize_graph(random_graph(9, 0.5, 2)))
+    monkeypatch.setattr(codes, "WORD_CAP", 8)
+
+    def refuse(g):
+        raise AssertionError("colored a graph past the cap")
+
+    monkeypatch.setattr(graphs, "greedy_coloring", refuse)
+    code, stdout, err = run(capsys, "construct", "--lambda", "1", "--method",
+                            "coloring", "--graph", str(gpath), "--out", str(out))
+    assert (code, stdout) == (1, "") and not out.exists()
+    assert err == ("error: a coloring covering of 9 vertices exceeds the cap "
+                   "of 8 words\n")
+    monkeypatch.undo()
+    monkeypatch.setattr(codes, "WORD_CAP", 9)  # n at the cap is still built
+    code, _, _ = run(capsys, "construct", "--lambda", "1", "--method",
+                     "coloring", "--graph", str(gpath), "--out", str(out))
+    assert code == 0 and out.exists()
 
 
 @pytest.mark.parametrize("argv,flag", [

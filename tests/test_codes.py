@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from bicover import codes
-from bicover.codes import (BinaryCode, FieldContext, ball_volume, bch_dimension,
-                           bch_extended_code, build_code, even_weight_code,
-                           greedy_gv_code, hadamard_code, min_distance)
+from bicover.codes import (BinaryCode, FieldContext, _lexicode_basis, _span,
+                           ball_volume, bch_dimension, bch_extended_code,
+                           build_code, even_weight_code, hadamard_code,
+                           min_distance)
 from bicover.errors import (CapExceeded, DomainError, FieldError,
-                            NoConstruction, SizeLimitExceeded, TargetUnreached)
+                            NoConstruction, SizeLimitExceeded)
 
 import reference_paths
 
@@ -49,34 +50,24 @@ def test_even_weight_guards():
         even_weight_code(22)  # 2^21 words
 
 
+def lexicode(k, d, target):
+    """The first ``target`` words of the length-k lexicode, from its basis."""
+    return _span(_lexicode_basis(d, (target - 1).bit_length(), k), target)
+
+
 def test_gv_first_words():
-    c = greedy_gv_code(5, 3, 2)
-    assert [c.word_text(w) for w in c.words] == ["00000", "00111"]
-    assert greedy_gv_code(4, 1, 16).words == tuple(range(16))
-
-
-def test_gv_target_unreached_reports_achieved():
-    with pytest.raises(TargetUnreached) as exc:
-        greedy_gv_code(5, 3, 32)
-    assert exc.value.achieved == 4
-    assert list(exc.value.code.words) == greedy_scan_oracle(5, 3)
+    assert [format(w, "05b") for w in lexicode(5, 3, 2)] == ["00000", "00111"]
+    assert lexicode(4, 1, 16) == list(range(16))
+    assert lexicode(5, 3, 32) == greedy_scan_oracle(5, 3)  # all 4 words
 
 
 @pytest.mark.parametrize("k,d", [(4, 2), (5, 2), (5, 3), (6, 3), (7, 3), (8, 4)])
 def test_gv_matches_direct_scan_and_bound(k, d):
     kept = greedy_scan_oracle(k, d)
-    c = greedy_gv_code(k, d, len(kept))
-    assert list(c.words) == kept
+    assert lexicode(k, d, len(kept)) == kept
     assert len(kept) >= -(-(1 << k) // ball_volume(k, d - 1))
     if len(kept) >= 2:
         assert pairwise_min_distance(kept) >= d
-
-
-def test_gv_guards():
-    with pytest.raises(DomainError):
-        greedy_gv_code(4, 5, 2)
-    with pytest.raises(SizeLimitExceeded):
-        greedy_gv_code(24, 3, 2)
 
 
 def test_field_context_table_is_primitive():
@@ -138,6 +129,7 @@ def test_bch_guards():
         bch_extended_code(5, 2)  # 2^26 codewords
     truncated = bch_extended_code(5, 2, target=100)
     assert len(truncated.words) == 100 and truncated.min_distance is None
+    assert bch_extended_code(5, 2, target=0).words == ()
     assert pairwise_min_distance(truncated.words) >= 4
 
 

@@ -8,7 +8,7 @@ from bicover import diagnostics
 from bicover.covering import (BipartiteBlock, Covering, code_to_covering,
                               coloring_to_covering, hadamard_covering,
                               incidence_counts, verify)
-from bicover.codes import greedy_gv_code
+from bicover.codes import BinaryCode
 from bicover.diagnostics import (check_convex_tail_bound,
                                  check_event_disjointness, check_event_overlap,
                                  check_independent_event_sets, check_tail_sum)
@@ -52,7 +52,7 @@ def test_disjointness_exhaustive_tiny():
 
 
 def test_disjointness_lambda_one_distinct_columns():
-    cov = code_to_covering(greedy_gv_code(2, 1, 4), 4)
+    cov = code_to_covering(BinaryCode(2, range(4)), 4)
     rep = check_event_disjointness(cov, 1)
     assert rep.ok
 
@@ -128,7 +128,7 @@ def test_independent_event_sets():
 
 
 def test_independent_event_sets_complete_graph_singletons():
-    cov = code_to_covering(greedy_gv_code(3, 1, 8), 8)
+    cov = code_to_covering(BinaryCode(3, range(8)), 8)
     masks = reference_paths.profile_masks(cov)
     for v in range(1 << cov.m):
         assert len(reference_paths.matching_vertices(masks, v)) <= 1
@@ -199,7 +199,7 @@ def test_recorded_verify_is_reused(monkeypatch):
 
 def test_sum_covering_diagnostics():
     mixed = Covering(4, hadamard_covering(2).blocks
-                     + code_to_covering(greedy_gv_code(2, 1, 4), 4).blocks)
+                     + code_to_covering(BinaryCode(2, range(4)), 4).blocks)
     rep = check_tail_sum(mixed, 3)
     assert rep.ok
     assert check_event_disjointness(mixed, 3).ok

@@ -10,7 +10,7 @@ from bicover.covering import (BipartiteBlock, Covering,
                               balanced_bipartitions_covering, capacity,
                               code_to_covering, hadamard_covering,
                               serialize_covering, verify)
-from bicover.codes import even_weight_code, greedy_gv_code
+from bicover.codes import BinaryCode, even_weight_code
 from bicover.errors import BudgetExhausted, DomainError
 from bicover.exact import SearchBudget, _CapSearch, exact_cap
 
@@ -96,7 +96,7 @@ def test_exact_cap_4_3_met_by_greedy_code_covering():
     value, witness = exact_cap(4, 3, SearchBudget(max_capacity=24))
     assert value == 20
     assert verify(witness, 4, 3).ok
-    cov = code_to_covering(greedy_gv_code(5, 3, 4), 4)
+    cov = code_to_covering(BinaryCode(5, (0b00000, 0b00111, 0b11001, 0b11110)), 4)
     assert verify(cov, 4, 3).ok
     assert capacity(cov) == 20
 
@@ -145,7 +145,7 @@ def test_exact_cap_below_constructions():
     value, _ = exact_cap(4, 2)
     assert value <= capacity(code_to_covering(even_weight_code(3), 4))
     value, _ = exact_cap(4, 1)
-    assert value <= capacity(code_to_covering(greedy_gv_code(2, 1, 4), 4))
+    assert value <= capacity(code_to_covering(BinaryCode(2, range(4)), 4))
 
 
 def test_exact_cap_subadditive():

@@ -19,9 +19,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bicover import covering, diagnostics, graphs
-from bicover.codes import (BinaryCode, even_weight_code, greedy_gv_code,
-                            min_distance)
+from bicover import codes, covering, diagnostics, graphs
+from bicover.codes import (BinaryCode, _lexicode_basis, _span,
+                           bch_extended_code, even_weight_code, hadamard_code,
+                           min_distance)
 from bicover.covering import (BipartiteBlock, Covering, capacity,
                               code_to_covering, coloring_to_covering,
                               degenerate_rows, hadamard_covering,
@@ -31,8 +32,7 @@ from bicover.diagnostics import (_disjointness, _independent_sets, _sweep,
                                  check_convex_tail_bound,
                                  check_event_disjointness, check_event_overlap,
                                  check_tail_sum)
-from bicover.errors import (BicoverError, DomainError, SizeLimitExceeded,
-                            TargetUnreached)
+from bicover.errors import BicoverError, DomainError, SizeLimitExceeded
 from bicover.exact import SearchBudget, _CapSearch
 from bicover.graphs import (Graph, alpha_per_vertex, complete_graph, degrees,
                             empty_graph, greedy_coloring, parse_graph,
@@ -670,14 +670,40 @@ def test_greedy_scan_matches_reference(k, data):
     d = data.draw(st.integers(1, k))
     target = data.draw(st.one_of(st.integers(1, 64), st.integers(1, 1 << k)))
     expected = reference_paths.greedy_gv_words(k, d, target)
+    basis = _lexicode_basis(d, (target - 1).bit_length(), k)
+    assert tuple(_span(basis, target)) == expected
+
+
+def code_outcome(build, *args):
+    """(length, words, min_distance, method) of the code, or the library
+    error's class and message."""
     try:
-        code = greedy_gv_code(k, d, target)
-    except TargetUnreached as e:
-        assert len(expected) < target
-        assert e.achieved == len(expected)
-        assert e.code.words == expected
-    else:
-        assert code.words == expected and len(expected) == target
+        code = build(*args)
+    except BicoverError as e:
+        return type(e), str(e)
+    return code.length, code.words, code.min_distance, code.method
+
+
+@PROPERTY
+@given(k=st.one_of(st.integers(0, 14), st.just(22)),
+       m=st.one_of(st.integers(0, 10), st.just(13)))
+def test_even_weight_and_hadamard_match_the_per_word_references(k, m):
+    assert (code_outcome(even_weight_code, k)
+            == code_outcome(reference_paths.even_weight_code, k))
+    assert (code_outcome(hadamard_code, m)
+            == code_outcome(reference_paths.hadamard_code, m))
+
+
+@PROPERTY
+@given(m=st.integers(1, 8), data=st.data())
+def test_bch_matches_the_per_message_reference(m, data):
+    # Every designed distance of the field, one past its end, and d = 1;
+    # a target may be absent, empty, short, or past the word cap.
+    d = data.draw(st.integers(1, (1 << m - 1) + 1))
+    target = data.draw(st.one_of(st.none(), st.integers(0, 3000),
+                                 st.just(codes.WORD_CAP + 1)))
+    assert (code_outcome(bch_extended_code, m, d, target)
+            == code_outcome(reference_paths.bch_extended_code, m, d, target))
 
 
 # Word lengths within one uint64 row, at its edge, past it, and at two

@@ -4,6 +4,8 @@ Over n = 2..130 and a few large n, at lambda = 1..8, every CLI method must
 give the same covering, guaranteed lambda, parameters and sweep capacity as
 the old builder, ``build_code`` and ``bch_backed`` the same
 answers, and every path the same exception class where the old one raised.
+The old builder writes each family's words one at a time and takes every
+``gv`` code from the reference scan, so no library code writes its side.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import reference_paths as ref
 from bicover import bounds, codes, covering
 from bicover.cli import _METHODS, main
 from bicover.covering import capacity, serialize_covering
-from bicover.errors import BicoverError, TargetUnreached
+from bicover.errors import BicoverError
 from bicover.graphs import random_graph, serialize_graph
 
 NS = (*range(2, 131), 256, 1000, 2048, 4096)
@@ -32,26 +34,16 @@ def outcome(fn, *args):
 
 
 @pytest.fixture(scope="module", autouse=True)
-def shared_scans():
-    """Both paths share each greedy scan and each BCH enumeration.
+def shared_bch():
+    """The library's BCH codes are built once each.
 
-    The builders themselves are unchanged and tested elsewhere; caching
-    them keeps the grid fast while every choice of length, field, target
-    and family still runs on both sides.  A complete BCH codebook does not
-    depend on the target, so it is cached without it.
+    The builder is tested against its reference elsewhere; caching it keeps
+    the grid fast while every choice of field and target still runs.  A
+    complete BCH codebook does not depend on the target, so it is cached
+    without it.
     """
-    gv, bch = {}, {}
-    real_gv, real_bch = codes.greedy_gv_code, codes.bch_extended_code
-
-    def greedy_gv_code(k, d, target):
-        if (k, d, target) not in gv:
-            try:
-                gv[k, d, target] = real_gv(k, d, target)
-            except TargetUnreached as e:
-                gv[k, d, target] = e
-        if isinstance(gv[k, d, target], TargetUnreached):
-            raise gv[k, d, target]
-        return gv[k, d, target]
+    bch = {}
+    real_bch = codes.bch_extended_code
 
     def bch_extended_code(m, d, target=None):
         complete = 1 << codes.bch_dimension(m, d) <= codes.WORD_CAP
@@ -61,7 +53,6 @@ def shared_scans():
         return bch[key]
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(codes, "greedy_gv_code", greedy_gv_code)
         mp.setattr(codes, "bch_extended_code", bch_extended_code)
         yield
 
