@@ -14,6 +14,7 @@ import json
 import os
 import stat
 import sys
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from math import comb, isnan
 
@@ -75,8 +76,9 @@ def _json_chunks(obj, pad="\n"):
         items = [(encode_basestring_ascii(key) + ": ", value)
                  for key, value in obj.items()]
     elif type(obj) in (list, tuple):
-        if obj and all(type(p) in (list, tuple) and len(p) == 2
-                       and type(p[0]) is int and type(p[1]) is int for p in obj):
+        # The pair test runs in C: types first, so that len() sees only lists.
+        if (set(map(type, obj)) <= {list, tuple} and set(map(len, obj)) == {2}
+                and set(map(type, chain.from_iterable(obj))) == {int}):
             pair = f"[{inner}  %d,{inner}  %d{inner}]"
             for k in range(0, len(obj), _PAIR_BATCH):
                 yield (sep if k else "[" + inner) + sep.join(

@@ -78,14 +78,18 @@ class BinaryCode:
     def __post_init__(self):
         if self.length < 1:
             raise DomainError(f"word length must be >= 1, got {self.length}")
-        self.words = tuple(self.words)
-        seen = set()
-        for w in self.words:
-            if not 0 <= w < (1 << self.length):
-                raise DomainError(f"word {w!r} does not fit in {self.length} bits")
-            if w in seen:
-                raise DomainError(f"duplicate codeword {self.word_text(w)}")
-            seen.add(w)
+        self.words = words = tuple(self.words)
+        # Range and repeats are checked in C; only a failing code is walked
+        # word by word, to report its first bad word.
+        if words and (min(words) < 0 or max(words) >= 1 << self.length
+                      or len(set(words)) != len(words)):
+            seen = set()
+            for w in words:
+                if not 0 <= w < (1 << self.length):
+                    raise DomainError(f"word {w!r} does not fit in {self.length} bits")
+                if w in seen:
+                    raise DomainError(f"duplicate codeword {self.word_text(w)}")
+                seen.add(w)
 
     def __len__(self):
         return len(self.words)

@@ -189,17 +189,21 @@ def verify(cov, target, lam):
     not raised.  The count runs on the packed masks, one step per tile of
     about ``_STEP_PAIRS`` pairs: rows u against columns v > u (see
     ``_tiles``), or one chunk of graph edges, so temporaries stay at
-    O(max(_STEP_PAIRS, n)) words.  A complete target whose vertices all lie
-    in every block, as in a covering built from a code, is counted by the
-    MacWilliams transform instead when that is cheaper (see
-    ``_code_histogram``); the pairwise count then runs only to list
-    violations, and must agree with it.  The minimum multiplicity is
-    recorded on the covering per target, which lets later checks at the
-    same or a lower level skip the count (see ``is_verified``).
+    O(max(_STEP_PAIRS, n)) words.  When every vertex lies in every block,
+    as in a covering built from a code or a coloring, u and v are
+    separated exactly where their left masks differ, and each step counts
+    the popcount of one XOR instead of the two-sided AND/OR.  A complete
+    target of such a covering is counted by the MacWilliams transform
+    instead when that is cheaper (see ``_code_histogram``); the pairwise
+    count then runs only to list violations, and must agree with it.  The
+    minimum multiplicity is recorded on the covering per target, which
+    lets later checks at the same or a lower level skip the count (see
+    ``is_verified``).
     """
     if lam < 1:
         raise DomainError(f"coverage level must be >= 1, got {lam}")
     counts = None
+    full = _full_support(cov)
     if isinstance(target, Graph):
         if cov.n != target.n:
             raise GroundSetMismatch(
@@ -214,24 +218,29 @@ def verify(cov, target, lam):
                 f"covering on {cov.n} vertices vs complete target on {target}")
         steps = _tiles(target)
         kind = "complete"
-        counts = _code_histogram(cov)
+        counts = _code_histogram(cov, full)
     low_steps = []  # (u, v) index arrays of the pairs below lam, step by step
     if counts is None or any(counts[:lam]):
         a, b = cov.left, cov.right
         hist = np.zeros(cov.m + 1, dtype=np.int64)
         for us, vs, skip in steps:
-            per_word = [np.bitwise_count((aw[us] & bw[vs]) | (bw[us] & aw[vs]))
-                        for aw, bw in zip(a, b)]
+            if full:
+                per_word = [np.bitwise_count(aw[us] ^ aw[vs]) for aw in a]
+            else:
+                per_word = [np.bitwise_count((aw[us] & bw[vs]) | (bw[us] & aw[vs]))
+                            for aw, bw in zip(a, b)]
             mult = per_word[0] if len(per_word) == 1 else np.sum(
-                per_word, axis=0, dtype=np.intp)
+                per_word, axis=0, dtype=np.min_scalar_type(cov.m))
             hist += np.bincount(mult.ravel(), minlength=len(hist))
             low = mult < lam
-            if skip is not None:  # a tile: drop its entries with v <= u
+            if skip is None:
+                hits = np.flatnonzero(low)
+                low_steps.append((us[hits], vs[hits]))
+            else:  # a tile: drop its entries with v <= u
                 hist -= np.bincount(mult[:, :len(skip)][skip], minlength=len(hist))
                 low[:, :len(skip)] &= ~skip
-            if low.any():
-                low_steps.append((np.broadcast_to(us, low.shape)[low],
-                                  np.broadcast_to(vs, low.shape)[low]))
+                rows, cols = np.divmod(np.flatnonzero(low), low.shape[1])
+                low_steps.append((us[rows, 0], vs[cols]))
         if counts is not None and hist.tolist() != counts:
             raise AssertionError(f"pairwise histogram {hist.tolist()} differs "
                                  f"from the transform's {counts}")
@@ -261,10 +270,22 @@ def _tiles(n):
         yield us, np.arange(lo + 1, n + 1), np.tri(len(us), k=-1, dtype=bool)
 
 
-def _code_histogram(cov):
+def _full_support(cov):
+    """Whether every vertex lies in every block.
+
+    Each mask word is compared against the bits of the blocks it holds:
+    all 64 bits of every word but the last, and only the low m - 64 (words
+    - 1) bits of the last.  A covering without blocks passes.
+    """
+    valid = np.array([(1 << min(64, max(0, cov.m - 64 * w))) - 1
+                      for w in range(len(cov.left))], dtype=np.uint64)
+    return bool(((cov.left[:, 1:] | cov.right[:, 1:]) == valid[:, None]).all())
+
+
+def _code_histogram(cov, full):
     """The multiplicity histogram (a list) of all pairs of 1..n by the
     MacWilliams transform, or None when the pairwise kernel is cheaper or
-    some vertex is missing from some block.
+    some vertex is missing from some block (``full`` is False).
 
     When every vertex lies in every block, u and v are separated exactly in
     the blocks where their left sides differ, so the histogram is the
@@ -272,12 +293,9 @@ def _code_histogram(cov):
     the case of every covering built from a code.
     """
     n, k = cov.n, cov.m
-    if not _use_transform(k, n):
+    if not (full and _use_transform(k, n)):
         return None
-    left = cov.left[0, 1:]
-    if not ((left | cov.right[0, 1:]) == (1 << k) - 1).all():
-        return None
-    return _distance_histogram(left.astype(np.intp), k)
+    return _distance_histogram(cov.left[0, 1:].astype(np.intp), k)
 
 
 def _use_transform(k, n):

@@ -196,8 +196,8 @@ def _first_adjacent_pair(g, vertices):
     return None
 
 
-# Entries per step (vectors x mask words, or vertices x event patterns):
-# 128 KiB word temporaries.
+# Entries per step (vectors x mask words, vectors x vertices, or vertices x
+# event patterns): 128 KiB word temporaries.
 _SWEEP_CHUNK = 1 << 14
 _WORD = (1 << 64) - 1
 
@@ -319,12 +319,15 @@ def _sampled_chunks(m, words, size, seed, trials):
 
 
 def _tally(support, side, r, chunks):
-    # Vertex by vertex over a chunk of vectors: each step is a few
-    # contiguous word operations, which beats one (vectors x vertices) block.
+    # A block of _SWEEP_CHUNK // n vectors against all n vertices per step.
+    # A loop over the vertices ran n rounds of small numpy calls per chunk,
+    # whose overhead set the cost: 26 ms against 15 ms in blocks for 2000
+    # vectors on a covering of 996 vertices in 95 blocks (2-vCPU VM).
+    step = max(1, _SWEEP_CHUNK // support.shape[1])
     for vectors, packed in chunks:
-        per_vector = np.zeros(len(vectors), dtype=np.intp)
-        for j in range(support.shape[1]):
-            per_vector += _within(packed, support[:, j], side[:, j], r)
+        per_vector = np.concatenate([np.count_nonzero(
+            _within(packed[:, lo:lo + step, None], support[:, None], side[:, None], r),
+            axis=1) for lo in range(0, len(vectors), step)])
         yield vectors, per_vector, _occurring(support, side, r, packed)
 
 
@@ -340,14 +343,16 @@ def _within(vectors, support, side, r):
     """Whether at most r block memberships disagree with the selection vector.
 
     Arguments are indexed by mask word first: ``support`` holds a vertex's
-    blocks, ``side`` those where it is on the right.  Either many vectors
-    meet one vertex or one vector meets many vertices; each word step
-    broadcasts, and the disagreements are popcount((v & support) ^ side).
+    blocks, ``side`` those where it is on the right.  Many vectors meet one
+    vertex, one vector many vertices, or a column of vectors a row of
+    vertices; each word step broadcasts, and the disagreements are
+    popcount((v & support) ^ side).
     """
     hits = np.bitwise_count((vectors[0] & support[0]) ^ side[0])
+    if len(vectors) > 1:  # the narrowest type that holds 64 per word
+        hits = hits.astype(np.min_scalar_type(64 * len(vectors)))
     for w in range(1, len(vectors)):
-        hits = hits + np.bitwise_count(
-            (vectors[w] & support[w]) ^ side[w]).astype(np.intp)
+        hits += np.bitwise_count((vectors[w] & support[w]) ^ side[w])
     return hits <= r
 
 

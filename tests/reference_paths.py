@@ -16,6 +16,9 @@ scan over all 2^k words that the library ran before it wrote each lexicode
 from its basis.  ``even_weight_code``, ``bch_extended_code`` and
 ``hadamard_code`` write each family's words one at a time, as the library
 did before it wrote every family from its basis.
+``vertexwise_sweep`` is a second reference for the sampled sweeps: the
+vertex-by-vertex tally the library ran before it took blocks of vectors
+against all vertices per step.
 ``NeighborSetGraph`` is the graph as the library stored it before it kept
 only adjacency bitmasks: one neighbor frozenset per vertex.
 They are kept only as oracles; the property tests require the library's
@@ -387,6 +390,43 @@ def _tally(cov, r, chunks, counts):
         def occurring(k, packed=packed):
             ev = np.bitwise_count((packed[k] & support) ^ side) <= r
             return (np.nonzero(ev)[0] + 1).tolist()
+        yield vectors, per_vector, occurring
+
+
+def vertexwise_sweep(cov, r, mode, seed, trials, counts=None):
+    """The sampled sweep as the library once ran it, with ``_sweep``'s signature.
+
+    The seeded vectors, 2^14 / ceil(m / 64) per chunk, are tested against
+    one vertex at a time, summing the disagreements over every mask word.
+    Yields (vectors, per_vector, occurring) per chunk.  Sampled mode only.
+    """
+    if mode != "sampled":
+        raise DomainError(f"unknown mode {mode!r}")
+    return _vertexwise_tally(cov, r, seed, trials)
+
+
+def _vertexwise_tally(cov, r, seed, trials):
+    support, side = (cov.left | cov.right)[:, 1:], cov.right[:, 1:]
+    words = len(side)
+    size = max(1, (1 << 14) // words)
+    rng = random.Random(seed)
+
+    def within(vector_words, j):
+        hits = sum(np.bitwise_count((vector_words[w] & support[w, j]) ^ side[w, j])
+                   .astype(np.intp) for w in range(words))
+        return hits <= r
+
+    for lo in range(0, trials, size):
+        vectors = [rng.getrandbits(cov.m) if cov.m else 0
+                   for _ in range(min(size, trials - lo))]
+        packed = np.array([[(v >> (64 * w)) & ((1 << 64) - 1) for v in vectors]
+                           for w in range(words)], dtype=np.uint64)
+        per_vector = np.zeros(len(vectors), dtype=np.intp)
+        for j in range(cov.n):
+            per_vector += within(packed, j)
+
+        def occurring(k, packed=packed):
+            return [j + 1 for j in range(cov.n) if within(packed[:, k], j)]
         yield vectors, per_vector, occurring
 
 

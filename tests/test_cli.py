@@ -7,6 +7,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -593,11 +594,14 @@ def test_closed_pipe_ends_without_a_traceback(buffered):
 _INTS = st.one_of(st.integers(-5, 10**6), st.integers())
 _SCALARS = st.one_of(st.none(), st.booleans(), _INTS, st.text(),
                      st.floats(allow_nan=True, allow_infinity=True))
-# Pairs of ints or bools, as the violation lists hold; other lengths too.
+# Pairs of ints or bools, as the violation lists hold; other lengths, pairs
+# holding a list, and two-character strings too.
 _PAIRS = st.lists(st.one_of(st.lists(st.one_of(_INTS, st.booleans()),
                                      min_size=2, max_size=2),
                             st.tuples(_INTS, _INTS),
-                            st.lists(_INTS, max_size=3)), max_size=6)
+                            st.lists(_INTS, max_size=3),
+                            st.tuples(_INTS, st.lists(_INTS, max_size=2)),
+                            st.text(min_size=2, max_size=2)), max_size=6)
 _KEYS = st.one_of(st.text(), st.integers(), st.booleans(), st.none(),
                   st.floats(allow_nan=False))
 _JSON = st.recursive(
@@ -620,6 +624,18 @@ def test_json_text_matches_json_dumps(obj):
     [[True, False], [1, 2]], [], {}, [[]], {"a": []}, [[1, 2, 3], [4, 5]],
     [float("nan"), float("inf"), -float("inf")], {"é": "ü ☃"},
     {1: [1, 2], None: {}, True: [[1, 2]]}, {"pairs": [(1, 2), (3, 4)]},
-    {"pairs": [[v, 2 * v] for v in range(2 * _PAIR_BATCH + 1)]}])
+    {"pairs": [[v, 2 * v] for v in range(2 * _PAIR_BATCH + 1)]},
+    [[1, 2], [3, True]], [(1, 2), [3, 4, 5]], [[1, 2], [3]], [[1, [2]], [3, 4]],
+    [[1, 2], "ab"], [[1, 2], {"a": 1, "b": 2}], [(1, 2), (3, 4.0)],
+    [[1, 2]] * _PAIR_BATCH + [[1, 2, 3]]])
 def test_json_text_edge_cases(obj):
     assert _json_text(obj) == json.dumps(obj, indent=2)
+
+
+def test_json_text_refuses_numpy_pairs_like_json_dumps():
+    obj = [[1, 2], [np.int64(3), 4]]
+    with pytest.raises(TypeError) as ours:
+        _json_text(obj)
+    with pytest.raises(TypeError) as theirs:
+        json.dumps(obj, indent=2)
+    assert str(ours.value) == str(theirs.value)

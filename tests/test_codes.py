@@ -188,6 +188,31 @@ def test_binary_code_validation():
         BinaryCode(2, (4,))
 
 
+@pytest.mark.parametrize("at", [0, 500, 999])
+@pytest.mark.parametrize("bad", [-1, 1024, "repeat"])
+def test_binary_code_names_its_first_bad_word(at, bad):
+    # 1000 distinct 10-bit words with one bad word at the start, middle or
+    # end: below zero, at 2^10, or a copy of its neighbour.
+    words = list(range(1, 1001))
+    if bad == "repeat":
+        bad = words[at + 1 if at == 0 else at - 1]
+        message = f"duplicate codeword {bad:010b}"
+    else:
+        message = f"word {bad} does not fit in 10 bits"
+    words[at] = bad
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        BinaryCode(10, words)
+
+
+def test_binary_code_reports_errors_in_word_order():
+    # A repeat before an out-of-range word is named first, and the reverse.
+    with pytest.raises(DomainError, match="duplicate codeword 0011"):
+        BinaryCode(4, (3, 5, 3, 16))
+    with pytest.raises(DomainError, match="word 16 does not fit"):
+        BinaryCode(4, (3, 16, 5, 3))
+    assert BinaryCode(4, ()).words == ()
+
+
 def test_build_code_families():
     for method, n, lam in [("even-weight", 6, 2), ("gv", 10, 3),
                            ("extended-bch", 16, 4), ("hadamard", 8, 4)]:

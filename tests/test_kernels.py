@@ -238,6 +238,83 @@ def test_one_vertex_out_of_one_block_falls_through():
     assert report == reference_paths.verify(damaged, 2048, 2)
 
 
+# Full-support coverings: every vertex in every block, so verify counts the
+# popcount of one XOR of left masks per pair.  Block counts on each side of
+# the one-, two- and three-word boundaries, plus the gv and bch-wide sizes.
+FULL_BLOCK_COUNTS = st.one_of(st.integers(1, 12),
+                              st.sampled_from([20, 63, 64, 65, 95, 128, 130]))
+
+
+@st.composite
+def full_support_coverings(draw):
+    """A code covering of 2-40 vertices with m blocks left after deleting some.
+
+    Rows repeat words from a small pool, so some pairs share their left mask
+    (multiplicity 0).  Two anchor vertices hold complementary words, so every
+    block, before and after the deletion, has both sides nonempty.
+    """
+    m = draw(FULL_BLOCK_COUNTS, label="m")
+    n = draw(st.integers(2, 40), label="n")
+    rng = random.Random(draw(st.integers(0, 2**32), label="seed"))
+    width = m + rng.randint(0, 8)
+    pool = [rng.getrandbits(width) for _ in range(rng.randint(1, 6))]
+    words = [rng.choice(pool) if rng.random() < 0.5 else rng.getrandbits(width)
+             for _ in range(n)]
+    p, q = rng.sample(range(n), 2)
+    words[q] = words[p] ^ ((1 << width) - 1)
+    bits = np.array([[w >> i & 1 for i in range(width)] for w in words],
+                    dtype=np.uint8)
+    kept = sorted(rng.sample(range(width), m))  # the other blocks are deleted
+    cov = covering._split_by_bits(bits[:, kept])
+    assert cov.m == m and covering._full_support(cov)
+    return cov, [v + 1 for v in (p, q)]
+
+
+@settings(PROPERTY, max_examples=80)
+@given(drawn=full_support_coverings(), lam=st.integers(1, 70),
+       graph=st.booleans(), tile=st.integers(1, 64), seed=st.integers(0, 2**32))
+def test_xor_verify_on_full_support_coverings(drawn, lam, graph, tile, seed):
+    cov, _ = drawn
+    target = random_graph_on(cov.n, seed) if graph else cov.n
+    with patch.object(covering, "_STEP_PAIRS", tile):
+        report = verify(cov, target, lam)
+    assert report == reference_paths.verify(cov, target, lam)
+    assert_python_ints((report.pair_count, report.min_multiplicity,
+                        report.violating_pairs, report.histogram))
+
+
+@settings(PROPERTY, max_examples=40)
+@given(drawn=full_support_coverings(), lam=st.integers(1, 70),
+       graph=st.booleans(), data=st.data())
+def test_one_vertex_out_of_a_last_word_block(drawn, lam, graph, data):
+    # A vertex other than the anchors leaves one block held in the last mask
+    # word; the covering is no longer full, and verify must count both sides.
+    cov, anchors = drawn
+    others = [v for v in range(1, cov.n + 1) if v not in anchors]
+    if not others:
+        return
+    v = data.draw(st.sampled_from(others), label="v")
+    block = data.draw(st.integers(64 * (len(cov.left) - 1), cov.m - 1), label="block")
+    masks = np.array([cov.left, cov.right])
+    masks[:, block // 64, v] &= ~np.uint64(1 << block % 64)
+    damaged = Covering._packed(np.unpackbits(
+        np.ascontiguousarray(masks.transpose(0, 2, 1)).view(np.uint8),
+        axis=2, bitorder="little")[..., :cov.m])
+    assert not covering._full_support(damaged)
+    target = random_graph_on(cov.n, v) if graph else cov.n
+    report = verify(damaged, target, lam)
+    assert report == reference_paths.verify(damaged, target, lam)
+
+
+def test_full_support_reads_the_last_word_valid_bits():
+    # m = 65: the last word holds one block.  A vertex missing from block 64
+    # is caught, and one in every block passes although bits 1-63 are clear.
+    base = [BipartiteBlock([1, 2], [3])] * 65
+    assert covering._full_support(Covering(3, base))
+    assert not covering._full_support(Covering(3, base[:-1] + [BipartiteBlock([1], [3])]))
+    assert covering._full_support(Covering(3))
+
+
 @pytest.mark.parametrize("k, n, expected", [
     (14, 8192, True),        # even-weight, n = 8192
     (16, 2035, True),        # BCH: 2^20 work against 2 070 595 pairs
@@ -596,6 +673,42 @@ def test_event_enumeration_matches_chunked_sweep(cov, lam, seed):
 
     got = reports()
     with patch.object(diagnostics, "_sweep", reference_paths.chunked_sweep):
+        assert got == reports()
+
+
+# The sweep's step is _SWEEP_CHUNK // n vectors.  Patched to 64 entries, n
+# from 1 to 40 crosses every step size from 64 vectors to one; at the real
+# size, n from 181 to 220 gives steps of 90 down to 74 vectors.  Trial
+# counts are drawn freely, so most are not a multiple of the step.
+@pytest.mark.parametrize("chunk", [64, None])
+@settings(PROPERTY, max_examples=30)
+@given(n=st.integers(1, 40), m=st.one_of(st.integers(0, 12), BLOCK_COUNTS),
+       seed=st.integers(0, 2**32), lam=st.integers(1, 6),
+       trials=st.integers(0, 300))
+def test_blocked_sampled_sweep_matches_vertexwise_tally(chunk, n, m, seed, lam,
+                                                        trials):
+    if chunk is None:
+        n += 180
+    cov = random_covering(n, m, seed)
+    g = random_graph_on(n, seed + 1)
+    covered = separated_graph(cov, seed)
+    rng = random.Random(seed)
+    alphas = [rng.randint(1, 3) for _ in range(n)]  # small, so occupancy fails
+    r = (lam - 1) // 2
+
+    def reports():
+        # Every vector's event count, then the reports, which stop at 10
+        # violations.
+        chunks = list(diagnostics._sweep(cov, r, "sampled", seed, trials))
+        return ([v for vectors, _, _ in chunks for v in vectors],
+                [c for _, per_vector, _ in chunks for c in per_vector.tolist()],
+                _disjointness(cov, r, "sampled", seed, trials),
+                _independent_sets(cov, g, "sampled", seed, trials),
+                check_event_overlap(cov, covered, alphas, "sampled", seed, trials))
+
+    with patch.object(diagnostics, "_SWEEP_CHUNK", chunk or diagnostics._SWEEP_CHUNK):
+        got = reports()
+    with patch.object(diagnostics, "_sweep", reference_paths.vertexwise_sweep):
         assert got == reports()
 
 
