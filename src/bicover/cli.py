@@ -421,45 +421,38 @@ def _cmd_sweep(args):
     return EXIT_OK
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="bicover",
-        description="Bipartite covering constructions, verification, bounds, "
-                    "exact search, and probabilistic diagnostics.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("construct", help="build a covering and write it to a file")
+def _construct_args(p):
     p.add_argument("--n", type=_positive_int)
     p.add_argument("--lambda", dest="lam", type=_positive_int, required=True)
     p.add_argument("--method", choices=METHODS, required=True)
     p.add_argument("--graph", help="graph JSON path (coloring method)")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_construct)
 
-    p = sub.add_parser("verify", help="check a covering file against a target")
+
+def _verify_args(p):
     p.add_argument("path")
     p.add_argument("--n", type=_positive_int)
     p.add_argument("--lambda", dest="lam", type=_positive_int, required=True)
     p.add_argument("--graph")
-    p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("bounds", help="print all applicable capacity bounds")
+
+def _bounds_args(p):
     p.add_argument("--n", type=_positive_int)
     p.add_argument("--lambda", dest="lam", type=_positive_int, default=1)
     p.add_argument("--graph")
     p.add_argument("--c", type=float, help="rate parameter for the linear upper bound")
     p.add_argument("--limit", type=_positive_int, help="exact independence-number size limit")
     p.add_argument("--format", choices=("json", "table"), default="json")
-    p.set_defaults(func=_cmd_bounds)
 
-    p = sub.add_parser("exact", help="exhaustive minimum-capacity search")
+
+def _exact_args(p):
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--lambda", dest="lam", type=_positive_int, required=True)
     p.add_argument("--max-capacity", type=_positive_int, default=64)
     p.add_argument("--node-limit", type=_positive_int, default=2_000_000)
-    p.set_defaults(func=_cmd_exact)
 
-    p = sub.add_parser("proofcheck", help="replay the probabilistic proof devices")
+
+def _proofcheck_args(p):
     p.add_argument("path")
     p.add_argument("--n", type=_positive_int)
     p.add_argument("--lambda", dest="lam", type=_positive_int, default=1)
@@ -470,9 +463,9 @@ def build_parser():
     p.add_argument("--trials", type=_positive_int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--limit", type=_positive_int, help="exact independence-number size limit")
-    p.set_defaults(func=_cmd_proofcheck)
 
-    p = sub.add_parser("sweep", help="tabulate bounds and constructions over a grid")
+
+def _sweep_args(p):
     p.add_argument("--n-list", type=_positive_int_list, required=True)
     p.add_argument("--lambda-list", type=_positive_int_list, required=True)
     p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -480,13 +473,47 @@ def build_parser():
     p.add_argument("--c", type=float)
     p.add_argument("--exact-max-n", type=int, default=4)
     p.add_argument("--node-limit", type=_positive_int, default=2_000_000)
-    p.set_defaults(func=_cmd_sweep)
+
+
+# Each command's (help, arguments, handler), in the order --help lists them.
+_COMMANDS = {
+    "construct": ("build a covering and write it to a file",
+                  _construct_args, _cmd_construct),
+    "verify": ("check a covering file against a target", _verify_args, _cmd_verify),
+    "bounds": ("print all applicable capacity bounds", _bounds_args, _cmd_bounds),
+    "exact": ("exhaustive minimum-capacity search", _exact_args, _cmd_exact),
+    "proofcheck": ("replay the probabilistic proof devices",
+                   _proofcheck_args, _cmd_proofcheck),
+    "sweep": ("tabulate bounds and constructions over a grid",
+              _sweep_args, _cmd_sweep),
+}
+
+
+def build_parser(command=None):
+    """The parser of every command, or only of ``command``, which parses
+    that command's argv with the same results and messages: its usage line
+    still names every command, for the errors that the top level reports
+    (``bicover bounds --bogus``).  The full parser gets no metavar, which
+    would change its "required" and "invalid choice" messages."""
+    parser = argparse.ArgumentParser(
+        prog="bicover",
+        description="Bipartite covering constructions, verification, bounds, "
+                    "exact search, and probabilistic diagnostics.")
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _COMMANDS if command is None else (command,):
+        help_text, add_args, func = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_args(p)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # Only the invoked command's parser is built: all six cost about 1 ms.
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except (ParseError, RangeError, GroundSetMismatch) as e:

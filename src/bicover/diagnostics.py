@@ -152,8 +152,9 @@ def check_event_overlap(cov, g, alphas=None, mode="exhaustive", seed=0,
     _require_valid(cov, g, 1, "event overlap")
     if alphas is None:
         alphas = alpha_per_vertex(g, limit)
-    total = sum((Fraction(1, (1 << xj) * alphas[j])
-                 for j, xj in enumerate(incidence_counts(cov))), Fraction(0))
+    tally = Counter(zip(incidence_counts(cov), alphas, strict=True))
+    total = sum((Fraction(k, (1 << xj) * a) for (xj, a), k in tally.items()),
+                Fraction(0))
     chunks = _sweep(cov, 0, mode, seed, trials)
     # A vector can only break occupancy when its events outnumber some alpha.
     violations = []

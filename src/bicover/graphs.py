@@ -148,7 +148,9 @@ class _AlphaSearch:
 
     ``known[v]`` is the size of the largest independent set found so far
     that contains v, and ``below[t]`` is the mask of the vertices with
-    ``known < t``.  A node is an independent set S (``chosen``) with its
+    ``known < t``.  Before the search, each vertex v seeds ``known`` with one
+    greedy independent set: v, then the lowest remaining non-neighbour,
+    repeatedly.  A node is an independent set S (``chosen``) with its
     candidates, the vertices that extend it.  The bound at a node comes
     from a greedy partition of the candidates into cliques (Tomita & Seki's
     MCQ bound, read on the graph itself): an independent set takes at most
@@ -156,17 +158,20 @@ class _AlphaSearch:
     bitmasks, as in San Segundo et al.'s BBMC: class k takes the lowest
     remaining candidate, keeps only the candidates adjacent to it, and
     repeats until none is left.  Candidates are expanded from the highest
-    class down.  A subtree whose sets have at most t vertices is cut when
-    no vertex of S and of its remaining candidates has ``known < t``: one
-    AND against ``below[t]``.  Classes that cannot lift any such vertex are
-    not listed at all.
+    class down, each class's mask from its highest bit down.  A subtree
+    whose sets have at most t vertices is cut when no vertex of S and of
+    its remaining candidates has ``known < t``: one AND against
+    ``below[t]``.  The same test runs on each child's own pool, S + v and
+    the candidates left after v, before the child is entered.  Classes that
+    cannot lift any such vertex are not listed at all.
 
-    This is exact: an independent set T through x is either visited, or it
-    lies in a cut subtree whose bound was at most ``known[x]`` then.  Any
-    vertex order gives the same values; alpha_per_vertex numbers the vertices
-    by ascending degree, MCQ's initial order (descending degree in the
-    complement, where the independent sets are cliques), which makes the
-    low classes large and cuts more subtrees.
+    This is exact: a seed set is independent, so it only raises ``known``
+    to values it attains, and an independent set T through x is either
+    visited, or it lies in a cut subtree whose bound was at most
+    ``known[x]`` then.  Any vertex order gives the same values;
+    alpha_per_vertex numbers the vertices by ascending degree, MCQ's initial
+    order (descending degree in the complement, where the independent sets
+    are cliques), which makes the low classes large and cuts more subtrees.
     """
 
     def __init__(self, masks):
@@ -176,7 +181,19 @@ class _AlphaSearch:
         self.below = [0, 0] + [(1 << n) - 1] * n  # below[0..n+1]
 
     def run(self):
-        self._expand(0, (1 << len(self.adj)) - 1, 0)
+        adj = self.adj
+        full = (1 << len(adj)) - 1
+        for v, nbrs in enumerate(adj):
+            members = 1 << v
+            size = 1
+            rest = full & ~(nbrs | members)
+            while rest:
+                bit = rest & -rest
+                members |= bit
+                size += 1
+                rest &= ~(adj[bit.bit_length() - 1] | bit)
+            self._raise(members, size)
+        self._expand(0, full, 0)
         return self.known
 
     def _raise(self, members, size):
@@ -198,34 +215,34 @@ class _AlphaSearch:
         while not pool & below[top + 1]:
             top += 1
         skip = top - size  # classes 1..skip cannot lift any known
-        verts = []
-        numbers = []
+        classes = []  # the masks of classes skip + 1, skip + 2, ...
         k = 0
         rest = cand
         while rest:
             k += 1
-            q = rest
+            start = q = rest
             while q:
                 bit = q & -q
-                v = bit.bit_length() - 1
                 rest ^= bit
-                q &= adj[v]
-                if k > skip:
-                    verts.append(v)
-                    numbers.append(k)
+                q &= adj[bit.bit_length() - 1]
+            if k > skip:
+                classes.append(start ^ rest)
         cur = cand
-        for i in range(len(verts) - 1, -1, -1):
-            if not (chosen | cur) & below[size + numbers[i]]:
-                return
-            v = verts[i]
-            bit = 1 << v
-            grown = chosen | bit
-            if grown & below[size + 1]:
-                self._raise(grown, size + 1)
-            rest = cur & ~(adj[v] | bit)
-            if rest:
-                self._expand(grown, rest, size + 1)
-            cur ^= bit
+        for t in range(size + k, size + skip, -1):  # size + the class number
+            members = classes.pop()
+            while members:
+                if not (chosen | cur) & below[t]:
+                    return
+                v = members.bit_length() - 1
+                bit = 1 << v
+                members ^= bit
+                grown = chosen | bit
+                if grown & below[size + 1]:
+                    self._raise(grown, size + 1)
+                cur ^= bit
+                rest = cur & ~adj[v]
+                if rest and (grown | rest) & below[t]:
+                    self._expand(grown, rest, size + 1)
 
 
 def alpha_per_vertex(g, limit=None):

@@ -12,9 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bicover import codes, covering, diagnostics, graphs
+from bicover import cli, codes, covering, diagnostics, graphs
 from bicover.cli import (_METHODS, _PAIR_BATCH, _json_text, _sweep_row,
-                         _write, main)
+                         _write, build_parser, main)
 from bicover.codes import even_weight_code
 from bicover.covering import (balanced_bipartitions_covering, capacity,
                               code_to_covering, parse_covering,
@@ -381,9 +381,73 @@ def test_usage_errors(capsys):
         main(["construct", "--n", "4", "--lambda", "2", "--method", "nope",
               "--out", "x.json"])
     assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["frobnicate"])
-    assert exc.value.code == 2
+    usage = "usage: bicover [-h] {construct,verify,bounds,exact,proofcheck,sweep} ..."
+    for argv, message in (
+            (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+            ([], "the following arguments are required: command"),
+            (["bounds", "--bogus"], "unrecognized arguments: --bogus")):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == usage and err[1].startswith("bicover: error: " + message)
+
+
+# Per command, the argv after its name: a required argument missing (bounds
+# has none, so an option lacks its value), an unknown argument, and a bad value.
+PARSE_ERRORS = {
+    "construct": (["--n", "4"],
+                  ["--n", "4", "--lambda", "1", "--method", "gv", "--out", "x.json",
+                   "--bogus"],
+                  ["--n", "4", "--lambda", "1", "--method", "nope", "--out", "x.json"]),
+    "verify": ([], ["c.json", "--lambda", "1", "--bogus"],
+               ["c.json", "--lambda", "0"]),
+    "bounds": (["--n"], ["--n", "4", "--bogus"], ["--format", "xml"]),
+    "exact": (["--n", "3"], ["--n", "3", "--lambda", "1", "--max-blocks", "16"],
+              ["--n", "three", "--lambda", "1"]),
+    "proofcheck": (["--n", "4"], ["c.json", "--bogus"],
+                   ["c.json", "--trials", "0"]),
+    "sweep": (["--n-list", "4"], ["--n-list", "4", "--lambda-list", "1", "--bogus"],
+              ["--n-list", "x", "--lambda-list", "1"]),
+}
+
+
+def parse_outcome(capsys, parser, argv):
+    try:
+        outcome = vars(parser.parse_args(argv))
+    except SystemExit as e:
+        outcome = e.code
+    out = capsys.readouterr()
+    return outcome, out.out, out.err
+
+
+@pytest.mark.parametrize("command", cli._COMMANDS)
+def test_one_command_parser_matches_the_full_parser(capsys, command):
+    assert sorted(PARSE_ERRORS) == sorted(cli._COMMANDS)
+    for tail in (["--help"], [], *PARSE_ERRORS[command]):
+        argv = [command, *tail]
+        assert (parse_outcome(capsys, build_parser(command), argv)
+                == parse_outcome(capsys, build_parser(), argv))
+
+
+@pytest.mark.parametrize("argv,command", [
+    (["bounds", "--n", "4"], "bounds"), (["bounds", "--bogus"], "bounds"),
+    ([], None), (["--help"], None), (["frobnicate"], None),
+    (["--threads", "2", "bounds"], None)])
+def test_main_builds_the_invoked_command_only(capsys, monkeypatch, argv, command):
+    built = []
+
+    def recorded(command=None):
+        built.append(command)
+        return build_parser(command)
+
+    monkeypatch.setattr(cli, "build_parser", recorded)
+    try:
+        main(argv)
+    except SystemExit:
+        pass
+    assert built == [command]
 
 
 @pytest.mark.parametrize("argv", [

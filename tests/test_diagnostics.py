@@ -113,6 +113,13 @@ def test_overlap_cycle_coloring():
     assert rep_sampled.ok and rep_sampled.trials == 2000
 
 
+def test_overlap_refuses_alphas_of_the_wrong_length():
+    # The sum pairs each vertex's incidence count with its alpha.
+    for alphas in ([1, 1], [1, 1, 1, 1]):
+        with pytest.raises(ValueError):
+            check_event_overlap(K3_COVER, complete_graph(3), alphas=alphas)
+
+
 def test_overlap_requires_valid_covering():
     with pytest.raises(InvalidCovering):
         check_event_overlap(Covering(3), complete_graph(3))

@@ -4,13 +4,16 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bicover.errors import ParseError, RangeError, SizeLimitExceeded
 from bicover.graphs import (Graph, alpha_per_vertex, complete_graph, degrees,
                             empty_graph, greedy_coloring, parse_graph,
                             random_graph, serialize_graph)
 
-from reference_paths import NeighborSetGraph, brute_alpha, neighbor_set_coloring
+from reference_paths import (NeighborSetGraph, bbmc_alpha_per_vertex,
+                             brute_alpha, neighbor_set_coloring)
 
 PATH3 = Graph(3, [(1, 2), (2, 3)])
 C5 = Graph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
@@ -80,6 +83,46 @@ def test_alpha_matches_pins(key):
     n, p, seed = key.split(",")
     g = random_graph(int(n), float(p), int(seed))
     assert alpha_per_vertex(g, limit=g.n) == ALPHA_PINS[key]
+
+
+@st.composite
+def alpha_cases(draw):
+    """(graph, alphas or None): a random G(n, p) with n <= 40, or one of the
+    graphs with known values, on shuffled labels.  Disjoint cliques take
+    one vertex from each clique; a complete multipartite graph takes v's
+    whole part and nothing else."""
+    kind = draw(st.sampled_from(["random", "empty", "complete", "cliques",
+                                 "multipartite"]))
+    if kind == "random":
+        n = draw(st.integers(1, 40))
+        p = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 1)))
+        return random_graph(n, p, draw(st.integers(0, 2**32))), None
+    sizes = draw(st.lists(st.integers(1, 8), min_size=1, max_size=5))
+    if kind in ("empty", "complete"):
+        sizes = [sum(sizes)] if kind == "complete" else [1] * sum(sizes)
+        kind = "cliques"
+    n = sum(sizes)
+    label = draw(st.permutations(range(1, n + 1)))
+    part = [i for i, size in enumerate(sizes) for _ in range(size)]
+    same = kind == "cliques"  # cliques join a part, multipartite graphs split them
+    g = Graph(n, [(label[u], label[v]) for u in range(n) for v in range(u + 1, n)
+                  if (part[u] == part[v]) == same])
+    alphas = [0] * n
+    for u in range(n):
+        alphas[label[u] - 1] = len(sizes) if same else sizes[part[u]]
+    return g, alphas
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=alpha_cases())
+def test_alpha_matches_the_references(case):
+    g, want = case
+    alphas = alpha_per_vertex(g)
+    assert alphas == bbmc_alpha_per_vertex(g)
+    if want is not None:
+        assert alphas == want
+    if g.n <= 12:
+        assert alphas == brute_alpha(g)
 
 
 def test_alpha_size_limit():
