@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -489,20 +490,15 @@ _COMMANDS = {
 }
 
 
-def build_parser(command=None):
-    """The parser of every command, or only of ``command``, which parses
-    that command's argv with the same results and messages: its usage line
-    still names every command, for the errors that the top level reports
-    (``bicover bounds --bogus``).  The full parser gets no metavar, which
-    would change its "required" and "invalid choice" messages."""
+@functools.cache
+def build_parser():
+    """The parser of every command, built once per process."""
     parser = argparse.ArgumentParser(
         prog="bicover",
         description="Bipartite covering constructions, verification, bounds, "
                     "exact search, and probabilistic diagnostics.")
-    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in _COMMANDS if command is None else (command,):
-        help_text, add_args, func = _COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_args, func) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         add_args(p)
         p.set_defaults(func=func)
@@ -510,10 +506,7 @@ def build_parser(command=None):
 
 
 def main(argv=None):
-    argv = sys.argv[1:] if argv is None else argv
-    # Only the invoked command's parser is built: all six cost about 1 ms.
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    args = build_parser().parse_args(argv)  # None reads sys.argv[1:]
     try:
         return args.func(args)
     except (ParseError, RangeError, GroundSetMismatch) as e:

@@ -65,6 +65,10 @@ def _normalize(a, b):
 
 class _CapSearch:
     def __init__(self, n, lam, budget):
+        count = (3**n - 2**(n + 1) + 1) // 2  # blocks in the table below
+        if count > budget.node_limit:  # charged to the budget, refused unbuilt
+            raise BudgetExhausted(f"{count} blocks exceed the node limit "
+                                  f"{budget.node_limit}", lower=0, nodes=0)
         self.n = n
         self.lam = lam
         self.budget = budget

@@ -281,55 +281,67 @@ def _pack_masks(n, u, v):
             for i in range(0, n * width, width)]
 
 
-# A bytes.translate table that keeps the ASCII digits and turns every other
-# byte into a space.
+# bytes.translate tables: the first keeps the ASCII digits and turns every
+# other byte into a space, the second turns every digit into "0".
 _DIGITS_ONLY = bytes(c if 0x30 <= c <= 0x39 else 0x20 for c in range(256))
+_DIGITS_AS_ZERO = bytes(0x30 if 0x30 <= c <= 0x39 else c for c in range(256))
 
 
-def _canonical_edges(text):
-    """n and the sorted (E, 2) int64 edge array of a document in the layout
-    of ``serialize_graph``, read in bulk without decoding it, or None.
+def _layout_runs(text, layout):
+    """The numbers of a document in a reader's canonical layout, as an int64
+    array in text order, and the shape of the layout; or None.
 
-    The layout is ``{"n": N, "edges": [[u, v], [u, v], ...]}`` plus any
-    trailing JSON whitespace, and it is proved at byte level.  With its
-    digits deleted the text must read ``{"n": , "edges": [`` followed by
-    one ``[, ]`` per edge, joined by ``, ``, and ``]}``.  In that skeleton
-    a digit run can sit only between the two bytes around it, and the
-    pair must be ``" ,"`` for n, ``"[,"`` for u and ``" ]"`` for v, in
-    that order: runs are maximal, so two of them never share a gap, and
-    there are as many runs as slots.  No run may have a leading zero or
-    more than 10 digits, so ``np.fromstring``, which reads every run in
-    one call, neither clamps nor aliases a value.  The text is then the
-    one json.dumps would write for those numbers.  Last, every edge must
-    have 1 <= u < v <= n and no edge may repeat (``_sorted_rows``).
+    The text must start with ``{"n": `` and may end in JSON whitespace.
+    With each maximal digit run cut to one ``0``, giving ``marked``, it must
+    equal the skeleton of ``layout(marked) = (skeleton, shape)``: the
+    reader's layout with a ``0`` per number slot.  So the digit-free text is
+    the skeleton's and each run fills one slot.  ``np.fromstring`` reads
+    every run in one call.  A run read exactly has as many digits as its
+    value, and one with a leading zero, or clamped or aliased to another
+    value, has more, so the values' digits must add up to the text's.  The
+    text is then the one json.dumps writes for those numbers.
     """
     if not (text.isascii() and text.startswith('{"n": ')):
         return None  # not the layout, and not worth a bulk read to find out
     raw = text.encode("ascii").rstrip(b" \t\n\r")
-    if not raw.endswith(b"}"):
+    # Numbers first, and each copy of the text freed once used: a lower peak RSS.
+    nums = np.fromstring(raw.translate(_DIGITS_ONLY), dtype=np.int64, sep=" ")
+    zeroed = raw.translate(_DIGITS_AS_ZERO)
+    del raw
+    keep = np.frombuffer(zeroed, dtype=np.uint8) != 0x30  # the non-digits,
+    total = len(keep) - np.count_nonzero(keep)
+    np.logical_or(keep[1:], keep[:-1], out=keep[1:])  # and each run's first digit
+    marked = np.frombuffer(zeroed, dtype=np.uint8)[keep].tobytes()
+    del zeroed, keep
+    skeleton, shape = layout(marked)
+    if marked != skeleton:
         return None
-    digits = raw.translate(_DIGITS_ONLY)
-    # bounds[2k] is the byte before run k and bounds[2k + 1] its last digit;
-    # the first and last bytes are not digits, so the two alternate.
-    bounds = np.flatnonzero(np.diff(np.frombuffer(digits, dtype=np.uint8) != 0x20))
-    before, after = bounds[0::2], bounds[1::2] + 1
-    m = (len(before) - 1) // 2  # edges
-    if len(before) != 2 * m + 1 or raw.translate(None, b"0123456789") != (
-            b'{"n": , "edges": [' + (b"[, ], " * m)[:-2] + b"]}"):
+    read, power = len(nums), 10
+    while above := np.count_nonzero(nums >= power):
+        read += above
+        power *= 10
+    return (nums, shape) if read == total else None
+
+
+def _edges_layout(marked):
+    """``serialize_graph``'s skeleton with as many edges as marked's runs
+    allow, and that edge count."""
+    m = (marked.count(b"0") - 1) // 2
+    return b'{"n": 0, "edges": [' + b", ".join([b"[0, 0]"] * m) + b"]}", m
+
+
+def _canonical_edges(text):
+    """n and the sorted (E, 2) int64 edge array of a document in the layout
+    of ``serialize_graph``, read in bulk by ``_layout_runs``, or None.  n
+    must lie in 1..2^31 - 1, every edge must have 1 <= u < v <= n, and no
+    edge may repeat (``_sorted_rows``)."""
+    read = _layout_runs(text, _edges_layout)
+    if read is None:
         return None
-    chars = np.frombuffer(raw, dtype=np.uint8)
-    if np.stack((chars[before], chars[after]), axis=1).tobytes() != b" ," + b"[, ]" * m:
-        return None
-    length = after - before - 1
-    if length.max() > 10 or (length[chars[before + 1] == 0x30] > 1).any():
-        return None
-    nums = np.fromstring(digits, dtype=np.int64, sep=" ")
-    n = int(nums[0])
-    if not 1 <= n < 2**31:
-        return None
-    edges = nums[1:].reshape(-1, 2)
+    nums, m = read
+    n, edges = int(nums[0]), nums[1:].reshape(-1, 2)
     u, v = edges.T
-    if m and (u.min() < 1 or v.max() > n or not (u < v).all()):
+    if not 1 <= n < 2**31 or m and (u.min() < 1 or v.max() > n or not (u < v).all()):
         return None
     edges = _sorted_rows(n, edges)
     return None if edges is None else (n, edges)
@@ -361,12 +373,7 @@ def parse_graph(text):
     read = _canonical_edges(text)
     if read is not None:
         return _graph(*read)
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"invalid JSON: {e.msg}", e.lineno, e.colno) from e
-    except (RecursionError, ValueError) as e:  # too deep, or an int past the digit limit
-        raise ParseError(f"invalid JSON: {e}") from e
+    obj = _decode(text)
     if not isinstance(obj, dict):
         raise ParseError("graph document must be a JSON object")
     if set(obj) != {"n", "edges"}:
@@ -392,6 +399,16 @@ def parse_graph(text):
             raise ParseError(f"duplicate edge [{u}, {v}]")
         seen.add((u, v))
     return _graph(n, _sorted_rows(n, np.array(raw, dtype=np.int64).reshape(-1, 2)))
+
+
+def _decode(text):
+    """json.loads(text), every failure raised as a ParseError."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"invalid JSON: {e.msg}", e.lineno, e.colno) from e
+    except (RecursionError, ValueError) as e:  # too deep, or an int past the digit limit
+        raise ParseError(f"invalid JSON: {e}") from e
 
 
 def serialize_graph(g):

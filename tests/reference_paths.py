@@ -174,6 +174,8 @@ def parse_covering(text):
         obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON: {e.msg}", e.lineno, e.colno) from e
+    except ValueError as e:  # an integer past the decoder's digit limit
+        raise ParseError(f"invalid JSON: {e}") from e
     if not isinstance(obj, dict) or set(obj) != {"n", "blocks"}:
         raise ParseError('covering document must have exactly the keys "n" and "blocks"')
     n = obj["n"]

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -422,13 +423,27 @@ def parse_outcome(capsys, parser, argv):
     return outcome, out.out, out.err
 
 
+def no_second_parser(monkeypatch):
+    """Build the cached parser, then refuse any further ArgumentParser."""
+    build_parser()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a second parser was built")
+
+    monkeypatch.setattr(argparse, "ArgumentParser", refuse)
+
+
 @pytest.mark.parametrize("command", cli._COMMANDS)
-def test_one_command_parser_matches_the_full_parser(capsys, command):
+def test_one_command_parser_matches_the_full_parser(capsys, monkeypatch, command):
+    # The one parser that serves `command` (cached, and reused across calls)
+    # gives the results, stdout and stderr of a freshly built full parser.
     assert sorted(PARSE_ERRORS) == sorted(cli._COMMANDS)
-    for tail in (["--help"], [], *PARSE_ERRORS[command]):
-        argv = [command, *tail]
-        assert (parse_outcome(capsys, build_parser(command), argv)
-                == parse_outcome(capsys, build_parser(), argv))
+    argvs = [[command, *tail] for tail in (["--help"], [], *PARSE_ERRORS[command])]
+    fresh = [parse_outcome(capsys, build_parser.__wrapped__(), argv) for argv in argvs]
+    no_second_parser(monkeypatch)
+    for _ in range(2):
+        for argv, want in zip(argvs, fresh):
+            assert parse_outcome(capsys, build_parser(), argv) == want
 
 
 @pytest.mark.parametrize("argv,command", [
@@ -436,18 +451,27 @@ def test_one_command_parser_matches_the_full_parser(capsys, command):
     ([], None), (["--help"], None), (["frobnicate"], None),
     (["--threads", "2", "bounds"], None)])
 def test_main_builds_the_invoked_command_only(capsys, monkeypatch, argv, command):
-    built = []
+    # main parses with the cached full parser and builds no parser of its
+    # own, however often it runs; that parser names the invoked command
+    # (None where the top level refuses the argv) as a fresh one does.
+    def invoked(parser):
+        try:
+            return parser.parse_known_args(argv)[0].command
+        except SystemExit:
+            return None
 
-    def recorded(command=None):
-        built.append(command)
-        return build_parser(command)
-
-    monkeypatch.setattr(cli, "build_parser", recorded)
-    try:
-        main(argv)
-    except SystemExit:
-        pass
-    assert built == [command]
+    want = parse_outcome(capsys, build_parser.__wrapped__(), argv)
+    assert invoked(build_parser.__wrapped__()) == command
+    capsys.readouterr()
+    no_second_parser(monkeypatch)
+    for _ in range(2):
+        try:
+            main(argv)
+        except SystemExit:
+            pass
+        capsys.readouterr()
+        assert parse_outcome(capsys, build_parser(), argv) == want
+    assert invoked(build_parser()) == command
 
 
 @pytest.mark.parametrize("argv", [

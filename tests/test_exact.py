@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from bicover import exact
 from bicover.bounds import edge_count_lower, tail_lower
 from bicover.covering import (BipartiteBlock, Covering,
                               balanced_bipartitions_covering, capacity,
@@ -12,7 +13,7 @@ from bicover.covering import (BipartiteBlock, Covering,
                               serialize_covering, verify)
 from bicover.codes import BinaryCode, even_weight_code
 from bicover.errors import BudgetExhausted, DomainError
-from bicover.exact import SearchBudget, _CapSearch, exact_cap
+from bicover.exact import SearchBudget, _CapSearch, _all_blocks, exact_cap
 
 # Value, serialized witness and node count of each benchmark instance: a
 # faster search must visit the same nodes and return the same witness, so
@@ -132,6 +133,29 @@ def test_exact_cap_budget_exhaustion():
     with pytest.raises(BudgetExhausted) as exc:
         exact_cap(4, 1, SearchBudget(max_capacity=7))
     assert exc.value.lower == 8
+
+
+def test_block_table_past_the_node_limit_is_refused_unbuilt(monkeypatch):
+    # The table of (3^n - 2^(n+1) + 1)/2 blocks is charged to the node
+    # budget: one larger than node_limit is refused before any block is
+    # built, with lower bound 0, even where the search would need fewer
+    # nodes than the table has blocks, as K_4^2 does (20 against 25).
+    for n in range(2, 8):
+        assert len(_all_blocks(n)) == (3**n - 2**(n + 1) + 1) // 2
+    with pytest.raises(BudgetExhausted) as exc:
+        exact_cap(4, 1, SearchBudget(node_limit=25))
+    assert exc.value.lower == 7
+    assert exact_cap(4, 2, SearchBudget(node_limit=25))[0] == 12
+
+    def refuse(n):
+        raise AssertionError("the block table was built")
+
+    monkeypatch.setattr(exact, "_all_blocks", refuse)
+    for n, lam, limit in ((4, 1, 24), (4, 2, 24), (4, 1, 5), (14, 1, 2_000_000),
+                          (30, 1, 2_000_000)):
+        with pytest.raises(BudgetExhausted) as exc:
+            exact_cap(n, lam, SearchBudget(node_limit=limit))
+        assert (exc.value.lower, exc.value.nodes) == (0, 0)
 
 
 def test_exact_cap_respects_formula_lower_bound():

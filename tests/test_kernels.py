@@ -20,6 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bicover import codes, covering, diagnostics, graphs
+from bicover.cli import main
 from bicover.codes import (BinaryCode, _lexicode_basis, _span,
                            bch_extended_code, even_weight_code, hadamard_code,
                            min_distance)
@@ -546,10 +547,137 @@ def test_bulk_read_agrees_with_the_json_path(n, m, seed):
     '{"n": 3, "blocks": [[1], [2]]}',
     '{"n": 3, "blocks": [{"left": [1], "right": [2]}]}\u00e9',
     '{"n": 1000000000000, "blocks": [{"left": [1, 1], "right": [2]}]}',
+    '{"n": , "blocks": [5]}',
+    '{"n": , "blocks": [{"left": [1], "right": [2]}]}3',
+    '{"n": 3, "blocks": [{"left": [1, ], "right": [3]}]}2',
+    '{"n": 3, "blocks": [{"left": [, 2], "right": [3]}1]}',
+    '{"n": 3, "blocks": [{"left": [1], "right": []}3]}',
 ])
 def test_near_canonical_text_matches_reference(text):
     # Texts at or near the layout serialize_covering writes, most of them
     # one edit away from it.  Each gives the reference's covering or error.
+    assert_same_outcome(parse_covering, reference_paths.parse_covering, text)
+
+
+# Edits of the text itself, shared by the graph and the covering readers.
+TEXT_EDITS = ("trailing-space", "trailing-junk", "moved-digit", "moved-run",
+              "leading-zero", "sign", "float", "literal", "space-added",
+              "space-removed", "long-label", "huge-n")
+
+
+def edited_text(text, edit, data):
+    """text after one byte-level edit of the named kind, most of them a few
+    bytes away from the layout; None for an edit of the document."""
+    runs = [m.span() for m in re.finditer(r"[0-9]+", text)]  # runs[0] is n
+    a, b = data.draw(st.sampled_from(runs))
+    if edit == "trailing-space":
+        return text + data.draw(st.sampled_from(["\n", " ", " \t\r\n"]))
+    if edit == "trailing-junk":
+        return text + data.draw(st.sampled_from(["x", "]", "\x0b", "\f", "\n0"]))
+    if edit == "moved-digit":  # often into a separator gap
+        i = data.draw(st.sampled_from([i for run in runs for i in range(*run)]))
+        rest = text[:i] + text[i + 1:]
+        j = data.draw(st.integers(0, len(rest)))
+        return rest[:j] + text[i] + rest[j:]
+    if edit == "moved-run":  # its slot is left empty
+        rest = text[:a] + text[b:]
+        j = data.draw(st.integers(0, len(rest)))
+        return rest[:j] + text[a:b] + rest[j:]
+    if edit == "leading-zero":
+        return text[:a] + "0" + text[a:]
+    if edit == "sign":
+        return text[:a] + data.draw(st.sampled_from("-+")) + text[a:]
+    if edit == "float":
+        return text[:b] + data.draw(st.sampled_from([".0", "e0", "E+0"])) + text[b:]
+    if edit == "literal":
+        return text[:a] + data.draw(st.sampled_from(["true", "false", "null"])) + text[b:]
+    if edit == "space-added":
+        j = data.draw(st.integers(0, len(text)))
+        return text[:j] + " " + text[j:]
+    if edit == "space-removed":
+        j = data.draw(st.sampled_from([j for j, c in enumerate(text) if c == " "]))
+        return text[:j] + text[j + 1:]
+    if edit == "long-label" and len(runs) > 1:
+        a, b = data.draw(st.sampled_from(runs[1:]))
+        return text[:a] + data.draw(st.sampled_from(["1" * 20, "12345678901234567890"])) + text[b:]
+    if edit == "huge-n":
+        a, b = runs[0]
+        return text[:a] + "1" * 5000 + text[b:]
+    return None
+
+
+COVERING_EDITS = ("none", *TEXT_EDITS, "indent", "swapped-keys", "duplicate",
+                  "unsorted", "overlap", "past-n", "empty-side")
+
+
+def edited_covering_text(cov, edit, data):
+    """The text serialize_covering writes for cov after one edit of the
+    named kind; "none" keeps it."""
+    text = serialize_covering(cov)
+    edited = edited_text(text, edit, data)
+    if edited is not None:
+        return edited
+    doc = json.loads(text)
+    blocks = doc["blocks"]
+    if edit == "indent":
+        return json.dumps(doc, indent=1)
+    if edit == "swapped-keys":
+        if not blocks or data.draw(st.booleans()):
+            return json.dumps({"blocks": blocks, "n": cov.n})
+        i = data.draw(st.integers(0, len(blocks) - 1))
+        blocks[i] = {"right": blocks[i]["right"], "left": blocks[i]["left"]}
+    elif blocks:
+        block = data.draw(st.sampled_from(blocks))
+        key = data.draw(st.sampled_from(["left", "right"]))
+        side, other = block[key], block["right" if key == "left" else "left"]
+        at = data.draw(st.integers(0, len(side)))
+        if edit == "duplicate":
+            side.insert(at, data.draw(st.sampled_from(side)))
+        elif edit == "unsorted" and len(side) > 1:
+            i, j = data.draw(st.lists(st.integers(0, len(side) - 1), min_size=2,
+                                      max_size=2, unique=True))
+            side[i], side[j] = side[j], side[i]
+        elif edit == "overlap":
+            side.insert(at, data.draw(st.sampled_from(other)))
+        elif edit == "past-n":
+            side.insert(at, data.draw(st.sampled_from([0, cov.n + 1])))
+        elif edit == "empty-side":
+            side.clear()
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("edit", COVERING_EDITS)
+@settings(PROPERTY, max_examples=25)
+@given(n=st.integers(1, 70), m=st.sampled_from([0, 1, 2, 5, 64, 65]),
+       seed=st.integers(0, 2**32), data=st.data())
+def test_bulk_covering_read_agrees_with_the_json_path(edit, n, m, seed, data):
+    # Canonical text, with or without trailing whitespace, takes the bulk
+    # read; every edit gives the covering or the error the json path and the
+    # reference give.  A text the bulk read takes is exactly the one
+    # serialize_covering writes for its covering, up to trailing whitespace.
+    cov = random_covering(n, m, seed)
+    text = edited_covering_text(cov, edit, data)
+    with patch.object(json, "loads", wraps=json.loads) as loads:
+        got = outcome(parse_covering, text)
+    with patch.object(covering, "_canonical_sides", return_value=None):
+        via_json = outcome(parse_covering, text)
+    assert got == via_json and hash(got) == hash(via_json)
+    assert_same_outcome(parse_covering, reference_paths.parse_covering, text)
+    if loads.call_count == 0:
+        assert serialize_covering(got) == text.rstrip()
+    if edit in ("none", "trailing-space"):
+        assert got == cov and loads.call_count == 0
+
+
+def test_bulk_covering_read_refuses_long_runs_before_reading_them(monkeypatch):
+    # As for graphs: were np.fromstring to wrap a run past int64, 2**64 + 2
+    # would read as 2, a label in range.
+    def wrapping(data, dtype, sep):
+        return np.array([(int(w) + 2**63) % 2**64 - 2**63 for w in data.split()],
+                        dtype=dtype)
+
+    text = '{"n": 3, "blocks": [{"left": [1], "right": [18446744073709551618]}]}'
+    monkeypatch.setattr(np, "fromstring", wrapping)
     assert_same_outcome(parse_covering, reference_paths.parse_covering, text)
 
 
@@ -1077,6 +1205,30 @@ def test_parse_graph_matches_reference(n, p, seed, data):
     assert outcome(parse_graph, text) == outcome(reference_paths.parse_edges, n, raw)
 
 
+def test_benchmark_covering_files_parse_without_json(tmp_path, monkeypatch, capsys):
+    # The coverings kn-certify constructs, and the negative control it
+    # rewrites with json.dump, are in the layout.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import workloads
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("parse_covering decoded a benchmark covering with json")
+
+    paths = []
+    for op in workloads.build("kn-certify", 7, str(tmp_path)).ops:
+        if op.argv[0] == "construct":
+            assert main(op.argv) == 0
+            paths.append(op.argv[op.argv.index("--out") + 1])
+        elif op.prepare is not None:
+            op.prepare()
+            paths.append(op.argv[1])
+    capsys.readouterr()
+    assert len(paths) == 5
+    monkeypatch.setattr(json, "loads", refuse)
+    for path in paths:
+        assert len(parse_covering(Path(path).read_text(encoding="utf-8"))) > 0
+
+
 @PROPERTY
 @given(n=st.one_of(st.integers(1, 70), st.integers(60, 70)),
        p=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 1)),
@@ -1112,57 +1264,22 @@ def test_sorted_single_chunk_parse_does_not_sort(monkeypatch):
     assert parse_graph(text) == g
 
 
-GRAPH_EDITS = ("none", "trailing-space", "trailing-junk", "moved-digit",
-               "moved-run", "leading-zero", "sign", "float", "literal",
-               "space-added", "space-removed", "indent", "swapped-keys",
-               "duplicate", "unsorted", "self-loop", "past-n", "long-label",
-               "huge-n")
+GRAPH_EDITS = ("none", *TEXT_EDITS, "indent", "swapped-keys", "duplicate",
+               "unsorted", "self-loop", "past-n")
 
 
 def edited_graph_text(g, edit, data):
     """The text serialize_graph writes for g after one edit of the named
-    kind, most of them a few bytes away from the layout; "none" keeps it."""
+    kind; "none" keeps it."""
     text = serialize_graph(g)
+    edited = edited_text(text, edit, data)
+    if edited is not None:
+        return edited
     edges = g.edge_array().tolist()
-    runs = [m.span() for m in re.finditer(r"[0-9]+", text)]  # runs[0] is n
-    a, b = data.draw(st.sampled_from(runs))
-    if edit == "trailing-space":
-        return text + data.draw(st.sampled_from(["\n", " ", " \t\r\n"]))
-    if edit == "trailing-junk":
-        return text + data.draw(st.sampled_from(["x", "]", "\x0b", "\f", "\n0"]))
-    if edit == "moved-digit":  # often into a separator gap
-        i = data.draw(st.sampled_from([i for run in runs for i in range(*run)]))
-        rest = text[:i] + text[i + 1:]
-        j = data.draw(st.integers(0, len(rest)))
-        return rest[:j] + text[i] + rest[j:]
-    if edit == "moved-run":  # its slot is left empty
-        rest = text[:a] + text[b:]
-        j = data.draw(st.integers(0, len(rest)))
-        return rest[:j] + text[a:b] + rest[j:]
-    if edit == "leading-zero":
-        return text[:a] + "0" + text[a:]
-    if edit == "sign":
-        return text[:a] + data.draw(st.sampled_from("-+")) + text[a:]
-    if edit == "float":
-        return text[:b] + data.draw(st.sampled_from([".0", "e0", "E+0"])) + text[b:]
-    if edit == "literal":
-        return text[:a] + data.draw(st.sampled_from(["true", "false", "null"])) + text[b:]
-    if edit == "space-added":
-        j = data.draw(st.integers(0, len(text)))
-        return text[:j] + " " + text[j:]
-    if edit == "space-removed":
-        j = data.draw(st.sampled_from([j for j, c in enumerate(text) if c == " "]))
-        return text[:j] + text[j + 1:]
     if edit == "indent":
         return json.dumps({"n": g.n, "edges": edges}, indent=1)
     if edit == "swapped-keys":
         return json.dumps({"edges": edges, "n": g.n})
-    if edit == "long-label" and edges:
-        a, b = data.draw(st.sampled_from(runs[1:]))
-        return text[:a] + data.draw(st.sampled_from(["1" * 20, "12345678901234567890"])) + text[b:]
-    if edit == "huge-n":
-        a, b = runs[0]
-        return text[:a] + "1" * 5000 + text[b:]
     at = data.draw(st.integers(0, len(edges)))
     u = data.draw(st.integers(1, g.n))
     if edit == "duplicate" and edges:
@@ -1223,6 +1340,7 @@ def test_bulk_graph_read_agrees_with_the_json_path(edit, n, p, seed, data):
     '{"n": 3, "edges": [[, 2]1]}',
     '{"n": 3, "ed1ges": [[, 2]]}',
     '{"n": , "edges": [[1, 2]]}3',
+    '{"n": , "edges": [3]}',
     '{"n": 3, "edges": [1[1, 2]]}',
     '{"n": 3, "edges": []]}',
     '{"n": 3, "edges": [[1, 2]]}\x0b',
@@ -1239,7 +1357,8 @@ def test_near_canonical_graph_text_matches_reference(text):
 
 def test_bulk_graph_read_refuses_long_runs_before_reading_them(monkeypatch):
     # np.fromstring clamps a run past int64; were it to wrap instead, 2**64 + 2
-    # would read as 2.  Runs of more than 10 digits never reach it.
+    # would read as 2.  The value has fewer digits than its run, so the bulk
+    # read refuses the text before it uses the value.
     def wrapping(data, dtype, sep):
         return np.array([(int(w) + 2**63) % 2**64 - 2**63 for w in data.split()],
                         dtype=dtype)
