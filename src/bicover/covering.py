@@ -516,6 +516,8 @@ def parse_covering(text):
     n = obj["n"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ParseError(f'"n" must be a positive integer, got {n!r}')
+    if n >= 2**31:
+        raise ParseError(f'"n" must be below 2^31, got {n}')
     if not isinstance(obj["blocks"], list):
         raise ParseError('"blocks" must be a list')
     items = obj["blocks"]
@@ -554,19 +556,20 @@ def parse_covering(text):
 def _canonical_sides(text):
     """The (2, n + 1, m) 0/1 side array that ``Covering._store`` packs, read
     in bulk by ``_layout_runs`` from a document in the layout of
-    ``serialize_covering``, or None.  The first number is n, the rest are
-    the labels; each side's must lie in 1..n and strictly increase, and the
-    two sides of a block must be disjoint.  The arrays take 2 (n + 1)
-    max(m, 8) bytes; a document that asks for more than 64 per byte of its
-    text, plus 2 MiB, is left to the json path, which checks every entry
-    before it allocates.
+    ``serialize_covering``, or None.  The first number is n, which must be
+    below 2^31, and the rest are the labels; each side's must lie in 1..n
+    and strictly increase, and the two sides of a block must be disjoint.
+    The arrays take 2 (n + 1) max(m, 8) bytes; a document that asks for
+    more than 64 per byte of its text, plus 2 MiB, is left to the json
+    path, which checks every entry before it allocates.
     """
     read = _layout_runs(text, _sides_layout)
     if read is None:
         return None
     nums, lengths = read
     n, labels, m = int(nums[0]), nums[1:], len(lengths) // 2
-    if n < 1 or 2 * (n + 1) * max(m, 8) > 64 * len(text) + (2 << 20):
+    if (not 1 <= n < 2**31
+            or 2 * (n + 1) * max(m, 8) > 64 * len(text) + (2 << 20)):
         return None
     if m:
         rising = labels[1:] > labels[:-1]

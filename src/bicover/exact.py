@@ -4,6 +4,9 @@
 K_n^lam by iterative deepening on capacity.  It is a ground-truth oracle
 for the constructive routines, so completeness of the search matters more
 than speed; budgets make runaway instances fail loudly instead of hanging.
+Each candidate child is first held to two counting bounds on the capacity
+it still needs, per vertex and per pair slot, read off its parent's
+deficit; only a child that passes pays for the symmetry test.
 Up to ``_PERM_LIMIT`` vertices the search keeps only canonical block lists
 under vertex relabeling.  Each node carries, per relabeling, where its
 relabeled list first differs from its own, so a child's test reads one
@@ -57,6 +60,10 @@ def _all_blocks(n):
     return sorted(out, key=lambda ab: (len(ab[0]) + len(ab[1]), ab))
 
 
+def _mask(side):
+    return sum(1 << v for v in side)
+
+
 def _normalize(a, b):
     a = tuple(sorted(a))
     b = tuple(sorted(b))
@@ -82,6 +89,12 @@ class _CapSearch:
         self.vertex_pairs = [
             [i for i, p in enumerate(self.pairs) if j in p]
             for j in range(self.n + 1)]
+        self.pair_masks = [sum(1 << p for p in ps) for ps in self.block_pairs]
+        self.q = n * n // 4  # most pairs a block on all n vertices separates
+        # Per block, q * size - n * (pairs it separates): the least slot
+        # slack it uses up.
+        self.waste = [self.q * size - n * len(ps)
+                      for size, ps in zip(self.sizes, self.block_pairs)]
         maps = (self._perm_maps() if n <= _PERM_LIMIT
                 else np.zeros((0, len(self.blocks)), dtype=np.intp))
         self.perm_maps = maps.tolist()
@@ -121,18 +134,20 @@ class _CapSearch:
         Two counting arguments, both independent of the closed-form bounds
         this oracle is meant to cross-check: a block containing vertex j
         separates each pair at j at most once, and a block on s vertices
-        separates at most s^2/4 <= s*n/4 pairs, so capacity R covers at
-        most R*n/4 pair-slots.
+        separates at most floor(s^2/4) pairs.  floor(s^2/4)/s does not
+        decrease in s, so capacity R covers at most R*floor(n^2/4)/n
+        pair-slots.
         """
+        n = self.n
         per_vertex = 0
-        for j in range(1, self.n + 1):
+        for j in range(1, n + 1):
             mx = 0
             for i in self.vertex_pairs[j]:
                 if deficit[i] > mx:
                     mx = deficit[i]
             per_vertex += mx
         slots = sum(deficit)
-        return max(per_vertex, -(-4 * slots // self.n))
+        return max(per_vertex, -(-n * slots // self.q))
 
     def _step(self, state, chosen):
         """The canonical-form state of ``chosen`` from its parent's, or None.
@@ -173,28 +188,83 @@ class _CapSearch:
             out[g] = d
         return out
 
+    def _children(self, start, deficit, rem):
+        """The blocks from ``start`` on that a child may append.
+
+        A block is kept when it fits in ``rem``, covers a pair still short,
+        and leaves a deficit whose ``_remaining_need`` is at most the
+        capacity left after it.  That test is read off the parent's
+        deficit: a block covering t short pairs lowers the slot count by t,
+        and lowers vertex j's largest deficit by one exactly when j is in
+        the block and every pair at j that attains it crosses the block.
+        """
+        n, q = self.n, self.q
+        top = [0] * (n + 1)  # per vertex, its largest deficit
+        crit = [0] * (n + 1)  # per vertex, the partners that attain it
+        short = 0  # the pairs still short, as a mask
+        for i, ((u, v), d) in enumerate(zip(self.pairs, deficit)):
+            if d:
+                short |= 1 << i
+            if d > top[u]:
+                top[u], crit[u] = d, 1 << v
+            elif d == top[u]:
+                crit[u] |= 1 << v
+            if d > top[v]:
+                top[v], crit[v] = d, 1 << u
+            elif d == top[v]:
+                crit[v] |= 1 << u
+        # A block of size s that covers t short pairs leaves a child within
+        # both bounds iff it lowers the per-vertex sum by at least
+        # s - vertex_slack and q*s - n*t <= slot_slack.
+        vertex_slack = rem - sum(top)
+        slot_slack = q * rem - n * sum(deficit)
+        sizes, pair_masks, waste = self.sizes, self.pair_masks, self.waste
+        out = []
+        for bi in range(start, len(sizes)):
+            size = sizes[bi]
+            if size > rem:
+                break  # the blocks are sorted by size
+            if waste[bi] > slot_slack:
+                continue
+            t = (pair_masks[bi] & short).bit_count()
+            if not t:
+                continue  # a useless block never appears in a minimum covering
+            if q * size - n * t > slot_slack:
+                continue
+            if size > vertex_slack:
+                # A vertex with no deficit has every pair attain its 0, and
+                # only the star at it, which covers nothing, crosses them all.
+                a, b = self.blocks[bi]
+                am, bm = _mask(a), _mask(b)
+                drops = (sum(1 for j in a if not crit[j] & ~bm)
+                         + sum(1 for j in b if not crit[j] & ~am))
+                if drops < size - vertex_slack:
+                    continue
+            out.append(bi)
+        return out
+
     def _dfs(self, start, deficit, rem, chosen, state):
+        """A covering that extends ``chosen`` within capacity ``rem``, or None.
+
+        Every node is entered with ``_remaining_need(deficit) <= rem``: a
+        child's bound is tested in its parent, by ``_children``, before the
+        canonical-form step over every relabeling is paid for.
+        """
         self.nodes += 1
         if self.nodes > self.budget.node_limit:
             raise BudgetExhausted(
                 f"node limit {self.budget.node_limit} hit", nodes=self.nodes)
         if not any(deficit):
             return list(chosen)
-        if self._remaining_need(deficit) > rem:
-            return None
-        for bi in range(start, len(self.blocks)):
-            size = self.sizes[bi]
-            if size > rem:
-                continue
-            touched = [p for p in self.block_pairs[bi] if deficit[p] > 0]
-            if not touched:
-                continue  # a useless block never appears in a minimum covering
+        for bi in self._children(start, deficit, rem):
             chosen.append(bi)
             child = self._step(state, chosen)
             if child is not None:
+                touched = [p for p in self.block_pairs[bi] if deficit[p] > 0]
                 for p in touched:
                     deficit[p] -= 1
-                found = self._dfs(bi, deficit, rem - size, chosen, child)
+                found = self._dfs(bi, deficit, rem - self.sizes[bi], chosen,
+                                  child)
                 for p in touched:
                     deficit[p] += 1
                 if found is not None:
@@ -204,15 +274,19 @@ class _CapSearch:
         return None
 
     def run(self):
-        """Iterative deepening from capacity 0: the first feasible level is the minimum.
+        """Iterative deepening from the root's bound: the first feasible level is the minimum.
 
-        Levels below the elementary counting bounds die at their root node,
-        so the returned value is settled by completed searches alone; the
+        Every level below ``_remaining_need`` of the full deficit is refuted
+        by that bound alone, so deepening starts there; every later level
+        the search passes is refuted by a completed search.  The returned
+        value is settled by these counting bounds and searches alone; the
         closed-form lower bounds stay an independent cross-check.
         """
-        for cap in range(self.budget.max_capacity + 1):
+        deficit = [self.lam] * len(self.pairs)
+        for cap in range(self._remaining_need(deficit),
+                         self.budget.max_capacity + 1):
             try:
-                found = self._dfs(0, [self.lam] * len(self.pairs), cap, [],
+                found = self._dfs(0, deficit, cap, [],
                                   [0] * len(self.perm_maps))
             except BudgetExhausted as e:
                 e.lower = cap
@@ -227,9 +301,10 @@ class _CapSearch:
 def exact_cap(n, lam, budget=SearchBudget()):
     """Exact minimum capacity of a bipartite covering of K_n^lam, with witness.
 
-    Iterative deepening on total capacity from zero: the first capacity
-    admitting a covering is the minimum, and every smaller capacity is
-    refuted by a completed search.  Within one capacity level the search
+    Iterative deepening on total capacity from the counting bound of the
+    whole instance: the first capacity admitting a covering is the minimum,
+    and every smaller capacity is refuted by that bound or by a completed
+    search.  Within one capacity level the search
     visits block multisets in the fixed block order, pruning non-canonical
     vertex relabelings, so the returned witness is the deterministic
     canonical optimum.  Raises BudgetExhausted (carrying the proven

@@ -19,6 +19,9 @@ did before it wrote every family from its basis.
 ``vertexwise_sweep`` is a second reference for the sampled sweeps: the
 vertex-by-vertex tally the library ran before it took blocks of vectors
 against all vertices per step.
+``CapSearch`` is a second reference for the exact search: the search the
+library ran before it tested each child's bound ahead of the canonical-form
+step, with the looser pair-slot bound, deepening from capacity 0.
 ``NeighborSetGraph`` is the graph as the library stored it before it kept
 only adjacency bitmasks: one neighbor frozenset per vertex.
 They are kept only as oracles; the property tests require the library's
@@ -40,13 +43,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from bicover import codes, covering, graphs
+from bicover import codes, covering, exact, graphs
 from bicover.bounds import binom_tail_p
 from bicover.codes import BinaryCode
 from bicover.covering import BipartiteBlock, CoverageReport, Covering
 from bicover.diagnostics import EXHAUSTIVE_BLOCK_LIMIT, DiagnosticReport
-from bicover.errors import (CapExceeded, DomainError, FieldError,
-                            ImproperColoring, NoConstruction,
+from bicover.errors import (BudgetExhausted, CapExceeded, DomainError,
+                            FieldError, ImproperColoring, NoConstruction,
                             NotEnoughCodewords, OverlapError, ParseError,
                             RangeError, SizeLimitExceeded)
 from bicover.graphs import Graph, _check_vertex
@@ -181,6 +184,8 @@ def parse_covering(text):
     n = obj["n"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ParseError(f'"n" must be a positive integer, got {n!r}')
+    if n >= 2**31:
+        raise ParseError(f'"n" must be below 2^31, got {n}')
     if not isinstance(obj["blocks"], list):
         raise ParseError('"blocks" must be a list')
     blocks = []
@@ -570,6 +575,63 @@ def perm_maps(n, blocks):
     return [[index[normalize([perm[v - 1] for v in a], [perm[v - 1] for v in b])]
              for a, b in blocks]
             for perm in list(permutations(range(1, n + 1)))[1:]]
+
+
+class CapSearch(exact._CapSearch):
+    """The capacity search as the library ran it before it tested a child's
+    bound in the parent: the bound at node entry, with the pair-slot part
+    at R*n/4, the canonical-form step before the bound, and deepening from
+    capacity 0.  The block table, relabeling maps and step are the
+    library's."""
+
+    def _remaining_need(self, deficit):
+        per_vertex = sum(max(deficit[i] for i in self.vertex_pairs[j])
+                         for j in range(1, self.n + 1))
+        return max(per_vertex, -(-4 * sum(deficit) // self.n))
+
+    def _dfs(self, start, deficit, rem, chosen, state):
+        self.nodes += 1
+        if self.nodes > self.budget.node_limit:
+            raise BudgetExhausted(
+                f"node limit {self.budget.node_limit} hit", nodes=self.nodes)
+        if not any(deficit):
+            return list(chosen)
+        if self._remaining_need(deficit) > rem:
+            return None
+        for bi in range(start, len(self.blocks)):
+            size = self.sizes[bi]
+            if size > rem:
+                continue
+            touched = [p for p in self.block_pairs[bi] if deficit[p] > 0]
+            if not touched:
+                continue
+            chosen.append(bi)
+            child = self._step(state, chosen)
+            if child is not None:
+                for p in touched:
+                    deficit[p] -= 1
+                found = self._dfs(bi, deficit, rem - size, chosen, child)
+                for p in touched:
+                    deficit[p] += 1
+                if found is not None:
+                    chosen.pop()
+                    return found
+            chosen.pop()
+        return None
+
+    def run(self):
+        for cap in range(self.budget.max_capacity + 1):
+            try:
+                found = self._dfs(0, [self.lam] * len(self.pairs), cap, [],
+                                  [0] * len(self.perm_maps))
+            except BudgetExhausted as e:
+                e.lower = cap
+                raise
+            if found is not None:
+                return cap, [self.blocks[i] for i in found]
+        raise BudgetExhausted(
+            f"no covering within capacity {self.budget.max_capacity}",
+            lower=self.budget.max_capacity + 1, nodes=self.nodes)
 
 
 # ------------------------------------------------ constructions, by if-chain

@@ -203,6 +203,23 @@ def test_graph_past_the_index_range_is_a_parse_error(tmp_path, capsys, monkeypat
     assert (code, stdout, err) == (2, "", f'error: "n" must be below 2^31, got {n}\n')
 
 
+@pytest.mark.parametrize("n", [2**31, 10**12, 2**64 + 3])
+@pytest.mark.parametrize("blocks", ['[]', '[{"left": [1], "right": [2]}]'])
+def test_covering_past_the_index_range_is_a_parse_error(tmp_path, capsys, n, blocks):
+    # n >= 2^31 is refused before the side arrays, sized by n, are allocated.
+    path = tmp_path / "c.json"
+    path.write_text('{"n": %d, "blocks": %s}' % (n, blocks))
+    tracemalloc.start()
+    try:
+        code, stdout, err = run(capsys, "verify", str(path), "--n", "2",
+                                "--lambda", "1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, stdout, err) == (2, "", f'error: "n" must be below 2^31, got {n}\n')
+    assert peak < 16 * 2**20
+
+
 def test_bounds_refuses_an_oversize_graph_before_sizing_by_n(tmp_path, capsys):
     # The size limit of the exact independence numbers is checked before
     # the degrees, whose count array is sized by n.
@@ -258,7 +275,7 @@ def test_exact_command(capsys):
 
 
 @pytest.mark.parametrize("argv,bracket", [
-    (["--n", "7", "--lambda", "1", "--node-limit", "20000"], [14, 21]),
+    (["--n", "7", "--lambda", "1", "--node-limit", "20000"], [16, 21]),
     (["--n", "3", "--lambda", "11", "--max-capacity", "10"], [11, 51]),
 ])
 def test_exact_bracket_upper_is_the_best_construction(capsys, argv, bracket):

@@ -202,6 +202,9 @@ def test_parse_and_serialize():
                 '{"n":2}', '{"n":2,"blocks":[{"left":[1,1],"right":[2]}]}'):
         with pytest.raises(ParseError):
             parse_covering(bad)
+    for n in (2**31, 10**12, 2**64 + 3):
+        with pytest.raises(ParseError, match="below 2\\^31"):
+            parse_covering('{"n": %d, "blocks": [{"left": [1], "right": [2]}]}' % n)
     h = hadamard_covering(2)
     assert parse_covering(serialize_covering(h)) == h
     doc = json.loads(serialize_covering(Covering(2, [BipartiteBlock([2], [1])])))

@@ -15,9 +15,9 @@ from bicover.codes import BinaryCode, even_weight_code
 from bicover.errors import BudgetExhausted, DomainError
 from bicover.exact import SearchBudget, _CapSearch, _all_blocks, exact_cap
 
-# Value, serialized witness and node count of each benchmark instance: a
-# faster search must visit the same nodes and return the same witness, so
-# that `bicover exact` output stays byte-equal.
+# Value, serialized witness and node count of each benchmark instance and
+# of n = 6 at lambda 1 and 2: a faster search must visit the same nodes and
+# return the same witness, so that `bicover exact` output stays byte-equal.
 PINS = json.loads((Path(__file__).parent / "data" / "exact_pins.json").read_text())
 
 
@@ -139,12 +139,15 @@ def test_block_table_past_the_node_limit_is_refused_unbuilt(monkeypatch):
     # The table of (3^n - 2^(n+1) + 1)/2 blocks is charged to the node
     # budget: one larger than node_limit is refused before any block is
     # built, with lower bound 0, even where the search would need fewer
-    # nodes than the table has blocks, as K_4^2 does (20 against 25).
+    # nodes than the table has blocks, as K_4^1 and K_4^2 do (10 and 4
+    # against 25).  K_4^5 needs 112, so at 25 the table is built and the
+    # search runs out.
     for n in range(2, 8):
         assert len(_all_blocks(n)) == (3**n - 2**(n + 1) + 1) // 2
     with pytest.raises(BudgetExhausted) as exc:
-        exact_cap(4, 1, SearchBudget(node_limit=25))
-    assert exc.value.lower == 7
+        exact_cap(4, 5, SearchBudget(node_limit=25))
+    assert (exc.value.lower, exc.value.nodes) == (31, 26)
+    assert exact_cap(4, 1, SearchBudget(node_limit=25))[0] == 8
     assert exact_cap(4, 2, SearchBudget(node_limit=25))[0] == 12
 
     def refuse(n):
@@ -197,8 +200,9 @@ def test_exact_cap_pinned(instance):
 
 
 def test_exact_cap_6_1_budget_pinned():
+    # The search settles K_6 in 957 nodes; 500 refute capacities up to 14.
     with pytest.raises(BudgetExhausted) as exc:
-        exact_cap(6, 1, SearchBudget(node_limit=3000))
-    assert exc.value.lower == 14
-    assert exc.value.nodes == 3001
+        exact_cap(6, 1, SearchBudget(node_limit=500))
+    assert exc.value.lower == 15
+    assert exc.value.nodes == 501
 

@@ -1,9 +1,10 @@
 """The fast kernels (the packed covering builders, balanced bipartitions
 among them, the parser and serializer, verify and its MacWilliams path, the
 diagnostic sweeps and tail sums, the greedy code scan, min_distance,
-degenerate_rows, the exact search's canonical step and relabeling maps, the
-independent-set solver, the graph parser and the graph's adjacency masks)
-agree exactly with the Python reference paths."""
+degenerate_rows, the exact search's canonical step, relabeling maps, child
+bound and whole search, the independent-set solver, the graph parser and
+the graph's adjacency masks) agree exactly with the Python reference
+paths."""
 
 import json
 import random
@@ -34,7 +35,7 @@ from bicover.diagnostics import (_disjointness, _independent_sets, _sweep,
                                  check_event_disjointness, check_event_overlap,
                                  check_tail_sum)
 from bicover.errors import BicoverError, DomainError, SizeLimitExceeded
-from bicover.exact import SearchBudget, _CapSearch
+from bicover.exact import SearchBudget, _CapSearch, exact_cap
 from bicover.graphs import (Graph, alpha_per_vertex, complete_graph, degrees,
                             empty_graph, greedy_coloring, parse_graph,
                             random_graph, serialize_graph)
@@ -1061,6 +1062,62 @@ def test_relabeling_maps_match_reference(n):
     search = cap_search(n)
     assert search.perm_maps == reference_paths.perm_maps(n, search.blocks)
     assert [list(col) for col in zip(*search.cols)] == search.perm_maps
+
+
+@pytest.mark.parametrize("n,lam", [(n, lam) for n in (2, 3, 4) for lam in range(1, 9)]
+                         + [(5, lam) for lam in range(1, 5)])
+def test_exact_search_matches_reference(n, lam):
+    # The bound and its order only prune: the value and the first witness
+    # found at the optimal level stay, and no node is added.
+    ref = reference_paths.CapSearch(n, lam, SearchBudget())
+    value, blocks = ref.run()
+    search = _CapSearch(n, lam, SearchBudget())
+    assert search.run() == (value, blocks)
+    assert search.nodes <= ref.nodes
+    want = Covering(n, [BipartiteBlock(a, b) for a, b in blocks])
+    got_value, witness = exact_cap(n, lam)
+    assert got_value == value
+    assert serialize_covering(witness) == serialize_covering(want)
+
+
+def deficits(data, n, top=8):
+    # Some vertices may have every pair at them covered already.
+    done = data.draw(st.sets(st.integers(1, n), max_size=2))
+    deficit = data.draw(st.lists(st.integers(0, top), min_size=comb(n, 2),
+                                 max_size=comb(n, 2)))
+    return [0 if done & set(p) else d
+            for p, d in zip(combinations(range(1, n + 1), 2), deficit)]
+
+
+@PROPERTY
+@given(n=st.integers(2, 6), data=st.data())
+def test_pair_counting_bound_is_at_least_the_slot_bound(n, data):
+    # floor(n^2/4)/n is n/4 at even n and below it at odd n.
+    deficit = deficits(data, n)
+    search = cap_search(n)
+    new = search._remaining_need(deficit)
+    old = reference_paths.CapSearch._remaining_need(search, deficit)
+    assert new >= old
+    if n % 2 == 0:
+        assert new == old
+
+
+@PROPERTY
+@given(n=st.integers(2, 6), data=st.data())
+def test_children_are_the_blocks_whose_child_passes_the_bound(n, data):
+    search = cap_search(n)
+    deficit = deficits(data, n, top=3)
+    # Capacities around the bound, where the per-child test decides.
+    rem = max(0, search._remaining_need(deficit) + data.draw(st.integers(-2, 6)))
+    start = data.draw(st.integers(0, len(search.blocks) - 1))
+    want = []
+    for bi in range(start, len(search.blocks)):
+        size = search.sizes[bi]
+        touched = [p for p in search.block_pairs[bi] if deficit[p] > 0]
+        child = [d - (p in touched) for p, d in enumerate(deficit)]
+        if size <= rem and touched and search._remaining_need(child) <= rem - size:
+            want.append(bi)
+    assert search._children(start, deficit, rem) == want
 
 
 @st.composite
