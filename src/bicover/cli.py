@@ -229,6 +229,8 @@ def _cmd_construct(args):
         cov, guaranteed, params = (covering.coloring_to_covering(g, colors), 1,
                                    {"colors": max(colors) + 1 if colors else 0})
     else:
+        if args.graph is not None:
+            raise DomainError("--graph applies to the coloring method only")
         if args.n is None:
             raise DomainError("--n is required for this method")
         guarantee, _, build = _METHODS[args.method]

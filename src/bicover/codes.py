@@ -21,8 +21,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import (CapExceeded, DomainError, FieldError, NoConstruction,
-                     SizeLimitExceeded)
+from .errors import DomainError, FieldError, NoConstruction, SizeLimitExceeded
 
 WORD_CAP = 1 << 20    # max codewords a code (or vertices a coloring covering) may have
 PAIR_CAP = 1 << 24    # max pairwise distance checks
@@ -111,7 +110,7 @@ def min_distance(code):
         raise DomainError("minimum distance needs at least two codewords")
     pairs = len(words) * (len(words) - 1) // 2
     if pairs > PAIR_CAP:
-        raise CapExceeded(f"{pairs} pairs exceed the cap of {PAIR_CAP}")
+        raise SizeLimitExceeded(f"{pairs} pairs exceed the cap of {PAIR_CAP}")
     arr = np.array([[w >> 64 * j & (1 << 64) - 1 for w in words]
                     for j in range(-(-code.length // 64))], dtype=np.uint64)
     rows = (np.bitwise_count(arr[:, i, None] ^ arr[:, i + 1:])
@@ -299,17 +298,16 @@ def bch_dimension(m, d):
     return (1 << m) - _bch_generator(m, d).bit_length()
 
 
-def bch_extended_code(m, d, target=None):
-    """Narrow-sense BCH code with designed distance 2d-1, plus an overall parity bit.
+def bch_extended_code(m, d, count):
+    """The first ``count`` words of the narrow-sense BCH code with designed
+    distance 2d-1, plus an overall parity bit.
 
     Length k = 2^m, dimension >= 2^m - 1 - (d-1)m, minimum distance >= 2d.
     The word of message j (an integer 0, 1, 2, ...) is j times the generator
     g as polynomials, extended by one parity bit in the rightmost position;
     the code is linear, so the words are written in message order from the
-    words of messages 2^i, ``g << (i + 1) | parity(g)``.  When the full
-    codebook fits WORD_CAP it is written completely and its minimum nonzero
-    weight is recorded as its distance; otherwise the first ``target``
-    words are written, with no distance recorded.
+    words of messages 2^i, ``g << (i + 1) | parity(g)``.  No distance is
+    recorded; ``min_distance`` computes it.
     """
     if not 2 <= m <= 16:
         raise FieldError(f"extension degree m = {m} outside the tabled range 2..16")
@@ -317,17 +315,15 @@ def bch_extended_code(m, d, target=None):
         raise DomainError(f"designed half-distance d must be >= 2, got {d}")
     if 2 * d - 1 > (1 << m) - 1:
         raise DomainError(f"designed distance {2 * d - 1} exceeds code length {(1 << m) - 1}")
+    if count > WORD_CAP:
+        raise SizeLimitExceeded(f"{count} words exceed the cap of {WORD_CAP}")
     g = _bch_generator(m, d)
     dim = bch_dimension(m, d)
-    complete = 1 << dim <= WORD_CAP
-    if not complete and (target is None or target > WORD_CAP):
-        raise CapExceeded(f"2^{dim} codewords exceed the cap of {WORD_CAP}; pass a target")
+    if not 0 <= count <= 1 << dim:
+        raise DomainError(f"{count} words asked of a code of 2^{dim}")
     basis = [g << (i + 1) | g.bit_count() & 1 for i in range(dim)]
-    words = _span(basis, 1 << dim if complete else target)
-    code = BinaryCode(1 << m, words, method=f"extended-bch(m={m},d={d})")
-    if complete:
-        code.min_distance = min(w.bit_count() for w in words[1:])
-    return code
+    return BinaryCode(1 << m, _span(basis, count),
+                      method=f"extended-bch(m={m},d={d})")
 
 
 def hadamard_code(m):
@@ -376,7 +372,7 @@ def _extended_bch(n, lam):
     if lam < 3:
         raise DomainError("extended BCH here needs lam >= 3; use even-weight")
     m, _ = bch_field(n, lam)
-    return bch_extended_code(m, (lam + 1) // 2, target=max(n, 2))
+    return bch_extended_code(m, (lam + 1) // 2, max(n, 2))
 
 
 def _gv(n, lam):

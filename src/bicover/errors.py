@@ -6,11 +6,7 @@ class BicoverError(Exception):
 
 
 class SizeLimitExceeded(BicoverError):
-    """An exact or exhaustive routine was asked to go beyond its configured limit."""
-
-
-class CapExceeded(BicoverError):
-    """An enumeration or pairwise check would exceed the configured cap."""
+    """A routine was asked to go beyond one of its configured limits or caps."""
 
 
 class RangeError(BicoverError):

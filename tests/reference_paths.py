@@ -15,7 +15,10 @@ vertex, before it settled all of them in one shared search.
 scan over all 2^k words that the library ran before it wrote each lexicode
 from its basis.  ``even_weight_code``, ``bch_extended_code`` and
 ``hadamard_code`` write each family's words one at a time, as the library
-did before it wrote every family from its basis.
+did before it wrote every family from its basis; ``bch_extended_code`` also
+writes the whole codebook wherever it fits the word cap, as the library did
+before it wrote only the words a covering reads, and ``build_code`` takes
+that codebook's first words.
 ``vertexwise_sweep`` is a second reference for the sampled sweeps: the
 vertex-by-vertex tally the library ran before it took blocks of vectors
 against all vertices per step.
@@ -48,8 +51,8 @@ from bicover.bounds import binom_tail_p
 from bicover.codes import BinaryCode
 from bicover.covering import BipartiteBlock, CoverageReport, Covering
 from bicover.diagnostics import EXHAUSTIVE_BLOCK_LIMIT, DiagnosticReport
-from bicover.errors import (BudgetExhausted, CapExceeded, DomainError,
-                            FieldError, ImproperColoring, NoConstruction,
+from bicover.errors import (BudgetExhausted, DomainError, FieldError,
+                            ImproperColoring, NoConstruction,
                             NotEnoughCodewords, OverlapError, ParseError,
                             RangeError, SizeLimitExceeded)
 from bicover.graphs import Graph, _check_vertex
@@ -696,7 +699,7 @@ def bch_extended_code(m, d, target=None):
     count = total
     if total > codes.WORD_CAP:
         if target is None or target > codes.WORD_CAP:
-            raise CapExceeded(
+            raise SizeLimitExceeded(
                 f"2^{dim} codewords exceed the cap of {codes.WORD_CAP}; pass a target")
         count = target
     return _bch_code(m, d, count, count == total)
@@ -742,7 +745,9 @@ def build_code(method, n, lam):
             raise DomainError("extended BCH here needs lam >= 3; use even-weight")
         for m in range(2, 17):
             if 2 * d - 1 <= (1 << m) - 1 and 1 << codes.bch_dimension(m, d) >= n:
-                return bch_extended_code(m, d, target=max(n, 2))
+                code = bch_extended_code(m, d, target=max(n, 2))
+                return BinaryCode(code.length, code.words[:max(n, 2)],
+                                  method=code.method)
         raise NoConstruction(f"no tabled BCH field reaches n={n}, lam={lam}")
     if method == "gv":
         code = _gv_scan(n, lam)

@@ -13,7 +13,7 @@ import pytest
 from bicover.bounds import (alpha_lower, degree_lower, edge_count_lower,
                             tail_lower, upper_bch)
 from bicover.codes import (BinaryCode, _lexicode_basis, _span, ball_volume,
-                           bch_extended_code, even_weight_code)
+                           bch_extended_code, even_weight_code, min_distance)
 from bicover.covering import (Covering, balanced_bipartitions_covering,
                               capacity, code_to_covering,
                               coloring_to_covering, hadamard_covering, verify)
@@ -60,9 +60,9 @@ def covering_matrix():
         entries.append((f"even-weight n={n}",
                         code_to_covering(even_weight_code(k), n), n, 2))
     entries.append(("bch m=3 n=16",
-                    code_to_covering(bch_extended_code(3, 2), 16), 16, 4))
+                    code_to_covering(bch_extended_code(3, 2, 16), 16), 16, 4))
     entries.append(("bch m=4 n=2048",
-                    code_to_covering(bch_extended_code(4, 2), 2048), 2048, 4))
+                    code_to_covering(bch_extended_code(4, 2, 2048), 2048), 2048, 4))
     for name, cov, n, lam in entries:
         assert verify(cov, n, lam).ok, f"matrix covering {name} must verify"
     return entries
@@ -126,10 +126,10 @@ def test_code_based_upper_bounds():
         assert report.ok and report.min_multiplicity >= 2
     # (b) extended BCH distances and coverings
     for m, n in ((3, 16), (4, 2048)):
-        code = bch_extended_code(m, 2)
+        code = bch_extended_code(m, 2, n)
         exhaustive = min((a ^ b).bit_count()
                          for a, b in combinations(code.words, 2))
-        assert exhaustive == 4 == code.min_distance
+        assert exhaustive == 4 == min_distance(code)
         cov = code_to_covering(code, n)
         cap = capacity(cov)
         assert cap <= n * (1 << m)

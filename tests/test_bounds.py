@@ -102,7 +102,7 @@ def test_upper_bch_and_flag():
     assert upper_bch(16, 4) == pytest.approx(16 * (4 + 2 + 2))
     value = upper_bch(2048, 4)
     assert value == pytest.approx(2048 * (11 + log2(11) + 2))
-    covering = code_to_covering(bch_extended_code(4, 2), 2048)
+    covering = code_to_covering(bch_extended_code(4, 2, 2048), 2048)
     assert capacity(covering) <= value
     assert bch_backed(16, 4)
     assert bch_backed(2048, 4)

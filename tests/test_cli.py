@@ -659,14 +659,17 @@ def test_coloring_refuses_more_vertices_than_the_word_cap(tmp_path, capsys,
     (["bounds", "--graph", "{graph}"], ["--c", "0.5"]),
     (["bounds", "--n", "5"], ["--limit", "3"]),
     (["proofcheck", "{cover}", "--n", "4", "--lambda", "2"], ["--limit", "3"]),
+    (["construct", "--n", "4", "--lambda", "2", "--method", "even-weight",
+      "--out", "{out}"], ["--graph", "{graph}"]),
 ])
 def test_flags_outside_their_mode_are_refused(tmp_path, capsys, argv, flag):
-    graph, cover = tmp_path / "g.json", tmp_path / "c.json"
-    graph.write_text(serialize_graph(random_graph(10, 0.5, 1)))
-    cover.write_text(serialize_covering(code_to_covering(even_weight_code(3), 4)))
-    argv = [a.format(graph=graph, cover=cover) for a in argv]
+    paths = {"graph": tmp_path / "g.json", "cover": tmp_path / "c.json",
+             "out": tmp_path / "o.json"}
+    paths["graph"].write_text(serialize_graph(random_graph(10, 0.5, 1)))
+    paths["cover"].write_text(serialize_covering(code_to_covering(even_weight_code(3), 4)))
+    argv, flag = ([a.format(**paths) for a in args] for args in (argv, flag))
     code, stdout, err = run(capsys, *argv, *flag)
-    assert code == 1 and stdout == ""
+    assert code == 1 and stdout == "" and not paths["out"].exists()
     assert err.startswith(f"error: {flag[0]} ")
     code, stdout, _ = run(capsys, *argv)
     assert code == 0 and json.loads(stdout)["config"]

@@ -8,8 +8,8 @@ from bicover.codes import (BinaryCode, FieldContext, _lexicode_basis, _span,
                            ball_volume, bch_dimension, bch_extended_code,
                            build_code, even_weight_code, hadamard_code,
                            min_distance)
-from bicover.errors import (CapExceeded, DomainError, FieldError,
-                            NoConstruction, SizeLimitExceeded)
+from bicover.errors import (DomainError, FieldError, NoConstruction,
+                            SizeLimitExceeded)
 
 import reference_paths
 
@@ -88,28 +88,28 @@ def test_field_context_rejects_non_primitive():
 
 
 def test_bch_m3_d2():
-    c = bch_extended_code(3, 2)
+    c = bch_extended_code(3, 2, 16)
     assert c.length == 8
     assert len(c.words) == 16
-    assert c.min_distance == 4
+    assert min_distance(c) == 4
     assert pairwise_min_distance(c.words) == 4
     assert all(w.bit_count() % 2 == 0 for w in c.words)
 
 
 def test_bch_m4_d2():
-    c = bch_extended_code(4, 2)
+    c = bch_extended_code(4, 2, 2048)
     assert c.length == 16
     assert len(c.words) == 2048
-    assert c.min_distance == 4
+    assert min_distance(c) == 4
     assert all(w.bit_count() % 2 == 0 for w in c.words)
 
 
 def test_bch_m4_d3():
-    c = bch_extended_code(4, 3)
+    c = bch_extended_code(4, 3, 128)
     assert c.length == 16
     assert len(c.words) == 128
     assert len(c.words) >= (1 << 16) // (2 * 16 ** 2)
-    assert c.min_distance == 6
+    assert min_distance(c) == 6
     assert pairwise_min_distance(c.words) == 6
 
 
@@ -120,16 +120,21 @@ def test_bch_dimension_bound():
 
 def test_bch_guards():
     with pytest.raises(DomainError):
-        bch_extended_code(4, 1)
+        bch_extended_code(4, 1, 2)
     with pytest.raises(FieldError):
-        bch_extended_code(17, 2)
+        bch_extended_code(17, 2, 2)
     with pytest.raises(DomainError):
-        bch_extended_code(3, 5)  # designed distance 9 > 7
-    with pytest.raises(CapExceeded):
-        bch_extended_code(5, 2)  # 2^26 codewords
-    truncated = bch_extended_code(5, 2, target=100)
+        bch_extended_code(3, 5, 2)  # designed distance 9 > 7
+    with pytest.raises(SizeLimitExceeded,
+                       match=f"^{codes.WORD_CAP + 1} words exceed the cap of {codes.WORD_CAP}$"):
+        bch_extended_code(5, 2, codes.WORD_CAP + 1)  # of 2^26 codewords
+    with pytest.raises(DomainError, match="^17 words asked of a code of 2\\^4$"):
+        bch_extended_code(3, 2, 17)
+    with pytest.raises(DomainError):
+        bch_extended_code(3, 2, -1)
+    truncated = bch_extended_code(5, 2, 100)
     assert len(truncated.words) == 100 and truncated.min_distance is None
-    assert bch_extended_code(5, 2, target=0).words == ()
+    assert bch_extended_code(5, 2, 0).words == ()
     assert pairwise_min_distance(truncated.words) >= 4
 
 
@@ -175,7 +180,9 @@ def test_min_distance_examples_and_cache():
     assert min_distance(c) == 2
     assert c.min_distance == 2
     assert min_distance(BinaryCode(5, (0b00000, 0b00111))) == 3
-    with pytest.raises(CapExceeded):  # 5794 words: C(5794, 2) > 2^24 pairs
+    # 5794 words: C(5794, 2) > 2^24 pairs
+    with pytest.raises(SizeLimitExceeded,
+                       match=f"^16782321 pairs exceed the cap of {codes.PAIR_CAP}$"):
         min_distance(BinaryCode(13, tuple(range(5794))))
     with pytest.raises(DomainError):
         min_distance(BinaryCode(4, (3,)))

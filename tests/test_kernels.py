@@ -936,16 +936,43 @@ def test_even_weight_and_hadamard_match_the_per_word_references(k, m):
             == code_outcome(reference_paths.hadamard_code, m))
 
 
-@PROPERTY
-@given(m=st.integers(1, 8), data=st.data())
-def test_bch_matches_the_per_message_reference(m, data):
-    # Every designed distance of the field, one past its end, and d = 1;
-    # a target may be absent, empty, short, or past the word cap.
-    d = data.draw(st.integers(1, (1 << m - 1) + 1))
-    target = data.draw(st.one_of(st.none(), st.integers(0, 3000),
-                                 st.just(codes.WORD_CAP + 1)))
-    assert (code_outcome(bch_extended_code, m, d, target)
-            == code_outcome(reference_paths.bch_extended_code, m, d, target))
+BCH_FIELDS = [(m, d) for m in range(2, 7) for d in range(2, (1 << m - 1) + 1)]
+
+
+@pytest.mark.parametrize("m,d", BCH_FIELDS)
+@settings(max_examples=3, deadline=None, derandomize=True, database=None)
+@given(drawn=st.integers(0, 3000))
+def test_bch_writes_the_first_count_words_of_the_full_codebook(m, d, drawn):
+    # Each count: empty, one or two words, drawn, or the whole codebook,
+    # which is refused past the word cap.
+    total = 1 << codes.bch_dimension(m, d)
+    for count in (0, 1, 2, min(drawn, total), total):
+        if count > codes.WORD_CAP:
+            with pytest.raises(SizeLimitExceeded,
+                               match=f"^{count} words exceed the cap of {codes.WORD_CAP}$"):
+                bch_extended_code(m, d, count)
+            continue
+        full = reference_paths.bch_extended_code(
+            m, d, None if total <= codes.WORD_CAP else count)
+        code = bch_extended_code(m, d, count)
+        assert (code.length, code.words, code.min_distance, code.method) == (
+            full.length, full.words[:count], None, full.method)
+        if count == total <= 4096:
+            assert min_distance(code) == full.min_distance
+
+
+@pytest.mark.parametrize("n", [5, 33, 100, 2040, 2048])
+@pytest.mark.parametrize("lam", [5, 7])
+def test_bch_construct_writes_the_reference_first_n_covering(tmp_path, capsys, n, lam):
+    # At lam = 5 and n > 128 the codebook passes the word cap, so the
+    # reference writes its first n words; elsewhere it writes all of them.
+    m, _ = codes.bch_field(n, lam)
+    full = reference_paths.bch_extended_code(m, (lam + 1) // 2, target=n)
+    out = tmp_path / "c.json"
+    assert main(["construct", "--n", str(n), "--lambda", str(lam), "--method",
+                 "bch", "--out", str(out)]) == 0
+    assert json.loads(capsys.readouterr().out)["report"]["params"]["words"] == n
+    assert out.read_text() == serialize_covering(code_to_covering(full, n))
 
 
 # Word lengths within one uint64 row, at its edge, past it, and at two

@@ -33,30 +33,6 @@ def outcome(fn, *args):
         return type(e)
 
 
-@pytest.fixture(scope="module", autouse=True)
-def shared_bch():
-    """The library's BCH codes are built once each.
-
-    The builder is tested against its reference elsewhere; caching it keeps
-    the grid fast while every choice of field and target still runs.  A
-    complete BCH codebook does not depend on the target, so it is cached
-    without it.
-    """
-    bch = {}
-    real_bch = codes.bch_extended_code
-
-    def bch_extended_code(m, d, target=None):
-        complete = 1 << codes.bch_dimension(m, d) <= codes.WORD_CAP
-        key = (m, d) if complete else (m, d, target)
-        if key not in bch:
-            bch[key] = real_bch(m, d, target)
-        return bch[key]
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(codes, "bch_extended_code", bch_extended_code)
-        yield
-
-
 def new_construct(method, n, lam):
     guarantee, _, build = _METHODS[method]
     guaranteed = guarantee(n, lam)
