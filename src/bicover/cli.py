@@ -67,8 +67,9 @@ def _json_chunks(obj, pad="\n"):
 
     ``indent`` makes ``json`` use its pure-Python encoder, which is slow on
     a long list of violating pairs; here a list of int pairs takes one
-    ``%``-format per pair, a batch of pairs per piece, so that the text is
-    never held twice.
+    ``%``-format per batch of pairs, the pair template repeated over the
+    batch's flattened ints, one batch per piece, so that the text is never
+    held twice.
     """
     inner = pad + "  "
     sep = "," + inner
@@ -82,8 +83,9 @@ def _json_chunks(obj, pad="\n"):
                 and set(map(type, chain.from_iterable(obj))) == {int}):
             pair = f"[{inner}  %d,{inner}  %d{inner}]"
             for k in range(0, len(obj), _PAIR_BATCH):
-                yield (sep if k else "[" + inner) + sep.join(
-                    [pair % (u, v) for u, v in obj[k:k + _PAIR_BATCH]])
+                batch = obj[k:k + _PAIR_BATCH]
+                text = sep.join([pair] * len(batch)) % tuple(chain.from_iterable(batch))
+                yield (sep if k else "[" + inner) + text
             yield pad + "]"
             return
         ends = "[]"

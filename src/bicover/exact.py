@@ -11,13 +11,18 @@ Up to ``_PERM_LIMIT`` vertices the search keeps only canonical block lists
 under vertex relabeling.  Each node carries, per relabeling, where its
 relabeled list first differs from its own, so a child's test reads one
 column of images and re-sorts only on a tie; the relabeling maps come from
-subset-mask tables.
+subset-mask tables.  Every table that depends on n alone is built once per
+n per process (``_table``), and a node walks only the blocks whose least
+slot waste fits its slack.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, islice, permutations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,63 +75,99 @@ def _normalize(a, b):
     return (a, b) if (len(a), a) <= (len(b), b) else (b, a)
 
 
+class _Table(NamedTuple):
+    """The search's tables for one n, shared by every search at that n.
+
+    Every entry is a tuple (or an int), so no search can change what a
+    later one reads.
+    """
+    n: int
+    q: int  # most pairs a block on all n vertices separates
+    blocks: tuple  # (a, b) per block, in ``_all_blocks`` order
+    sizes: tuple
+    sides: tuple  # (mask of a, mask of b) per block, bit v for vertex v
+    pairs: tuple
+    block_pairs: tuple  # per block, the indices of the pairs it separates
+    vertex_pairs: tuple  # per vertex, the indices of the pairs at it
+    pair_masks: tuple
+    # Per block, q * size - n * (pairs it separates): the least slot slack
+    # it uses up.
+    waste: tuple
+    # (waste, block indices, their sizes) per waste value, in ascending
+    # waste; each group in index order, so its sizes do not decrease.
+    by_waste: tuple
+    perm_maps: tuple  # perm_maps[g][x]: x's image under relabeling g
+    cols: tuple  # cols[x][g]: the same, by block
+
+
+@cache
+def _table(n):
+    """The tables a search at n reads, built once per n per process."""
+    blocks = tuple(_all_blocks(n))
+    sizes = tuple(len(a) + len(b) for a, b in blocks)
+    pairs = tuple(combinations(range(1, n + 1), 2))
+    pair_idx = {p: i for i, p in enumerate(pairs)}
+    block_pairs = tuple(
+        tuple(pair_idx[tuple(sorted((u, v)))] for u in a for v in b)
+        for a, b in blocks)
+    q = n * n // 4
+    waste = tuple(q * size - n * len(ps) for size, ps in zip(sizes, block_pairs))
+    groups = {}
+    for bi, w in enumerate(waste):
+        groups.setdefault(w, []).append(bi)
+    maps = (_perm_maps(n, blocks) if n <= _PERM_LIMIT
+            else np.zeros((0, len(blocks)), dtype=np.intp))
+    return _Table(
+        n=n, q=q, blocks=blocks, sizes=sizes,
+        sides=tuple((_mask(a), _mask(b)) for a, b in blocks),
+        pairs=pairs, block_pairs=block_pairs,
+        vertex_pairs=tuple(tuple(i for i, p in enumerate(pairs) if j in p)
+                           for j in range(n + 1)),
+        pair_masks=tuple(sum(1 << p for p in ps) for ps in block_pairs),
+        waste=waste,
+        by_waste=tuple((w, tuple(g), tuple(sizes[bi] for bi in g))
+                       for w, g in sorted(groups.items())),
+        perm_maps=tuple(map(tuple, maps.tolist())),
+        cols=tuple(map(tuple, maps.T.tolist())))
+
+
+def _perm_maps(n, blocks):
+    """Each vertex relabeling but the identity, as a row mapping block
+    index -> image block index.
+
+    Subsets of 1..n are bit masks, ranked in the (size, sorted tuple)
+    order that orients a block: the side of lower rank is its left.  One
+    numpy pass maps every mask under every relabeling, and a block's image
+    is then one lookup at the (lower, higher) ranks of its two sides'
+    images.  The relabelings come in ``itertools.permutations`` order.
+    """
+    full = 1 << n
+    order = sorted(range(1, full), key=lambda s: (s.bit_count(), [
+        v for v in range(n) if s >> v & 1]))
+    rank = np.zeros(full, dtype=np.intp)
+    rank[order] = np.arange(len(order))
+    sides = np.array([[sum(1 << (v - 1) for v in side) for side in ab]
+                      for ab in blocks], dtype=np.intp).reshape(-1, 2)
+    index = np.full((full, full), -1, dtype=np.intp)
+    index[rank[sides[:, 0]], rank[sides[:, 1]]] = np.arange(len(sides))
+    perms = np.array(list(islice(permutations(range(n)), 1, None)),
+                     dtype=np.intp).reshape(-1, n)
+    bits = (np.arange(full)[:, None] >> np.arange(n)) & 1
+    image = rank[(bits[None, :, :] << perms[:, None, :]).sum(axis=2)]
+    left, right = image[:, sides[:, 0]], image[:, sides[:, 1]]
+    return index[np.minimum(left, right), np.maximum(left, right)]
+
+
 class _CapSearch:
     def __init__(self, n, lam, budget):
-        count = (3**n - 2**(n + 1) + 1) // 2  # blocks in the table below
+        count = (3**n - 2**(n + 1) + 1) // 2  # blocks in the table
         if count > budget.node_limit:  # charged to the budget, refused unbuilt
             raise BudgetExhausted(f"{count} blocks exceed the node limit "
                                   f"{budget.node_limit}", lower=0, nodes=0)
-        self.n = n
+        self.table = _table(n)
         self.lam = lam
         self.budget = budget
-        self.blocks = _all_blocks(n)
-        self.sizes = [len(a) + len(b) for a, b in self.blocks]
-        self.pairs = list(combinations(range(1, n + 1), 2))
-        pair_idx = {p: i for i, p in enumerate(self.pairs)}
-        self.block_pairs = [
-            [pair_idx[tuple(sorted((u, v)))] for u in a for v in b]
-            for a, b in self.blocks]
-        self.vertex_pairs = [
-            [i for i, p in enumerate(self.pairs) if j in p]
-            for j in range(self.n + 1)]
-        self.pair_masks = [sum(1 << p for p in ps) for ps in self.block_pairs]
-        self.q = n * n // 4  # most pairs a block on all n vertices separates
-        # Per block, q * size - n * (pairs it separates): the least slot
-        # slack it uses up.
-        self.waste = [self.q * size - n * len(ps)
-                      for size, ps in zip(self.sizes, self.block_pairs)]
-        maps = (self._perm_maps() if n <= _PERM_LIMIT
-                else np.zeros((0, len(self.blocks)), dtype=np.intp))
-        self.perm_maps = maps.tolist()
-        self.cols = maps.T.tolist()  # cols[x][g]: x's image under g
         self.nodes = 0
-
-    def _perm_maps(self):
-        """Each vertex relabeling but the identity, as a row mapping block
-        index -> image block index.
-
-        Subsets of 1..n are bit masks, ranked in the (size, sorted tuple)
-        order that orients a block: the side of lower rank is its left.  One
-        numpy pass maps every mask under every relabeling, and a block's image
-        is then one lookup at the (lower, higher) ranks of its two sides'
-        images.  The relabelings come in ``itertools.permutations`` order.
-        """
-        n = self.n
-        full = 1 << n
-        order = sorted(range(1, full), key=lambda s: (s.bit_count(), [
-            v for v in range(n) if s >> v & 1]))
-        rank = np.zeros(full, dtype=np.intp)
-        rank[order] = np.arange(len(order))
-        sides = np.array([[sum(1 << (v - 1) for v in side) for side in ab]
-                          for ab in self.blocks], dtype=np.intp).reshape(-1, 2)
-        index = np.full((full, full), -1, dtype=np.intp)
-        index[rank[sides[:, 0]], rank[sides[:, 1]]] = np.arange(len(sides))
-        perms = np.array(list(islice(permutations(range(n)), 1, None)),
-                         dtype=np.intp).reshape(-1, n)
-        bits = (np.arange(full)[:, None] >> np.arange(n)) & 1
-        image = rank[(bits[None, :, :] << perms[:, None, :]).sum(axis=2)]
-        left, right = image[:, sides[:, 0]], image[:, sides[:, 1]]
-        return index[np.minimum(left, right), np.maximum(left, right)]
 
     def _remaining_need(self, deficit):
         """Elementary lower bound on the capacity still required.
@@ -138,16 +179,10 @@ class _CapSearch:
         decrease in s, so capacity R covers at most R*floor(n^2/4)/n
         pair-slots.
         """
-        n = self.n
-        per_vertex = 0
-        for j in range(1, n + 1):
-            mx = 0
-            for i in self.vertex_pairs[j]:
-                if deficit[i] > mx:
-                    mx = deficit[i]
-            per_vertex += mx
-        slots = sum(deficit)
-        return max(per_vertex, -(-n * slots // self.q))
+        tab = self.table
+        per_vertex = sum(max(deficit[i] for i in tab.vertex_pairs[j])
+                         for j in range(1, tab.n + 1))
+        return max(per_vertex, -(-tab.n * sum(deficit) // tab.q))
 
     def _step(self, state, chosen):
         """The canonical-form state of ``chosen`` from its parent's, or None.
@@ -170,7 +205,7 @@ class _CapSearch:
             return state  # no relabelings: above _PERM_LIMIT
         k = len(chosen) - 1
         out = state[:]
-        for g, (d, y) in enumerate(zip(state, self.cols[chosen[-1]])):
+        for g, (d, y) in enumerate(zip(state, self.table.cols[chosen[-1]])):
             c = chosen[d]
             if y > c:
                 continue
@@ -179,7 +214,7 @@ class _CapSearch:
             if d == k:
                 out[g] = k + 1
                 continue
-            pm = self.perm_maps[g]
+            pm = self.table.perm_maps[g]
             image = sorted([pm[i] for i in chosen])
             while d <= k and image[d] == chosen[d]:
                 d += 1
@@ -189,7 +224,7 @@ class _CapSearch:
         return out
 
     def _children(self, start, deficit, rem):
-        """The blocks from ``start`` on that a child may append.
+        """The blocks from ``start`` on that a child may append, in index order.
 
         A block is kept when it fits in ``rem``, covers a pair still short,
         and leaves a deficit whose ``_remaining_need`` is at most the
@@ -197,12 +232,15 @@ class _CapSearch:
         deficit: a block covering t short pairs lowers the slot count by t,
         and lowers vertex j's largest deficit by one exactly when j is in
         the block and every pair at j that attains it crosses the block.
+        Only the waste groups within the slot slack are walked, each from
+        ``start`` to its last block that fits in ``rem``.
         """
-        n, q = self.n, self.q
+        tab = self.table
+        n, q = tab.n, tab.q
         top = [0] * (n + 1)  # per vertex, its largest deficit
         crit = [0] * (n + 1)  # per vertex, the partners that attain it
         short = 0  # the pairs still short, as a mask
-        for i, ((u, v), d) in enumerate(zip(self.pairs, deficit)):
+        for i, ((u, v), d) in enumerate(zip(tab.pairs, deficit)):
             if d:
                 short |= 1 << i
             if d > top[u]:
@@ -218,29 +256,32 @@ class _CapSearch:
         # s - vertex_slack and q*s - n*t <= slot_slack.
         vertex_slack = rem - sum(top)
         slot_slack = q * rem - n * sum(deficit)
-        sizes, pair_masks, waste = self.sizes, self.pair_masks, self.waste
+        sizes, pair_masks = tab.sizes, tab.pair_masks
+        blocks, sides = tab.blocks, tab.sides
         out = []
-        for bi in range(start, len(sizes)):
-            size = sizes[bi]
-            if size > rem:
-                break  # the blocks are sorted by size
-            if waste[bi] > slot_slack:
-                continue
-            t = (pair_masks[bi] & short).bit_count()
-            if not t:
-                continue  # a useless block never appears in a minimum covering
-            if q * size - n * t > slot_slack:
-                continue
-            if size > vertex_slack:
-                # A vertex with no deficit has every pair attain its 0, and
-                # only the star at it, which covers nothing, crosses them all.
-                a, b = self.blocks[bi]
-                am, bm = _mask(a), _mask(b)
-                drops = (sum(1 for j in a if not crit[j] & ~bm)
-                         + sum(1 for j in b if not crit[j] & ~am))
-                if drops < size - vertex_slack:
+        for waste, group, group_sizes in tab.by_waste:
+            if waste > slot_slack:
+                break  # the groups come in ascending waste
+            for bi in group[bisect_left(group, start):
+                            bisect_right(group_sizes, rem)]:
+                size = sizes[bi]
+                t = (pair_masks[bi] & short).bit_count()
+                if not t:
+                    continue  # a useless block never appears in a minimum covering
+                if q * size - n * t > slot_slack:
                     continue
-            out.append(bi)
+                if size > vertex_slack:
+                    # A vertex with no deficit has every pair attain its 0,
+                    # and only the star at it, which covers nothing, crosses
+                    # them all.
+                    a, b = blocks[bi]
+                    am, bm = sides[bi]
+                    drops = (sum(1 for j in a if not crit[j] & ~bm)
+                             + sum(1 for j in b if not crit[j] & ~am))
+                    if drops < size - vertex_slack:
+                        continue
+                out.append(bi)
+        out.sort()
         return out
 
     def _dfs(self, start, deficit, rem, chosen, state):
@@ -256,15 +297,15 @@ class _CapSearch:
                 f"node limit {self.budget.node_limit} hit", nodes=self.nodes)
         if not any(deficit):
             return list(chosen)
+        block_pairs, sizes = self.table.block_pairs, self.table.sizes
         for bi in self._children(start, deficit, rem):
             chosen.append(bi)
             child = self._step(state, chosen)
             if child is not None:
-                touched = [p for p in self.block_pairs[bi] if deficit[p] > 0]
+                touched = [p for p in block_pairs[bi] if deficit[p] > 0]
                 for p in touched:
                     deficit[p] -= 1
-                found = self._dfs(bi, deficit, rem - self.sizes[bi], chosen,
-                                  child)
+                found = self._dfs(bi, deficit, rem - sizes[bi], chosen, child)
                 for p in touched:
                     deficit[p] += 1
                 if found is not None:
@@ -282,17 +323,17 @@ class _CapSearch:
         value is settled by these counting bounds and searches alone; the
         closed-form lower bounds stay an independent cross-check.
         """
-        deficit = [self.lam] * len(self.pairs)
+        tab = self.table
+        deficit = [self.lam] * len(tab.pairs)
         for cap in range(self._remaining_need(deficit),
                          self.budget.max_capacity + 1):
             try:
-                found = self._dfs(0, deficit, cap, [],
-                                  [0] * len(self.perm_maps))
+                found = self._dfs(0, deficit, cap, [], [0] * len(tab.perm_maps))
             except BudgetExhausted as e:
                 e.lower = cap
                 raise
             if found is not None:
-                return cap, [self.blocks[i] for i in found]
+                return cap, [tab.blocks[i] for i in found]
         raise BudgetExhausted(
             f"no covering within capacity {self.budget.max_capacity}",
             lower=self.budget.max_capacity + 1, nodes=self.nodes)

@@ -25,6 +25,9 @@ against all vertices per step.
 ``CapSearch`` is a second reference for the exact search: the search the
 library ran before it tested each child's bound ahead of the canonical-form
 step, with the looser pair-slot bound, deepening from capacity 0.
+``linear_children`` is the search's child walk as the library ran it
+before it grouped the blocks by their least slot waste: every block from
+``start`` on, one at a time.
 ``NeighborSetGraph`` is the graph as the library stored it before it kept
 only adjacency bitmasks: one neighbor frozenset per vertex.
 They are kept only as oracles; the property tests require the library's
@@ -580,6 +583,51 @@ def perm_maps(n, blocks):
             for perm in list(permutations(range(1, n + 1)))[1:]]
 
 
+def linear_children(table, start, deficit, rem):
+    """The search's children, by one walk over every block from ``start``.
+
+    This is the walk the search made before it grouped the blocks by their
+    least slot waste: each block up to the capacity left is tested for its
+    waste, the short pairs it covers and the per-vertex bound in turn.
+    """
+    n, q = table.n, table.q
+    top = [0] * (n + 1)
+    crit = [0] * (n + 1)
+    short = 0
+    for i, ((u, v), d) in enumerate(zip(table.pairs, deficit)):
+        if d:
+            short |= 1 << i
+        if d > top[u]:
+            top[u], crit[u] = d, 1 << v
+        elif d == top[u]:
+            crit[u] |= 1 << v
+        if d > top[v]:
+            top[v], crit[v] = d, 1 << u
+        elif d == top[v]:
+            crit[v] |= 1 << u
+    vertex_slack = rem - sum(top)
+    slot_slack = q * rem - n * sum(deficit)
+    out = []
+    for bi in range(start, len(table.sizes)):
+        size = table.sizes[bi]
+        if size > rem:
+            break
+        if table.waste[bi] > slot_slack:
+            continue
+        t = (table.pair_masks[bi] & short).bit_count()
+        if not t or q * size - n * t > slot_slack:
+            continue
+        if size > vertex_slack:
+            a, b = table.blocks[bi]
+            am, bm = sum(1 << v for v in a), sum(1 << v for v in b)
+            drops = (sum(1 for j in a if not crit[j] & ~bm)
+                     + sum(1 for j in b if not crit[j] & ~am))
+            if drops < size - vertex_slack:
+                continue
+        out.append(bi)
+    return out
+
+
 class CapSearch(exact._CapSearch):
     """The capacity search as the library ran it before it tested a child's
     bound in the parent: the bound at node entry, with the pair-slot part
@@ -588,9 +636,10 @@ class CapSearch(exact._CapSearch):
     library's."""
 
     def _remaining_need(self, deficit):
-        per_vertex = sum(max(deficit[i] for i in self.vertex_pairs[j])
-                         for j in range(1, self.n + 1))
-        return max(per_vertex, -(-4 * sum(deficit) // self.n))
+        t = self.table
+        per_vertex = sum(max(deficit[i] for i in t.vertex_pairs[j])
+                         for j in range(1, t.n + 1))
+        return max(per_vertex, -(-4 * sum(deficit) // t.n))
 
     def _dfs(self, start, deficit, rem, chosen, state):
         self.nodes += 1
@@ -601,11 +650,12 @@ class CapSearch(exact._CapSearch):
             return list(chosen)
         if self._remaining_need(deficit) > rem:
             return None
-        for bi in range(start, len(self.blocks)):
-            size = self.sizes[bi]
+        t = self.table
+        for bi in range(start, len(t.blocks)):
+            size = t.sizes[bi]
             if size > rem:
                 continue
-            touched = [p for p in self.block_pairs[bi] if deficit[p] > 0]
+            touched = [p for p in t.block_pairs[bi] if deficit[p] > 0]
             if not touched:
                 continue
             chosen.append(bi)
@@ -623,15 +673,16 @@ class CapSearch(exact._CapSearch):
         return None
 
     def run(self):
+        t = self.table
         for cap in range(self.budget.max_capacity + 1):
             try:
-                found = self._dfs(0, [self.lam] * len(self.pairs), cap, [],
-                                  [0] * len(self.perm_maps))
+                found = self._dfs(0, [self.lam] * len(t.pairs), cap, [],
+                                  [0] * len(t.perm_maps))
             except BudgetExhausted as e:
                 e.lower = cap
                 raise
             if found is not None:
-                return cap, [self.blocks[i] for i in found]
+                return cap, [t.blocks[i] for i in found]
         raise BudgetExhausted(
             f"no covering within capacity {self.budget.max_capacity}",
             lower=self.budget.max_capacity + 1, nodes=self.nodes)

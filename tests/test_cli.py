@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bicover import cli, codes, covering, diagnostics, graphs
@@ -724,6 +724,11 @@ _JSON = st.recursive(
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(obj=_JSON)
+# Int pairs on either side of one formatted batch, as violation lists hold.
+@example(obj={"pairs": []})
+@example(obj={"pairs": [[-1, 10**30]]})
+@example(obj={"pairs": [[v, -v] for v in range(_PAIR_BATCH)]})
+@example(obj={"pairs": [(v, 2 * v) for v in range(_PAIR_BATCH + 1)]})
 def test_json_text_matches_json_dumps(obj):
     assert _json_text(obj) == json.dumps(obj, indent=2)
 

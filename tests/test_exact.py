@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from bicover import exact
+from bicover import cli, exact
 from bicover.bounds import edge_count_lower, tail_lower
 from bicover.covering import (BipartiteBlock, Covering,
                               balanced_bipartitions_covering, capacity,
@@ -13,7 +13,7 @@ from bicover.covering import (BipartiteBlock, Covering,
                               serialize_covering, verify)
 from bicover.codes import BinaryCode, even_weight_code
 from bicover.errors import BudgetExhausted, DomainError
-from bicover.exact import SearchBudget, _CapSearch, _all_blocks, exact_cap
+from bicover.exact import SearchBudget, _CapSearch, _all_blocks, _table, exact_cap
 
 # Value, serialized witness and node count of each benchmark instance and
 # of n = 6 at lambda 1 and 2: a faster search must visit the same nodes and
@@ -206,3 +206,40 @@ def test_exact_cap_6_1_budget_pinned():
     assert exc.value.lower == 15
     assert exc.value.nodes == 501
 
+
+
+def _frozen(entry):
+    return type(entry) is int or (type(entry) is tuple
+                                  and all(map(_frozen, entry)))
+
+
+def test_search_tables_are_built_once_per_n_and_frozen():
+    table = _table(5)
+    assert _table(5) is table
+    assert all(map(_frozen, table))
+    assert [list(group) for _, group, _ in table.by_waste] == [
+        [bi for bi, w in enumerate(table.waste) if w == waste]
+        for waste in sorted(set(table.waste))]
+
+
+def test_searches_sharing_a_table_keep_their_pins():
+    # A search reads the tables of its n and leaves them as it found them,
+    # so a second search at the same n, after one at another n, visits the
+    # pinned nodes and returns the pinned witness again.
+    for instance in ("5,2", "4,3", "5,2"):
+        n, lam = map(int, instance.split(","))
+        value, witness = exact_cap(n, lam)
+        search = _CapSearch(n, lam, SearchBudget())
+        assert search.run()[0] == value == PINS[instance]["value"]
+        assert serialize_covering(witness) == PINS[instance]["witness"]
+        assert search.nodes == PINS[instance]["nodes"]
+
+
+def test_exact_past_the_node_limit_builds_no_table(monkeypatch, capsys):
+    def refuse(n):
+        raise AssertionError(f"the block table was built at n = {n}")
+
+    monkeypatch.setattr(exact, "_all_blocks", refuse)
+    assert cli.main(["exact", "--n", "30", "--lambda", "1"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["status"], doc["lower"], doc["upper"]) == ("bracket", 0, 150)

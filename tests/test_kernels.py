@@ -35,7 +35,7 @@ from bicover.diagnostics import (_disjointness, _independent_sets, _sweep,
                                  check_event_disjointness, check_event_overlap,
                                  check_tail_sum)
 from bicover.errors import BicoverError, DomainError, SizeLimitExceeded
-from bicover.exact import SearchBudget, _CapSearch, exact_cap
+from bicover.exact import SearchBudget, _CapSearch, _table, exact_cap
 from bicover.graphs import (Graph, alpha_per_vertex, complete_graph, degrees,
                             empty_graph, greedy_coloring, parse_graph,
                             random_graph, serialize_graph)
@@ -1026,7 +1026,7 @@ def cap_search(n):
 def block_indices(data, n):
     # Nondecreasing, as the search picks them, with repeats as at lambda > 1;
     # short lists of low indices make canonical lists common.
-    top = len(cap_search(n).blocks) - 1
+    top = len(_table(n).blocks) - 1
     hi = data.draw(st.sampled_from(sorted({min(top, 8), top})))
     return sorted(data.draw(st.lists(st.integers(0, hi), min_size=1, max_size=8)))
 
@@ -1038,7 +1038,7 @@ def canonical_by_steps(search, chosen):
     whole list; it returns the final state, or None at the first prefix that
     is not canonical.
     """
-    state = [0] * len(search.perm_maps)
+    state = [0] * len(search.table.perm_maps)
     for k in range(1, len(chosen) + 1):
         state = search._step(state, chosen[:k])
         if state is None:
@@ -1049,7 +1049,7 @@ def canonical_by_steps(search, chosen):
 def first_differences(search, chosen):
     # Per relabeling, where its sorted image first differs from chosen.
     out = []
-    for pm in search.perm_maps:
+    for pm in search.table.perm_maps:
         image = sorted(pm[i] for i in chosen)
         out.append(next((d for d, (a, b) in enumerate(zip(image, chosen))
                          if a != b), len(chosen)))
@@ -1060,7 +1060,7 @@ def check_canonical(n, chosen):
     search = cap_search(n)
     state = canonical_by_steps(search, chosen)
     assert ((state is not None)
-            == reference_paths.canonical(n, search.blocks, chosen))
+            == reference_paths.canonical(n, search.table.blocks, chosen))
     if state is not None:
         assert state == first_differences(search, chosen)
 
@@ -1086,9 +1086,10 @@ def test_canonical_check_sees_a_lone_relabeling(chosen):
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_relabeling_maps_match_reference(n):
-    search = cap_search(n)
-    assert search.perm_maps == reference_paths.perm_maps(n, search.blocks)
-    assert [list(col) for col in zip(*search.cols)] == search.perm_maps
+    table = _table(n)
+    maps = [list(row) for row in table.perm_maps]
+    assert maps == reference_paths.perm_maps(n, list(table.blocks))
+    assert [list(col) for col in zip(*table.cols)] == maps
 
 
 @pytest.mark.parametrize("n,lam", [(n, lam) for n in (2, 3, 4) for lam in range(1, 9)]
@@ -1136,15 +1137,29 @@ def test_children_are_the_blocks_whose_child_passes_the_bound(n, data):
     deficit = deficits(data, n, top=3)
     # Capacities around the bound, where the per-child test decides.
     rem = max(0, search._remaining_need(deficit) + data.draw(st.integers(-2, 6)))
-    start = data.draw(st.integers(0, len(search.blocks) - 1))
+    table = search.table
+    start = data.draw(st.integers(0, len(table.blocks) - 1))
     want = []
-    for bi in range(start, len(search.blocks)):
-        size = search.sizes[bi]
-        touched = [p for p in search.block_pairs[bi] if deficit[p] > 0]
+    for bi in range(start, len(table.blocks)):
+        size = table.sizes[bi]
+        touched = [p for p in table.block_pairs[bi] if deficit[p] > 0]
         child = [d - (p in touched) for p, d in enumerate(deficit)]
         if size <= rem and touched and search._remaining_need(child) <= rem - size:
             want.append(bi)
     assert search._children(start, deficit, rem) == want
+
+
+@PROPERTY
+@given(n=st.integers(3, 7), data=st.data())
+def test_grouped_children_walk_matches_linear_walk(n, data):
+    # The walk over the waste groups within the slot slack returns the
+    # blocks the walk over every block from start returns, in index order.
+    search = _CapSearch(n, 1, SearchBudget())
+    deficit = deficits(data, n, top=data.draw(st.sampled_from([1, 3, 8])))
+    rem = max(0, search._remaining_need(deficit) + data.draw(st.integers(-2, 8)))
+    start = data.draw(st.integers(0, len(search.table.blocks) - 1))
+    assert (search._children(start, deficit, rem)
+            == reference_paths.linear_children(search.table, start, deficit, rem))
 
 
 @st.composite
