@@ -11,16 +11,15 @@ Up to ``_PERM_LIMIT`` vertices the search keeps only canonical block lists
 under vertex relabeling.  Each node carries, per relabeling, where its
 relabeled list first differs from its own, so a child's test reads one
 column of images and re-sorts only on a tie; the relabeling maps come from
-subset-mask tables.  Every table that depends on n alone is built once per
-n per process (``_table``), and a node walks only the blocks whose least
-slot waste fits its slack.
+subset-mask tables.  Every table that depends on n alone comes from one
+builder (``_table``), and a node walks only the blocks whose least slot
+waste fits its slack.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cache
 from itertools import combinations, islice, permutations
 from typing import NamedTuple
 
@@ -55,83 +54,72 @@ def _all_blocks(n):
     search's canonical form refers to.
     """
     verts = range(1, n + 1)
-    out = set()
+    by_size = [[] for _ in range(n + 1)]
     for la in range(1, n):
-        for left in combinations(verts, la):
-            rest = [v for v in verts if v not in left]
-            for lb in range(1, len(rest) + 1):
-                for right in combinations(rest, lb):
-                    out.add(_normalize(left, right))
-    return sorted(out, key=lambda ab: (len(ab[0]) + len(ab[1]), ab))
+        for a in combinations(verts, la):
+            rest = [v for v in verts if v not in a]
+            for lb in range(la, len(rest) + 1):
+                by_size[la + lb].extend((a, b) for b in combinations(rest, lb)
+                                        if lb > la or b > a)
+    return [ab for group in by_size for ab in sorted(group)]
 
 
 def _mask(side):
     return sum(1 << v for v in side)
 
 
-def _normalize(a, b):
-    a = tuple(sorted(a))
-    b = tuple(sorted(b))
-    return (a, b) if (len(a), a) <= (len(b), b) else (b, a)
-
-
 class _Table(NamedTuple):
-    """The search's tables for one n, shared by every search at that n.
-
-    Every entry is a tuple (or an int), so no search can change what a
-    later one reads.
-    """
+    """The tables a search at one n reads: everything that depends on n alone."""
     n: int
     q: int  # most pairs a block on all n vertices separates
-    blocks: tuple  # (a, b) per block, in ``_all_blocks`` order
-    sizes: tuple
-    sides: tuple  # (mask of a, mask of b) per block, bit v for vertex v
-    pairs: tuple
-    block_pairs: tuple  # per block, the indices of the pairs it separates
-    vertex_pairs: tuple  # per vertex, the indices of the pairs at it
-    pair_masks: tuple
-    # Per block, q * size - n * (pairs it separates): the least slot slack
-    # it uses up.
-    waste: tuple
-    # (waste, block indices, their sizes) per waste value, in ascending
-    # waste; each group in index order, so its sizes do not decrease.
-    by_waste: tuple
-    perm_maps: tuple  # perm_maps[g][x]: x's image under relabeling g
-    cols: tuple  # cols[x][g]: the same, by block
+    blocks: list  # (a, b) per block, in ``_all_blocks`` order
+    sizes: list
+    sides: list  # (mask of a, mask of b) per block, bit v for vertex v
+    pairs: list
+    block_pairs: list  # per block, the indices of the pairs it separates
+    vertex_pairs: list  # per vertex, the indices of the pairs at it
+    pair_masks: list
+    # (waste, block indices) per waste value, in ascending waste, where a
+    # block's waste is q * size - n * (pairs it separates): the least slot
+    # slack it uses up.  Each group is in index order, so its sizes do not
+    # decrease.
+    by_waste: list
+    perm_maps: list  # perm_maps[g][x]: x's image under relabeling g
+    cols: list  # cols[x][g]: the same, by block
 
 
-@cache
 def _table(n):
-    """The tables a search at n reads, built once per n per process."""
-    blocks = tuple(_all_blocks(n))
-    sizes = tuple(len(a) + len(b) for a, b in blocks)
-    pairs = tuple(combinations(range(1, n + 1), 2))
-    pair_idx = {p: i for i, p in enumerate(pairs)}
-    block_pairs = tuple(
-        tuple(pair_idx[tuple(sorted((u, v)))] for u in a for v in b)
-        for a, b in blocks)
+    """The tables a search at n reads, built for each search."""
+    blocks = _all_blocks(n)
+    sizes = [len(a) + len(b) for a, b in blocks]
+    pairs = list(combinations(range(1, n + 1), 2))
+    pair_idx = [[0] * (n + 1) for _ in range(n + 1)]
+    for i, (u, v) in enumerate(pairs):
+        pair_idx[u][v] = pair_idx[v][u] = i
+    # Tuples: a list comprehension's list keeps spare slots, one per block.
+    block_pairs = [tuple([pair_idx[u][v] for u in a for v in b])
+                   for a, b in blocks]
     q = n * n // 4
-    waste = tuple(q * size - n * len(ps) for size, ps in zip(sizes, block_pairs))
     groups = {}
-    for bi, w in enumerate(waste):
-        groups.setdefault(w, []).append(bi)
-    maps = (_perm_maps(n, blocks) if n <= _PERM_LIMIT
+    for bi, (size, ps) in enumerate(zip(sizes, block_pairs)):
+        groups.setdefault(q * size - n * len(ps), []).append(bi)
+    # One mask object per subset, shared by every block with that side.
+    masks = {side: _mask(side) for k in range(1, n)
+             for side in combinations(range(1, n + 1), k)}
+    sides = [(masks[a], masks[b]) for a, b in blocks]
+    maps = (_perm_maps(n, sides) if n <= _PERM_LIMIT
             else np.zeros((0, len(blocks)), dtype=np.intp))
     return _Table(
-        n=n, q=q, blocks=blocks, sizes=sizes,
-        sides=tuple((_mask(a), _mask(b)) for a, b in blocks),
-        pairs=pairs, block_pairs=block_pairs,
-        vertex_pairs=tuple(tuple(i for i, p in enumerate(pairs) if j in p)
-                           for j in range(n + 1)),
-        pair_masks=tuple(sum(1 << p for p in ps) for ps in block_pairs),
-        waste=waste,
-        by_waste=tuple((w, tuple(g), tuple(sizes[bi] for bi in g))
-                       for w, g in sorted(groups.items())),
-        perm_maps=tuple(map(tuple, maps.tolist())),
-        cols=tuple(map(tuple, maps.T.tolist())))
+        n=n, q=q, blocks=blocks, sizes=sizes, sides=sides, pairs=pairs,
+        block_pairs=block_pairs,
+        vertex_pairs=[[i for i, p in enumerate(pairs) if j in p]
+                      for j in range(n + 1)],
+        pair_masks=[sum(1 << p for p in ps) for ps in block_pairs],
+        by_waste=sorted(groups.items()),
+        perm_maps=maps.tolist(), cols=maps.T.tolist())
 
 
-def _perm_maps(n, blocks):
+def _perm_maps(n, sides):
     """Each vertex relabeling but the identity, as a row mapping block
     index -> image block index.
 
@@ -139,15 +127,15 @@ def _perm_maps(n, blocks):
     order that orients a block: the side of lower rank is its left.  One
     numpy pass maps every mask under every relabeling, and a block's image
     is then one lookup at the (lower, higher) ranks of its two sides'
-    images.  The relabelings come in ``itertools.permutations`` order.
+    images.  ``sides`` holds each block's side masks, bit v for vertex v.
+    The relabelings come in ``itertools.permutations`` order.
     """
     full = 1 << n
     order = sorted(range(1, full), key=lambda s: (s.bit_count(), [
         v for v in range(n) if s >> v & 1]))
     rank = np.zeros(full, dtype=np.intp)
     rank[order] = np.arange(len(order))
-    sides = np.array([[sum(1 << (v - 1) for v in side) for side in ab]
-                      for ab in blocks], dtype=np.intp).reshape(-1, 2)
+    sides = np.array(sides, dtype=np.intp).reshape(-1, 2) >> 1
     index = np.full((full, full), -1, dtype=np.intp)
     index[rank[sides[:, 0]], rank[sides[:, 1]]] = np.arange(len(sides))
     perms = np.array(list(islice(permutations(range(n)), 1, None)),
@@ -180,9 +168,16 @@ class _CapSearch:
         pair-slots.
         """
         tab = self.table
-        per_vertex = sum(max(deficit[i] for i in tab.vertex_pairs[j])
-                         for j in range(1, tab.n + 1))
-        return max(per_vertex, -(-tab.n * sum(deficit) // tab.q))
+        n = tab.n
+        per_vertex = 0
+        for j in range(1, n + 1):
+            mx = 0
+            for i in tab.vertex_pairs[j]:
+                if deficit[i] > mx:
+                    mx = deficit[i]
+            per_vertex += mx
+        slots = sum(deficit)
+        return max(per_vertex, -(-n * slots // tab.q))
 
     def _step(self, state, chosen):
         """The canonical-form state of ``chosen`` from its parent's, or None.
@@ -259,11 +254,11 @@ class _CapSearch:
         sizes, pair_masks = tab.sizes, tab.pair_masks
         blocks, sides = tab.blocks, tab.sides
         out = []
-        for waste, group, group_sizes in tab.by_waste:
+        for waste, group in tab.by_waste:
             if waste > slot_slack:
                 break  # the groups come in ascending waste
             for bi in group[bisect_left(group, start):
-                            bisect_right(group_sizes, rem)]:
+                            bisect_right(group, rem, key=sizes.__getitem__)]:
                 size = sizes[bi]
                 t = (pair_masks[bi] & short).bit_count()
                 if not t:

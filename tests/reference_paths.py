@@ -612,7 +612,7 @@ def linear_children(table, start, deficit, rem):
         size = table.sizes[bi]
         if size > rem:
             break
-        if table.waste[bi] > slot_slack:
+        if q * size - n * len(table.block_pairs[bi]) > slot_slack:
             continue
         t = (table.pair_masks[bi] & short).bit_count()
         if not t or q * size - n * t > slot_slack:

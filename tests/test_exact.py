@@ -208,24 +208,19 @@ def test_exact_cap_6_1_budget_pinned():
 
 
 
-def _frozen(entry):
-    return type(entry) is int or (type(entry) is tuple
-                                  and all(map(_frozen, entry)))
-
-
-def test_search_tables_are_built_once_per_n_and_frozen():
+def test_search_tables_group_the_blocks_by_waste():
     table = _table(5)
-    assert _table(5) is table
-    assert all(map(_frozen, table))
-    assert [list(group) for _, group, _ in table.by_waste] == [
-        [bi for bi, w in enumerate(table.waste) if w == waste]
-        for waste in sorted(set(table.waste))]
+    waste = [table.q * size - 5 * len(ps)
+             for size, ps in zip(table.sizes, table.block_pairs)]
+    assert table.by_waste == [
+        (w, [bi for bi, x in enumerate(waste) if x == w])
+        for w in sorted(set(waste))]
 
 
-def test_searches_sharing_a_table_keep_their_pins():
-    # A search reads the tables of its n and leaves them as it found them,
-    # so a second search at the same n, after one at another n, visits the
-    # pinned nodes and returns the pinned witness again.
+def test_searches_in_turn_keep_their_pins():
+    # A search builds and reads only its own tables, so a second search at
+    # the same n, after one at another n, visits the pinned nodes and
+    # returns the pinned witness again.
     for instance in ("5,2", "4,3", "5,2"):
         n, lam = map(int, instance.split(","))
         value, witness = exact_cap(n, lam)

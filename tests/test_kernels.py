@@ -1154,7 +1154,7 @@ def test_children_are_the_blocks_whose_child_passes_the_bound(n, data):
 def test_grouped_children_walk_matches_linear_walk(n, data):
     # The walk over the waste groups within the slot slack returns the
     # blocks the walk over every block from start returns, in index order.
-    search = _CapSearch(n, 1, SearchBudget())
+    search = cap_search(n)
     deficit = deficits(data, n, top=data.draw(st.sampled_from([1, 3, 8])))
     rem = max(0, search._remaining_need(deficit) + data.draw(st.integers(-2, 8)))
     start = data.draw(st.integers(0, len(search.table.blocks) - 1))
