@@ -42,15 +42,13 @@ def degree_lower(g):
     return sum(log2(n / (n - d)) for d in degrees(g))
 
 
-def alpha_lower(g, alphas=None, limit=None):
+def alpha_lower(g, alphas):
     """Independence-based lower bound: sum of log(n/alpha_i).
 
-    alpha_i is the exact maximum independent-set size through vertex i;
-    dominates degree_lower since alpha_i <= n - d_i.  Pass precomputed
-    ``alphas`` to skip the exact solve; ``limit`` is forwarded to it.
+    alpha_i is the maximum independent-set size through vertex i, as
+    ``alpha_per_vertex`` computes it; dominates degree_lower since
+    alpha_i <= n - d_i.
     """
-    if alphas is None:
-        alphas = alpha_per_vertex(g, limit)
     n = g.n
     return sum(log2(n / a) for a in alphas)
 
@@ -117,8 +115,10 @@ def bch_backed(n, lam):
 
 def binom_tail_p(x, r):
     """Exact probability that Binomial(x, 1/2) is at most r."""
-    if not 0 <= r <= x:
-        raise DomainError(f"need 0 <= r <= x, got r={r}, x={x}")
+    if r < 0:
+        raise DomainError(f"need r >= 0, got r={r}")
+    if r >= x:
+        return Fraction(1)
     return Fraction(codes.ball_volume(x, r), 1 << x)
 
 
@@ -212,5 +212,5 @@ def graph_report(g, alphas=None, limit=None):
     rep.entries.append(BoundEntry(
         "degree", "lower", degree_lower(g), {"n": g.n}))
     rep.entries.append(BoundEntry(
-        "independence", "lower", alpha_lower(g, alphas=alphas), {"n": g.n}))
+        "independence", "lower", alpha_lower(g, alphas), {"n": g.n}))
     return rep

@@ -17,7 +17,6 @@ from math import comb
 
 import numpy as np
 
-from .codes import hadamard_code
 from .errors import (DomainError, GroundSetMismatch, ImproperColoring,
                      NotEnoughCodewords, OverlapError, ParseError, RangeError,
                      SizeLimitExceeded)
@@ -416,17 +415,6 @@ def degenerate_rows(code, n):
         every, some = every & w, some | w
     constant = (some ^ ((1 << k) - 1)) | (every if len(code.words[:n]) == n else 0)
     return [row for row in range(k) if (constant >> (k - 1 - row)) & 1]
-
-
-def hadamard_covering(m):
-    """Covering of K_n^(n/2) for n = 2^m from the rows of a Sylvester matrix.
-
-    Each row except the all-ones first one splits the columns by sign.  Any
-    two distinct columns disagree in exactly n/2 rows, none of them the
-    first, so every pair is separated exactly n/2 times and the capacity is
-    n(n-1), meeting the edge-count lower bound with equality.
-    """
-    return code_to_covering(hadamard_code(m), 1 << m)
 
 
 def balanced_block_count(n):

@@ -153,7 +153,7 @@ def check_event_overlap(cov, g, alphas=None, mode="exhaustive", seed=0,
     if alphas is None:
         alphas = alpha_per_vertex(g, limit)
     tally = Counter(zip(incidence_counts(cov), alphas, strict=True))
-    total = sum((Fraction(k, (1 << xj) * a) for (xj, a), k in tally.items()),
+    total = sum((k * binom_tail_p(xj, 0) / a for (xj, a), k in tally.items()),
                 Fraction(0))
     chunks = _sweep(cov, 0, mode, seed, trials)
     # A vector can only break occupancy when its events outnumber some alpha.

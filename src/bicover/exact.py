@@ -21,6 +21,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import combinations, islice, permutations
+from math import comb
 from typing import NamedTuple
 
 import numpy as np
@@ -77,7 +78,6 @@ class _Table(NamedTuple):
     sides: list  # (mask of a, mask of b) per block, bit v for vertex v
     pairs: list
     block_pairs: list  # per block, the indices of the pairs it separates
-    vertex_pairs: list  # per vertex, the indices of the pairs at it
     pair_masks: list
     # (waste, block indices) per waste value, in ascending waste, where a
     # block's waste is q * size - n * (pairs it separates): the least slot
@@ -112,8 +112,6 @@ def _table(n):
     return _Table(
         n=n, q=q, blocks=blocks, sizes=sizes, sides=sides, pairs=pairs,
         block_pairs=block_pairs,
-        vertex_pairs=[[i for i, p in enumerate(pairs) if j in p]
-                      for j in range(n + 1)],
         pair_masks=[sum(1 << p for p in ps) for ps in block_pairs],
         by_waste=sorted(groups.items()),
         perm_maps=maps.tolist(), cols=maps.T.tolist())
@@ -146,6 +144,16 @@ def _perm_maps(n, sides):
     return index[np.minimum(left, right), np.maximum(left, right)]
 
 
+def _root_need(n, lam):
+    """The capacity K_n^lam needs by the pair-slot bound, for n >= 2.
+
+    lam * C(n, 2) pair slots, at most floor(n^2/4)/n of them per unit of
+    capacity.  The per-vertex bound of the full deficit, n * lam, never
+    exceeds this, so it is the root's bound.
+    """
+    return -(-n * lam * comb(n, 2) // (n * n // 4))
+
+
 class _CapSearch:
     def __init__(self, n, lam, budget):
         count = (3**n - 2**(n + 1) + 1) // 2  # blocks in the table
@@ -156,28 +164,6 @@ class _CapSearch:
         self.lam = lam
         self.budget = budget
         self.nodes = 0
-
-    def _remaining_need(self, deficit):
-        """Elementary lower bound on the capacity still required.
-
-        Two counting arguments, both independent of the closed-form bounds
-        this oracle is meant to cross-check: a block containing vertex j
-        separates each pair at j at most once, and a block on s vertices
-        separates at most floor(s^2/4) pairs.  floor(s^2/4)/s does not
-        decrease in s, so capacity R covers at most R*floor(n^2/4)/n
-        pair-slots.
-        """
-        tab = self.table
-        n = tab.n
-        per_vertex = 0
-        for j in range(1, n + 1):
-            mx = 0
-            for i in tab.vertex_pairs[j]:
-                if deficit[i] > mx:
-                    mx = deficit[i]
-            per_vertex += mx
-        slots = sum(deficit)
-        return max(per_vertex, -(-n * slots // tab.q))
 
     def _step(self, state, chosen):
         """The canonical-form state of ``chosen`` from its parent's, or None.
@@ -222,13 +208,17 @@ class _CapSearch:
         """The blocks from ``start`` on that a child may append, in index order.
 
         A block is kept when it fits in ``rem``, covers a pair still short,
-        and leaves a deficit whose ``_remaining_need`` is at most the
-        capacity left after it.  That test is read off the parent's
-        deficit: a block covering t short pairs lowers the slot count by t,
-        and lowers vertex j's largest deficit by one exactly when j is in
-        the block and every pair at j that attains it crosses the block.
-        Only the waste groups within the slot slack are walked, each from
-        ``start`` to its last block that fits in ``rem``.
+        and leaves a deficit that the capacity left after it can meet by
+        both counting bounds.  Per vertex: a block containing j separates
+        each pair at j at most once, so the child needs the sum over j of
+        j's largest deficit.  Per pair slot: a block on s vertices separates
+        at most floor(s^2/4) pairs, and floor(s^2/4)/s does not decrease in
+        s, so capacity R covers at most R*q/n pair slots.  Both tests are
+        read off the parent's deficit: a block covering t short pairs lowers
+        the slot count by t, and lowers vertex j's largest deficit by one
+        exactly when j is in the block and every pair at j that attains it
+        crosses the block.  Only the waste groups within the slot slack are
+        walked, each from ``start`` to its last block that fits in ``rem``.
         """
         tab = self.table
         n, q = tab.n, tab.q
@@ -282,9 +272,10 @@ class _CapSearch:
     def _dfs(self, start, deficit, rem, chosen, state):
         """A covering that extends ``chosen`` within capacity ``rem``, or None.
 
-        Every node is entered with ``_remaining_need(deficit) <= rem``: a
-        child's bound is tested in its parent, by ``_children``, before the
-        canonical-form step over every relabeling is paid for.
+        Every node is entered with a deficit that ``rem`` meets by both
+        counting bounds: a child's bounds are tested in its parent, by
+        ``_children``, before the canonical-form step over every relabeling
+        is paid for.
         """
         self.nodes += 1
         if self.nodes > self.budget.node_limit:
@@ -312,15 +303,15 @@ class _CapSearch:
     def run(self):
         """Iterative deepening from the root's bound: the first feasible level is the minimum.
 
-        Every level below ``_remaining_need`` of the full deficit is refuted
-        by that bound alone, so deepening starts there; every later level
-        the search passes is refuted by a completed search.  The returned
+        Every level below ``_root_need`` is refuted by the pair-slot bound
+        alone, so deepening starts there; every later level the search
+        passes is refuted by a completed search.  The returned
         value is settled by these counting bounds and searches alone; the
         closed-form lower bounds stay an independent cross-check.
         """
         tab = self.table
         deficit = [self.lam] * len(tab.pairs)
-        for cap in range(self._remaining_need(deficit),
+        for cap in range(_root_need(tab.n, self.lam),
                          self.budget.max_capacity + 1):
             try:
                 found = self._dfs(0, deficit, cap, [], [0] * len(tab.perm_maps))

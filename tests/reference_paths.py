@@ -25,6 +25,8 @@ against all vertices per step.
 ``CapSearch`` is a second reference for the exact search: the search the
 library ran before it tested each child's bound ahead of the canonical-form
 step, with the looser pair-slot bound, deepening from capacity 0.
+``remaining_need`` is the two counting bounds the search holds a deficit
+to, per vertex and per pair slot, from per-vertex pair lists of its own.
 ``linear_children`` is the search's child walk as the library ran it
 before it grouped the blocks by their least slot waste: every block from
 ``start`` on, one at a time.
@@ -628,6 +630,24 @@ def linear_children(table, start, deficit, rem):
     return out
 
 
+@cache
+def _vertex_pairs(n):
+    pairs = list(combinations(range(1, n + 1), 2))
+    return [[i for i, p in enumerate(pairs) if j in p] for j in range(1, n + 1)]
+
+
+def remaining_need(n, deficit, q=None):
+    """The capacity a deficit over the pairs of 1..n still needs, for n >= 2.
+
+    Per vertex: a block separates each pair at vertex j at most once, so
+    the pairs at j need j's largest deficit.  Per pair slot: capacity R
+    separates at most R*q/n pairs, where q = floor(n^2/4) by default, the
+    most pairs a block on all n vertices separates.
+    """
+    per_vertex = sum(max(deficit[i] for i in at) for at in _vertex_pairs(n))
+    return max(per_vertex, -(-n * sum(deficit) // (q or n * n // 4)))
+
+
 class CapSearch(exact._CapSearch):
     """The capacity search as the library ran it before it tested a child's
     bound in the parent: the bound at node entry, with the pair-slot part
@@ -636,10 +656,8 @@ class CapSearch(exact._CapSearch):
     library's."""
 
     def _remaining_need(self, deficit):
-        t = self.table
-        per_vertex = sum(max(deficit[i] for i in t.vertex_pairs[j])
-                         for j in range(1, t.n + 1))
-        return max(per_vertex, -(-4 * sum(deficit) // t.n))
+        n = self.table.n
+        return remaining_need(n, deficit, Fraction(n * n, 4))
 
     def _dfs(self, start, deficit, rem, chosen, state):
         self.nodes += 1

@@ -13,10 +13,11 @@ import pytest
 from bicover.bounds import (alpha_lower, degree_lower, edge_count_lower,
                             tail_lower, upper_bch)
 from bicover.codes import (BinaryCode, _lexicode_basis, _span, ball_volume,
-                           bch_extended_code, even_weight_code, min_distance)
+                           bch_extended_code, even_weight_code, hadamard_code,
+                           min_distance)
 from bicover.covering import (Covering, balanced_bipartitions_covering,
                               capacity, code_to_covering,
-                              coloring_to_covering, hadamard_covering, verify)
+                              coloring_to_covering, verify)
 from bicover.diagnostics import (check_convex_tail_bound,
                                  check_event_disjointness, check_event_overlap,
                                  check_tail_sum)
@@ -47,13 +48,14 @@ def covering_matrix():
         entries.append((f"oracle witness ({n},{lam})", witness, n, lam))
     for m in (1, 2, 3):
         n = 1 << m
-        entries.append((f"hadamard m={m}", hadamard_covering(m), n, n // 2))
+        entries.append((f"hadamard m={m}", code_to_covering(hadamard_code(m), n),
+                        n, n // 2))
     for n in (2, 4, 6):
         lam = comb(n - 2, n // 2 - 1)
         entries.append((f"balanced n={n}", balanced_bipartitions_covering(n),
                         n, lam))
     entries.append(("hadamard+balanced n=4",
-                    Covering(4, hadamard_covering(2).blocks
+                    Covering(4, code_to_covering(hadamard_code(2), 4).blocks
                              + balanced_bipartitions_covering(4).blocks), 4, 4))
     for n in range(3, 11):
         k = (n - 1).bit_length() + 1
@@ -97,7 +99,7 @@ def test_edge_count_bound_tightness():
     for m in (1, 2, 3):
         n = 1 << m
         lam = n // 2
-        cov = hadamard_covering(m)
+        cov = code_to_covering(hadamard_code(m), n)
         assert capacity(cov) == 2 * lam * (n - 1)
         report = verify(cov, n, lam)
         assert report.ok and report.histogram == {lam: comb(n, 2)}
@@ -107,7 +109,7 @@ def test_edge_count_bound_tightness():
         assert capacity(cov) == 2 * lam * (n - 1)
         report = verify(cov, n, lam)
         assert report.ok and report.histogram == {lam: comb(n, 2)}
-    mixed = Covering(4, hadamard_covering(2).blocks
+    mixed = Covering(4, code_to_covering(hadamard_code(2), 4).blocks
                      + balanced_bipartitions_covering(4).blocks)
     assert capacity(mixed) == 24 == 2 * 4 * 3
     assert verify(mixed, 4, 4).ok
@@ -154,7 +156,7 @@ def test_independence_bound_dominates_degree_bound():
         p = (0.2, 0.5, 0.8)[seed % 3]
         g = random_graph(n, p, seed)
         alphas = alpha_per_vertex(g)
-        lhs = alpha_lower(g, alphas=alphas)
+        lhs = alpha_lower(g, alphas)
         rhs = degree_lower(g)
         assert lhs >= rhs - TOL
         tight = all(a == n - d for a, d in zip(alphas, degrees(g)))
@@ -191,7 +193,7 @@ def test_edge_count_inequality_on_matrix(covering_matrix):
 
 
 def test_negative_controls_single_block_deletion():
-    full = hadamard_covering(2)
+    full = code_to_covering(hadamard_code(2), 4)
     for t in range(len(full.blocks)):
         reduced = Covering(4, full.blocks[:t] + full.blocks[t + 1:])
         report = verify(reduced, 4, 2)
@@ -210,7 +212,7 @@ def test_random_graph_demo():
     cov = coloring_to_covering(g, colors)
     assert verify(cov, g, 1).ok
     cap = capacity(cov)
-    lower = alpha_lower(g, limit=200)
+    lower = alpha_lower(g, alpha_per_vertex(g, limit=200))
     upper = 200 * (max(colors)).bit_length()
     assert lower - TOL <= cap <= upper
     assert time.monotonic() - start < 30

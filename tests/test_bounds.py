@@ -9,11 +9,11 @@ from bicover.bounds import (alpha_lower, binom_tail_p, bch_backed,
                             graph_report, multigraph_report, tail_lower,
                             upper_bch, upper_even_weight, upper_gv,
                             upper_linear)
-from bicover.covering import capacity, code_to_covering, hadamard_covering
-from bicover.codes import ball_volume, even_weight_code
-from bicover.errors import DomainError, SizeLimitExceeded
-from bicover.graphs import (Graph, complete_graph, degrees, empty_graph,
-                            random_graph)
+from bicover.covering import capacity, code_to_covering
+from bicover.codes import ball_volume, even_weight_code, hadamard_code
+from bicover.errors import DomainError
+from bicover.graphs import (Graph, alpha_per_vertex, complete_graph, degrees,
+                            empty_graph, random_graph)
 
 C5 = Graph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
 
@@ -49,18 +49,18 @@ def test_degree_lower_examples():
 
 def test_alpha_lower_examples():
     n = 6
-    assert alpha_lower(complete_graph(n)) == pytest.approx(n * log2(n))
-    assert alpha_lower(empty_graph(4)) == 0
-    assert alpha_lower(C5) == pytest.approx(5 * log2(2.5))
-    assert alpha_lower(C5) == pytest.approx(6.6096, abs=1e-4)
-    with pytest.raises(SizeLimitExceeded):
-        alpha_lower(empty_graph(50), limit=40)
+    k6, e4 = complete_graph(n), empty_graph(4)
+    assert alpha_lower(k6, alpha_per_vertex(k6)) == pytest.approx(n * log2(n))
+    assert alpha_lower(e4, alpha_per_vertex(e4)) == 0
+    c5 = alpha_lower(C5, alpha_per_vertex(C5))
+    assert c5 == pytest.approx(5 * log2(2.5))
+    assert c5 == pytest.approx(6.6096, abs=1e-4)
 
 
 def test_alpha_dominates_degree_bound():
     for seed in range(15):
         g = random_graph(18, (0.2, 0.5, 0.8)[seed % 3], seed)
-        assert alpha_lower(g) >= degree_lower(g) - 1e-9
+        assert alpha_lower(g, alpha_per_vertex(g)) >= degree_lower(g) - 1e-9
 
 
 def test_cap_lower_dominates_hansel_in_regime():
@@ -137,8 +137,10 @@ def test_binom_tail_p():
     for x in (1, 4, 9):
         assert binom_tail_p(x, x) == 1
     assert binom_tail_p(5, 1) == Fraction(3, 16)
+    # Past x every outcome is at most r.
+    assert binom_tail_p(3, 4) == binom_tail_p(0, 1) == 1
     with pytest.raises(DomainError):
-        binom_tail_p(3, 4)
+        binom_tail_p(3, -1)
 
 
 def test_entropy():
@@ -158,16 +160,16 @@ def test_log_sums_match_high_precision():
         precise_deg = float(sum(mpmath.log(mpmath.mpf(n) / (n - d), 2)
                                 for d in degrees(g)))
         assert abs(degree_lower(g) - precise_deg) <= 1e-9 * max(1, abs(precise_deg))
-        from bicover.graphs import alpha_per_vertex
         alphas = alpha_per_vertex(g)
         precise_alpha = float(sum(mpmath.log(mpmath.mpf(n) / a, 2)
                                   for a in alphas))
-        got = alpha_lower(g, alphas=alphas)
+        got = alpha_lower(g, alphas)
         assert abs(got - precise_alpha) <= 1e-9 * max(1, abs(precise_alpha))
 
 
 def test_constructed_capacities_respect_lower_bounds():
-    cases = [(hadamard_covering(2), 4, 2), (hadamard_covering(3), 8, 4),
+    cases = [(code_to_covering(hadamard_code(2), 4), 4, 2),
+             (code_to_covering(hadamard_code(3), 8), 8, 4),
              (code_to_covering(even_weight_code(4), 8), 8, 2)]
     for cov, n, lam in cases:
         assert capacity(cov) >= cap_lower(n, lam) - 1e-9

@@ -303,6 +303,18 @@ def test_proofcheck_command(tmp_path, capsys):
     assert json.loads(stdout)["covering_valid"] is False
 
 
+def test_proofcheck_accepts_the_empty_k1_covering_at_any_lambda(tmp_path, capsys):
+    # K_1 has no pairs, so every vertex event has probability 1 at any r.
+    path = tmp_path / "k1.json"
+    path.write_text('{"n": 1, "blocks": []}')
+    for lam in (1, 3, 8):
+        code, stdout, _ = run(capsys, "proofcheck", str(path), "--n", "1",
+                              "--lambda", str(lam))
+        assert code == 0
+        checks = {c["check"]: c for c in json.loads(stdout)["checks"]}
+        assert checks["tail-sum"]["sum"] == "1/1"
+
+
 # gv at n = 2040, lambda = 5 has 20 blocks, the exhaustive limit.
 @pytest.mark.parametrize("method,n,lam,blocks", [("bch", 2048, 4, 16),
                                                  ("even-weight", 8192, 2, 14),

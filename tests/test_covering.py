@@ -4,12 +4,11 @@ from math import comb
 
 import pytest
 
-from bicover.codes import BinaryCode, even_weight_code
+from bicover.codes import BinaryCode, even_weight_code, hadamard_code
 from bicover.covering import (BipartiteBlock, Covering,
                               balanced_bipartitions_covering, capacity,
                               code_to_covering, coloring_to_covering,
-                              degenerate_rows,
-                              hadamard_covering, incidence_counts,
+                              degenerate_rows, incidence_counts,
                               parse_covering, serialize_covering, verify)
 from bicover.errors import (DomainError, GroundSetMismatch, ImproperColoring,
                             NotEnoughCodewords, OverlapError, ParseError,
@@ -33,15 +32,16 @@ def test_block_validation():
 def test_capacity_examples():
     assert capacity(Covering(3)) == 0
     assert capacity(Covering(3, [BipartiteBlock([1], [2, 3])])) == 3
-    assert capacity(hadamard_covering(2)) == 12
+    assert capacity(code_to_covering(hadamard_code(2), 4)) == 12
 
 
 def test_incidence_examples():
     assert incidence_counts(Covering(3, [BipartiteBlock([1], [2, 3])])) == [1, 1, 1]
     two = Covering(2, [BipartiteBlock([1], [2])] * 2)
     assert incidence_counts(two) == [2, 2]
-    assert incidence_counts(hadamard_covering(2)) == [3, 3, 3, 3]
-    for cov in (hadamard_covering(3), balanced_bipartitions_covering(6)):
+    assert incidence_counts(code_to_covering(hadamard_code(2), 4)) == [3, 3, 3, 3]
+    for cov in (code_to_covering(hadamard_code(3), 8),
+                balanced_bipartitions_covering(6)):
         assert sum(incidence_counts(cov)) == capacity(cov)
 
 
@@ -96,7 +96,7 @@ def test_verify_examples():
     assert not empty.ok
     assert empty.min_multiplicity == 0
     assert empty.violating_pairs == ((1, 2), (1, 3), (2, 3))
-    had = verify(hadamard_covering(2), 4, 2)
+    had = verify(code_to_covering(hadamard_code(2), 4), 4, 2)
     assert had.ok and had.histogram == {2: 6}
 
 
@@ -119,7 +119,7 @@ def test_verify_no_required_pairs():
 def test_hadamard_covering_tightness():
     for m in (1, 2, 3):
         n = 1 << m
-        cov = hadamard_covering(m)
+        cov = code_to_covering(hadamard_code(m), n)
         assert len(cov.blocks) == n - 1
         assert capacity(cov) == n * (n - 1) == 2 * (n // 2) * (n - 1)
         report = verify(cov, n, n // 2)
@@ -144,7 +144,7 @@ def test_balanced_bipartitions():
 
 
 def test_covering_sum():
-    h = hadamard_covering(2)
+    h = code_to_covering(hadamard_code(2), 4)
     double = Covering(4, h.blocks + h.blocks)
     assert capacity(double) == 24
     assert verify(double, 4, 4).ok
@@ -155,7 +155,7 @@ def test_covering_sum():
 
 
 def test_covering_sum_multiplicity_additive():
-    a = hadamard_covering(2)
+    a = code_to_covering(hadamard_code(2), 4)
     b = code_to_covering(even_weight_code(3), 4)
     s = Covering(4, a.blocks + b.blocks)
     for u, v in combinations(range(1, 5), 2):
@@ -181,7 +181,8 @@ def test_coloring_to_covering():
 
 
 def test_valid_coverings_meet_edge_count_inequality():
-    cases = [(hadamard_covering(2), 4, 2), (hadamard_covering(3), 8, 4),
+    cases = [(code_to_covering(hadamard_code(2), 4), 4, 2),
+             (code_to_covering(hadamard_code(3), 8), 8, 4),
              (balanced_bipartitions_covering(6), 6, 6),
              (code_to_covering(even_weight_code(4), 8), 8, 2)]
     for cov, n, lam in cases:
@@ -205,7 +206,7 @@ def test_parse_and_serialize():
     for n in (2**31, 10**12, 2**64 + 3):
         with pytest.raises(ParseError, match="below 2\\^31"):
             parse_covering('{"n": %d, "blocks": [{"left": [1], "right": [2]}]}' % n)
-    h = hadamard_covering(2)
+    h = code_to_covering(hadamard_code(2), 4)
     assert parse_covering(serialize_covering(h)) == h
     doc = json.loads(serialize_covering(Covering(2, [BipartiteBlock([2], [1])])))
     assert doc == {"n": 2, "blocks": [{"left": [2], "right": [1]}]}

@@ -6,9 +6,8 @@ import pytest
 from bicover.bounds import binom_tail_p, graph_report
 from bicover import diagnostics
 from bicover.covering import (BipartiteBlock, Covering, code_to_covering,
-                              coloring_to_covering, hadamard_covering,
-                              incidence_counts, verify)
-from bicover.codes import BinaryCode
+                              coloring_to_covering, incidence_counts, verify)
+from bicover.codes import BinaryCode, hadamard_code
 from bicover.diagnostics import (check_convex_tail_bound,
                                  check_event_disjointness, check_event_overlap,
                                  check_independent_event_sets, check_tail_sum)
@@ -31,7 +30,7 @@ def test_event_profile():
 def test_tail_sum_boundaries():
     rep = check_tail_sum(K23, 3)
     assert rep.sum == 1 and rep.ok
-    had = check_tail_sum(hadamard_covering(2), 2)
+    had = check_tail_sum(code_to_covering(hadamard_code(2), 4), 2)
     assert had.sum == Fraction(1, 2) and had.ok
     single = check_tail_sum(Covering(2, [BipartiteBlock([1], [2])]), 1)
     assert single.sum == 1 and single.ok
@@ -58,7 +57,7 @@ def test_disjointness_lambda_one_distinct_columns():
 
 
 def test_disjointness_sampled_deterministic():
-    cov = hadamard_covering(3)
+    cov = code_to_covering(hadamard_code(3), 8)
     rep = check_event_disjointness(cov, 4, mode="sampled", seed=1, trials=100_000)
     assert rep.ok and rep.trials == 100_000
     rep2 = check_event_disjointness(cov, 4, mode="sampled", seed=1, trials=100_000)
@@ -75,7 +74,7 @@ def test_convex_tail_bound():
     rep = check_convex_tail_bound(K23, 3)
     assert rep.sum == Fraction(6, 8) and rep.ok
     with pytest.raises(DomainError):
-        check_convex_tail_bound(hadamard_covering(2), 2)
+        check_convex_tail_bound(code_to_covering(hadamard_code(2), 4), 2)
 
 
 def test_pointwise_tail_minorant():
@@ -102,6 +101,21 @@ def test_overlap_k3_boundary():
 def test_overlap_empty_graph_boundary():
     rep = check_event_overlap(Covering(4), empty_graph(4))
     assert rep.sum == 1 and rep.ok
+
+
+def test_overlap_sum_on_complete_graphs_is_the_tail_sum():
+    # K_n has alpha = 1 at every vertex, and at lambda = 1 the tail is r = 0:
+    # both sums are the sum of 2^(-x_j).
+    h2 = code_to_covering(hadamard_code(2), 4)
+    coverings = [K23, K3_COVER, Covering(2, [BipartiteBlock([1], [2])]), h2,
+                 code_to_covering(hadamard_code(3), 8),
+                 code_to_covering(BinaryCode(2, range(4)), 4),
+                 code_to_covering(BinaryCode(3, range(8)), 8),
+                 Covering(4, h2.blocks
+                          + code_to_covering(BinaryCode(2, range(4)), 4).blocks)]
+    for cov in coverings:
+        assert (check_event_overlap(cov, complete_graph(cov.n)).sum
+                == check_tail_sum(cov, 1).sum)
 
 
 def test_overlap_cycle_coloring():
@@ -160,7 +174,7 @@ def test_alpha_limit_passes_through_unchanged():
 
 
 def test_negative_control_broken_covering():
-    h = hadamard_covering(2)
+    h = code_to_covering(hadamard_code(2), 4)
     broken = Covering(4, h.blocks[1:])
     with pytest.raises(InvalidCovering):
         check_tail_sum(broken, 2)
@@ -173,7 +187,7 @@ def test_negative_control_broken_covering():
 def test_recorded_verify_does_not_excuse_an_invalid_covering():
     # A verify at a lower level, or on another target, records a result
     # that must not stand in for the check at a higher level.
-    h = hadamard_covering(2)
+    h = code_to_covering(hadamard_code(2), 4)
     assert verify(h, 4, 1).ok
     with pytest.raises(InvalidCovering):
         check_tail_sum(h, 3)
@@ -192,7 +206,7 @@ def test_recorded_verify_is_reused(monkeypatch):
         return verify(cov, target, lam)
 
     monkeypatch.setattr(diagnostics, "verify", counted)
-    h = hadamard_covering(3)
+    h = code_to_covering(hadamard_code(3), 8)
     check_tail_sum(h, 4)
     check_event_disjointness(h, 3)
     check_convex_tail_bound(h, 4)
@@ -205,7 +219,7 @@ def test_recorded_verify_is_reused(monkeypatch):
 
 
 def test_sum_covering_diagnostics():
-    mixed = Covering(4, hadamard_covering(2).blocks
+    mixed = Covering(4, code_to_covering(hadamard_code(2), 4).blocks
                      + code_to_covering(BinaryCode(2, range(4)), 4).blocks)
     rep = check_tail_sum(mixed, 3)
     assert rep.ok

@@ -9,9 +9,8 @@ from bicover import cli, exact
 from bicover.bounds import edge_count_lower, tail_lower
 from bicover.covering import (BipartiteBlock, Covering,
                               balanced_bipartitions_covering, capacity,
-                              code_to_covering, hadamard_covering,
-                              serialize_covering, verify)
-from bicover.codes import BinaryCode, even_weight_code
+                              code_to_covering, serialize_covering, verify)
+from bicover.codes import BinaryCode, even_weight_code, hadamard_code
 from bicover.errors import BudgetExhausted, DomainError
 from bicover.exact import SearchBudget, _CapSearch, _all_blocks, _table, exact_cap
 
@@ -105,7 +104,7 @@ def test_exact_cap_4_3_met_by_greedy_code_covering():
 def test_exact_cap_4_2_matches_tight_constructions():
     value, witness = exact_cap(4, 2)
     assert value == 12
-    assert capacity(hadamard_covering(2)) == 12
+    assert capacity(code_to_covering(hadamard_code(2), 4)) == 12
     assert capacity(balanced_bipartitions_covering(4)) == 12
 
 

@@ -27,15 +27,15 @@ from bicover.codes import (BinaryCode, _lexicode_basis, _span,
                            min_distance)
 from bicover.covering import (BipartiteBlock, Covering, capacity,
                               code_to_covering, coloring_to_covering,
-                              degenerate_rows, hadamard_covering,
-                              incidence_counts, parse_covering,
+                              degenerate_rows, incidence_counts, parse_covering,
                               serialize_covering, verify)
 from bicover.diagnostics import (_disjointness, _independent_sets, _sweep,
                                  check_convex_tail_bound,
                                  check_event_disjointness, check_event_overlap,
                                  check_tail_sum)
 from bicover.errors import BicoverError, DomainError, SizeLimitExceeded
-from bicover.exact import SearchBudget, _CapSearch, _table, exact_cap
+from bicover.exact import (SearchBudget, _CapSearch, _root_need, _table,
+                           exact_cap)
 from bicover.graphs import (Graph, alpha_per_vertex, complete_graph, degrees,
                             empty_graph, greedy_coloring, parse_graph,
                             random_graph, serialize_graph)
@@ -138,7 +138,7 @@ def test_verify_tiles_match_reference(tile, n, m, seed, lam):
 def test_hadamard_verify_across_tiles_and_words():
     # 511 blocks (8 mask words), every pair separated 256 times: above what
     # one uint8 popcount holds, over 4 tiles of 128 rows.
-    report = verify(hadamard_covering(9), 512, 256)
+    report = verify(code_to_covering(hadamard_code(9), 512), 512, 256)
     assert report.ok and report.min_multiplicity == 256
     assert report.histogram == {256: 130816}
 
@@ -690,7 +690,7 @@ def test_canonical_text_parses_without_json(monkeypatch):
                  for n, m, seed in ((1, 0, 1), (5000, 0, 2), (2, 1, 3),
                                     (40, 65, 4), (70, 130, 5))]
     coverings += [code_to_covering(even_weight_code(11), 1000),
-                  hadamard_covering(6)]
+                  code_to_covering(hadamard_code(6), 64)]
     texts = [serialize_covering(cov) for cov in coverings]
     monkeypatch.setattr(json, "loads", refuse)
     for cov, text in zip(coverings, texts):
@@ -1108,6 +1108,13 @@ def test_exact_search_matches_reference(n, lam):
     assert serialize_covering(witness) == serialize_covering(want)
 
 
+@pytest.mark.parametrize("n", range(2, 8))
+def test_root_need_is_the_counting_bound_at_the_full_deficit(n):
+    for lam in range(1, 9):
+        full = [lam] * comb(n, 2)
+        assert _root_need(n, lam) == reference_paths.remaining_need(n, full)
+
+
 def deficits(data, n, top=8):
     # Some vertices may have every pair at them covered already.
     done = data.draw(st.sets(st.integers(1, n), max_size=2))
@@ -1122,9 +1129,8 @@ def deficits(data, n, top=8):
 def test_pair_counting_bound_is_at_least_the_slot_bound(n, data):
     # floor(n^2/4)/n is n/4 at even n and below it at odd n.
     deficit = deficits(data, n)
-    search = cap_search(n)
-    new = search._remaining_need(deficit)
-    old = reference_paths.CapSearch._remaining_need(search, deficit)
+    new = reference_paths.remaining_need(n, deficit)
+    old = reference_paths.CapSearch._remaining_need(cap_search(n), deficit)
     assert new >= old
     if n % 2 == 0:
         assert new == old
@@ -1136,7 +1142,8 @@ def test_children_are_the_blocks_whose_child_passes_the_bound(n, data):
     search = cap_search(n)
     deficit = deficits(data, n, top=3)
     # Capacities around the bound, where the per-child test decides.
-    rem = max(0, search._remaining_need(deficit) + data.draw(st.integers(-2, 6)))
+    need = reference_paths.remaining_need
+    rem = max(0, need(n, deficit) + data.draw(st.integers(-2, 6)))
     table = search.table
     start = data.draw(st.integers(0, len(table.blocks) - 1))
     want = []
@@ -1144,7 +1151,7 @@ def test_children_are_the_blocks_whose_child_passes_the_bound(n, data):
         size = table.sizes[bi]
         touched = [p for p in table.block_pairs[bi] if deficit[p] > 0]
         child = [d - (p in touched) for p, d in enumerate(deficit)]
-        if size <= rem and touched and search._remaining_need(child) <= rem - size:
+        if size <= rem and touched and need(n, child) <= rem - size:
             want.append(bi)
     assert search._children(start, deficit, rem) == want
 
@@ -1156,7 +1163,8 @@ def test_grouped_children_walk_matches_linear_walk(n, data):
     # blocks the walk over every block from start returns, in index order.
     search = cap_search(n)
     deficit = deficits(data, n, top=data.draw(st.sampled_from([1, 3, 8])))
-    rem = max(0, search._remaining_need(deficit) + data.draw(st.integers(-2, 8)))
+    rem = max(0, reference_paths.remaining_need(n, deficit)
+              + data.draw(st.integers(-2, 8)))
     start = data.draw(st.integers(0, len(search.table.blocks) - 1))
     assert (search._children(start, deficit, rem)
             == reference_paths.linear_children(search.table, start, deficit, rem))

@@ -15,9 +15,9 @@ import json
 import pytest
 
 import reference_paths as ref
-from bicover import bounds, codes, covering
+from bicover import bounds, codes
 from bicover.cli import _METHODS, main
-from bicover.covering import capacity, serialize_covering
+from bicover.covering import capacity, code_to_covering, serialize_covering
 from bicover.errors import BicoverError
 from bicover.graphs import random_graph, serialize_graph
 
@@ -108,8 +108,8 @@ def test_every_family_is_built_by_a_method(monkeypatch):
 
 @pytest.mark.parametrize("m", range(1, 9))
 def test_hadamard_covering_is_the_hadamard_code_covering(m):
-    assert serialize_covering(covering.hadamard_covering(m)) == serialize_covering(
-        ref.hadamard_covering(m))
+    got = code_to_covering(codes.hadamard_code(m), 1 << m)
+    assert serialize_covering(got) == serialize_covering(ref.hadamard_covering(m))
 
 
 @pytest.mark.parametrize("n,p,seed", [(1, 0.5, 0), (5, 0.3, 1), (12, 0.5, 3),
