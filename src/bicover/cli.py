@@ -15,9 +15,10 @@ import json
 import os
 import stat
 import sys
-from itertools import chain
 from json.encoder import encode_basestring_ascii
 from math import comb, isnan
+
+import numpy as np
 
 from . import bounds as bnd
 from . import codes, covering, diagnostics, exact, graphs
@@ -63,13 +64,14 @@ _PAIR_BATCH = 4096  # int pairs per piece
 def _json_chunks(obj, pad="\n"):
     """The text of ``json.dumps(obj, indent=2)`` in pieces, rendered here for
     str-keyed dicts and lists, which ``pad`` (a newline and the current
-    indent) lays out.
+    indent) lays out, with a (k, 2) integer numpy array written as the list
+    of its k int pairs.
 
     ``indent`` makes ``json`` use its pure-Python encoder, which is slow on
-    a long list of violating pairs; here a list of int pairs takes one
-    ``%``-format per batch of pairs, the pair template repeated over the
-    batch's flattened ints, one batch per piece, so that the text is never
-    held twice.
+    a long list of violating pairs; here the pairs of an array take one
+    ``%``-format per batch, the pair template repeated over the batch's
+    flattened ints, one batch per piece, so that the text is never held
+    twice and no pair becomes a Python tuple.
     """
     inner = pad + "  "
     sep = "," + inner
@@ -78,18 +80,20 @@ def _json_chunks(obj, pad="\n"):
         items = [(encode_basestring_ascii(key) + ": ", value)
                  for key, value in obj.items()]
     elif type(obj) in (list, tuple):
-        # The pair test runs in C: types first, so that len() sees only lists.
-        if (set(map(type, obj)) <= {list, tuple} and set(map(len, obj)) == {2}
-                and set(map(type, chain.from_iterable(obj))) == {int}):
-            pair = f"[{inner}  %d,{inner}  %d{inner}]"
-            for k in range(0, len(obj), _PAIR_BATCH):
-                batch = obj[k:k + _PAIR_BATCH]
-                text = sep.join([pair] * len(batch)) % tuple(chain.from_iterable(batch))
-                yield (sep if k else "[" + inner) + text
-            yield pad + "]"
-            return
         ends = "[]"
         items = [("", item) for item in obj]
+    elif (type(obj) is np.ndarray and obj.ndim == 2 and obj.shape[1] == 2
+          and obj.dtype.kind in "iu"):
+        if not len(obj):
+            yield "[]"
+            return
+        pair = f"[{inner}  %d,{inner}  %d{inner}]"
+        for k in range(0, len(obj), _PAIR_BATCH):
+            batch = obj[k:k + _PAIR_BATCH]
+            text = sep.join([pair] * len(batch)) % tuple(batch.ravel().tolist())
+            yield (sep if k else "[" + inner) + text
+        yield pad + "]"
+        return
     else:
         yield _json_piece(obj, pad)
         return
@@ -98,7 +102,7 @@ def _json_chunks(obj, pad="\n"):
         return
     start = ends[0] + inner
     for head, value in items:
-        if type(value) in (dict, list, tuple):
+        if type(value) in (dict, list, tuple, np.ndarray):
             yield start + head
             yield from _json_chunks(value, inner)
         else:

@@ -138,7 +138,7 @@ def _sides(cov, labels=None):
         yield left.tolist(), right.tolist()
 
 
-@dataclass
+@dataclass(eq=False)
 class CoverageReport:
     """Outcome of checking a covering against a target at level lam."""
 
@@ -147,14 +147,30 @@ class CoverageReport:
     target_kind: str              # "complete" or "graph"
     pair_count: int
     min_multiplicity: int | None  # None when the target has no required pairs
-    violating_pairs: tuple        # pairs separated fewer than lam times, sorted
+    violations: np.ndarray        # read-only (k, 2) int64, the pairs below lam
     histogram: dict               # multiplicity -> number of required pairs
 
     @property
+    def violating_pairs(self):
+        """The pairs separated fewer than lam times, as a tuple of int pairs."""
+        return tuple(map(tuple, self.violations.tolist()))
+
+    @property
     def ok(self):
-        return not self.violating_pairs
+        return not len(self.violations)
+
+    def __eq__(self, other):
+        if not isinstance(other, CoverageReport):
+            return NotImplemented
+        return ((self.n, self.lam, self.target_kind, self.pair_count,
+                 self.min_multiplicity, self.histogram)
+                == (other.n, other.lam, other.target_kind, other.pair_count,
+                    other.min_multiplicity, other.histogram)
+                and np.array_equal(self.violations, other.violations))
 
     def to_dict(self):
+        """The report as the CLI renders it; ``violating_pairs`` stays the
+        (k, 2) array, which ``cli._json_chunks`` writes as a list of pairs."""
         return {
             "n": self.n,
             "lambda": self.lam,
@@ -162,7 +178,7 @@ class CoverageReport:
             "pair_count": self.pair_count,
             "min_multiplicity": self.min_multiplicity,
             "ok": self.ok,
-            "violating_pairs": self.violating_pairs,
+            "violating_pairs": self.violations,
             "histogram": {str(k): v for k, v in sorted(self.histogram.items())},
         }
 
@@ -185,8 +201,9 @@ def verify(cov, target, lam):
 
     ``target`` is an integer n (all pairs of the complete graph on 1..n,
     i.e. K_n^lam) or a Graph (its edges).  Violations are reported as data,
-    not raised.  The count runs on the packed masks, one step per tile of
-    about ``_STEP_PAIRS`` pairs: rows u against columns v > u (see
+    not raised: one read-only (k, 2) int64 array of the pairs below lam, in
+    lexicographic order.  The count runs on the packed masks, one step per
+    tile of about ``_STEP_PAIRS`` pairs: rows u against columns v > u (see
     ``_tiles``), or one chunk of graph edges, so temporaries stay at
     O(max(_STEP_PAIRS, n)) words.  When every vertex lies in every block,
     as in a covering built from a code or a coloring, u and v are
@@ -218,7 +235,7 @@ def verify(cov, target, lam):
         steps = _tiles(target)
         kind = "complete"
         counts = _code_histogram(cov, full)
-    low_steps = []  # (u, v) index arrays of the pairs below lam, step by step
+    low_steps = [np.empty((0, 2), dtype=np.int64)]  # the pairs below lam, per step
     if counts is None or any(counts[:lam]):
         a, b = cov.left, cov.right
         hist = np.zeros(cov.m + 1, dtype=np.int64)
@@ -234,23 +251,23 @@ def verify(cov, target, lam):
             low = mult < lam
             if skip is None:
                 hits = np.flatnonzero(low)
-                low_steps.append((us[hits], vs[hits]))
+                low_steps.append(np.stack((us[hits], vs[hits]), axis=1))
             else:  # a tile: drop its entries with v <= u
                 hist -= np.bincount(mult[:, :len(skip)][skip], minlength=len(hist))
                 low[:, :len(skip)] &= ~skip
                 rows, cols = np.divmod(np.flatnonzero(low), low.shape[1])
-                low_steps.append((us[rows, 0], vs[cols]))
+                low_steps.append(np.stack((us[rows, 0], vs[cols]), axis=1))
         if counts is not None and hist.tolist() != counts:
             raise AssertionError(f"pairwise histogram {hist.tolist()} differs "
                                  f"from the transform's {counts}")
         counts = hist.tolist()
-    violating = tuple(chain.from_iterable(
-        zip(pu.tolist(), pv.tolist()) for pu, pv in low_steps))
+    violating = np.concatenate(low_steps)
+    violating.flags.writeable = False
     lowest = next((m for m, c in enumerate(counts) if c), None)
     cov._verified[target] = lowest
     return CoverageReport(
         n=cov.n, lam=lam, target_kind=kind, pair_count=sum(counts),
-        min_multiplicity=lowest, violating_pairs=violating,
+        min_multiplicity=lowest, violations=violating,
         histogram={m: c for m, c in enumerate(counts) if c})
 
 

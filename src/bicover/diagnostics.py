@@ -20,7 +20,7 @@ from itertools import islice
 import numpy as np
 
 from .bounds import binom_tail_p
-from .covering import incidence_counts, is_verified, verify
+from .covering import _full_support, incidence_counts, is_verified, verify
 from .errors import DomainError, InvalidCovering, SizeLimitExceeded
 from .graphs import alpha_per_vertex
 
@@ -59,7 +59,7 @@ def _require_valid(cov, target, lam, label):
     report = verify(cov, target, lam)
     if not report.ok:
         raise InvalidCovering(
-            f"{label} needs a valid covering; {len(report.violating_pairs)} "
+            f"{label} needs a valid covering; {len(report.violations)} "
             f"pairs fall below {lam}")
 
 
@@ -234,24 +234,27 @@ def _sweep(cov, r, mode, seed, trials, counts=None):
 
     Both modes read the covering's packed masks without the unused column
     0, so column j belongs to vertex j+1: ``support`` holds the blocks that
-    contain each vertex, ``side`` those where it is on the right.
+    contain each vertex, ``side`` those where it is on the right.  ``full``
+    (every vertex in every block, checked once per sweep) lets ``_within``
+    skip the support.
     """
     support, side = (cov.left | cov.right)[:, 1:], cov.right[:, 1:]
+    full = _full_support(cov)
     if mode == "exhaustive":
         if cov.m > EXHAUSTIVE_BLOCK_LIMIT:
             raise SizeLimitExceeded(
                 f"{cov.m} blocks exceed the exhaustive sweep limit "
                 f"{EXHAUSTIVE_BLOCK_LIMIT}")
-        return _event_chunks(support, side, cov.m, r, counts)
+        return _event_chunks(support, side, full, cov.m, r, counts)
     if mode == "sampled":
         words = len(side)
         size = max(1, _SWEEP_CHUNK // words)
-        return _tally(support, side, r,
+        return _tally(support, side, full, r,
                       _sampled_chunks(cov.m, words, size, seed, trials))
     raise DomainError(f"unknown mode {mode!r}")
 
 
-def _event_chunks(support, side, m, r, counts):
+def _event_chunks(support, side, full, m, r, counts):
     """The event vectors in ascending order, _SWEEP_CHUNK per chunk.
 
     Vertices that share a support share their patterns D | F, which are
@@ -274,7 +277,7 @@ def _event_chunks(support, side, m, r, counts):
                 js = members[lo:lo + step]
                 vectors = side[0, js, None] ^ patterns
                 ev = _within(vectors[None], support[:, js, None],
-                             side[:, js, None], r)
+                             side[:, js, None], full, r)
                 if counts is not None:
                     counts[js] += np.count_nonzero(ev, axis=1)
                 np.add.at(tally, vectors[ev].astype(np.intp), np.int32(1))
@@ -282,7 +285,8 @@ def _event_chunks(support, side, m, r, counts):
     for lo in range(0, len(hit), _SWEEP_CHUNK):
         idx = hit[lo:lo + _SWEEP_CHUNK]
         packed = idx.astype(np.uint64)[None]
-        yield packed[0].tolist(), tally[idx], _occurring(support, side, r, packed)
+        yield (packed[0].tolist(), tally[idx],
+               _occurring(support, side, full, r, packed))
 
 
 def _patterns(flip, free, r):
@@ -319,7 +323,7 @@ def _sampled_chunks(m, words, size, seed, trials):
                                  for w in range(words)], dtype=np.uint64)
 
 
-def _tally(support, side, r, chunks):
+def _tally(support, side, full, r, chunks):
     # A block of _SWEEP_CHUNK // n vectors against all n vertices per step.
     # A loop over the vertices ran n rounds of small numpy calls per chunk,
     # whose overhead set the cost: 26 ms against 15 ms in blocks for 2000
@@ -327,33 +331,40 @@ def _tally(support, side, r, chunks):
     step = max(1, _SWEEP_CHUNK // support.shape[1])
     for vectors, packed in chunks:
         per_vector = np.concatenate([np.count_nonzero(
-            _within(packed[:, lo:lo + step, None], support[:, None], side[:, None], r),
+            _within(packed[:, lo:lo + step, None], support[:, None], side[:, None],
+                    full, r),
             axis=1) for lo in range(0, len(vectors), step)])
-        yield vectors, per_vector, _occurring(support, side, r, packed)
+        yield vectors, per_vector, _occurring(support, side, full, r, packed)
 
 
-def _occurring(support, side, r, packed):
+def _occurring(support, side, full, r, packed):
     """occurring(k): the sorted vertices whose events vector packed[:, k] triggers."""
     def occurring(k):
-        ev = _within(packed[:, k], support, side, r)
+        ev = _within(packed[:, k], support, side, full, r)
         return (np.nonzero(ev)[0] + 1).tolist()
     return occurring
 
 
-def _within(vectors, support, side, r):
+def _within(vectors, support, side, full, r):
     """Whether at most r block memberships disagree with the selection vector.
 
     Arguments are indexed by mask word first: ``support`` holds a vertex's
     blocks, ``side`` those where it is on the right.  Many vectors meet one
     vertex, one vector many vertices, or a column of vectors a row of
     vertices; each word step broadcasts, and the disagreements are
-    popcount((v & support) ^ side).
+    popcount((v & support) ^ side).  When every vertex is in every block
+    (``full``), v & support is v, since no vector has a bit past block m,
+    and the count is popcount(v ^ side).
     """
-    hits = np.bitwise_count((vectors[0] & support[0]) ^ side[0])
+    def disagreements(w):
+        v = vectors[w] if full else vectors[w] & support[w]
+        return np.bitwise_count(v ^ side[w])
+
+    hits = disagreements(0)
     if len(vectors) > 1:  # the narrowest type that holds 64 per word
         hits = hits.astype(np.min_scalar_type(64 * len(vectors)))
     for w in range(1, len(vectors)):
-        hits += np.bitwise_count((vectors[w] & support[w]) ^ side[w])
+        hits += disagreements(w)
     return hits <= r
 
 

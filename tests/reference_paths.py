@@ -101,7 +101,8 @@ def verify(cov, target, lam):
             break
     return CoverageReport(
         n=cov.n, lam=lam, target_kind=kind, pair_count=count,
-        min_multiplicity=mn, violating_pairs=tuple(violating),
+        min_multiplicity=mn,
+        violations=np.array(violating, dtype=np.int64).reshape(-1, 2),
         histogram={m: c for m, c in enumerate(hist) if c})
 
 

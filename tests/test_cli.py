@@ -1,11 +1,13 @@
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
 import subprocess
 import sys
 import tracemalloc
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +22,10 @@ from bicover.codes import even_weight_code
 from bicover.covering import (balanced_bipartitions_covering, capacity,
                               code_to_covering, parse_covering,
                               serialize_covering, verify)
-from bicover.errors import DomainError, SizeLimitExceeded
+from bicover.errors import DomainError, InvalidCovering, SizeLimitExceeded
 from bicover.graphs import random_graph, serialize_graph
+
+import reference_paths
 
 
 def _balanced(n, lam):
@@ -757,8 +761,73 @@ def test_json_text_edge_cases(obj):
     assert _json_text(obj) == json.dumps(obj, indent=2)
 
 
+def _report_with_pairs(k, graph):
+    """A verify report listing exactly k violating pairs: no block separates
+    any pair of 129 vertices (8256 pairs), on the graph of the first k pairs,
+    or on the complete target with its listing cut to the first k."""
+    n = 129
+    cov = covering.Covering(n)
+    if graph:
+        return verify(cov, graphs.Graph(n, list(combinations(range(1, n + 1), 2))[:k]), 1)
+    report = verify(cov, n, 1)
+    return dataclasses.replace(report, violations=report.violations[:k])
+
+
+# Pair counts on either side of one and two formatted batches.
+@pytest.mark.parametrize("k", [0, 1, _PAIR_BATCH - 1, _PAIR_BATCH,
+                               _PAIR_BATCH + 1, 2 * _PAIR_BATCH + 1])
+@pytest.mark.parametrize("graph", [False, True])
+def test_json_text_renders_violation_arrays(k, graph):
+    report = _report_with_pairs(k, graph)
+    assert len(report.violations) == k
+    doc = report.to_dict()
+    listed = {**doc, "violating_pairs": report.violating_pairs}
+    assert _json_text(doc) == json.dumps(listed, indent=2)
+    assert (_json_text({"schema_version": 1, "report": doc})
+            == json.dumps({"schema_version": 1, "report": listed}, indent=2))
+
+
+def test_cli_verify_never_builds_the_pair_tuples(tmp_path, capsys, monkeypatch):
+    # A BCH covering with one block deleted has pairs below lambda: the
+    # listing, the exit code, the proof-check refusal and its count all come
+    # from the report's array.
+    source, damaged = tmp_path / "bch.json", tmp_path / "damaged.json"
+    run(capsys, "construct", "--n", "64", "--lambda", "4", "--method", "bch",
+        "--out", str(source))
+    doc = json.loads(source.read_text())
+    del doc["blocks"][0]
+    damaged.write_text(json.dumps(doc))
+    cov = parse_covering(damaged.read_text())
+    expected = reference_paths.verify(cov, 64, 4).violating_pairs
+
+    def refuse(report):
+        raise AssertionError("violating_pairs read")
+
+    monkeypatch.setattr(covering.CoverageReport, "violating_pairs", property(refuse))
+    code, stdout, _ = run(capsys, "verify", str(damaged), "--n", "64", "--lambda", "4")
+    with pytest.raises(InvalidCovering, match=f"; {len(expected)} pairs fall below 4"):
+        diagnostics.check_tail_sum(cov, 4)
+    code_check, _, _ = run(capsys, "proofcheck", str(damaged), "--n", "64",
+                           "--lambda", "4")
+    monkeypatch.undo()
+    assert expected and (code, code_check) == (1, 1)
+    assert json.loads(stdout)["report"]["violating_pairs"] == [list(p) for p in expected]
+
+
 def test_json_text_refuses_numpy_pairs_like_json_dumps():
     obj = [[1, 2], [np.int64(3), 4]]
+    with pytest.raises(TypeError) as ours:
+        _json_text(obj)
+    with pytest.raises(TypeError) as theirs:
+        json.dumps(obj, indent=2)
+    assert str(ours.value) == str(theirs.value)
+
+
+# Only an integer array of two columns is rendered as a list of pairs.
+@pytest.mark.parametrize("obj", [
+    {"a": np.zeros((2, 3), dtype=np.int64)}, np.zeros((2, 2)), [np.arange(4)],
+    np.zeros((2, 2), dtype=bool)])
+def test_json_text_refuses_other_arrays_like_json_dumps(obj):
     with pytest.raises(TypeError) as ours:
         _json_text(obj)
     with pytest.raises(TypeError) as theirs:

@@ -21,7 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bicover import codes, covering, diagnostics, graphs
-from bicover.cli import main
+from bicover.cli import _json_text, main
 from bicover.codes import (BinaryCode, _lexicode_basis, _span,
                            bch_extended_code, even_weight_code, hadamard_code,
                            min_distance)
@@ -119,7 +119,12 @@ def test_verify_matches_reference(n, m, seed, lam, graph):
     assert report == reference_paths.verify(cov, target, lam)
     assert_python_ints((report.pair_count, report.min_multiplicity,
                         report.violating_pairs, report.histogram))
-    json.dumps(report.to_dict())
+    assert report.violations.dtype == np.int64
+    assert not report.violations.flags.writeable
+    # The CLI renders the array as json.dumps renders the tuple of pairs.
+    doc = report.to_dict()
+    assert _json_text(doc) == json.dumps(
+        {**doc, "violating_pairs": report.violating_pairs}, indent=2)
 
 
 # Tiles patched down to 1-64 pairs: tiles of one row and of several, with
@@ -248,14 +253,14 @@ FULL_BLOCK_COUNTS = st.one_of(st.integers(1, 12),
 
 
 @st.composite
-def full_support_coverings(draw):
+def full_support_coverings(draw, block_counts=FULL_BLOCK_COUNTS):
     """A code covering of 2-40 vertices with m blocks left after deleting some.
 
     Rows repeat words from a small pool, so some pairs share their left mask
     (multiplicity 0).  Two anchor vertices hold complementary words, so every
     block, before and after the deletion, has both sides nonempty.
     """
-    m = draw(FULL_BLOCK_COUNTS, label="m")
+    m = draw(block_counts, label="m")
     n = draw(st.integers(2, 40), label="n")
     rng = random.Random(draw(st.integers(0, 2**32), label="seed"))
     width = m + rng.randint(0, 8)
@@ -717,6 +722,39 @@ def test_sampled_disjointness_matches_reference(n, m, seed, lam, trials):
     report = _disjointness(cov, r, "sampled", seed, trials)
     assert report == reference_paths.disjointness(cov, r, "sampled", seed, trials)
     assert_python_ints((report.violations, report.trials))
+
+
+# On a full-support covering the sweeps test popcount(v ^ side) without the
+# support: one word partly used (m = 1, 16, 63), one whole word (64), and a
+# second word partly used (65, 95).  r reaches about m/2, so random vectors
+# trigger events even at m = 95.
+@settings(PROPERTY, max_examples=40)
+@given(drawn=full_support_coverings(st.sampled_from([1, 16, 63, 64, 65, 95])),
+       data=st.data(), seed=st.integers(0, 2**32), trials=st.integers(0, 300))
+def test_full_support_sweeps_match_reference(drawn, data, seed, trials):
+    cov, _ = drawn
+    r = data.draw(st.integers(0, cov.m // 2 + 1), label="r")
+    g = random_graph_on(cov.n, seed)
+    with patch.object(diagnostics, "_within", wraps=diagnostics._within) as spy:
+        chunks = list(diagnostics._sweep(cov, r, "sampled", seed, trials))
+        sampled = (_disjointness(cov, r, "sampled", seed, trials),
+                   _independent_sets(cov, g, "sampled", seed, trials))
+        exhaustive = (outcome(_disjointness, cov, r, "exhaustive", 0, 0)
+                      if cov.m <= 16 else None)
+    assert all(call.args[3] is True for call in spy.call_args_list)
+    reference = list(reference_paths.vertexwise_sweep(cov, r, "sampled", seed, trials))
+    for (vectors, per_vector, occurring), (ref_vectors, ref_per_vector, ref_occurring) \
+            in zip(chunks, reference, strict=True):
+        assert vectors == ref_vectors
+        assert per_vector.tolist() == ref_per_vector.tolist()
+        assert [occurring(k) for k in range(len(vectors))] == \
+            [ref_occurring(k) for k in range(len(vectors))]
+    assert sampled == (reference_paths.disjointness(cov, r, "sampled", seed, trials),
+                       reference_paths.independent_event_sets(cov, g, "sampled",
+                                                              seed, trials))
+    if exhaustive is not None:
+        assert exhaustive == outcome(reference_paths.disjointness, cov, r,
+                                     "exhaustive")
 
 
 @PROPERTY
