@@ -209,8 +209,8 @@ def verify(cov, target, lam):
     as in a covering built from a code or a coloring, u and v are
     separated exactly where their left masks differ, and each step counts
     the popcount of one XOR instead of the two-sided AND/OR.  A complete
-    target of such a covering is counted by the MacWilliams transform
-    instead when that is cheaper (see ``_code_histogram``); the pairwise
+    target of such a covering is counted from its linear span instead when
+    its masks pass the span test (see ``_code_histogram``); the pairwise
     count then runs only to list violations, and must agree with it.  The
     minimum multiplicity is recorded on the covering per target, which
     lets later checks at the same or a lower level skip the count (see
@@ -259,7 +259,7 @@ def verify(cov, target, lam):
                 low_steps.append(np.stack((us[rows, 0], vs[cols]), axis=1))
         if counts is not None and hist.tolist() != counts:
             raise AssertionError(f"pairwise histogram {hist.tolist()} differs "
-                                 f"from the transform's {counts}")
+                                 f"from the span's {counts}")
         counts = hist.tolist()
     violating = np.concatenate(low_steps)
     violating.flags.writeable = False
@@ -299,79 +299,40 @@ def _full_support(cov):
 
 
 def _code_histogram(cov, full):
-    """The multiplicity histogram (a list) of all pairs of 1..n by the
-    MacWilliams transform, or None when the pairwise kernel is cheaper or
-    some vertex is missing from some block (``full`` is False).
+    """The multiplicity histogram (a list) of all pairs of 1..n, read from
+    the covering's linear span, or None when the covering is not a span.
 
-    When every vertex lies in every block, u and v are separated exactly in
-    the blocks where their left sides differ, so the histogram is the
-    distance distribution of the n left masks read as m-bit words.  That is
-    the case of every covering built from a code.
+    Every library code covering gives vertex x + 1 the word w[x] of message
+    x, the XOR of the basis words at the set bits of x (``codes._span``),
+    with its constant rows dropped.  With every vertex in every block
+    (``full``), u and v are separated exactly where their right masks
+    differ, so the histogram is the distance distribution of the words.
+    The test is exact over all n right masks and trusts nothing about how
+    the covering was made: w[x] = w[x & (x - 1)] ^ w[x & -x] for every
+    1 <= x < n.  At x = 1 that says w[0] = 0, so w[x] is the XOR of w[2^i]
+    over the set bits i of x.  Messages 0..n-1 then split by the set bits
+    of n into cosets p + V_b, V_b the words of messages below 2^b.  Pairs
+    inside one coset meet each nonzero word of V_b 2^(b-1) times; pairs
+    between it and a later coset q + V_c (c < b) meet each word of
+    (w[p] ^ w[q]) ^ V_b 2^c times.  That is at most n log2 n popcounts.
     """
-    n, k = cov.n, cov.m
-    if not (full and _use_transform(k, n)):
+    w, n = cov.right[:, 1:], cov.n
+    x = np.arange(1, n)
+    if not (full and np.array_equal(w[:, x], w[:, x & (x - 1)] ^ w[:, x & -x])):
         return None
-    return _distance_histogram(cov.left[0, 1:].astype(np.intp), k)
+    hist = np.zeros(cov.m + 1, dtype=np.int64)
 
+    def add(words, times):  # each word's weight, counted ``times`` times
+        weights = np.bitwise_count(words).sum(axis=0, dtype=np.intp)
+        hist[:] += np.bincount(weights, minlength=len(hist)) * times
 
-def _use_transform(k, n):
-    """Whether the transform counts the pairs of n vertices in k blocks.
-
-    Its O(k 2^k) work must be below the C(n, 2) pairs, and 2^k n^2, which
-    bounds every value the int64 transform adds up, must stay below 2^63.
-    """
-    return k << k < n * (n - 1) // 2 and n * n << k < 1 << 63
-
-
-def _distance_histogram(x, k):
-    """Entry w: the unordered pairs of entries of x (k-bit ints) at Hamming
-    distance w.
-
-    The MacWilliams identities (MacWilliams and Sloane, The Theory of
-    Error-Correcting Codes, ch. 5): with F the Walsh-Hadamard transform of
-    the pattern counts, the transform of F^2 is 2^k times the number of
-    ordered pairs (x_i, x_j) at each difference x_i ^ x_j, so summing those
-    by weight gives the distances.  Every value stays below 2^k len(x)^2,
-    which ``_use_transform`` keeps within int64.
-    """
-    size = 1 << k
-    f = _walsh_hadamard(np.bincount(x, minlength=size))
-    diffs, rest = np.divmod(_walsh_hadamard(f * f), size)
-    if rest.any():
-        raise AssertionError(f"transform sum not divisible by 2^{k}")
-    hist = _weight_sums(diffs)
-    hist[0] -= len(x)  # the self-pairs
-    if any(c % 2 for c in hist):
-        raise AssertionError("ordered pair counts are not even")
-    return [c // 2 for c in hist]
-
-
-def _walsh_hadamard(counts):
-    """The Walsh-Hadamard transform of a length-2^k int64 array:
-    F(z) = sum_x (-1)^popcount(x & z) counts[x]."""
-    out = counts.copy()
-    half = 1
-    while half < len(out):
-        pairs = out.reshape(-1, 2, half)
-        low, high = pairs[:, 0], pairs[:, 1]
-        total = low + high
-        high[...] = low - high
-        low[...] = total
-        half *= 2
-    return out
-
-
-def _weight_sums(values):
-    """Entry i: the sum of values[z] over the indices z of weight i, for a
-    length-2^k array: the low index bit is folded in k times."""
-    g = values.reshape(-1, 1)
-    while len(g) > 1:
-        pairs = g.reshape(-1, 2, g.shape[1])
-        folded = np.zeros((len(pairs), g.shape[1] + 1), dtype=np.int64)
-        folded[:, :-1] = pairs[:, 0]
-        folded[:, 1:] += pairs[:, 1]
-        g = folded
-    return g[0].tolist()
+    bits = [b for b in reversed(range(n.bit_length())) if n >> b & 1]
+    cosets = list(zip(np.cumsum([0] + [1 << b for b in bits]).tolist(), bits))
+    for i, (p, b) in enumerate(cosets):
+        add(w[:, 1:1 << b], (1 << b) // 2)
+        for q, c in cosets[i + 1:]:
+            add(w[:, :1 << b] ^ (w[:, p] ^ w[:, q])[:, None], 1 << c)
+    return hist.tolist()
 
 
 def is_verified(cov, target, lam):

@@ -14,8 +14,8 @@ import json
 from math import ceil, exp, fsum, log
 from pathlib import Path
 
-from bicover import bounds
-from bicover.cli import _best_construction
+from bicover import bounds, covering
+from bicover.cli import _METHODS, _best_construction
 
 DATA = Path(__file__).parent / "data"
 BRACKETS = DATA / "brackets.json"
@@ -71,6 +71,16 @@ def test_committed_brackets_hold_every_pinned_value():
     assert on_grid
     for key, value in on_grid:
         assert rows[key]["lower"] <= value <= rows[key]["upper"], key
+
+
+def test_every_upper_builds_and_verifies():
+    # Each row's upper end is a covering that construct writes: built by its
+    # method's builder, it is valid at lambda and has exactly that capacity.
+    for row in json.loads(BRACKETS.read_text())["rows"]:
+        n, lam = row["n"], row["lambda"]
+        cov, _ = _METHODS[row["upper_name"]][2](n, lam)
+        report = covering.verify(cov, n, lam)
+        assert report.ok and covering.capacity(cov) == row["upper"], row
 
 
 if __name__ == "__main__":

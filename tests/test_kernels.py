@@ -1,5 +1,5 @@
 """The fast kernels (the packed covering builders, balanced bipartitions
-among them, the parser and serializer, verify and its MacWilliams path, the
+among them, the parser and serializer, verify and its span path, the
 diagnostic sweeps and tail sums, the greedy code scan, min_distance,
 degenerate_rows, the exact search's canonical step, relabeling maps, child
 bound and whole search, the independent-set solver, the graph parser and
@@ -9,6 +9,7 @@ paths."""
 import json
 import random
 import re
+from contextlib import contextmanager
 from functools import lru_cache
 from itertools import combinations
 from math import comb
@@ -142,34 +143,84 @@ def test_verify_tiles_match_reference(tile, n, m, seed, lam):
 
 def test_hadamard_verify_across_tiles_and_words():
     # 511 blocks (8 mask words), every pair separated 256 times: above what
-    # one uint8 popcount holds, over 4 tiles of 128 rows.
-    report = verify(code_to_covering(hadamard_code(9), 512), 512, 256)
+    # one uint8 popcount holds, over 4 tiles of 128 rows of the pairwise
+    # count, which the span path answers for first.
+    cov = code_to_covering(hadamard_code(9), 512)
+    with span_spy() as taken:
+        report = verify(cov, 512, 256)
+    with patch.object(covering, "_code_histogram", lambda cov, full: None):
+        assert verify(cov, 512, 256) == report
+    assert taken == [True]
     assert report.ok and report.min_multiplicity == 256
     assert report.histogram == {256: 130816}
 
 
-# The MacWilliams path of verify on complete targets.
+# The span path of verify on complete targets.
 
-def transform_spy():
-    """Patches covering._distance_histogram with a call-counting wrapper."""
-    return patch.object(covering, "_distance_histogram",
-                        wraps=covering._distance_histogram)
+@contextmanager
+def span_spy():
+    """Patches covering._code_histogram to record, per call, whether the
+    span path counted (a histogram) or verify fell back (None)."""
+    honest = covering._code_histogram
+    taken = []
+
+    def recording(cov, full):
+        hist = honest(cov, full)
+        taken.append(hist is not None)
+        return hist
+    with patch.object(covering, "_code_histogram", recording):
+        yield taken
+
+
+def moved(cov, sides_of):
+    """The covering with its (2, n + 1, m) side array rewritten by sides_of."""
+    sides = np.stack([np.unpackbits(np.ascontiguousarray(masks.T).view(np.uint8),
+                                    axis=1, bitorder="little")[:, :cov.m]
+                      for masks in (cov.left, cov.right)])
+    sides_of(sides)
+    return Covering._packed(sides)
+
+
+def is_span(cov):
+    """The span test on Python ints: every vertex in every block, and
+    vertex x + 1's right mask the XOR of those of vertices (x & (x - 1)) + 1
+    and (x & -x) + 1."""
+    a, b = reference_paths.int_masks(cov)
+    every = (1 << cov.m) - 1
+    return (all(a[v] | b[v] == every for v in range(1, cov.n + 1))
+            and all(b[x + 1] == b[(x & (x - 1)) + 1] ^ b[(x & -x) + 1]
+                    for x in range(1, cov.n)))
+
+
+def independent_basis(rng, count, width):
+    """``count`` random width-bit words, each outside the span of those before."""
+    basis = []
+    while len(basis) < count:
+        word = rng.getrandbits(width)
+        if word not in _span(basis, 1 << len(basis)):
+            basis.append(word)
+    return basis
 
 
 @PROPERTY
-@given(k=st.integers(3, 10), data=st.data())
-def test_transform_verify_on_code_coverings(k, data):
-    # Every vertex in every one of at most k blocks, with n large enough
-    # that k 2^k is below the C(n, 2) pairs: the transform counts.
-    low = next(n for n in range(2, (1 << k) + 1) if k << k < n * (n - 1) // 2)
-    n = data.draw(st.integers(low, min(300, 1 << k)), label="n")
+@given(k=st.integers(3, 10), linear=st.booleans(), data=st.data())
+def test_transform_verify_on_code_coverings(k, linear, data):
+    # Every vertex in every one of at most k blocks.  The words of a random
+    # basis in counting order take the span path; random words take it
+    # exactly where their masks pass the span test, and fall back otherwise.
+    n = data.draw(st.integers(2, min(300, 1 << k)), label="n")
     rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
-    words = rng.sample(range(1 << k), n)
+    if linear:
+        words = _span(independent_basis(rng, (n - 1).bit_length(), k), n)
+    else:
+        words = rng.sample(range(1 << k), n)
     cov = code_to_covering(BinaryCode(k, words), n)
     lam = data.draw(st.integers(1, k + 2), label="lam")
-    with transform_spy() as spy:
+    with span_spy() as taken:
         report = verify(cov, n, lam)
-    assert spy.call_count == (cov.m << cov.m < n * (n - 1) // 2)
+    assert taken == [is_span(cov)]
+    if linear:
+        assert taken == [True]
     assert report == reference_paths.verify(cov, n, lam)
     assert_python_ints((report.pair_count, report.min_multiplicity,
                         report.violating_pairs, report.histogram))
@@ -218,30 +269,29 @@ def support_class_coverings(draw):
 @given(cov=support_class_coverings(), lam=st.integers(1, 8))
 def test_verify_on_mixed_support_classes(cov, lam):
     # Some vertex misses some block, so the pairwise kernel counts alone.
-    with transform_spy() as spy:
+    with span_spy() as taken:
         report = verify(cov, cov.n, lam)
-    assert spy.call_count == 0
+    assert taken == [False]
     assert report == reference_paths.verify(cov, cov.n, lam)
     assert_python_ints((report.pair_count, report.min_multiplicity,
                         report.violating_pairs, report.histogram))
 
 
 def test_one_vertex_out_of_one_block_falls_through():
-    # The even-weight covering at n = 2048 takes the transform; with vertex
+    # The even-weight covering at n = 2048 takes the span path; with vertex
     # 5 taken out of block 3 it no longer does, and the pairwise count
     # matches the reference.
     cov = code_to_covering(even_weight_code(12), 2048)
-    with transform_spy() as spy:
+    with span_spy() as taken:
         assert verify(cov, 2048, 2).ok
-    assert spy.call_count == 1
-    sides = np.stack([np.unpackbits(np.ascontiguousarray(masks.T).view(np.uint8),
-                                    axis=1, bitorder="little")[:, :cov.m]
-                      for masks in (cov.left, cov.right)])
-    sides[:, 5, 3] = 0
-    damaged = Covering._packed(sides)
-    with transform_spy() as spy:
+    assert taken == [True]
+
+    def take_out(sides):
+        sides[:, 5, 3] = 0
+    damaged = moved(cov, take_out)
+    with span_spy() as taken:
         report = verify(damaged, 2048, 2)
-    assert spy.call_count == 0
+    assert taken == [False]
     assert report == reference_paths.verify(damaged, 2048, 2)
 
 
@@ -322,60 +372,103 @@ def test_full_support_reads_the_last_word_valid_bits():
     assert covering._full_support(Covering(3))
 
 
-@pytest.mark.parametrize("k, n, expected", [
-    (14, 8192, True),        # even-weight, n = 8192
-    (16, 2035, True),        # BCH: 2^20 work against 2 070 595 pairs
-    (20, 2047, False),       # GV: 20 * 2^20 work against 2 094 081 pairs
-    (0, 2, True),            # no block: 0 work against one pair
-    (0, 1, False),           # no pair at all
-    (3, 4, False),           # 24 work against 6 pairs
-    (3, 8, True),            # 24 work against 28 pairs
-    (20, 1 << 21, True),     # 2^20 n^2 = 2^62
-    (21, 1 << 21, False),    # 2^21 n^2 = 2^63 overflows
-])
-def test_transform_rule(k, n, expected):
-    assert covering._use_transform(k, n) is expected
+# Word lengths of the span property: none, within one mask word, and on
+# each side of the one- and two-word boundaries, past the bch-wide
+# covering's 95 blocks.
+SPAN_WIDTHS = [0, *range(1, 13), 63, 64, 65, 95, 127]
 
 
-@PROPERTY
-@given(k=st.integers(0, 10), size=st.integers(0, 40), seed=st.integers(0, 2**32))
-def test_distance_histogram_is_the_distance_distribution(k, size, seed):
-    rng = random.Random(seed)
-    few = rng.sample(range(1 << k), min(3, 1 << k))  # repeats give distance 0
-    x = [rng.choice(few) if rng.random() < 0.3 else rng.getrandbits(k)
-         for _ in range(size)]
-    want = [0] * (k + 1)
-    for a, b in combinations(x, 2):
-        want[(a ^ b).bit_count()] += 1
-    got = covering._distance_histogram(np.array(x, dtype=np.intp), k)
-    assert got == want
-    assert_python_ints(got)
+@st.composite
+def span_coverings(draw, width):
+    """A code covering whose vertex x + 1 holds the word of message x: the
+    XOR of a random basis (repeats and zero words allowed) over the set bits
+    of x, plus an offset on the bits that every basis word leaves clear.
+    Those bits are constant across the words, constant one where the offset
+    is set, and ``_split_by_bits`` drops them as ``code_to_covering`` does.
+    One further bit is deleted when ``width`` allows, like a block deleted
+    from the file; the rest is still a span."""
+    n = draw(st.integers(1, 90), label="n")
+    rng = random.Random(draw(st.integers(0, 2**32), label="seed"))
+    clear = rng.getrandbits(width)  # the bits that no basis word sets
+    basis = [rng.getrandbits(width) & ~clear
+             for _ in range((n - 1).bit_length())]
+    offset = rng.getrandbits(width) & clear
+    bits = np.array([[(w ^ offset) >> i & 1 for i in range(width)]
+                     for w in _span(basis, n)], dtype=np.uint8).reshape(n, width)
+    if width and draw(st.booleans(), label="delete"):
+        bits = np.delete(bits, rng.randrange(width), axis=1)
+    return covering._split_by_bits(bits)
+
+
+@pytest.mark.parametrize("width", SPAN_WIDTHS)
+@settings(PROPERTY, max_examples=15)
+@given(data=st.data(), lam=st.integers(1, 12))
+def test_span_histogram_matches_reference(width, data, lam):
+    cov = data.draw(span_coverings(width), label="cov")
+    n = cov.n
+    want = reference_paths.verify(cov, n, lam)
+    hist = covering._code_histogram(cov, covering._full_support(cov))
+    assert hist == [want.histogram.get(k, 0) for k in range(cov.m + 1)]
+    assert_python_ints(hist)
+    with span_spy() as taken:
+        assert verify(cov, n, lam) == want
+    assert taken == [True]
+    # Moving one message x that is 0 or not a power of 2, with x's parents
+    # x & (x - 1) and x & -x left in place, breaks the test at x (at 1 when
+    # x = 0): verify falls back to the pairwise count, and its report is
+    # the reference's.
+    words = [int.from_bytes(cov.right[:, v].tobytes(), "little")
+             for v in range(1, n + 1)]
+    movable = [x for x in range(n) if x & (x - 1) or x == 0]
+    swaps = [(x, y) for x in movable for y in range(x + 1, n) if words[x] != words[y]]
+    if swaps:
+        x, y = data.draw(st.sampled_from(swaps), label="swap")
+
+        def swap(sides):
+            sides[:, [x + 1, y + 1]] = sides[:, [y + 1, x + 1]]
+        swapped = moved(cov, swap)
+        assert covering._full_support(swapped)
+        assert covering._code_histogram(swapped, True) is None
+        report = verify(swapped, n, lam)
+        assert report == reference_paths.verify(swapped, n, lam)
+        assert report.histogram == want.histogram
+    flippable = [x for x in movable if x >= 3]
+    if flippable and cov.m:
+        x = data.draw(st.sampled_from(flippable), label="flip")
+        block = data.draw(st.integers(0, cov.m - 1), label="block")
+
+        def flip(sides):  # vertex x + 1 changes sides in one block
+            sides[:, x + 1, block] ^= 1
+        flipped = moved(cov, flip)
+        assert covering._full_support(flipped)
+        assert covering._code_histogram(flipped, True) is None
+        assert verify(flipped, n, lam) == reference_paths.verify(flipped, n, lam)
 
 
 def test_pairwise_count_must_agree_with_the_transform():
     # Below its minimum distance a code covering has violations, so the
-    # pairwise kernel runs to list them; a transform count that disagrees
-    # with its histogram must not pass unnoticed.
+    # pairwise kernel runs to list them; a span count that disagrees with
+    # its histogram must not pass unnoticed.
     cov = code_to_covering(BinaryCode(5, range(22)), 22)
-    with transform_spy() as spy:
+    with span_spy() as taken:
         report = verify(cov, 22, 3)
-    assert spy.call_count == 1 and not report.ok
+    assert taken == [True] and not report.ok
     assert report == reference_paths.verify(cov, 22, 3)
-    honest = covering._distance_histogram
+    honest = covering._code_histogram
 
-    def shifted(x, k):
-        hist = honest(x, k)
+    def shifted(cov, full):
+        hist = honest(cov, full)
         return [hist[0], hist[1] + 1, hist[2] - 1] + hist[3:]
-    with patch.object(covering, "_distance_histogram", shifted):
-        with pytest.raises(AssertionError, match="differs from the transform"):
+    with patch.object(covering, "_code_histogram", shifted):
+        with pytest.raises(AssertionError, match="differs from the span"):
             verify(cov, 22, 3)
 
 
 def test_even_weight_histogram_at_8192():
     cov = code_to_covering(even_weight_code(14), 8192)
-    with transform_spy() as spy:
+    with span_spy() as taken:
         report = verify(cov, 8192, 2)
-    assert spy.call_count == 1 and report.ok
+    assert taken == [True] and report.ok
     assert report.histogram == {w: 4096 * comb(14, w) for w in range(2, 15, 2)}
     assert report.pair_count == sum(report.histogram.values()) == comb(8192, 2)
     assert report.min_multiplicity == 2
