@@ -380,9 +380,9 @@ def _best_construction(n, lam):
     return best
 
 
-def _sweep_row(n, lam, c, exact_max_n, node_limit):
+def _sweep_row(n, lam, c):
     # The report's entries; an inapplicable (NaN), formula-only or vacuous
-    # bound prints as None.
+    # bound prints as None.  The exact column is filled in by the caller.
     values = {e.name: None if isnan(e.value) or _UNBACKED & set(e.flags)
               else round(float(e.value), 6)
               for e in bnd.multigraph_report(n, lam, c=c).entries}
@@ -395,21 +395,23 @@ def _sweep_row(n, lam, c, exact_max_n, node_limit):
     row["best_construction"] = best[0] if best else None
     row["best_capacity"] = best[1] if best else None
     row["exact"] = None
-    if n <= exact_max_n:
-        try:
-            value, _ = exact.exact_cap(n, lam, exact.SearchBudget(
-                node_limit=node_limit))
-            row["exact"] = value
-        except (BudgetExhausted, DomainError):
-            pass
     return row
 
 
 def _cmd_sweep(args):
     ns = [int(s) for s in args.n_list.split(",") if s]
     lams = [int(s) for s in args.lambda_list.split(",") if s]
-    rows = [_sweep_row(n, lam, args.c, args.exact_max_n, args.node_limit)
-            for n in ns for lam in lams]
+    budget = exact.SearchBudget(node_limit=args.node_limit)
+    exact_cols = {}  # n -> its exact column: one table build per n, no witness
+    rows = []
+    for n in ns:
+        part = [_sweep_row(n, lam, args.c) for lam in lams]
+        if n <= args.exact_max_n:
+            if n not in exact_cols:
+                exact_cols[n] = exact.exact_values(n, lams, budget)
+            for row, value in zip(part, exact_cols[n]):
+                row["exact"] = value
+        rows += part
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=_SWEEP_COLUMNS)

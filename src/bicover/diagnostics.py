@@ -20,6 +20,7 @@ from itertools import islice
 import numpy as np
 
 from .bounds import binom_tail_p
+from .codes import ball_volume
 from .covering import _full_support, incidence_counts, is_verified, verify
 from .errors import DomainError, InvalidCovering, SizeLimitExceeded
 from .graphs import alpha_per_vertex
@@ -107,7 +108,10 @@ def _disjointness(cov, r, mode, seed, trials):
             "event-disjointness", mode, ok=not doubles,
             violations=tuple(doubles), trials=trials)
     x = incidence_counts(cov)
-    expected = {xj: binom_tail_p(xj, r) * (1 << cov.m) for xj in dict.fromkeys(x)}
+    # 2^m * p(x_j, r) as an int: the ball's volume in x_j bits, times the
+    # 2^(m - x_j) settings of the other blocks (2^m once r >= x_j).
+    expected = {xj: ball_volume(xj, min(r, xj)) << (cov.m - xj)
+                for xj in dict.fromkeys(x)}
     violations = [("probability-mismatch", j + 1, count)
                   for j, count in enumerate(counts.tolist())
                   if count != expected[x[j]]]

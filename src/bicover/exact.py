@@ -4,6 +4,8 @@
 K_n^lam by iterative deepening on capacity.  It is a ground-truth oracle
 for the constructive routines, so completeness of the search matters more
 than speed; budgets make runaway instances fail loudly instead of hanging.
+Deepening starts at the larger of the pair-slot bound and Hansel's integer
+bound, the paper's inequality sum 2^(-l_i)/alpha_i <= 1 at alpha_i = 1.
 Each candidate child is first held to two counting bounds on the capacity
 it still needs, per vertex and per pair slot, read off its parent's
 deficit; only a child that passes pays for the symmetry test.
@@ -12,8 +14,9 @@ under vertex relabeling.  Each node carries, per relabeling, where its
 relabeled list first differs from its own, so a child's test reads one
 column of images and re-sorts only on a tie; the relabeling maps come from
 subset-mask tables.  Every table that depends on n alone comes from one
-builder (``_table``), and a node walks only the blocks whose least slot
-waste fits its slack.
+builder (``_table``), which ``exact_values`` calls once for all the lam it
+is asked about, and a node walks only the blocks whose least slot waste
+fits its slack.
 """
 
 from __future__ import annotations
@@ -154,13 +157,32 @@ def _root_need(n, lam):
     return -(-n * lam * comb(n, 2) // (n * n // 4))
 
 
+def _start(n, lam):
+    """The capacity iterative deepening starts from, for n >= 2.
+
+    The larger of the pair-slot bound and Hansel's bound over integer block
+    counts.  The capacity is sum l_i over the vertices, vertex i lying in
+    l_i blocks, and sum 2^(-l_i) <= 1 (the paper's inequality at
+    alpha_i = 1); under it sum l_i is least when every l_i is k or k + 1,
+    k = floor(log2 n), which gives n*k + 2*(n - 2^k).  Every covering
+    of K_n^lam covers K_n, so the bound holds at every lam.
+    """
+    k = n.bit_length() - 1
+    return max(_root_need(n, lam), n * k + 2 * (n - (1 << k)))
+
+
 class _CapSearch:
-    def __init__(self, n, lam, budget):
-        count = (3**n - 2**(n + 1) + 1) // 2  # blocks in the table
-        if count > budget.node_limit:  # charged to the budget, refused unbuilt
-            raise BudgetExhausted(f"{count} blocks exceed the node limit "
-                                  f"{budget.node_limit}", lower=0, nodes=0)
-        self.table = _table(n)
+    def __init__(self, n, lam, budget, table=None):
+        """A search of K_n^lam; ``table``, when given, is ``_table(n)``,
+        built once by a caller that searches several lam at one n."""
+        if table is None:
+            count = (3**n - 2**(n + 1) + 1) // 2  # blocks in the table
+            if count > budget.node_limit:  # charged to the budget, refused unbuilt
+                raise BudgetExhausted(f"{count} blocks exceed the node limit "
+                                      f"{budget.node_limit}",
+                                      lower=_start(n, lam), nodes=0)
+            table = _table(n)
+        self.table = table
         self.lam = lam
         self.budget = budget
         self.nodes = 0
@@ -301,18 +323,20 @@ class _CapSearch:
         return None
 
     def run(self):
-        """Iterative deepening from the root's bound: the first feasible level is the minimum.
+        """Iterative deepening from ``_start``: the first feasible level is the minimum.
 
-        Every level below ``_root_need`` is refuted by the pair-slot bound
-        alone, so deepening starts there; every later level the search
-        passes is refuted by a completed search.  The returned
-        value is settled by these counting bounds and searches alone; the
-        closed-form lower bounds stay an independent cross-check.
+        Every level below ``_start`` is refuted by the pair-slot bound or
+        by Hansel's bound alone, so deepening starts there; every later
+        level the search passes is refuted by a completed search.  The
+        returned value is settled by these counting bounds and searches
+        alone; the closed-form lower bounds stay an independent
+        cross-check.  When the capacity budget runs out, the bracket's
+        lower end is the first level not refuted, never below ``_start``.
         """
         tab = self.table
         deficit = [self.lam] * len(tab.pairs)
-        for cap in range(_root_need(tab.n, self.lam),
-                         self.budget.max_capacity + 1):
+        start = _start(tab.n, self.lam)
+        for cap in range(start, self.budget.max_capacity + 1):
             try:
                 found = self._dfs(0, deficit, cap, [], [0] * len(tab.perm_maps))
             except BudgetExhausted as e:
@@ -322,25 +346,31 @@ class _CapSearch:
                 return cap, [tab.blocks[i] for i in found]
         raise BudgetExhausted(
             f"no covering within capacity {self.budget.max_capacity}",
-            lower=self.budget.max_capacity + 1, nodes=self.nodes)
+            lower=max(start, self.budget.max_capacity + 1), nodes=self.nodes)
+
+
+def _check_instance(n, lam):
+    if n < 1:
+        raise DomainError(f"need n >= 1, got {n}")
+    if lam < 1:
+        raise DomainError(f"need lam >= 1, got {lam}")
 
 
 def exact_cap(n, lam, budget=SearchBudget()):
     """Exact minimum capacity of a bipartite covering of K_n^lam, with witness.
 
-    Iterative deepening on total capacity from the counting bound of the
-    whole instance: the first capacity admitting a covering is the minimum,
-    and every smaller capacity is refuted by that bound or by a completed
+    Iterative deepening on total capacity from the larger of the pair-slot
+    bound and Hansel's integer bound n*k + 2*(n - 2^k), k = floor(log2 n):
+    the first capacity admitting a covering is the minimum, and every
+    smaller capacity is refuted by those bounds or by a completed
     search.  Within one capacity level the search
     visits block multisets in the fixed block order, pruning non-canonical
     vertex relabelings, so the returned witness is the deterministic
     canonical optimum.  Raises BudgetExhausted (carrying the proven
-    bracket) when the budget runs out.
+    bracket's lower end, never below the start bound) when the budget runs
+    out.
     """
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
-    if lam < 1:
-        raise DomainError(f"need lam >= 1, got {lam}")
+    _check_instance(n, lam)
     if n == 1:
         return 0, Covering(1, ())
     search = _CapSearch(n, lam, budget)
@@ -348,3 +378,24 @@ def exact_cap(n, lam, budget=SearchBudget()):
     witness = Covering(n, [BipartiteBlock(a, b) for a, b in blocks])
     return value, witness
 
+
+def exact_values(n, lams, budget=SearchBudget()):
+    """``exact_cap``'s value of K_n^lam for each lam in ``lams``, None where
+    the budget runs out.
+
+    The tables of n are built once for every lam, each lam's search gets
+    the whole budget, and no witness covering is built.
+    """
+    for lam in lams:
+        _check_instance(n, lam)
+    if n == 1:
+        return [0 for _ in lams]
+    table, out = None, []
+    for lam in lams:
+        try:
+            search = _CapSearch(n, lam, budget, table)
+            table = search.table
+            out.append(search.run()[0])
+        except BudgetExhausted:
+            out.append(None)
+    return out

@@ -25,6 +25,9 @@ against all vertices per step.
 ``CapSearch`` is a second reference for the exact search: the search the
 library ran before it tested each child's bound ahead of the canonical-form
 step, with the looser pair-slot bound, deepening from capacity 0.
+``hansel_capacity`` is the least capacity of a covering of K_n by the
+paper's inequality at alpha_i = 1 over integer block counts, found by
+halving the largest term, not by the closed form the search starts from.
 ``remaining_need`` is the two counting bounds the search holds a deficit
 to, per vertex and per pair slot, from per-vertex pair lists of its own.
 ``linear_children`` is the search's child walk as the library ran it
@@ -41,6 +44,7 @@ kept the same way.
 
 from __future__ import annotations
 
+import heapq
 import json
 import random
 from fractions import Fraction
@@ -647,6 +651,22 @@ def remaining_need(n, deficit, q=None):
     """
     per_vertex = sum(max(deficit[i] for i in at) for at in _vertex_pairs(n))
     return max(per_vertex, -(-n * sum(deficit) // (q or n * n // 4)))
+
+
+def hansel_capacity(n):
+    """The least sum of l_i over n integers l_i >= 0 with sum 2^(-l_i) <= 1.
+
+    Every l_i starts at 0, and the largest term 2^(-l_i) is halved until the
+    terms sum to at most 1, in Fractions: each halving adds one to the sum
+    of the l_i, and halving the largest term lowers the total the most.
+    """
+    heap = [0] * n  # the l_i; the least is the largest term's
+    total = Fraction(n)
+    while total > 1:
+        low = heapq.heappop(heap)
+        total -= Fraction(1, 2 << low)
+        heapq.heappush(heap, low + 1)
+    return sum(heap)
 
 
 class CapSearch(exact._CapSearch):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bicover import cli, codes, covering, diagnostics, graphs
+from bicover import cli, codes, covering, diagnostics, exact, graphs
 from bicover.cli import (_METHODS, _PAIR_BATCH, _json_text, _sweep_row,
                          _write, build_parser, main)
 from bicover.codes import even_weight_code
@@ -279,8 +279,8 @@ def test_exact_command(capsys):
 
 
 @pytest.mark.parametrize("argv,bracket", [
-    (["--n", "7", "--lambda", "1", "--node-limit", "20000"], [16, 21]),
-    (["--n", "3", "--lambda", "11", "--max-capacity", "10"], [11, 51]),
+    (["--n", "7", "--lambda", "1", "--node-limit", "20000"], [20, 21]),
+    (["--n", "3", "--lambda", "11", "--max-capacity", "10"], [50, 51]),
 ])
 def test_exact_bracket_upper_is_the_best_construction(capsys, argv, bracket):
     code, stdout, _ = run(capsys, "exact", *argv)
@@ -586,8 +586,8 @@ def test_balanced_applicability():
     assert _balanced(22, 1)[1] == 22 * 352716          # C(22, 11) / 2 blocks
     with pytest.raises(SizeLimitExceeded):             # C(24, 12) / 2 > 2^20
         _balanced(24, 1)
-    assert _sweep_row(6, 6, None, 4, 1000)["best_construction"] == "balanced"
-    assert _sweep_row(6, 7, None, 4, 1000)["best_construction"] != "balanced"
+    assert _sweep_row(6, 6, None)["best_construction"] == "balanced"
+    assert _sweep_row(6, 7, None)["best_construction"] != "balanced"
 
 
 def test_balanced_refuses_huge_n_before_any_binomial(tmp_path, capsys,
@@ -606,7 +606,7 @@ def test_balanced_refuses_huge_n_before_any_binomial(tmp_path, capsys,
     for n in (26, 100000):
         with pytest.raises(SizeLimitExceeded):
             _balanced(n, 1)
-    assert _sweep_row(100000, 1, None, 4, 1000)["best_construction"] == "gv"
+    assert _sweep_row(100000, 1, None)["best_construction"] == "gv"
 
 
 def test_sweep_lists_skip_empty_items_and_keep_n_1_semantic(capsys):
@@ -624,14 +624,36 @@ def test_threads_flag_is_gone(capsys):
     assert code == 0 and "threads" not in json.loads(stdout)["config"]
 
 
-def test_sweep_row_builds_no_block(monkeypatch):
+def test_sweep_row_builds_no_block(monkeypatch, capsys):
     def refuse(*args):
         raise AssertionError("the sweep built a covering block")
 
     monkeypatch.setattr(covering.BipartiteBlock, "__init__", refuse)
     for n in (2, 3, 4, 6, 8, 16, 22, 24, 64, 256):
         for lam in range(1, 6):
-            assert _sweep_row(n, lam, 0.25, 1, 1000)["best_capacity"] is not None
+            assert _sweep_row(n, lam, 0.25)["best_capacity"] is not None
+    # The exact column, at every n up to --exact-max-n, builds no witness.
+    code, stdout, _ = run(capsys, "sweep", "--n-list", "2,3,4,6",
+                          "--lambda-list", "1,2,3,4,5", "--c", "0.25",
+                          "--exact-max-n", "4")
+    assert code == 0
+    rows = json.loads(stdout)["rows"]
+    assert all(row["best_capacity"] is not None for row in rows)
+    assert [row["exact"] is not None for row in rows] == [True] * 15 + [False] * 5
+
+
+def test_sweep_builds_each_n_tables_once(monkeypatch, capsys):
+    built = []
+    real = exact._table
+    monkeypatch.setattr(exact, "_table", lambda n: built.append(n) or real(n))
+    code, stdout, _ = run(capsys, "sweep", "--n-list", "2,3,4,3,8,2",
+                          "--lambda-list", "1,2,3", "--exact-max-n", "4")
+    assert code == 0
+    assert built == [2, 3, 4]
+    rows = json.loads(stdout)["rows"]
+    assert [row["exact"] for row in rows] == [2, 4, 6, 5, 9, 14, 8, 12, 20,
+                                              5, 9, 14, None, None, None,
+                                              2, 4, 6]
 
 
 def test_coloring_parses_the_graph_once(tmp_path, capsys, monkeypatch):

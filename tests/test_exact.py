@@ -12,7 +12,10 @@ from bicover.covering import (BipartiteBlock, Covering,
                               code_to_covering, serialize_covering, verify)
 from bicover.codes import BinaryCode, even_weight_code, hadamard_code
 from bicover.errors import BudgetExhausted, DomainError
-from bicover.exact import SearchBudget, _CapSearch, _all_blocks, _table, exact_cap
+from bicover.exact import (SearchBudget, _CapSearch, _all_blocks, _root_need,
+                           _start, _table, exact_cap)
+
+import reference_paths
 
 # Value, serialized witness and node count of each benchmark instance and
 # of n = 6 at lambda 1 and 2: a faster search must visit the same nodes and
@@ -137,10 +140,10 @@ def test_exact_cap_budget_exhaustion():
 def test_block_table_past_the_node_limit_is_refused_unbuilt(monkeypatch):
     # The table of (3^n - 2^(n+1) + 1)/2 blocks is charged to the node
     # budget: one larger than node_limit is refused before any block is
-    # built, with lower bound 0, even where the search would need fewer
-    # nodes than the table has blocks, as K_4^1 and K_4^2 do (10 and 4
-    # against 25).  K_4^5 needs 112, so at 25 the table is built and the
-    # search runs out.
+    # built, with the start bound as the lower end, even where the search
+    # would need fewer nodes than the table has blocks, as K_4^1 and K_4^2
+    # do (5 and 4 against 25).  K_4^5 needs 112, so at 25 the table is
+    # built and the search runs out.
     for n in range(2, 8):
         assert len(_all_blocks(n)) == (3**n - 2**(n + 1) + 1) // 2
     with pytest.raises(BudgetExhausted) as exc:
@@ -153,11 +156,14 @@ def test_block_table_past_the_node_limit_is_refused_unbuilt(monkeypatch):
         raise AssertionError("the block table was built")
 
     monkeypatch.setattr(exact, "_all_blocks", refuse)
-    for n, lam, limit in ((4, 1, 24), (4, 2, 24), (4, 1, 5), (14, 1, 2_000_000),
-                          (30, 1, 2_000_000)):
+    # The lower ends: the pair-slot bound at (4, 2), Hansel's bound
+    # n*k + 2*(n - 2^k) at the others.
+    for n, lam, limit, lower in ((4, 1, 24, 8), (4, 2, 24, 12), (4, 1, 5, 8),
+                                 (14, 1, 2_000_000, 54),
+                                 (30, 1, 2_000_000, 148)):
         with pytest.raises(BudgetExhausted) as exc:
             exact_cap(n, lam, SearchBudget(node_limit=limit))
-        assert (exc.value.lower, exc.value.nodes) == (0, 0)
+        assert (exc.value.lower, exc.value.nodes) == (lower, 0)
 
 
 def test_exact_cap_respects_formula_lower_bound():
@@ -191,19 +197,64 @@ def test_exact_cap_pinned(instance):
     search = _CapSearch(n, lam, SearchBudget())
     assert search.run()[0] == value
     assert search.nodes == pin["nodes"]
-    # One capacity short, every level is refuted by a completed search, so
-    # the bracket's lower end is the optimum itself.
+    # One capacity short, every level is refuted by the start bound or by a
+    # completed search, so the bracket's lower end is the optimum itself.
     with pytest.raises(BudgetExhausted) as exc:
         exact_cap(n, lam, SearchBudget(max_capacity=value - 1))
     assert exc.value.lower == value
 
 
 def test_exact_cap_6_1_budget_pinned():
-    # The search settles K_6 in 957 nodes; 500 refute capacities up to 14.
+    # Hansel's bound 6*2 + 2*(6 - 4) = 16 is the optimum, so the search
+    # starts at the optimal level and settles K_6 in 304 nodes there.  A
+    # budget of 302 admits the 301-block table and runs out at that level.
     with pytest.raises(BudgetExhausted) as exc:
-        exact_cap(6, 1, SearchBudget(node_limit=500))
-    assert exc.value.lower == 15
-    assert exc.value.nodes == 501
+        exact_cap(6, 1, SearchBudget(node_limit=302))
+    assert exc.value.lower == 16
+    assert exc.value.nodes == 303
+
+
+def test_start_bound_is_hansels_integer_bound():
+    # The least sum of l_i under sum 2^(-l_i) <= 1, found by halving the
+    # largest term, is the closed form the start takes its max with.
+    for n in range(2, 257):
+        assert _start(n, 1) == max(_root_need(n, 1),
+                                   reference_paths.hansel_capacity(n))
+    assert [_start(n, 1) for n in (5, 6, 7, 8, 30)] == [12, 16, 20, 24, 148]
+
+
+def test_start_bound_never_exceeds_a_pinned_value():
+    # Every lam-fold covering covers K_n, so Hansel's bound holds at every
+    # lam; the pair-slot bound is the root's counting bound.
+    known = {(n, lam): pin["value"] for n, lam, pin in
+             ((*map(int, key.split(",")), pin) for key, pin in PINS.items())}
+    known.update({(2, lam): 2 * lam for lam in range(1, 15)})
+    known.update({(3, lam): -(-9 * lam // 2) for lam in range(1, 15)})
+    for (n, lam), value in known.items():
+        assert _start(n, lam) <= value, (n, lam)
+
+
+@pytest.mark.parametrize("argv,lower", [
+    (["--n", "5", "--lambda", "10"], 84),   # pair-slot bound, past 64
+    (["--n", "3", "--lambda", "20"], 90),   # the optimum itself
+    (["--n", "6", "--lambda", "1", "--max-capacity", "12"], 16),  # Hansel
+])
+def test_bracket_lower_end_keeps_the_start_bound(capsys, argv, lower):
+    # Where the start bound exceeds --max-capacity no level is searched,
+    # and the lower end is that bound, not max_capacity + 1.
+    assert cli.main(["exact", *argv]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["status"], doc["lower"]) == ("bracket", lower)
+
+
+def test_exact_values_match_exact_cap():
+    lams = [1, 2, 3, 5]
+    for n in (1, 2, 3, 4, 5):
+        assert exact.exact_values(n, lams) == [exact_cap(n, lam)[0]
+                                              for lam in lams]
+    budget = SearchBudget(node_limit=30)
+    assert exact.exact_values(4, [1, 2, 5], budget) == [8, 12, None]
+    assert exact.exact_values(5, [1], budget) == [None]  # 90 blocks, refused
 
 
 
@@ -236,4 +287,4 @@ def test_exact_past_the_node_limit_builds_no_table(monkeypatch, capsys):
     monkeypatch.setattr(exact, "_all_blocks", refuse)
     assert cli.main(["exact", "--n", "30", "--lambda", "1"]) == 1
     doc = json.loads(capsys.readouterr().out)
-    assert (doc["status"], doc["lower"], doc["upper"]) == ("bracket", 0, 150)
+    assert (doc["status"], doc["lower"], doc["upper"]) == ("bracket", 148, 150)
