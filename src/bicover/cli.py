@@ -272,7 +272,7 @@ def _cmd_verify(args):
             raise DomainError("pass --n or --graph")
         target = args.n
     report = covering.verify(cov, target, args.lam)
-    _emit({**_header("verify", args), "report": report.to_dict()})
+    _emit({**_header("verify", args), "report": report._payload()})
     return EXIT_OK if report.ok else EXIT_FAIL
 
 
@@ -313,10 +313,18 @@ def _cmd_exact(args):
         value, witness = exact.exact_cap(args.n, args.lam, budget)
     except BudgetExhausted as e:
         best = _best_construction(args.n, args.lam)
-        _emit({**_header("exact", args), "status": "bracket",
-               "value": None, "lower": e.lower,
-               "upper": best[1] if best else None, "witness": None})
-        return EXIT_FAIL
+        if best is None or best[1] != e.lower:
+            _emit({**_header("exact", args), "status": "bracket",
+                   "value": None, "lower": e.lower,
+                   "upper": best[1] if best else None, "witness": None})
+            return EXIT_FAIL
+        # The bracket is closed: the best construction meets the lower end,
+        # so its covering, checked here, is an optimum.
+        value, (witness, _) = e.lower, _METHODS[best[0]][2](args.n, args.lam)
+        if (covering.capacity(witness) != value
+                or not covering.verify(witness, args.n, args.lam).ok):
+            raise AssertionError(f"the {best[0]} covering of capacity {value} "
+                                 f"fails K_{args.n}^{args.lam}")
     _emit({**_header("exact", args), "status": "optimal", "value": value,
            "witness": json.loads(covering.serialize_covering(witness))})
     return EXIT_OK

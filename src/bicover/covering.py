@@ -169,8 +169,14 @@ class CoverageReport:
                 and np.array_equal(self.violations, other.violations))
 
     def to_dict(self):
-        """The report as the CLI renders it; ``violating_pairs`` stays the
-        (k, 2) array, which ``cli._json_chunks`` writes as a list of pairs."""
+        """The report as JSON-ready data: ``violating_pairs`` is a list of
+        [u, v] lists."""
+        return {**self._payload(), "violating_pairs": self.violations.tolist()}
+
+    def _payload(self):
+        """``to_dict`` with ``violating_pairs`` left as the (k, 2) array,
+        which ``cli._json_chunks`` writes as a list of pairs without a
+        Python object per pair."""
         return {
             "n": self.n,
             "lambda": self.lam,
@@ -193,7 +199,7 @@ def incidence_counts(cov):
     return np.bitwise_count(cov.left | cov.right).sum(axis=0)[1:].tolist()
 
 
-_STEP_PAIRS = 1 << 16  # vertex pairs per verify step: graph edges, or one tile
+_STEP_PAIRS = 1 << 16  # pairs per verify step: graph edges, a tile or a span chunk
 
 
 def verify(cov, target, lam):
@@ -210,9 +216,10 @@ def verify(cov, target, lam):
     separated exactly where their left masks differ, and each step counts
     the popcount of one XOR instead of the two-sided AND/OR.  A complete
     target of such a covering is counted from its linear span instead when
-    its masks pass the span test (see ``_code_histogram``); the pairwise
-    count then runs only to list violations, and must agree with it.  The
-    minimum multiplicity is recorded on the covering per target, which
+    its masks pass the span test (see ``_code_histogram``), and its pairs
+    below lam are listed from the span's low-weight differences (see
+    ``_span_violations``), never by the pairwise count.  The minimum
+    multiplicity is recorded on the covering per target, which
     lets later checks at the same or a lower level skip the count (see
     ``is_verified``).
     """
@@ -236,7 +243,10 @@ def verify(cov, target, lam):
         kind = "complete"
         counts = _code_histogram(cov, full)
     low_steps = [np.empty((0, 2), dtype=np.int64)]  # the pairs below lam, per step
-    if counts is None or any(counts[:lam]):
+    if counts is not None:
+        if any(counts[:lam]):
+            low_steps += _span_violations(cov, counts[:lam])
+    else:
         a, b = cov.left, cov.right
         hist = np.zeros(cov.m + 1, dtype=np.int64)
         for us, vs, skip in steps:
@@ -257,9 +267,6 @@ def verify(cov, target, lam):
                 low[:, :len(skip)] &= ~skip
                 rows, cols = np.divmod(np.flatnonzero(low), low.shape[1])
                 low_steps.append(np.stack((us[rows, 0], vs[cols]), axis=1))
-        if counts is not None and hist.tolist() != counts:
-            raise AssertionError(f"pairwise histogram {hist.tolist()} differs "
-                                 f"from the span's {counts}")
         counts = hist.tolist()
     violating = np.concatenate(low_steps)
     violating.flags.writeable = False
@@ -333,6 +340,61 @@ def _code_histogram(cov, full):
         for q, c in cosets[i + 1:]:
             add(w[:, :1 << b] ^ (w[:, p] ^ w[:, q])[:, None], 1 << c)
     return hist.tolist()
+
+
+def _span_violations(cov, below):
+    """The pairs of 1..n below lam of a covering that passed the span test
+    of ``_code_histogram``, as a list of (k, 2) int64 arrays that read in
+    lexicographic order; ``below`` is the span's histogram cut at lam (or
+    at m + 1, which every multiplicity lies below).
+
+    ``_low_differences`` lists the pairs.  Each listed pair is recounted
+    from its left masks; every recount must lie below lam and their
+    histogram must equal ``below``, which makes the list complete.
+    """
+    a, cap = cov.left[:, 1:], len(below)  # column x of a is vertex x + 1
+    recount = np.zeros(cap + 1, dtype=np.int64)  # entry cap: pairs at or above lam
+    pieces = []
+    for xs, ys in _low_differences(cov, cap):
+        diff = a.take(xs, axis=1)
+        diff ^= a.take(ys, axis=1)
+        mult = np.bitwise_count(diff).sum(axis=0, dtype=np.intp)
+        recount += np.bincount(np.minimum(mult, cap, out=mult), minlength=cap + 1)
+        pairs = np.stack((xs, ys), axis=1, dtype=np.int64)
+        pairs += 1
+        pieces.append(pairs)
+    if recount.tolist() != [*below, 0]:
+        raise AssertionError(f"recounted histogram {recount.tolist()} of the "
+                             f"listed pairs differs from the span's {below}")
+    return pieces
+
+
+def _low_differences(cov, cap):
+    """The messages x < y < n of a span covering with popcount(L(x ^ y))
+    below cap, as (xs, ys) index arrays in lexicographic order, one chunk
+    of rows x at a time.
+
+    Vertex x + 1 holds L(x), the XOR of the basis words w[2^i] over the set
+    bits of x, so x + 1 and y + 1 are separated popcount(L(x ^ y)) times.
+    With 2^k the least power of 2 at or above n, L on d < 2^(k-1) is the
+    words themselves and L(d + 2^(k-1)) = L(d) ^ w[2^(k-1)].  With D = {d
+    != 0 : popcount(L(d)) < cap}, rows x run in chunks of about
+    ``_STEP_PAIRS`` // |D|, each row's x ^ D sorted and kept where x < y < n.
+    """
+    w, n = cov.right[:, 1:], cov.n
+    half = 1 << ((n - 1).bit_length() - 1)
+    span = np.concatenate((w[:, :half], w[:, :half] ^ w[:, half, None]), axis=1)
+    weights = np.bitwise_count(span).sum(axis=0, dtype=np.intp)
+    # Messages and differences lie below 2^k < 2n; int32 sorts fastest.
+    index = np.int32 if n <= 1 << 30 else np.int64
+    diffs = (np.flatnonzero(weights[1:] < cap) + 1).astype(index)
+    rows = max(1, _STEP_PAIRS // max(1, len(diffs)))
+    for lo in range(0, n - 1, rows):
+        xs = np.arange(lo, min(lo + rows, n - 1), dtype=index)[:, None]
+        ys = xs ^ diffs
+        ys.sort(axis=1)
+        keep = (ys > xs) & (ys < n)
+        yield np.broadcast_to(xs, ys.shape)[keep], ys[keep]
 
 
 def is_verified(cov, target, lam):

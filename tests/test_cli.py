@@ -265,10 +265,15 @@ def test_exact_command(capsys):
     assert doc["status"] == "optimal" and doc["value"] == 5
     witness = parse_covering(json.dumps(doc["witness"]))
     assert verify(witness, 3, 1).ok
+    # Five nodes refute nothing, but Hansel's bound 8 meets the capacity of
+    # the best construction, which is then the optimum's witness.
     code, stdout, _ = run(capsys, "exact", "--n", "4", "--lambda", "1",
                           "--node-limit", "5")
-    assert code == 1
-    assert json.loads(stdout)["status"] == "bracket"
+    assert code == 0
+    doc = json.loads(stdout)
+    assert doc["status"] == "optimal" and doc["value"] == 8
+    witness = parse_covering(json.dumps(doc["witness"]))
+    assert capacity(witness) == 8 and verify(witness, 4, 1).ok
     # The optimum of K_3^11 has 17 blocks; no block count is capped.
     code, stdout, _ = run(capsys, "exact", "--n", "3", "--lambda", "11")
     assert code == 0
@@ -802,7 +807,7 @@ def _report_with_pairs(k, graph):
 def test_json_text_renders_violation_arrays(k, graph):
     report = _report_with_pairs(k, graph)
     assert len(report.violations) == k
-    doc = report.to_dict()
+    doc = report._payload()
     listed = {**doc, "violating_pairs": report.violating_pairs}
     assert _json_text(doc) == json.dumps(listed, indent=2)
     assert (_json_text({"schema_version": 1, "report": doc})
@@ -834,6 +839,25 @@ def test_cli_verify_never_builds_the_pair_tuples(tmp_path, capsys, monkeypatch):
     monkeypatch.undo()
     assert expected and (code, code_check) == (1, 1)
     assert json.loads(stdout)["report"]["violating_pairs"] == [list(p) for p in expected]
+
+
+@pytest.mark.parametrize("lam", [4, 5])
+@pytest.mark.parametrize("graph", [False, True])
+def test_report_to_dict_is_json_ready(tmp_path, capsys, lam, graph):
+    # A library caller dumps to_dict() as it is, and reads back the report
+    # object the CLI prints: valid at lambda 4, with pairs below lambda 5.
+    path, gpath = tmp_path / "bch.json", tmp_path / "g.json"
+    run(capsys, "construct", "--n", "64", "--lambda", "4", "--method", "bch",
+        "--out", str(path))
+    gpath.write_text(serialize_graph(random_graph(64, 0.5, 3)))
+    target = graphs.parse_graph(gpath.read_text()) if graph else 64
+    report = verify(parse_covering(path.read_text()), target, lam)
+    assert report.ok == (lam == 4)
+    text = json.dumps(report.to_dict())
+    flags = ["--graph", str(gpath)] if graph else ["--n", "64"]
+    code, stdout, _ = run(capsys, "verify", str(path), *flags, "--lambda", str(lam))
+    assert code == (0 if report.ok else 1)
+    assert json.loads(text) == json.loads(stdout)["report"]
 
 
 def test_json_text_refuses_numpy_pairs_like_json_dumps():

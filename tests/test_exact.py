@@ -9,7 +9,8 @@ from bicover import cli, exact
 from bicover.bounds import edge_count_lower, tail_lower
 from bicover.covering import (BipartiteBlock, Covering,
                               balanced_bipartitions_covering, capacity,
-                              code_to_covering, serialize_covering, verify)
+                              code_to_covering, parse_covering,
+                              serialize_covering, verify)
 from bicover.codes import BinaryCode, even_weight_code, hadamard_code
 from bicover.errors import BudgetExhausted, DomainError
 from bicover.exact import (SearchBudget, _CapSearch, _all_blocks, _root_need,
@@ -157,7 +158,9 @@ def test_block_table_past_the_node_limit_is_refused_unbuilt(monkeypatch):
 
     monkeypatch.setattr(exact, "_all_blocks", refuse)
     # The lower ends: the pair-slot bound at (4, 2), Hansel's bound
-    # n*k + 2*(n - 2^k) at the others.
+    # n*k + 2*(n - 2^k) at the others.  At (4, 1) and (4, 2) they meet the
+    # best construction's capacity, which closes the CLI's bracket (see
+    # test_exact_past_the_node_limit_builds_no_table).
     for n, lam, limit, lower in ((4, 1, 24, 8), (4, 2, 24, 12), (4, 1, 5, 8),
                                  (14, 1, 2_000_000, 54),
                                  (30, 1, 2_000_000, 148)):
@@ -288,3 +291,15 @@ def test_exact_past_the_node_limit_builds_no_table(monkeypatch, capsys):
     assert cli.main(["exact", "--n", "30", "--lambda", "1"]) == 1
     doc = json.loads(capsys.readouterr().out)
     assert (doc["status"], doc["lower"], doc["upper"]) == ("bracket", 148, 150)
+    # Where the start bound meets the best construction's capacity, the
+    # bracket is closed: that covering is the witness of an optimum.
+    for argv, value in ((["--n", "4", "--lambda", "1", "--node-limit", "5"], 8),
+                        (["--n", "4", "--lambda", "2", "--node-limit", "24"], 12),
+                        (["--n", "16", "--lambda", "1"], 64)):
+        assert cli.main(["exact", *argv]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["status"], doc["value"]) == ("optimal", value)
+        assert "lower" not in doc and "upper" not in doc
+        witness = parse_covering(json.dumps(doc["witness"]))
+        assert capacity(witness) == value
+        assert verify(witness, witness.n, int(argv[3])).ok

@@ -123,7 +123,7 @@ def test_verify_matches_reference(n, m, seed, lam, graph):
     assert report.violations.dtype == np.int64
     assert not report.violations.flags.writeable
     # The CLI renders the array as json.dumps renders the tuple of pairs.
-    doc = report.to_dict()
+    doc = report._payload()
     assert _json_text(doc) == json.dumps(
         {**doc, "violating_pairs": report.violating_pairs}, indent=2)
 
@@ -379,14 +379,14 @@ SPAN_WIDTHS = [0, *range(1, 13), 63, 64, 65, 95, 127]
 
 
 @st.composite
-def span_coverings(draw, width):
+def span_coverings(draw, width, deleted=1):
     """A code covering whose vertex x + 1 holds the word of message x: the
     XOR of a random basis (repeats and zero words allowed) over the set bits
     of x, plus an offset on the bits that every basis word leaves clear.
     Those bits are constant across the words, constant one where the offset
     is set, and ``_split_by_bits`` drops them as ``code_to_covering`` does.
-    One further bit is deleted when ``width`` allows, like a block deleted
-    from the file; the rest is still a span."""
+    Up to ``deleted`` further bits are deleted as ``width`` allows, like
+    blocks deleted from the file; the rest is still a span."""
     n = draw(st.integers(1, 90), label="n")
     rng = random.Random(draw(st.integers(0, 2**32), label="seed"))
     clear = rng.getrandbits(width)  # the bits that no basis word sets
@@ -395,8 +395,8 @@ def span_coverings(draw, width):
     offset = rng.getrandbits(width) & clear
     bits = np.array([[(w ^ offset) >> i & 1 for i in range(width)]
                      for w in _span(basis, n)], dtype=np.uint8).reshape(n, width)
-    if width and draw(st.booleans(), label="delete"):
-        bits = np.delete(bits, rng.randrange(width), axis=1)
+    count = draw(st.integers(0, min(deleted, width)), label="deleted")
+    bits = np.delete(bits, rng.sample(range(width), count), axis=1)
     return covering._split_by_bits(bits)
 
 
@@ -462,6 +462,90 @@ def test_pairwise_count_must_agree_with_the_transform():
     with patch.object(covering, "_code_histogram", shifted):
         with pytest.raises(AssertionError, match="differs from the span"):
             verify(cov, 22, 3)
+
+
+@contextmanager
+def no_pairwise_scan():
+    """Patches covering._tiles so that a pairwise scan of a complete target
+    fails as soon as it takes its first tile."""
+    def refuse(n):
+        raise AssertionError("the pairwise kernel scanned the pairs")
+        yield
+    with patch.object(covering, "_tiles", refuse):
+        yield
+
+
+@pytest.mark.parametrize("width", SPAN_WIDTHS)
+@settings(PROPERTY, max_examples=15)
+@given(data=st.data(), tile=st.integers(1, 64))
+def test_span_listing_matches_reference(width, data, tile):
+    # Up to lam = m + 1, where every pair falls below lam and every nonzero
+    # difference is listed, with the default row chunks and with chunks
+    # patched down to 1-64 pairs: the span lists the reference's pairs in
+    # its order, and the pairwise kernel never runs.
+    cov = data.draw(span_coverings(width, deleted=2), label="cov")
+    lam = data.draw(st.integers(1, cov.m + 1), label="lam")
+    want = reference_paths.verify(cov, cov.n, lam)
+    for step in (covering._STEP_PAIRS, tile):
+        with span_spy() as taken, no_pairwise_scan(), \
+                patch.object(covering, "_STEP_PAIRS", step):
+            report = verify(cov, cov.n, lam)
+        assert taken == [True]
+        assert report == want
+        assert report.violations.dtype == np.int64
+        assert not report.violations.flags.writeable
+
+
+def dropping_one(pick):
+    """``covering._low_differences`` with the pick-th listed pair left out."""
+    honest = covering._low_differences
+
+    def listing(cov, cap):
+        seen = 0
+        for xs, ys in honest(cov, cap):
+            at, seen = pick - seen, seen + len(xs)
+            if 0 <= at < len(xs):
+                xs, ys = np.delete(xs, at), np.delete(ys, at)
+            yield xs, ys
+    return listing
+
+
+def adding(x, y):
+    """``covering._low_differences`` with messages x and y listed first."""
+    honest = covering._low_differences
+
+    def listing(cov, cap):
+        yield np.array([x]), np.array([y])
+        yield from honest(cov, cap)
+    return listing
+
+
+@settings(PROPERTY, max_examples=30)
+@given(data=st.data())
+def test_span_listing_must_agree_with_the_recount(data):
+    # Where some pair falls below lam, a listing that drops one pair,
+    # repeats one, or adds one at or above lam must not pass unnoticed: the
+    # recount histogram of the listed pairs must equal the span's counts
+    # below lam.
+    cov = data.draw(span_coverings(data.draw(st.sampled_from(SPAN_WIDTHS[2:]))),
+                    label="cov")
+    lowest = reference_paths.verify(cov, cov.n, 1).min_multiplicity
+    if lowest is None:  # one vertex, no pairs
+        return
+    lam = data.draw(st.integers(lowest + 1, cov.m + 1), label="lam")
+    want = reference_paths.verify(cov, cov.n, lam)
+    below = set(want.violating_pairs)
+    above = [(u - 1, v - 1) for u, v in combinations(range(1, cov.n + 1), 2)
+             if (u, v) not in below]
+    pick = data.draw(st.integers(0, len(below) - 1), label="pick")
+    mutants = [dropping_one(pick), adding(*want.violations[pick] - 1)]
+    if above:
+        mutants.append(adding(*data.draw(st.sampled_from(above), label="above")))
+    for listing in mutants:
+        with patch.object(covering, "_low_differences", listing):
+            with pytest.raises(AssertionError, match="differs from the span"):
+                verify(cov, cov.n, lam)
+    assert verify(cov, cov.n, lam) == want
 
 
 def test_even_weight_histogram_at_8192():
