@@ -68,10 +68,9 @@ def _json_chunks(obj, pad="\n"):
     of its k int pairs.
 
     ``indent`` makes ``json`` use its pure-Python encoder, which is slow on
-    a long list of violating pairs; here the pairs of an array take one
-    ``%``-format per batch, the pair template repeated over the batch's
-    flattened ints, one batch per piece, so that the text is never held
-    twice and no pair becomes a Python tuple.
+    a long list of violating pairs; here the pairs of an array are written
+    by ``_pair_batches``, one batch per piece, so that the text is never
+    held twice and no pair becomes a Python tuple.
     """
     inner = pad + "  "
     sep = "," + inner
@@ -87,11 +86,7 @@ def _json_chunks(obj, pad="\n"):
         if not len(obj):
             yield "[]"
             return
-        pair = f"[{inner}  %d,{inner}  %d{inner}]"
-        for k in range(0, len(obj), _PAIR_BATCH):
-            batch = obj[k:k + _PAIR_BATCH]
-            text = sep.join([pair] * len(batch)) % tuple(batch.ravel().tolist())
-            yield (sep if k else "[" + inner) + text
+        yield from _pair_batches(obj, inner)
         yield pad + "]"
         return
     else:
@@ -109,6 +104,45 @@ def _json_chunks(obj, pad="\n"):
             yield start + head + _json_piece(value, inner)
         start = sep
     yield pad + ends[1]
+
+
+def _pair_batches(pairs, inner):
+    """The text of a nonempty (k, 2) int array's pairs, as ``json.dumps``
+    lays them out at indent ``inner``, from the list's opening bracket to
+    its last pair, in pieces of at most _PAIR_BATCH pairs.
+
+    Where the values span no more than the array's entries, each value of
+    [min, max] becomes a ``str`` once, in a label table that both columns
+    gather from, and a batch is one join over its gathered labels.  Where
+    they span more (a few pairs at n = 2^20, say), that table would cost
+    more than the ``str`` per entry it saves: a batch is then one
+    ``%``-format, the pair template repeated over its flattened ints.
+    """
+    sep = "," + inner
+    opener = "[" + inner + "  "
+    lo, hi = int(pairs.min()), int(pairs.max())
+    yield "[" + inner
+    if hi - lo >= pairs.size:
+        pair = f"{opener}%d,{inner}  %d{inner}]"
+        for k in range(0, len(pairs), _PAIR_BATCH):
+            batch = pairs[k:k + _PAIR_BATCH]
+            text = sep.join([pair] * len(batch)) % tuple(batch.ravel().tolist())
+            yield (sep if k else "") + text
+        return
+    span = hi - lo + 1
+    digits = [str(v) for v in range(lo, hi + 1)]
+    # Entry i writes the value lo + i as a pair's first member, entry
+    # span + i as its second, with the pair's close and the separator after.
+    close = inner + "]" + sep
+    table = np.array([opener + d for d in digits]
+                     + ["," + inner + "  " + d + close for d in digits], dtype=object)
+    # Offsets from lo, in a type that holds them for every integer dtype.
+    wide = np.uint64 if pairs.dtype == np.uint64 else np.int64
+    for k in range(0, len(pairs), _PAIR_BATCH):
+        offsets = np.subtract(pairs[k:k + _PAIR_BATCH], lo, dtype=wide)
+        offsets[:, 1] += span
+        text = "".join(table[offsets].ravel().tolist())
+        yield text if k + _PAIR_BATCH < len(pairs) else text[:-len(sep)]
 
 
 def _json_piece(obj, pad):

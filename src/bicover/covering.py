@@ -176,7 +176,8 @@ class CoverageReport:
     def _payload(self):
         """``to_dict`` with ``violating_pairs`` left as the (k, 2) array,
         which ``cli._json_chunks`` writes as a list of pairs without a
-        Python object per pair."""
+        Python object per pair: each vertex label in the array's range
+        becomes a ``str`` once, and both columns gather from that table."""
         return {
             "n": self.n,
             "lambda": self.lam,

@@ -204,7 +204,6 @@ def _first_adjacent_pair(g, vertices):
 # Entries per step (vectors x mask words, vectors x vertices, or vertices x
 # event patterns): 128 KiB word temporaries.
 _SWEEP_CHUNK = 1 << 14
-_WORD = (1 << 64) - 1
 
 
 def _sweep(cov, r, mode, seed, trials, counts=None):
@@ -319,19 +318,30 @@ def _submasks(mask, r):
 
 
 def _sampled_chunks(m, words, size, seed, trials):
+    """Chunks of (vectors, packed): ``size`` seeded vectors as Python ints
+    and as a (words, size) uint64 array, word w holding blocks 64w .. 64w+63.
+
+    Each vector is written as its little-endian bytes, all of a chunk's in
+    one buffer, which its words are read from in place.
+    """
     rng = random.Random(seed)
+    width = 8 * words
     for lo in range(0, trials, size):
         vectors = [rng.getrandbits(m) if m else 0
                    for _ in range(min(size, trials - lo))]
-        yield vectors, np.array([[(v >> (64 * w)) & _WORD for v in vectors]
-                                 for w in range(words)], dtype=np.uint64)
+        packed = np.frombuffer(b"".join(v.to_bytes(width, "little") for v in vectors),
+                               dtype="<u8")
+        yield vectors, packed.reshape(len(vectors), words).T
 
 
 def _tally(support, side, full, r, chunks):
     # A block of _SWEEP_CHUNK // n vectors against all n vertices per step.
     # A loop over the vertices ran n rounds of small numpy calls per chunk,
     # whose overhead set the cost: 26 ms against 15 ms in blocks for 2000
-    # vectors on a covering of 996 vertices in 95 blocks (2-vCPU VM).
+    # vectors on a covering of 996 vertices in 95 blocks (2-vCPU VM).  On
+    # that covering at r = 14 a step ends after word 0 once no vertex is
+    # left within r of any of its vectors (``_within``), and 2000 vectors
+    # take about 5 ms instead of 7.7 ms.
     step = max(1, _SWEEP_CHUNK // support.shape[1])
     for vectors, packed in chunks:
         per_vector = np.concatenate([np.count_nonzero(
@@ -359,6 +369,13 @@ def _within(vectors, support, side, full, r):
     popcount((v & support) ^ side).  When every vertex is in every block
     (``full``), v & support is v, since no vector has a bit past block m,
     and the count is popcount(v ^ side).
+
+    The count is summed word by word, and once no entry is still at most r
+    the remaining words are skipped: the answer is all False.  The test
+    runs only while r is below 32 per word summed, about what a uniform
+    vector disagrees on; above that nearly every step has an entry left,
+    and the test would only cost a pass over the counts.  At r = 14 on 95
+    blocks almost every step ends after word 0.
     """
     def disagreements(w):
         v = vectors[w] if full else vectors[w] & support[w]
@@ -366,8 +383,10 @@ def _within(vectors, support, side, full, r):
 
     hits = disagreements(0)
     if len(vectors) > 1:  # the narrowest type that holds 64 per word
-        hits = hits.astype(np.min_scalar_type(64 * len(vectors)))
+        hits = hits.astype(np.min_scalar_type(64 * len(vectors)), copy=False)
     for w in range(1, len(vectors)):
+        if r < 32 * w and hits.min() > r:
+            return np.zeros(hits.shape, dtype=bool)
         hits += disagreements(w)
     return hits <= r
 

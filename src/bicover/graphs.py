@@ -327,7 +327,7 @@ def _edges_layout(marked):
     """``serialize_graph``'s skeleton with as many edges as marked's runs
     allow, and that edge count."""
     m = (marked.count(b"0") - 1) // 2
-    return b'{"n": 0, "edges": [' + b", ".join([b"[0, 0]"] * m) + b"]}", m
+    return b'{"n": 0, "edges": [' + (b"[0, 0], " * m)[:-2] + b"]}", m
 
 
 def _canonical_edges(text):

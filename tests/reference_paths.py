@@ -21,7 +21,9 @@ before it wrote only the words a covering reads, and ``build_code`` takes
 that codebook's first words.
 ``vertexwise_sweep`` is a second reference for the sampled sweeps: the
 vertex-by-vertex tally the library ran before it took blocks of vectors
-against all vertices per step.
+against all vertices per step; ``pack_by_words`` is its packing of the
+drawn vectors, one shift and mask per word, which the library ran before
+it read each chunk's words from one buffer of the vectors' bytes.
 ``CapSearch`` is a second reference for the exact search: the search the
 library ran before it tested each child's bound ahead of the canonical-form
 step, with the looser pair-slot bound, deepening from capacity 0.
@@ -439,8 +441,7 @@ def _vertexwise_tally(cov, r, seed, trials):
     for lo in range(0, trials, size):
         vectors = [rng.getrandbits(cov.m) if cov.m else 0
                    for _ in range(min(size, trials - lo))]
-        packed = np.array([[(v >> (64 * w)) & ((1 << 64) - 1) for v in vectors]
-                           for w in range(words)], dtype=np.uint64)
+        packed = pack_by_words(vectors, words)
         per_vector = np.zeros(len(vectors), dtype=np.intp)
         for j in range(cov.n):
             per_vector += within(packed, j)
@@ -448,6 +449,13 @@ def _vertexwise_tally(cov, r, seed, trials):
         def occurring(k, packed=packed):
             return [j + 1 for j in range(cov.n) if within(packed[:, k], j)]
         yield vectors, per_vector, occurring
+
+
+def pack_by_words(vectors, words):
+    """The (words, k) uint64 array of Python-int vectors, one shift and mask
+    per word per vector, as the sampled sweep once packed them."""
+    return np.array([[(v >> (64 * w)) & ((1 << 64) - 1) for v in vectors]
+                     for w in range(words)], dtype=np.uint64)
 
 
 def tail_sum(cov, r):

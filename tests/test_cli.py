@@ -800,7 +800,10 @@ def _report_with_pairs(k, graph):
     return dataclasses.replace(report, violations=report.violations[:k])
 
 
-# Pair counts on either side of one and two formatted batches.
+# Pair counts on either side of one and two batches.  Each listing is also
+# rendered as int32 and uint64 arrays, and with its labels 1..129 spread
+# out to end at 2^31 - 1: those span more values than the array holds and
+# take the %-format, the dense labels take the label table.
 @pytest.mark.parametrize("k", [0, 1, _PAIR_BATCH - 1, _PAIR_BATCH,
                                _PAIR_BATCH + 1, 2 * _PAIR_BATCH + 1])
 @pytest.mark.parametrize("graph", [False, True])
@@ -812,6 +815,18 @@ def test_json_text_renders_violation_arrays(k, graph):
     assert _json_text(doc) == json.dumps(listed, indent=2)
     assert (_json_text({"schema_version": 1, "report": doc})
             == json.dumps({"schema_version": 1, "report": listed}, indent=2))
+    for sparse in (False, True):
+        pairs = report.violations
+        if sparse:
+            pairs = 2**31 - 1 - 40_000 * (129 - pairs)
+        if k:
+            assert (int(pairs.max()) - int(pairs.min()) >= pairs.size) == sparse
+        for dtype in (np.int64, np.int32, np.uint64):
+            array = pairs.astype(dtype)
+            assert (_json_text({"report": {**doc, "violating_pairs": array}})
+                    == json.dumps({"report": {**listed,
+                                              "violating_pairs": pairs.tolist()}},
+                                  indent=2))
 
 
 def test_cli_verify_never_builds_the_pair_tuples(tmp_path, capsys, monkeypatch):

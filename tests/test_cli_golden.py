@@ -34,6 +34,21 @@ _GRAPH_COVER = {**_GRAPH, "c.json": serialize_covering(
     coloring_to_covering(_G, greedy_coloring(_G)))}
 _BCH_COVER = {"c.json": serialize_covering(
     code_to_covering(build_code("extended-bch", 16, 4), 16))}
+# The smallest bch covering past one mask word: 74 blocks on 3 vertices.
+_BCH_WIDE_COVER = {"c.json": serialize_covering(
+    code_to_covering(build_code("extended-bch", 3, 33), 3))}
+
+
+def _damaged(text):
+    """A serialized covering without its first block."""
+    d = json.loads(text)
+    del d["blocks"][0]
+    return json.dumps(d)
+
+
+# Block 0 of the n = 64 bch covering taken out: 288 pairs fall below 4.
+_BCH_DAMAGED_COVER = {"c.json": _damaged(serialize_covering(
+    code_to_covering(build_code("extended-bch", 64, 4), 64)))}
 _SWEEP = ["sweep", "--n-list", "2,3,4,5,6,8,16,22,24,64", "--lambda-list", "1,2,3"]
 
 # (name, argv, input files); every construct method with at least one
@@ -105,6 +120,11 @@ ARGV = [
                                 "5"], _BCH_COVER),
     ("proofcheck-graph", ["proofcheck", "c.json", "--graph", "g.json"],
      _GRAPH_COVER),
+    ("proofcheck-bch-wide-sampled", ["proofcheck", "c.json", "--n", "3",
+                                     "--lambda", "33", "--sampled", "--trials",
+                                     "2000", "--seed", "3"], _BCH_WIDE_COVER),
+    ("verify-bch-damaged", ["verify", "c.json", "--n", "64", "--lambda", "4"],
+     _BCH_DAMAGED_COVER),
 ]
 
 

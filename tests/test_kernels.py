@@ -42,7 +42,7 @@ from bicover.graphs import (Graph, alpha_per_vertex, complete_graph, degrees,
                             random_graph, serialize_graph)
 
 import reference_paths
-from reference_paths import BlockList
+from reference_paths import BlockList, pack_by_words
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True,
                     database=None)
@@ -901,6 +901,16 @@ def test_sampled_disjointness_matches_reference(n, m, seed, lam, trials):
     assert_python_ints((report.violations, report.trials))
 
 
+def assert_same_chunks(chunks, reference):
+    """The same vectors, per-vector event counts and occurring sets, chunk by chunk."""
+    for (vectors, per_vector, occurring), (ref_vectors, ref_per_vector, ref_occurring) \
+            in zip(chunks, reference, strict=True):
+        assert vectors == ref_vectors
+        assert per_vector.tolist() == ref_per_vector.tolist()
+        assert [occurring(k) for k in range(len(vectors))] == \
+            [ref_occurring(k) for k in range(len(vectors))]
+
+
 # On a full-support covering the sweeps test popcount(v ^ side) without the
 # support: one word partly used (m = 1, 16, 63), one whole word (64), and a
 # second word partly used (65, 95).  r reaches about m/2, so random vectors
@@ -919,13 +929,8 @@ def test_full_support_sweeps_match_reference(drawn, data, seed, trials):
         exhaustive = (outcome(_disjointness, cov, r, "exhaustive", 0, 0)
                       if cov.m <= 16 else None)
     assert all(call.args[3] is True for call in spy.call_args_list)
-    reference = list(reference_paths.vertexwise_sweep(cov, r, "sampled", seed, trials))
-    for (vectors, per_vector, occurring), (ref_vectors, ref_per_vector, ref_occurring) \
-            in zip(chunks, reference, strict=True):
-        assert vectors == ref_vectors
-        assert per_vector.tolist() == ref_per_vector.tolist()
-        assert [occurring(k) for k in range(len(vectors))] == \
-            [ref_occurring(k) for k in range(len(vectors))]
+    assert_same_chunks(chunks, reference_paths.vertexwise_sweep(cov, r, "sampled",
+                                                                 seed, trials))
     assert sampled == (reference_paths.disjointness(cov, r, "sampled", seed, trials),
                        reference_paths.independent_event_sets(cov, g, "sampled",
                                                               seed, trials))
@@ -1054,6 +1059,124 @@ def test_blocked_sampled_sweep_matches_vertexwise_tally(chunk, n, m, seed, lam,
         got = reports()
     with patch.object(diagnostics, "_sweep", reference_paths.vertexwise_sweep):
         assert got == reports()
+
+
+# Block counts on either side of the one-, two- and three-word boundaries,
+# plus the bch-wide size, for the word-by-word disagreement count.
+MULTIWORD_BLOCKS = [63, 64, 65, 95, 128, 129, 191]
+
+
+def dense_covering(n, m, rng, full):
+    """n vertices on random sides of m blocks, vertex 1 on the left of
+    every block and vertex 2 on the right: every vertex in every block
+    (full), or the others each left out of about one block in eight, and
+    vertex n out of every block of word 0."""
+    sides = np.zeros((2, n + 1, m), dtype=np.uint8)
+    sides[0, 1], sides[1, 2] = 1, 1
+    for v in range(3, n + 1):
+        for i in range(m):
+            if full or (rng.random() < 0.875 and (v != n or i >= 64)):
+                sides[int(rng.random() < 0.5), v, i] = 1
+    cov = Covering._packed(sides)
+    assert covering._full_support(cov) == full
+    return cov
+
+
+def near_vectors(rng, m, support, side, r):
+    """Vectors that disagree with a vertex on r - 1, r or r + 1 of its
+    blocks, the disagreements all in word 0, all past it, or anywhere;
+    bits outside the support are random.  Those that keep word 0 clean
+    survive it and are settled only by a later word."""
+    blocks = [i for i in range(m) if support >> i & 1]
+    for t in (r - 1, r, r + 1):
+        for where in (range(64), range(64, m), range(m)):
+            pool = [i for i in blocks if i in where]
+            if 0 <= t <= len(pool):
+                flips = sum(1 << i for i in rng.sample(pool, t))
+                yield side ^ flips | rng.getrandbits(m) & ~support
+
+
+@pytest.mark.parametrize("m", MULTIWORD_BLOCKS)
+@pytest.mark.parametrize("full", [True, False])
+def test_early_exit_within_matches_reference(m, full):
+    rng = random.Random(m)
+    cov = dense_covering(6, m, rng, full)
+    support, side = (cov.left | cov.right)[:, 1:], cov.right[:, 1:]
+    words = len(side)
+    left, right = reference_paths.profile_masks(cov)
+    masks = [(a | b, b) for a, b in zip(left, right)]
+    uniform = [rng.getrandbits(m) for _ in range(40)]
+    for r in range(m + 1):
+        near = [(j, v) for j, (s, b) in enumerate(masks)
+                for v in near_vectors(rng, m, s, b, r)]
+        for vectors in (uniform, [v for _, v in near]):
+            want = [[((v & s) ^ b).bit_count() <= r for s, b in masks]
+                    for v in vectors]
+            packed = pack_by_words(vectors, words)
+            # A step of vectors against all vertices, as the sampled tally
+            # broadcasts it, and one vector against all vertices.
+            got = diagnostics._within(packed[:, :, None], support[:, None],
+                                      side[:, None], full, r)
+            assert got.tolist() == want
+            for k in range(len(vectors)):
+                assert (diagnostics._within(packed[:, k], support, side, full, r)
+                        .tolist() == want[k])
+        # Each near vector against its own vertex alone.
+        for j, v in near:
+            s, b = masks[j]
+            got = diagnostics._within(pack_by_words([v], words)[:, 0],
+                                      support[:, j], side[:, j], full, r)
+            assert got.shape == () and bool(got) == (((v & s) ^ b).bit_count() <= r)
+
+
+def test_within_stops_at_the_first_word_that_rules_out_a_step():
+    # Uniform vectors disagree with a vertex on about 32 blocks of each
+    # word.  At r = 4 no entry of the step survives word 0, and the other
+    # words are never counted; at r = 32 the test is first made after word
+    # 1, which rules the step out; at r = 100 it is never made.
+    rng = random.Random(3)
+    cov = dense_covering(20, 191, rng, True)
+    support, side = (cov.left | cov.right)[:, 1:], cov.right[:, 1:]
+    packed = pack_by_words([rng.getrandbits(191) for _ in range(50)], 3)
+    args = (packed[:, :, None], support[:, None], side[:, None], True)
+    for r, counted in ((4, 1), (32, 2), (100, 3)):
+        with patch.object(np, "bitwise_count", wraps=np.bitwise_count) as spy:
+            got = diagnostics._within(*args, r)
+        assert spy.call_count == counted
+        assert got.shape == (50, 20) and got.any() == (r == 100)
+
+
+@pytest.mark.parametrize("m", MULTIWORD_BLOCKS)
+@pytest.mark.parametrize("full", [True, False])
+def test_multiword_sampled_sweeps_match_reference(m, full):
+    # Every r from 0 (no event) to m (every vertex in every vector's event).
+    rng = random.Random(m + full)
+    cov = dense_covering(5, m, rng, full)
+    g = random_graph_on(cov.n, m)
+    seed, trials = m, 30
+    assert (_independent_sets(cov, g, "sampled", seed, trials)
+            == reference_paths.independent_event_sets(cov, g, "sampled", seed, trials))
+    for r in range(m + 1):
+        assert_same_chunks(diagnostics._sweep(cov, r, "sampled", seed, trials),
+                           reference_paths.vertexwise_sweep(cov, r, "sampled", seed,
+                                                            trials))
+        assert (_disjointness(cov, r, "sampled", seed, trials)
+                == reference_paths.disjointness(cov, r, "sampled", seed, trials))
+
+
+@pytest.mark.parametrize("m", [0, 1, 63, 64, 65, 127, 128, 129])
+@pytest.mark.parametrize("size, trials", [(7, 20), (5, 5), (3, 0), (16384, 40)])
+def test_sampled_vectors_pack_as_word_shifts(m, size, trials):
+    words = max(1, -(-m // 64))
+    chunks = list(diagnostics._sampled_chunks(m, words, size, 9, trials))
+    rng = random.Random(9)
+    drawn = [rng.getrandbits(m) if m else 0 for _ in range(trials)]
+    assert [v for vectors, _ in chunks for v in vectors] == drawn
+    for lo, (vectors, packed) in zip(range(0, trials, size), chunks, strict=True):
+        assert vectors == drawn[lo:lo + size]
+        want = pack_by_words(vectors, words)
+        assert packed.dtype == want.dtype and packed.shape == want.shape
+        assert (packed == want).all()
 
 
 def test_recount_catches_a_wrong_enumeration():
