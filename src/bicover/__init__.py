@@ -17,7 +17,7 @@ from .codes import (BinaryCode, FieldContext, bch_extended_code, build_code,
 from .covering import (BipartiteBlock, CoverageReport, Covering,
                        balanced_bipartitions_covering, capacity,
                        code_to_covering, coloring_to_covering,
-                       degenerate_rows, incidence_counts,
+                       degenerate_rows, from_words, incidence_counts, lift,
                        parse_covering, serialize_covering, verify)
 from .diagnostics import (DiagnosticReport, check_convex_tail_bound,
                           check_event_disjointness, check_event_overlap,

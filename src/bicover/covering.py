@@ -23,6 +23,7 @@ from .errors import (DomainError, GroundSetMismatch, ImproperColoring,
 from .graphs import Graph, _decode, _layout_runs
 
 BALANCED_BLOCK_CAP = 1 << 20  # max blocks of a balanced-bipartitions covering
+COVERING_BYTE_CAP = 1 << 31   # max bytes of a covering's words and masks
 
 
 class BipartiteBlock:
@@ -66,8 +67,9 @@ class Covering:
     ``left`` and ``right`` are read-only uint64 arrays of shape
     (max(1, ceil(m / 64)), n + 1), word-major so that one word of every
     vertex is contiguous: bit i % 64 of entry [i // 64, v] is set iff vertex
-    v lies on that side of block i.  Column 0 stays zero.  ``Covering(n,
-    blocks)`` packs BipartiteBlocks; ``blocks`` unpacks them on each access.
+    v lies on that side of block i.  Column 0 stays zero.  Every covering
+    is packed by ``from_words``; ``Covering(n, blocks)`` writes the words of
+    a list of BipartiteBlocks, and ``blocks`` unpacks them on each access.
     """
 
     __slots__ = ("n", "m", "left", "right", "_verified")
@@ -76,33 +78,17 @@ class Covering:
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise ValueError(f"ground-set size must be a positive integer, got {n!r}")
         blocks = tuple(blocks)
-        sides = np.zeros((2, n + 1, len(blocks)), dtype=np.uint8)
+        _check_size(n, len(blocks))
+        words = np.zeros((2, n, len(blocks)), dtype=bool)  # defined, then bits
         for i, b in enumerate(blocks):
-            for bits, side in zip(sides, (b.left, b.right)):
+            for side, planes in ((b.left, words[:1]), (b.right, words)):
                 for v in side:
                     if not isinstance(v, int) or not 1 <= v <= n:
                         raise RangeError(f"block vertex {v!r} outside 1..{n}")
-                bits[np.fromiter(side, dtype=np.intp, count=len(side)), i] = 1
-        self._store(sides)
-
-    @classmethod
-    def _packed(cls, sides):
-        cov = cls.__new__(cls)
-        cov._store(sides)
-        return cov
-
-    def _store(self, sides):
-        """Pack a (2, n+1, m) 0/1 array: [0, v, i] (or [1, v, i]) set iff
-        vertex v is on the left (right) side of block i."""
-        _, rows, m = sides.shape
-        packed = np.zeros((2, rows, 8 * max(1, -(-m // 64))), dtype=np.uint8)
-        packed[..., :-(-m // 8)] = np.packbits(sides, axis=2, bitorder="little")
-        masks = np.ascontiguousarray(packed.view("<u8").transpose(0, 2, 1),
-                                     dtype=np.uint64)
-        masks.flags.writeable = False
-        self.n, self.m = rows - 1, m
-        self.left, self.right = masks
-        self._verified = {}  # target -> min_multiplicity of its last verify
+                planes[:, np.fromiter(side, dtype=np.intp, count=len(side)) - 1, i] = True
+        built = from_words(*words)
+        for name in self.__slots__:
+            setattr(self, name, getattr(built, name))
 
     @property
     def blocks(self):
@@ -123,6 +109,63 @@ class Covering:
 
     def __repr__(self):
         return f"Covering(n={self.n}, blocks={self.m})"
+
+
+def from_words(defined, bits):
+    """The covering of 1..n whose vertex i + 1 has word i of two (n x m)
+    0/1 arrays: it lies in block j iff ``defined[i, j]``, on the right side
+    iff ``bits[i, j]`` too, else on the left.  Blocks with an empty side
+    separate nothing and are dropped: they are found in the packed masks,
+    which are packed again without them.  This is the one place that packs
+    masks; ``_check_size`` runs before it allocates them.
+    """
+    n, m = np.shape(defined)
+    _check_size(n, m)
+
+    def pack(left, right):  # word-major uint64 masks of boolean side arrays
+        width = -(-left.shape[1] // 8)  # bytes per vertex and side
+        packed = np.zeros((2, n + 1, 8 * max(1, -(-width // 8))), dtype=np.uint8)
+        for side, plane in zip((left, right), packed):
+            plane[1:, :width] = np.packbits(side, axis=1, bitorder="little")
+        return np.ascontiguousarray(packed.view("<u8").transpose(0, 2, 1), dtype=np.uint64)
+
+    left = np.greater(defined, bits)
+    right = np.logical_xor(defined, left)
+    masks = pack(left, right)
+    present = np.bitwise_or.reduce(masks, axis=2)  # (2, words): a vertex on the side
+    keep = np.unpackbits((present[0] & present[1]).astype("<u8").view(np.uint8),
+                         count=m, bitorder="little").view(bool)
+    if not keep.all():  # compress keeps the rows contiguous for packbits
+        masks = pack(left.compress(keep, axis=1), right.compress(keep, axis=1))
+    masks.flags.writeable = False
+    cov = Covering.__new__(Covering)
+    cov.n, cov.m = n, int(np.count_nonzero(keep))
+    cov.left, cov.right = masks
+    cov._verified = {}  # target -> min_multiplicity of its last verify
+    return cov
+
+
+def _check_size(n, m):
+    """Refuse n vertices and m blocks whose two (n + 1) x m byte word arrays
+    and 2 (n + 1) max(1, ceil(m / 64)) uint64 mask words pass the cap."""
+    size = 2 * (n + 1) * m + 16 * (n + 1) * max(1, -(-m // 64))
+    if size > COVERING_BYTE_CAP:
+        raise SizeLimitExceeded(
+            f"a covering with n = {n} and m = {m} takes {size} bytes of "
+            f"words and masks, over the cap of {COVERING_BYTE_CAP}")
+
+
+def lift(cov, index):
+    """The covering of 1..len(index) whose vertex v + 1 takes the masks of
+    ``cov``'s vertex ``index[v]``; blocks left with an empty side drop."""
+    index = np.asarray(index, dtype=np.intp)
+    if index.size and not 1 <= index.min() <= index.max() <= cov.n:
+        raise RangeError(f"lifted vertex outside 1..{cov.n}")
+    left, right = (np.unpackbits(
+        np.ascontiguousarray(masks.T, dtype="<u8").view(np.uint8),
+        axis=1, count=cov.m, bitorder="little")[index]
+        for masks in (cov.left, cov.right))
+    return from_words(left | right, right)
 
 
 def _sides(cov, labels=None):
@@ -425,7 +468,8 @@ def code_to_covering(code, n):
     if len(code.words) < n:
         raise NotEnoughCodewords(
             f"code has {len(code.words)} words, ground set needs {n}")
-    return _split_by_bits(_bit_rows(code.words[:n], code.length))
+    bits = _bit_rows(code.words[:n], code.length)
+    return from_words(np.broadcast_to(True, bits.shape), bits)
 
 
 def _bit_rows(words, length):
@@ -435,16 +479,6 @@ def _bit_rows(words, length):
     raw = np.frombuffer(b"".join(w.to_bytes(size, "big") for w in words),
                         dtype=np.uint8).reshape(len(words), size)
     return np.unpackbits(raw, axis=1)[:, 8 * size - length:]
-
-
-def _split_by_bits(bits):
-    """Covering of 1..len(bits) with one block per nonconstant column of the
-    0/1 matrix: the zeros of the column left, the ones right."""
-    bits = bits[:, bits.any(axis=0) & ~bits.all(axis=0)]
-    sides = np.zeros((2, len(bits) + 1, bits.shape[1]), dtype=np.uint8)
-    sides[0, 1:] = bits ^ 1
-    sides[1, 1:] = bits
-    return Covering._packed(sides)
 
 
 def degenerate_rows(code, n):
@@ -493,7 +527,7 @@ def balanced_bipartitions_covering(n):
     bits = np.ones((n, count), dtype=np.uint8)
     bits[0] = 0
     bits[left, np.arange(count)[:, None]] = 0
-    return _split_by_bits(bits)
+    return from_words(np.broadcast_to(True, bits.shape), bits)
 
 
 def coloring_to_covering(g, coloring):
@@ -501,8 +535,8 @@ def coloring_to_covering(g, coloring):
 
     Block t splits the vertices by bit t of their color index (zeros left,
     ones right); adjacent vertices have distinct colors, hence differ in
-    some bit, so every edge is covered at least once.  Blocks whose sides
-    would be empty are dropped.
+    some bit, so every edge is covered at least once.  This is the ``lift``
+    by the coloring of the colors' covering, whose color-c word is c's bits.
     """
     if len(coloring) != g.n:
         raise DomainError(
@@ -524,21 +558,22 @@ def coloring_to_covering(g, coloring):
         raise ImproperColoring(
             f"adjacent vertices {u} and {v} share color {coloring[u - 1]}")
     classes = max(coloring) + 1 if coloring else 1
-    bits = (classes - 1).bit_length()
-    return _split_by_bits(_bit_rows(coloring, bits)[:, ::-1])
+    palette, index = np.unique(colors, return_inverse=True)
+    bits = _bit_rows(palette.tolist(), (classes - 1).bit_length())[:, ::-1]
+    return lift(from_words(np.broadcast_to(True, bits.shape), bits), index + 1)
 
 
 def parse_covering(text):
     """Parse the covering JSON format {"n": int, "blocks": [{"left": [...], "right": [...]}]}.
 
     Text in the layout ``serialize_covering`` writes is read in bulk by
-    ``_canonical_sides``.  Any other document, or one that fails a check
+    ``_canonical_words``.  Any other document, or one that fails a check
     there, goes through ``json.loads`` and is checked entry by entry, which
-    names its first error.
+    names its first error, and by ``_check_size`` before it allocates.
     """
-    sides = _canonical_sides(text)
-    if sides is not None:
-        return Covering._packed(sides)
+    words = _canonical_words(text)
+    if words is not None:
+        return from_words(*words)
     obj = _decode(text)
     if not isinstance(obj, dict) or set(obj) != {"n", "blocks"}:
         raise ParseError('covering document must have exactly the keys "n" and "blocks"')
@@ -574,23 +609,26 @@ def parse_covering(text):
         if common := seen[0] & seen[1]:
             raise ParseError("block sides overlap: block sides intersect in "
                              f"{sorted(common)}")
-    sides = np.zeros((2, n + 1, len(items)), dtype=np.uint8)
-    for bits, lists in zip(sides, side_lists):
+    _check_size(n, len(items))
+    words = np.zeros((2, n, len(items)), dtype=bool)  # defined, then bits
+    for side, lists in enumerate(side_lists):
         sizes = list(map(len, lists))
-        bits[np.fromiter(chain.from_iterable(lists), dtype=np.intp, count=sum(sizes)),
-             np.repeat(np.arange(len(items)), sizes)] = 1
-    return Covering._packed(sides)
+        at = (np.fromiter(chain.from_iterable(lists), dtype=np.intp, count=sum(sizes)) - 1,
+              np.repeat(np.arange(len(items)), sizes))
+        words[0][at] = True
+        words[1][at] = side  # left labels leave their bits clear
+    return from_words(*words)
 
 
-def _canonical_sides(text):
-    """The (2, n + 1, m) 0/1 side array that ``Covering._store`` packs, read
+def _canonical_words(text):
+    """The (2, n, m) defined and bits planes that ``from_words`` packs, read
     in bulk by ``_layout_runs`` from a document in the layout of
     ``serialize_covering``, or None.  The first number is n, which must be
     below 2^31, and the rest are the labels; each side's must lie in 1..n
-    and strictly increase, and the two sides of a block must be disjoint.
-    The arrays take 2 (n + 1) max(m, 8) bytes; a document that asks for
-    more than 64 per byte of its text, plus 2 MiB, is left to the json
-    path, which checks every entry before it allocates.
+    and strictly increase, and the two sides of a block must be disjoint,
+    so that each label sets its own defined entry.  The planes take at most
+    2 (n + 1) max(m, 8) bytes; a document that asks for more than 64 per
+    byte of its text, plus 2 MiB, is left to the json path.
     """
     read = _layout_runs(text, _sides_layout)
     if read is None:
@@ -605,12 +643,13 @@ def _canonical_sides(text):
         rising[np.cumsum(lengths[:-1]) - 1] = True  # each list's first label
         if labels.min() < 1 or labels.max() > n or not rising.all():
             return None
-    sides = np.zeros((2, n + 1, m), dtype=np.uint8)
+    words = np.zeros((2, n, m), dtype=bool)
     lists = np.arange(2 * m)
-    labels *= m  # each label's offset within its side's (n + 1, m) plane
-    labels += np.repeat(lists % 2 * ((n + 1) * m) + lists // 2, lengths)
-    sides.reshape(-1)[labels] = 1
-    return None if (sides[0] & sides[1]).any() else sides
+    labels *= m  # each label's offset (label - 1) m + block within its side's plane
+    labels += np.repeat(lists % 2 * (n * m) + lists // 2 - m, lengths)
+    words.reshape(-1)[labels] = True  # the left sides, and the right sides as bits
+    words[0] |= words[1]  # defined: on either side
+    return words if np.count_nonzero(words[0]) == len(labels) else None
 
 
 def _sides_layout(marked):

@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .covering import BipartiteBlock, Covering
+from .covering import Covering, from_words
 from .errors import BudgetExhausted, DomainError
 
 # Full vertex-permutation canonicity checks stop paying for themselves
@@ -375,7 +375,10 @@ def exact_cap(n, lam, budget=SearchBudget()):
         return 0, Covering(1, ())
     search = _CapSearch(n, lam, budget)
     value, blocks = search.run()
-    witness = Covering(n, [BipartiteBlock(a, b) for a, b in blocks])
+    words = np.zeros((2, n, len(blocks)), dtype=bool)  # defined, then bits
+    for j, (a, b) in enumerate(blocks):
+        words[:, [v - 1 for v in b], j] = words[0, [v - 1 for v in a], j] = True
+    witness = from_words(*words)
     return value, witness
 
 

@@ -37,6 +37,11 @@ before it grouped the blocks by their least slot waste: every block from
 ``start`` on, one at a time.
 ``NeighborSetGraph`` is the graph as the library stored it before it kept
 only adjacency bitmasks: one neighbor frozenset per vertex.
+``from_words`` and ``lift`` build the block list of a covering given as
+ternary words, and of one lifted through a vertex index, one frozenset
+block per column; ``split_by_bits`` is the packer every library
+construction ran before ``covering.from_words``: one block per nonconstant
+column of a 0/1 matrix, packed from a (2, n + 1, m) side array.
 They are kept only as oracles; the property tests require the library's
 kernels to return exactly the same reports, codes, coverings and answers.
 The construction if-chains the library ran before its family table (the
@@ -140,6 +145,43 @@ def incidence_counts(cov):
         for v in b.left | b.right:
             x[v - 1] += 1
     return x
+
+
+def _two_sided(n, columns):
+    """The BlockList of the (left, right) vertex sets that are both nonempty."""
+    return BlockList(n, tuple(BipartiteBlock(left, right)
+                              for left, right in columns if left and right))
+
+
+def from_words(defined, bits):
+    """Vertex i + 1 in block j iff defined[i][j], on its right iff bits[i][j]."""
+    n, m = np.shape(defined)
+    return _two_sided(n, (
+        (frozenset(i + 1 for i in range(n) if defined[i][j] and not bits[i][j]),
+         frozenset(i + 1 for i in range(n) if defined[i][j] and bits[i][j]))
+        for j in range(m)))
+
+
+def lift(cov, index):
+    """Vertex v + 1 on the side of each block that holds vertex index[v]."""
+    return _two_sided(len(index), (
+        (frozenset(v + 1 for v, u in enumerate(index) if u in blk.left),
+         frozenset(v + 1 for v, u in enumerate(index) if u in blk.right))
+        for blk in cov.blocks))
+
+
+def split_by_bits(bits):
+    """The (2, words, n + 1) left and right masks of one block per
+    nonconstant column of a 0/1 matrix, zeros left and ones right."""
+    bits = bits[:, bits.any(axis=0) & ~bits.all(axis=0)]
+    sides = np.zeros((2, len(bits) + 1, bits.shape[1]), dtype=np.uint8)
+    sides[0, 1:] = bits ^ 1
+    sides[1, 1:] = bits
+    _, rows, m = sides.shape
+    packed = np.zeros((2, rows, 8 * max(1, -(-m // 64))), dtype=np.uint8)
+    packed[..., :-(-m // 8)] = np.packbits(sides, axis=2, bitorder="little")
+    return np.ascontiguousarray(packed.view("<u8").transpose(0, 2, 1),
+                                dtype=np.uint64)
 
 
 def code_to_covering(code, n):

@@ -224,6 +224,34 @@ def test_covering_past_the_index_range_is_a_parse_error(tmp_path, capsys, n, blo
     assert peak < 16 * 2**20
 
 
+# The cap patched to 1 MiB: at n = 70 000 the bulk reader takes the
+# canonical text, its planes bounded by the text, and ``from_words``
+# refuses; at n = 600 000 (1.2 MB of words for one block) and in the
+# indented text the json path refuses before it sizes an array by n.
+@pytest.mark.parametrize("n", [70_000, 600_000])
+@pytest.mark.parametrize("blocks", ["[]", '[{"left": [1], "right": [2]}]'])
+@pytest.mark.parametrize("indent", [None, 1])
+def test_oversize_covering_exits_1_before_it_allocates(tmp_path, capsys, monkeypatch,
+                                                       n, blocks, indent):
+    monkeypatch.setattr(covering, "COVERING_BYTE_CAP", 1 << 20)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(json.loads('{"n": %d, "blocks": %s}' % (n, blocks)),
+                               indent=indent))
+    tracemalloc.start()
+    try:
+        code, stdout, err = run(capsys, "verify", str(path), "--n", "2",
+                                "--lambda", "1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    m = len(json.loads(blocks))
+    assert (code, stdout, err) == (
+        1, "", f"error: a covering with n = {n} and m = {m} takes "
+        f"{2 * (n + 1) * m + 16 * (n + 1)} bytes of words and masks, "
+        "over the cap of 1048576\n")
+    assert peak < 1 << 20
+
+
 def test_bounds_refuses_an_oversize_graph_before_sizing_by_n(tmp_path, capsys):
     # The size limit of the exact independence numbers is checked before
     # the degrees, whose count array is sized by n.

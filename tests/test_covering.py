@@ -1,10 +1,13 @@
 import json
+import tracemalloc
 from itertools import combinations
 from math import comb
 
+import numpy as np
 import pytest
 
-from bicover.codes import BinaryCode, even_weight_code, hadamard_code
+from bicover import covering
+from bicover.codes import WORD_CAP, BinaryCode, even_weight_code, hadamard_code
 from bicover.covering import (BipartiteBlock, Covering,
                               balanced_bipartitions_covering, capacity,
                               code_to_covering, coloring_to_covering,
@@ -12,7 +15,7 @@ from bicover.covering import (BipartiteBlock, Covering,
                               parse_covering, serialize_covering, verify)
 from bicover.errors import (DomainError, GroundSetMismatch, ImproperColoring,
                             NotEnoughCodewords, OverlapError, ParseError,
-                            RangeError)
+                            RangeError, SizeLimitExceeded)
 from bicover.graphs import Graph, random_graph
 
 
@@ -254,3 +257,55 @@ def test_verifier_matches_naive_count_on_random_coverings():
             hist[m] = hist.get(m, 0) + 1
         assert report.histogram == hist
         assert report.ok == all(m >= lam for m in mults.values())
+
+
+def _peak_while(fn, *args):
+    """The error ``fn`` raises and the traced allocation peak until then."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimitExceeded) as refused:
+            fn(*args)
+        return str(refused.value), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# With the cap patched to 1 MiB, n = 600 000 needs 9.6 MB of masks, and one
+# block 1.2 MB of words, so a builder that allocated its words before its
+# check would show a peak above 1 MiB.
+@pytest.mark.parametrize("blocks", [(), [BipartiteBlock([1], [2])]])
+def test_covering_past_the_byte_cap_is_refused_before_it_allocates(monkeypatch, blocks):
+    monkeypatch.setattr(covering, "COVERING_BYTE_CAP", 1 << 20)
+    n, m = 600_000, len(blocks)
+    message, peak = _peak_while(Covering, n, blocks)
+    assert message == (f"a covering with n = {n} and m = {m} takes "
+                       f"{2 * (n + 1) * m + 16 * (n + 1)} bytes of words and "
+                       "masks, over the cap of 1048576")
+    assert peak < 1 << 20
+
+
+def test_from_words_and_lift_check_the_byte_cap(monkeypatch):
+    monkeypatch.setattr(covering, "COVERING_BYTE_CAP", 1 << 20)
+    words = np.zeros((2, 60_000, 1), dtype=bool)
+    words[0, :2], words[1, 1] = True, True
+    _, peak = _peak_while(covering.from_words, *words)
+    assert peak < 1 << 20
+    small = covering.from_words(*words[:, :2])
+    assert small.m == 1
+    _peak_while(covering.lift, small, [1, 2] * 30_000)
+
+
+@pytest.mark.parametrize("n, m", [
+    (WORD_CAP, 31),       # the BCH covering of the n = 2^20 pipeline
+    (WORD_CAP, 512),      # code and coloring coverings up to the word cap
+    (22, 352_716),        # the balanced covering at n = 22
+    (4096, 4095),         # the largest Hadamard covering
+])
+def test_byte_cap_admits_what_the_toolkit_builds(n, m):
+    covering._check_size(n, m)
+
+
+def test_largest_balanced_and_hadamard_coverings_build_under_the_cap():
+    assert balanced_bipartitions_covering(22).m == comb(22, 11) // 2 == 352_716
+    cov = code_to_covering(hadamard_code(11), 2048)
+    assert cov.m == 2047 and verify(cov, 2048, 1024).ok

@@ -34,7 +34,8 @@ from bicover.diagnostics import (_disjointness, _independent_sets, _sweep,
                                  check_convex_tail_bound,
                                  check_event_disjointness, check_event_overlap,
                                  check_tail_sum)
-from bicover.errors import BicoverError, DomainError, SizeLimitExceeded
+from bicover.errors import (BicoverError, DomainError, RangeError,
+                            SizeLimitExceeded)
 from bicover.exact import (SearchBudget, _CapSearch, _root_need, _table,
                            exact_cap)
 from bicover.graphs import (Graph, alpha_per_vertex, complete_graph, degrees,
@@ -172,13 +173,19 @@ def span_spy():
         yield taken
 
 
+def from_sides(sides):
+    """The covering of a (2, n + 1, m) 0/1 side array: [0, v, i] (or [1, v,
+    i]) set iff vertex v is on the left (right) side of block i."""
+    return covering.from_words(sides[0, 1:] | sides[1, 1:], sides[1, 1:])
+
+
 def moved(cov, sides_of):
     """The covering with its (2, n + 1, m) side array rewritten by sides_of."""
     sides = np.stack([np.unpackbits(np.ascontiguousarray(masks.T).view(np.uint8),
                                     axis=1, bitorder="little")[:, :cov.m]
                       for masks in (cov.left, cov.right)])
     sides_of(sides)
-    return Covering._packed(sides)
+    return from_sides(sides)
 
 
 def is_span(cov):
@@ -262,7 +269,7 @@ def support_class_coverings(draw):
             for i in range(m):
                 if support >> i & 1:
                     sides[0 if left >> i & 1 else 1, v, i] = 1
-    return Covering._packed(sides)
+    return from_sides(sides)
 
 
 @settings(PROPERTY, max_examples=40)
@@ -322,7 +329,7 @@ def full_support_coverings(draw, block_counts=FULL_BLOCK_COUNTS):
     bits = np.array([[w >> i & 1 for i in range(width)] for w in words],
                     dtype=np.uint8)
     kept = sorted(rng.sample(range(width), m))  # the other blocks are deleted
-    cov = covering._split_by_bits(bits[:, kept])
+    cov = covering.from_words(np.broadcast_to(True, (n, m)), bits[:, kept])
     assert cov.m == m and covering._full_support(cov)
     return cov, [v + 1 for v in (p, q)]
 
@@ -354,7 +361,7 @@ def test_one_vertex_out_of_a_last_word_block(drawn, lam, graph, data):
     block = data.draw(st.integers(64 * (len(cov.left) - 1), cov.m - 1), label="block")
     masks = np.array([cov.left, cov.right])
     masks[:, block // 64, v] &= ~np.uint64(1 << block % 64)
-    damaged = Covering._packed(np.unpackbits(
+    damaged = from_sides(np.unpackbits(
         np.ascontiguousarray(masks.transpose(0, 2, 1)).view(np.uint8),
         axis=2, bitorder="little")[..., :cov.m])
     assert not covering._full_support(damaged)
@@ -384,7 +391,7 @@ def span_coverings(draw, width, deleted=1):
     XOR of a random basis (repeats and zero words allowed) over the set bits
     of x, plus an offset on the bits that every basis word leaves clear.
     Those bits are constant across the words, constant one where the offset
-    is set, and ``_split_by_bits`` drops them as ``code_to_covering`` does.
+    is set, and ``from_words`` drops them as ``code_to_covering`` does.
     Up to ``deleted`` further bits are deleted as ``width`` allows, like
     blocks deleted from the file; the rest is still a span."""
     n = draw(st.integers(1, 90), label="n")
@@ -397,7 +404,7 @@ def span_coverings(draw, width, deleted=1):
                      for w in _span(basis, n)], dtype=np.uint8).reshape(n, width)
     count = draw(st.integers(0, min(deleted, width)), label="deleted")
     bits = np.delete(bits, rng.sample(range(width), count), axis=1)
-    return covering._split_by_bits(bits)
+    return covering.from_words(np.broadcast_to(True, bits.shape), bits)
 
 
 @pytest.mark.parametrize("width", SPAN_WIDTHS)
@@ -445,10 +452,10 @@ def test_span_histogram_matches_reference(width, data, lam):
         assert verify(flipped, n, lam) == reference_paths.verify(flipped, n, lam)
 
 
-def test_pairwise_count_must_agree_with_the_transform():
-    # Below its minimum distance a code covering has violations, so the
-    # pairwise kernel runs to list them; a span count that disagrees with
-    # its histogram must not pass unnoticed.
+def test_shifted_span_histogram_trips_the_recount():
+    # Below its minimum distance a code covering has violations, which the
+    # span listing lists and recounts from the masks; a span histogram
+    # shifted by one pair must make the recount disagree and raise.
     cov = code_to_covering(BinaryCode(5, range(22)), 22)
     with span_spy() as taken:
         report = verify(cov, 22, 3)
@@ -648,6 +655,83 @@ def test_block_lists_match_reference(n, m, seed):
     assert_same_covering(Covering(n, blocks), BlockList(n, tuple(blocks)))
 
 
+@PROPERTY
+@given(n=st.integers(1, 12), m=st.sampled_from([0, 1, 63, 64, 65]),
+       density=st.sampled_from([0.1, 0.5, 0.9, 1.0]), seed=st.integers(0, 2**32))
+def test_from_words_matches_reference(n, m, density, seed):
+    # Sparse words leave many blocks with an empty side, which must drop;
+    # bits outside the defined symbols are ignored.
+    rng = np.random.default_rng(seed)
+    defined = rng.random((n, m)) < density
+    bits = rng.integers(0, 2, (n, m), dtype=np.uint8)
+    want = reference_paths.from_words(defined, bits)
+    assert_same_covering(covering.from_words(defined, bits), want)
+    assert_same_covering(covering.from_words(defined.view(np.uint8), bits != 0), want)
+
+
+@PROPERTY
+@given(n=st.integers(1, 40), m=st.sampled_from([0, 1, 63, 64, 65]),
+       seed=st.integers(0, 2**32))
+def test_all_defined_words_match_the_split_by_bits_packer(n, m, seed):
+    # Some columns are forced constant, which both drop.
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2, (n, m), dtype=np.uint8)
+    bits[:, rng.random(m) < 0.2] = 0
+    bits[:, rng.random(m) < 0.2] = 1
+    want = reference_paths.split_by_bits(bits)
+    for defined in (np.ones_like(bits), np.broadcast_to(True, bits.shape)):
+        cov = covering.from_words(defined, bits)
+        assert (cov.n, cov.m) == (n, int((bits.any(axis=0) & ~bits.all(axis=0)).sum()))
+        assert np.array_equal(cov.left, want[0]) and np.array_equal(cov.right, want[1])
+        assert not cov.left.flags.writeable and cov.left.flags.c_contiguous
+
+
+@PROPERTY
+@given(n=st.integers(1, 12), m=st.sampled_from([0, 1, 63, 64, 65]),
+       size=st.integers(1, 30), seed=st.integers(0, 2**32))
+def test_lift_matches_reference(n, m, size, seed):
+    # The index repeats vertices and skips others, so that blocks whose
+    # vertices all land on one side drop.
+    base = random_covering(n, m, seed)
+    rng = random.Random(seed)
+    used = rng.sample(range(1, n + 1), rng.randint(1, n))
+    index = [rng.choice(used) for _ in range(size)]
+    assert_same_covering(covering.lift(base, index),
+                         reference_paths.lift(base, index))
+
+
+@pytest.mark.parametrize("index", [[0], [4], [1, -1]])
+def test_lift_refuses_vertices_outside_the_covering(index):
+    with pytest.raises(RangeError, match=r"outside 1\.\.3"):
+        covering.lift(random_covering(3, 5, 1), index)
+
+
+@pytest.mark.parametrize("palette", [(0, 2), (2,), (1, 3), (0, 4, 6), (5, 2**70)])
+@pytest.mark.parametrize("seed", range(4))
+def test_coloring_with_skipped_colors_matches_reference(palette, seed):
+    # Colors that skip indices: the lift of the colors' covering drops every
+    # bit that is constant over the colors in use.
+    rng = random.Random(seed)
+    n = rng.randint(1, 25)
+    coloring = [rng.choice(palette) for _ in range(n)]
+    g = Graph(n, [(u, v) for u, v in combinations(range(1, n + 1), 2)
+                  if coloring[u - 1] != coloring[v - 1] and rng.random() < 0.5])
+    assert_same_covering(coloring_to_covering(g, coloring),
+                         reference_paths.coloring_to_covering(g, coloring))
+
+
+@pytest.mark.parametrize("n, lam", [(2, 1), (3, 1), (4, 1), (5, 1), (2, 3),
+                                    (3, 2), (4, 2), (3, 5)])
+def test_exact_witness_is_its_block_list(n, lam):
+    value, witness = exact_cap(n, lam)
+    found, blocks = _CapSearch(n, lam, SearchBudget()).run()
+    want = Covering(n, [BipartiteBlock(a, b) for a, b in blocks])
+    assert value == found == capacity(witness)
+    assert np.array_equal(witness.left, want.left)
+    assert np.array_equal(witness.right, want.right)
+    assert_same_covering(witness, BlockList(n, want.blocks))
+
+
 @pytest.mark.parametrize("flaw", [None, "overlap", "duplicate",
                                   "out-of-range", "bool", "empty", "float",
                                   "string", "null", "nested-list"])
@@ -842,7 +926,7 @@ def test_bulk_covering_read_agrees_with_the_json_path(edit, n, m, seed, data):
     text = edited_covering_text(cov, edit, data)
     with patch.object(json, "loads", wraps=json.loads) as loads:
         got = outcome(parse_covering, text)
-    with patch.object(covering, "_canonical_sides", return_value=None):
+    with patch.object(covering, "_canonical_words", return_value=None):
         via_json = outcome(parse_covering, text)
     assert got == via_json and hash(got) == hash(via_json)
     assert_same_outcome(parse_covering, reference_paths.parse_covering, text)
@@ -997,16 +1081,17 @@ def shared_support_covering(n, m, isolated, seed):
         for i in range(m):
             if support >> i & 1:
                 sides[int(rng.random() < 0.5), v, i] = 1
-    return Covering._packed(sides)
+    return from_sides(sides)
 
 
 # The drawn coverings stop at m = 16; the examples reach the tally's largest
-# sizes, m = 17 and the exhaustive limit m = 20.
+# sizes, m = 17 and the exhaustive limit m = 20, at seeds where no block
+# comes out one-sided (``from_words`` drops those).
 @settings(PROPERTY, max_examples=40)
 @given(cov=shared_support_coverings(), lam=st.integers(1, 8),
        seed=st.integers(0, 2**32))
-@example(cov=shared_support_covering(12, 17, True, 5), lam=5, seed=1)
-@example(cov=shared_support_covering(6, 20, False, 5), lam=8, seed=3)
+@example(cov=shared_support_covering(12, 17, True, 3), lam=5, seed=1)
+@example(cov=shared_support_covering(6, 20, False, 3), lam=8, seed=3)
 def test_event_enumeration_matches_chunked_sweep(cov, lam, seed):
     # r = (lam - 1) // 2 runs from 0 to 3; the overlap check gets understated
     # alphas, so that occupancy violations occur.
@@ -1077,7 +1162,7 @@ def dense_covering(n, m, rng, full):
         for i in range(m):
             if full or (rng.random() < 0.875 and (v != n or i >= 64)):
                 sides[int(rng.random() < 0.5), v, i] = 1
-    cov = Covering._packed(sides)
+    cov = from_sides(sides)
     assert covering._full_support(cov) == full
     return cov
 
